@@ -1,9 +1,6 @@
-"""Benchmark harness: generate instance families, run solvers against the
+"""Solver registry and benchmark harness: run any registered solver with
+one feasibility check, generate instance families, run solvers against the
 oracle, and collect ratio reports as CSV or JSON.
-
-Rows are computed concurrently up to the worker cap in the MDD_WORKERS
-environment variable (default 1) and sorted afterwards, so output is
-schedule-independent.
 """
 from __future__ import annotations
 
@@ -11,16 +8,15 @@ import csv
 import io
 import itertools
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
-from .approx import mdd_max_logn
-from .cubic import mdd_max_cubic
-from .errors import InputError
-from .exact import brute_force_optimum, dualize, kregular_min_exact
+from .approx import mdd_max_logn_trace
+from .cubic import mdd_max_cubic_trace
+from .errors import InputError, MDDError
+from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,
+                    kregular_min_exact)
 from .generators import (generate_gnp, generate_random_regular,
                          generate_random_setsystem)
 from .graph import Instance, Objective, is_feasible
@@ -29,36 +25,63 @@ from .reductions import setcover_to_mddmax_bip, setcover_to_mddmin_bip
 DEFAULT_ORACLE_CUTOFF = 18
 
 
-def _solve_oracle(inst, cfg):
-    return brute_force_optimum(inst)
+def _solve_oracle(inst, max_L):
+    mode = WeightMode.CARDINALITY if inst.unit_weights else WeightMode.WEIGHTED
+    return brute_force_optimum(inst, OracleConfig(weight_mode=mode)), ()
 
 
-def _solve_kreg(inst, cfg):
-    return kregular_min_exact(inst)
+def _solve_kreg(inst, max_L):
+    return kregular_min_exact(inst), ()
 
 
-def _solve_logn(inst, cfg):
-    return mdd_max_logn(inst, cfg.max_L)
+def _branches_note(trace):
+    return f"branches = {trace.branches_total} (feasible {trace.branches_feasible})"
 
 
-def _solve_dual_logn(inst, cfg):
+def _solve_logn(inst, max_L):
+    trace = mdd_max_logn_trace(inst, max_L)
+    chosen = sorted(trace.chosen_k) if trace.chosen_k else "[] (fallback)"
+    return trace.solution, (f"L = {sorted(trace.l_set)}", _branches_note(trace),
+                            f"chosen K = {chosen}")
+
+
+def _solve_cubic(inst, max_L):
+    trace = mdd_max_cubic_trace(inst)
+    notes = [f"candidate {label}: size {size}"
+             for label, size in trace.candidate_sizes]
+    return trace.solution, (*notes, f"winning case: {trace.case}")
+
+
+def _solve_dual_logn(inst, max_L):
     # MDD(min) routed through the complement: the same vertex set solves both.
     if inst.objective is not Objective.MIN:
         raise InputError("dual-logn expects a Min instance")
-    return mdd_max_logn(dualize(inst), cfg.max_L)
+    trace = mdd_max_logn_trace(dualize(inst), max_L)
+    return trace.solution, (_branches_note(trace),)
 
 
-def _solve_cubic(inst, cfg):
-    return mdd_max_cubic(inst)
-
-
+#: Every solver by name: fn(instance, max_L) -> (DeletionSet, trace lines).
+#: max_L caps the L-set of the branching solvers; the others ignore it.
 ALGORITHMS = {
     "oracle": _solve_oracle,
     "kreg-exact": _solve_kreg,
     "logn": _solve_logn,
-    "dual-logn": _solve_dual_logn,
     "cubic": _solve_cubic,
+    "dual-logn": _solve_dual_logn,
 }
+
+
+def solve(name: str, inst: Instance, max_L: Optional[int] = None):
+    """Run solver `name` and verify its result.
+
+    Returns (DeletionSet, trace lines).  Raises MDDError if the solver
+    returns an infeasible set; the check is explicit so that it also runs
+    under `python -O`.
+    """
+    solution, notes = ALGORITHMS[name](inst, max_L)
+    if not is_feasible(inst, solution):
+        raise MDDError(f"solver '{name}' returned an infeasible deletion set")
+    return solution, notes
 
 
 @dataclass
@@ -153,10 +176,8 @@ def _make_instances(cfg: ExperimentConfig):
 
 def _run_solver_row(cfg, instance_id, inst, name, oracle_weight):
     start = time.perf_counter()
-    solution = ALGORITHMS[name](inst, cfg)
+    solution, _ = solve(name, inst, cfg.max_L)
     elapsed = time.perf_counter() - start
-    feasible = is_feasible(inst, solution)
-    assert feasible  # every solve path ends with a feasibility check
     ratio = None
     if oracle_weight is not None:
         if oracle_weight > 0:
@@ -165,7 +186,7 @@ def _run_solver_row(cfg, instance_id, inst, name, oracle_weight):
             ratio = 1.0
     return ExperimentRow(instance_id, cfg.family, inst.graph.n, name,
                          solution.size, solution.total_weight, oracle_weight,
-                         ratio, elapsed, feasible)
+                         ratio, elapsed, True)
 
 
 def _setcover_rows(cfg: ExperimentConfig):
@@ -209,14 +230,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for instance_id, inst in instances:
             if inst.graph.n <= cfg.oracle_cutoff:
                 oracle_weights[instance_id] = brute_force_optimum(inst).total_weight
-        workers = max(1, int(os.environ.get("MDD_WORKERS", "1")))
-        jobs = [(instance_id, inst, name)
+        rows = [_run_solver_row(cfg, instance_id, inst, name,
+                                oracle_weights.get(instance_id))
                 for instance_id, inst in instances for name in cfg.algorithms]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda job: _run_solver_row(cfg, job[0], job[1], job[2],
-                                            oracle_weights.get(job[0])),
-                jobs))
     rows.sort(key=lambda r: (r.instance_id, r.algorithm))
     aggregates = _aggregate(rows)
     return ExperimentReport(cfg, rows, aggregates)

@@ -11,14 +11,11 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .approx import mdd_max_logn_trace
-from .bench import ExperimentConfig, run_experiment
-from .cubic import mdd_max_cubic_trace
+from .bench import ALGORITHMS, ExperimentConfig, run_experiment, solve
 from .errors import (BudgetError, InapplicableError, InfeasibleError,
                      InputError, MDDError, PreconditionError)
-from .exact import brute_force_optimum, dualize, kregular_min_exact
 from .generators import generate_gnp, generate_random_regular
-from .graph import Objective, is_feasible
+from .graph import is_feasible
 from .reductions import (mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
                          setcover_to_mddmax_bip, setcover_to_mddmin_bip)
 from .subroutines import (FDepProblem, dissociation_delete,
@@ -46,31 +43,9 @@ def _write_or_print(text: str, out: str):
 
 def _cmd_solve(args) -> int:
     inst = fileio.parse_instance(_read(args.instance))
-    if args.algo == "oracle":
-        solution = brute_force_optimum(inst)
-    elif args.algo == "kreg-exact":
-        solution = kregular_min_exact(inst)
-    elif args.algo == "logn":
-        trace = mdd_max_logn_trace(inst, args.max_L)
-        solution = trace.solution
-        print(f"L = {sorted(trace.l_set)}")
-        print(f"branches = {trace.branches_total} "
-              f"(feasible {trace.branches_feasible})")
-        print(f"chosen K = {sorted(trace.chosen_k) if trace.chosen_k else '[] (fallback)'}")
-    elif args.algo == "dual-logn":
-        if inst.objective is not Objective.MIN:
-            raise InputError("dual-logn expects a Min instance")
-        trace = mdd_max_logn_trace(dualize(inst), args.max_L)
-        solution = trace.solution
-        print(f"branches = {trace.branches_total} "
-              f"(feasible {trace.branches_feasible})")
-    else:  # cubic
-        trace = mdd_max_cubic_trace(inst)
-        solution = trace.solution
-        for label, size in trace.candidate_sizes:
-            print(f"candidate {label}: size {size}")
-        print(f"winning case: {trace.case}")
-    assert is_feasible(inst, solution)
+    solution, notes = solve(args.algo, inst, args.max_L)
+    for line in notes:
+        print(line)
     print(f"solution: {' '.join(str(v) for v in solution.sorted_vertices())}")
     print(f"size: {solution.size}  weight: {solution.total_weight}")
     return EXIT_OK
@@ -155,9 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--algo", required=True,
-                         choices=["oracle", "kreg-exact", "logn", "cubic",
-                                  "dual-logn"])
+    p_solve.add_argument("--algo", required=True, choices=list(ALGORITHMS))
     p_solve.add_argument("--max-L", type=int, default=None, dest="max_L")
     p_solve.set_defaults(func=_cmd_solve)
 

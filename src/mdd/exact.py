@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .errors import BudgetError, InfeasibleError, PreconditionError
-from .graph import DeletionSet, Instance, Objective
+from .graph import DeletionSet, Instance, Objective, feasible_mask
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -31,25 +32,6 @@ class OracleConfig:
             raise PreconditionError("oracle budget must be at least 1")
 
 
-def _feasible_mask(g, p: int, remaining: int, want_min: bool) -> bool:
-    # Same semantics as graph.is_feasible, specialised to a bitmask of the
-    # remaining vertices for the enumeration hot loop.
-    dp = (g.masks[p] & remaining).bit_count()
-    rest = remaining & ~(1 << p)
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest ^= low
-        dv = (g.masks[v] & remaining).bit_count()
-        if want_min:
-            if dv <= dp:
-                return False
-        else:
-            if dv >= dp:
-                return False
-    return True
-
-
 def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> DeletionSet:
     """Minimum feasible deletion set by explicit subset enumeration.
 
@@ -58,6 +40,12 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
     CARDINALITY mode the enumeration proceeds by increasing subset size and
     stops after the first size that contains a feasible set.
     """
+    return _enumerate(inst, cfg)
+
+
+def _enumerate(inst: Instance, cfg: OracleConfig) -> DeletionSet:
+    # The loop behind brute_force_optimum, also called by kregular_min_exact,
+    # so that a traced run attributes each solver's time to that solver.
     g = inst.graph
     p = inst.p
     want_min = inst.objective is Objective.MIN
@@ -78,7 +66,7 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
             remaining = full
             for v in combo:
                 remaining &= ~(1 << v)
-            if not _feasible_mask(g, p, remaining, want_min):
+            if not feasible_mask(g, p, remaining, want_min):
                 continue
             weight = inst.weight_of(combo)
             key = (size, combo) if cardinality else (weight, size, combo)
@@ -131,20 +119,9 @@ def kregular_min_exact(inst: Instance) -> DeletionSet:
     """Exact MDD(min) on a k-regular graph with unit weights.
 
     Some optimal solution has size at most 2k-1 (the witness above), so
-    enumerating subsets in increasing cardinality and stopping at the first
-    feasible size is exact.
+    the CARDINALITY oracle capped at that size is exact; its budget cannot
+    be exhausted.
     """
     k = _require_regular_min_unit(inst)
-    g = inst.graph
-    p = inst.p
-    others = [v for v in range(g.n) if v != p]
-    full = g.full_mask
-    limit = min(2 * k - 1, len(others))
-    for size in range(limit + 1):
-        for combo in itertools.combinations(others, size):
-            remaining = full
-            for v in combo:
-                remaining &= ~(1 << v)
-            if _feasible_mask(g, p, remaining, True):
-                return DeletionSet.of(inst, combo)
-    raise InfeasibleError("no feasible set of size <= 2k-1; graph not regular?")
+    return _enumerate(inst, OracleConfig(max_subset_size=2 * k - 1,
+                                         budget=sys.maxsize))

@@ -290,9 +290,17 @@ def is_feasible(inst: Instance, solution) -> bool:
         if not 0 <= v < g.n:
             raise InputError(f"vertex {v} out of range")
         remaining &= ~(1 << v)
-    dp = (g.masks[inst.p] & remaining).bit_count()
-    want_min = inst.objective is Objective.MIN
-    rest = remaining & ~(1 << inst.p)
+    return feasible_mask(g, inst.p, remaining, inst.objective is Objective.MIN)
+
+
+def feasible_mask(g: Graph, p: int, remaining: int, want_min: bool) -> bool:
+    """Feasibility kernel: is p the unique extreme-degree vertex of the
+    subgraph induced on the bitmask `remaining` (which must contain p)?
+
+    Unvalidated, for enumeration hot loops; `is_feasible` checks its input
+    and then calls this."""
+    dp = (g.masks[p] & remaining).bit_count()
+    rest = remaining & ~(1 << p)
     while rest:
         low = rest & -rest
         v = low.bit_length() - 1

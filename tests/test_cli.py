@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 
-from mdd import (Graph, Instance, Objective, serialize_graph,
+import mdd
+from mdd import (Graph, Instance, Objective, generate_gnp, serialize_graph,
                  serialize_instance, serialize_setsystem, serialize_solution,
                  SetSystem, parse_instance)
 from mdd.cli import main
@@ -19,6 +23,29 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "solution: 1 4" in out
         assert "size: 2" in out
+
+    def test_oracle_minimises_weight(self, tmp_path, capsys):
+        # the minimum-cardinality set {2, 5} weighs 8; {5, 7} weighs 6
+        inst = Instance(generate_gnp(9, 0.5, 0), 0, (1, 3, 5, 4, 4, 3, 4, 3, 5),
+                        Objective.MAX)
+        path = write_instance(tmp_path, inst)
+        assert main(["solve", path, "--algo", "oracle"]) == 0
+        out = capsys.readouterr().out
+        assert "solution: 5 7\n" in out
+        assert "size: 2  weight: 6\n" in out
+
+    def test_dual_logn_min(self, tmp_path, capsys):
+        path = write_instance(tmp_path, Instance(Graph.cycle(5), 0))
+        assert main(["solve", path, "--algo", "dual-logn"]) == 0
+        assert capsys.readouterr().out == ("branches = 4 (feasible 2)\n"
+                                           "solution: 1 4\n"
+                                           "size: 2  weight: 2\n")
+
+    def test_dual_logn_on_max_exits_4(self, tmp_path, capsys):
+        inst = Instance(Graph.cycle(5), 0, None, Objective.MAX)
+        path = write_instance(tmp_path, inst)
+        assert main(["solve", path, "--algo", "dual-logn"]) == 4
+        assert "expects a Min instance" in capsys.readouterr().err
 
     def test_logn_trace_output(self, tmp_path, capsys):
         inst = Instance(Graph.complete(3), 0, None, Objective.MAX)
@@ -49,6 +76,41 @@ class TestSolve:
         path = tmp_path / "bad.txt"
         path.write_text("not a graph\n")
         assert main(["solve", str(path), "--algo", "oracle"]) == 4
+
+
+# Runs under `python -O`: a registered solver that returns an infeasible set
+# must still be caught by both the CLI and the bench harness.
+_OPTIMISED_SCRIPT = """
+import sys
+from mdd import (DeletionSet, ExperimentConfig, Graph, Instance, MDDError,
+                 run_experiment, serialize_instance)
+from mdd import bench
+from mdd.cli import main
+if __debug__:
+    sys.exit("expected python -O")
+bench.ALGORITHMS["oracle"] = lambda inst, max_L: (DeletionSet(frozenset(), 0), ())
+with open(sys.argv[1], "w") as f:
+    f.write(serialize_instance(Instance(Graph.cycle(5), 0)))
+print("exit", main(["solve", sys.argv[1], "--algo", "oracle"]))
+try:
+    run_experiment(ExperimentConfig(family="regular", sizes=[6],
+                                    algorithms=["oracle"],
+                                    instances_per_size=1))
+except MDDError:
+    print("raised")
+"""
+
+
+def test_verification_survives_optimised_mode(tmp_path):
+    src = os.path.dirname(os.path.dirname(mdd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMISED_SCRIPT,
+         str(tmp_path / "inst.txt")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["exit 4", "raised"]
+    assert "error: solver 'oracle' returned an infeasible" in proc.stderr
 
 
 class TestVerify:
