@@ -77,40 +77,26 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
             f"branch count 2^|L| would be too large")
     np_open = g.adj[p]
     dp = g.degree(p)
-    best = None
-    best_key = None
-    best_k = None
-    branches = 0
-    feasible_branches = 0
     members = sorted(l_set.members)
+    candidates = []
     for size in range(len(members) + 1):
         for k_tuple in itertools.combinations(members, size):
-            branches += 1
             candidate = _branch_candidate(inst, set(k_tuple), np_open, dp)
-            if candidate is None:
-                continue
-            feasible_branches += 1
-            weight = inst.weight_of(candidate)
-            key = (weight, len(candidate), tuple(sorted(candidate)))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = candidate
-                best_k = k_tuple
-    # Deleting everything but p is always feasible; keep it as the fallback
-    # candidate so the algorithm cannot come back empty-handed.
-    fallback = set(range(g.n)) - {p}
-    fb_weight = inst.weight_of(fallback)
-    fb_key = (fb_weight, len(fallback), tuple(sorted(fallback)))
-    if best_key is None or fb_key < best_key:
-        best_key = fb_key
-        best = fallback
-        best_k = None
-    if best_key[0] == math.inf:
+            if candidate is not None:
+                candidates.append((candidate, k_tuple))
+    feasible_branches = len(candidates)
+    # Deleting everything but p is always feasible; keep it as the last
+    # candidate so the algorithm cannot come back empty-handed.  min keeps
+    # the first of equal keys, so a branch wins a tie with the fallback.
+    candidates.append((set(range(g.n)) - {p}, None))
+    best, best_k = min(candidates, key=lambda c: (
+        inst.weight_of(c[0]), len(c[0]), tuple(sorted(c[0]))))
+    if inst.weight_of(best) == math.inf:
         raise InfeasibleError("every candidate requires an undeletable vertex")
     solution = DeletionSet.of(inst, best)
     assert is_feasible(inst, solution)
-    return BranchingResult(solution, best_k, branches, feasible_branches,
-                           l_set.members)
+    return BranchingResult(solution, best_k, 2 ** len(members),
+                           feasible_branches, l_set.members)
 
 
 def _branch_candidate(inst, k_set, np_open, dp):
@@ -120,12 +106,6 @@ def _branch_candidate(inst, k_set, np_open, dp):
     keep = [v for v in range(g.n) if v not in k_set]
     cap_value = dp - len(k_set) - 1
     protected = np_open - k_set
-    if cap_value < 0:
-        # p would end at degree <= 0, so no other vertex may remain.
-        others = [v for v in keep if v != p]
-        if any(v in protected or inst.weight(v) == math.inf for v in others):
-            return None
-        return k_set | set(others)
     sub, remap = g.induced_subgraph(keep)
     caps = []
     weights = []

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .approx import mdd_max_logn_trace
 from .cubic import mdd_max_cubic_trace
-from .errors import InputError, MDDError
+from .errors import BudgetError, InfeasibleError, InputError, MDDError
 from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,
                     kregular_min_exact)
 from .generators import (generate_gnp, generate_random_regular,
@@ -101,10 +101,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in ("gnp", "regular", "setcover"):
             raise InputError(f"unknown instance family '{self.family}'")
-        if self.family != "setcover":
-            for name in self.algorithms:
-                if name not in ALGORITHMS:
-                    raise InputError(f"unknown algorithm '{name}'")
+        for name in self.algorithms:
+            if name not in ALGORITHMS:
+                raise InputError(f"unknown algorithm '{name}'")
         Objective(self.objective)
 
     @classmethod
@@ -176,7 +175,16 @@ def _make_instances(cfg: ExperimentConfig):
 
 def _run_solver_row(cfg, instance_id, inst, name, oracle_weight):
     start = time.perf_counter()
-    solution, _ = solve(name, inst, cfg.max_L)
+    try:
+        solution, _ = solve(name, inst, cfg.max_L)
+    except (BudgetError, InfeasibleError) as exc:
+        # Recorded, not fatal: one solver giving up on one instance leaves
+        # the rest of the experiment standing.
+        status = "budget" if isinstance(exc, BudgetError) else "infeasible"
+        return ExperimentRow(instance_id, cfg.family, inst.graph.n, name,
+                             None, None, oracle_weight, None,
+                             time.perf_counter() - start, None,
+                             extra={"status": status})
     elapsed = time.perf_counter() - start
     ratio = None
     if oracle_weight is not None:
@@ -250,5 +258,6 @@ def _aggregate(rows) -> dict:
             "mean_ratio": sum(ratios) / len(ratios) if ratios else None,
             "max_ratio": max(ratios) if ratios else None,
             "total_time": sum(r.wall_time for r in group),
+            "failed": sum(1 for r in group if "status" in r.extra),
         }
     return out

@@ -176,15 +176,9 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
         t = dissociation_delete(gstar)
         candidates.append(("dissociation", set(fixed) | {remap[i] for i in t}))
     candidates.append(("full", set(range(g.n)) - {p}))
-    best = None
-    best_key = None
-    for label, cand in candidates:
-        assert is_feasible(inst, cand)
-        key = (len(cand), _CASE_RANK[label], tuple(sorted(cand)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (label, cand)
-    label, cand = best
+    assert all(is_feasible(inst, cand) for _, cand in candidates)
+    label, cand = min(candidates, key=lambda c: (
+        len(c[1]), _CASE_RANK[c[0]], tuple(sorted(c[1]))))
     return CubicTrace(DeletionSet.of(inst, cand), label,
                       tuple((lbl, len(c)) for lbl, c in candidates))
 

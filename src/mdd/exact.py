@@ -38,7 +38,7 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
     Ties are broken deterministically: smaller weight, then smaller
     cardinality, then lexicographically smallest vertex tuple.  In
     CARDINALITY mode the enumeration proceeds by increasing subset size and
-    stops after the first size that contains a feasible set.
+    returns the first feasible set it meets, which is the minimum.
     """
     return _enumerate(inst, cfg)
 
@@ -57,7 +57,6 @@ def _enumerate(inst: Instance, cfg: OracleConfig) -> DeletionSet:
     full = g.full_mask
     checked = 0
     best = None
-    best_key = None
     for size in range(max_size + 1):
         for combo in itertools.combinations(deletable, size):
             checked += 1
@@ -69,15 +68,16 @@ def _enumerate(inst: Instance, cfg: OracleConfig) -> DeletionSet:
             if not feasible_mask(g, p, remaining, want_min):
                 continue
             weight = inst.weight_of(combo)
-            key = (size, combo) if cardinality else (weight, size, combo)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (combo, weight)
-        if cardinality and best is not None:
-            break
+            if cardinality:
+                # Sizes ascend and combinations are lexicographic, so the
+                # first feasible set already has the minimum (size, combo).
+                return DeletionSet(frozenset(combo), weight)
+            key = (weight, size, combo)
+            if best is None or key < best:
+                best = key
     if best is None:
         raise InfeasibleError("no feasible deletion set within enumeration limits")
-    combo, weight = best
+    weight, _, combo = best
     return DeletionSet(frozenset(combo), weight)
 
 

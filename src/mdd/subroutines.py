@@ -3,13 +3,12 @@ degree-cap deletion (every remaining vertex v keeps degree <= f(v)),
 dominating set, and dissociation deletion (remaining max degree <= 1).
 
 All three are deterministic: ties are broken by lowest vertex id, and
-coverage/weight scores are compared as exact rationals.
+gain/weight ratios are compared by integer cross-multiplication.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import InfeasibleError, PreconditionError
@@ -48,54 +47,43 @@ class FDepProblem:
         return cls(graph, tuple(f for _ in range(graph.n)), tuple(weights))
 
 
-def _excess(prob: FDepProblem, v: int, degree: int) -> int:
-    c = prob.cap[v]
-    if c is EXEMPT:
-        return 0
-    return max(0, degree - c)
-
-
 def f_dependent_delete(prob: FDepProblem) -> frozenset:
     """Greedy degree-cap deletion.
 
-    Repeatedly deletes the deletable vertex with the best ratio of total
-    cap-excess removed to weight.  Raises InfeasibleError when violations
-    remain but no deletable vertex can reduce them (every violated vertex is
+    Repeatedly deletes the deletable vertex u with the best ratio
+    gain(u) / weight(u), where gain(u) = excess(u) + |N(u) & over|, excess
+    is the degree above the cap and `over` is the set of remaining vertices
+    with positive excess.  Deleting u lowers the excess of each neighbor in
+    `over` by exactly 1.  Raises InfeasibleError when violations remain but
+    no deletable vertex can reduce them (every violated vertex is
     undeletable with only undeletable remaining neighbors).
     """
     g = prob.graph
-    remaining = set(range(g.n))
-    deg = {v: g.degree(v) for v in remaining}
+    cap = prob.cap
+    deg = [g.degree(v) for v in range(g.n)]
     deleted = set()
     while True:
-        excess = {v: _excess(prob, v, deg[v]) for v in remaining}
-        total = sum(excess.values())
-        if total == 0:
+        excess = {v: deg[v] - cap[v] for v in range(g.n)
+                  if v not in deleted and cap[v] is not EXEMPT
+                  and deg[v] > cap[v]}
+        if not excess:
             break
+        over = set(excess)
         best = None
-        best_score = None
-        for u in sorted(remaining):
+        best_gain, best_w = 0, 1
+        for u in range(g.n):
             w = prob.weights[u]
-            if w == math.inf:
+            if u in deleted or w == math.inf:
                 continue
-            gain = excess[u]
-            for v in g.adj[u]:
-                if v in remaining and excess[v] > 0:
-                    gain += excess[v] - _excess(prob, v, deg[v] - 1)
-            if gain <= 0:
-                continue
-            score = Fraction(gain, w)
-            if best_score is None or score > best_score:
-                best = u
-                best_score = score
+            gain = excess.get(u, 0) + len(g.adj[u] & over)
+            if gain * best_w > best_gain * w:
+                best, best_gain, best_w = u, gain, w
         if best is None:
             raise InfeasibleError(
                 "degree caps violated but every helpful vertex is undeletable")
-        remaining.discard(best)
         deleted.add(best)
         for v in g.adj[best]:
-            if v in remaining:
-                deg[v] -= 1
+            deg[v] -= 1
     return frozenset(deleted)
 
 
@@ -134,17 +122,11 @@ def dominating_set_approx(g: Graph, forbidden: Iterable[int] = (),
     chosen = set()
     while uncovered:
         best = None
-        best_score = None
+        best_covered, best_w = 0, 1
         for u in allowed:
-            if u in chosen:
-                continue
             covered = len(g.closed_neighborhood(u) & uncovered)
-            if covered == 0:
-                continue
-            score = Fraction(covered, weights[u])
-            if best_score is None or score > best_score:
-                best = u
-                best_score = score
+            if covered * best_w > best_covered * weights[u]:
+                best, best_covered, best_w = u, covered, weights[u]
         assert best is not None  # the precheck above guarantees progress
         chosen.add(best)
         uncovered -= g.closed_neighborhood(best)

@@ -1,0 +1,102 @@
+"""Reference greedy subroutines for differential tests.
+
+Quadratic implementations of the degree-cap and dominating-set greedies
+that rescore every vertex from scratch and compare ratios as exact
+`Fraction`s.  The package's faster versions must pick exactly the same
+vertices, so these stay as they are; tests compare against them.
+"""
+import math
+from fractions import Fraction
+from typing import Iterable, Optional
+
+from mdd import EXEMPT, FDepProblem, Graph, InfeasibleError
+
+
+def _excess(prob: FDepProblem, v: int, degree: int) -> int:
+    c = prob.cap[v]
+    if c is EXEMPT:
+        return 0
+    return max(0, degree - c)
+
+
+def f_dependent_delete(prob: FDepProblem) -> frozenset:
+    """Greedy degree-cap deletion.
+
+    Repeatedly deletes the deletable vertex with the best ratio of total
+    cap-excess removed to weight.  Raises InfeasibleError when violations
+    remain but no deletable vertex can reduce them (every violated vertex is
+    undeletable with only undeletable remaining neighbors).
+    """
+    g = prob.graph
+    remaining = set(range(g.n))
+    deg = {v: g.degree(v) for v in remaining}
+    deleted = set()
+    while True:
+        excess = {v: _excess(prob, v, deg[v]) for v in remaining}
+        total = sum(excess.values())
+        if total == 0:
+            break
+        best = None
+        best_score = None
+        for u in sorted(remaining):
+            w = prob.weights[u]
+            if w == math.inf:
+                continue
+            gain = excess[u]
+            for v in g.adj[u]:
+                if v in remaining and excess[v] > 0:
+                    gain += excess[v] - _excess(prob, v, deg[v] - 1)
+            if gain <= 0:
+                continue
+            score = Fraction(gain, w)
+            if best_score is None or score > best_score:
+                best = u
+                best_score = score
+        if best is None:
+            raise InfeasibleError(
+                "degree caps violated but every helpful vertex is undeletable")
+        remaining.discard(best)
+        deleted.add(best)
+        for v in g.adj[best]:
+            if v in remaining:
+                deg[v] -= 1
+    return frozenset(deleted)
+
+
+def dominating_set_approx(g: Graph, forbidden: Iterable[int] = (),
+                          weights: Optional[tuple] = None) -> frozenset:
+    """Greedy weighted dominating set avoiding `forbidden` vertices.
+
+    Picks the allowed vertex covering the most still-undominated vertices
+    per unit weight.  Vertices that are forbidden, or carry infinite weight,
+    are never selected but still need to be dominated.
+    """
+    forbidden = set(forbidden)
+    if weights is None:
+        weights = tuple(1 for _ in range(g.n))
+    allowed = [v for v in range(g.n)
+               if v not in forbidden and weights[v] != math.inf]
+    allowed_set = set(allowed)
+    for v in range(g.n):
+        if not (g.closed_neighborhood(v) & allowed_set):
+            raise InfeasibleError(
+                f"vertex {v} cannot be dominated: closed neighborhood forbidden")
+    uncovered = set(range(g.n))
+    chosen = set()
+    while uncovered:
+        best = None
+        best_score = None
+        for u in allowed:
+            if u in chosen:
+                continue
+            covered = len(g.closed_neighborhood(u) & uncovered)
+            if covered == 0:
+                continue
+            score = Fraction(covered, weights[u])
+            if best_score is None or score > best_score:
+                best = u
+                best_score = score
+        assert best is not None  # the precheck above guarantees progress
+        chosen.add(best)
+        uncovered -= g.closed_neighborhood(best)
+    return frozenset(chosen)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,19 @@ class TestMddMaxLogn:
         assert trace.branches_total == 4       # L = {1, 2}
         assert trace.branches_feasible == 1    # only K = L survives
         assert trace.chosen_k == (1, 2)
+
+    def test_full_neighborhood_branch_meets_undeletable(self):
+        # L = N(0) = {1, 4, 5, 6}; the branch K = L must delete every other
+        # vertex, including the undeletable 3, so only K = {4, 5} survives.
+        g = Graph(7, [(0, 1), (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (2, 3),
+                      (2, 5), (2, 6), (3, 5), (4, 6), (5, 6)])
+        weights = (1, 1, 1, math.inf, 1, 1, 1)
+        trace = mdd_max_logn_trace(Instance(g, 0, weights, Objective.MAX))
+        assert sorted(trace.l_set) == [1, 4, 5, 6]
+        assert trace.solution.vertices == frozenset({2, 4, 5})
+        assert trace.chosen_k == (4, 5)
+        assert trace.branches_total == 16
+        assert trace.branches_feasible == 1
 
     def test_k33_matches_oracle(self):
         inst = Instance(Graph.complete_bipartite(3, 3), 0, None, Objective.MAX)

@@ -96,6 +96,8 @@ class TestBench:
         with pytest.raises(InputError):
             ExperimentConfig(family="gnp", sizes=[5], algorithms=["nope"])
         with pytest.raises(InputError):
+            ExperimentConfig(family="setcover", sizes=[5], algorithms=["bogus"])
+        with pytest.raises(InputError):
             ExperimentConfig.from_json("not json")
         with pytest.raises(InputError):
             ExperimentConfig.from_json(json.dumps({"bogus": 1}))
@@ -127,6 +129,24 @@ class TestBench:
         for row in report.rows:
             if row.algorithm == "kreg-exact":
                 assert row.ratio == 1.0
+
+    def test_failing_rows_are_recorded(self):
+        # The complement of a 3-regular graph on 12 vertices has |L| = 8,
+        # over the default cap of 6, so dual-logn gives up on those rows.
+        cfg = ExperimentConfig(family="regular", sizes=[8, 10, 12],
+                               algorithms=["oracle", "kreg-exact", "dual-logn"],
+                               k=3, instances_per_size=3, seed=3,
+                               objective="min")
+        report = run_experiment(cfg)
+        assert len(report.rows) == 3 * 3 * 3
+        failed = [r for r in report.rows if r.extra]
+        assert [(r.n, r.algorithm) for r in failed] == [(12, "dual-logn")] * 3
+        for row in failed:
+            assert row.extra == {"status": "budget"}
+            assert (row.size, row.weight, row.ratio, row.feasible) == \
+                (None, None, None, None)
+        assert [report.aggregates[name]["failed"]
+                for name in ("dual-logn", "kreg-exact", "oracle")] == [3, 0, 0]
 
     def test_setcover_experiment(self):
         cfg = ExperimentConfig(family="setcover", sizes=[4, 5],
