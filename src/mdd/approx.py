@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BudgetError, InfeasibleError, PreconditionError
+from .errors import BudgetError, InfeasibleError, MDDError, PreconditionError
 from .graph import (DeletionSet, Instance, NeighborhoodCase, Objective,
                     UNDELETABLE, classify_neighborhood, is_feasible)
 from .subroutines import EXEMPT, FDepProblem, f_dependent_delete
@@ -94,37 +94,30 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     if inst.weight_of(best) == math.inf:
         raise InfeasibleError("every candidate requires an undeletable vertex")
     solution = DeletionSet.of(inst, best)
-    assert is_feasible(inst, solution)
+    if not is_feasible(inst, solution):
+        raise MDDError("branching algorithm selected an infeasible set")
     return BranchingResult(solution, best_k, 2 ** len(members),
                            feasible_branches, l_set.members)
 
 
 def _branch_candidate(inst, k_set, np_open, dp):
-    """Candidate deletion set for one branch K, or None if infeasible."""
+    """Candidate deletion set for one branch K, or None if infeasible.
+
+    The greedy runs on the whole graph with K passed as removed, which
+    picks the same vertices as on the subgraph induced on V \\ K."""
     g = inst.graph
     p = inst.p
-    keep = [v for v in range(g.n) if v not in k_set]
-    cap_value = dp - len(k_set) - 1
-    protected = np_open - k_set
-    sub, remap = g.induced_subgraph(keep)
-    caps = []
-    weights = []
-    for new_id, old in enumerate(remap):
-        if old == p:
-            caps.append(EXEMPT)
-            weights.append(UNDELETABLE)
-        else:
-            caps.append(cap_value)
-            if old in protected:
-                weights.append(UNDELETABLE)
-            else:
-                weights.append(inst.weight(old))
-    prob = FDepProblem(sub, tuple(caps), tuple(weights))
+    caps = [dp - len(k_set) - 1] * g.n
+    caps[p] = EXEMPT
+    weights = list(inst.weights)
+    for v in (np_open - k_set) | {p}:
+        weights[v] = UNDELETABLE
+    prob = FDepProblem(g, tuple(caps), tuple(weights), frozenset(k_set))
     try:
         deleted = f_dependent_delete(prob)
     except InfeasibleError:
         return None
-    return k_set | {remap[i] for i in deleted}
+    return k_set | deleted
 
 
 def mdd_max_logn(inst: Instance, cap_on_L: Optional[int] = None) -> DeletionSet:
@@ -141,7 +134,8 @@ def mdd_max_special(inst: Instance) -> DeletionSet:
     """Fast path when the high-degree region stays clear of N[p].
 
     A single degree-cap subproblem on G[V \\ N[p]] with caps
-    f(v) = d(p) - |N(v) intersect N(p)| - 1 suffices.
+    f(v) = d(p) - |N(v) intersect N(p)| - 1 suffices; it runs on G with
+    N[p] passed as removed.
     """
     y, d, tag = classify_neighborhood(inst)
     if tag is NeighborhoodCase.GENERAL:
@@ -150,14 +144,11 @@ def mdd_max_special(inst: Instance) -> DeletionSet:
     p = inst.p
     t = g.degree(p)
     np_open = g.adj[p]
-    np_closed = g.closed_neighborhood(p)
-    keep = [v for v in range(g.n) if v not in np_closed]
-    sub, remap = g.induced_subgraph(keep)
-    caps = tuple(t - len(g.adj[old] & np_open) - 1 for old in remap)
-    weights = tuple(inst.weight(old) for old in remap)
-    deleted = f_dependent_delete(FDepProblem(sub, caps, weights))
-    solution = DeletionSet.of(inst, {remap[i] for i in deleted})
-    assert is_feasible(inst, solution)
+    caps = tuple(t - len(g.adj[v] & np_open) - 1 for v in range(g.n))
+    prob = FDepProblem(g, caps, inst.weights, g.closed_neighborhood(p))
+    solution = DeletionSet.of(inst, f_dependent_delete(prob))
+    if not is_feasible(inst, solution):
+        raise MDDError("fast path returned an infeasible set")
     return solution
 
 

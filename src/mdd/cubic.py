@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InapplicableError, PreconditionError
+from .errors import InapplicableError, MDDError, PreconditionError
 from .graph import DeletionSet, Graph, Instance, Objective, is_feasible
 from .subroutines import dissociation_delete, dominating_set_approx, is_dominating
 
@@ -115,8 +115,8 @@ def normalize_dominating_set(gadget: DominationGadget, d_in) -> frozenset:
                 d.add(fresh[0])
             # else: the neighbors are all chosen already and dominate the
             # group; dropping the proxy only shrinks the set.
-    assert not (d & gadget.proxies)
-    assert is_dominating(g, d)
+    if not is_dominating(g, d):
+        raise MDDError("normalized set no longer dominates the proxy graph")
     return frozenset(d)
 
 
@@ -176,9 +176,10 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
         t = dissociation_delete(gstar)
         candidates.append(("dissociation", set(fixed) | {remap[i] for i in t}))
     candidates.append(("full", set(range(g.n)) - {p}))
-    assert all(is_feasible(inst, cand) for _, cand in candidates)
     label, cand = min(candidates, key=lambda c: (
         len(c[1]), _CASE_RANK[c[0]], tuple(sorted(c[1]))))
+    if not is_feasible(inst, cand):
+        raise MDDError(f"cubic {label} candidate is infeasible")
     return CubicTrace(DeletionSet.of(inst, cand), label,
                       tuple((lbl, len(c)) for lbl, c in candidates))
 

@@ -7,15 +7,20 @@ gain/weight ratios are compared by integer cross-multiplication.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InfeasibleError, PreconditionError
-from .graph import Graph
+from .graph import Graph, UNDELETABLE
 
 #: Cap sentinel: the vertex carries no degree constraint at all.
 EXEMPT = None
+
+
+def _check_weight(w):
+    if w != UNDELETABLE and (not isinstance(w, int) or w < 1):
+        raise PreconditionError(
+            f"weight {w!r} is neither a positive integer nor UNDELETABLE")
 
 
 @dataclass(frozen=True)
@@ -26,19 +31,32 @@ class FDepProblem:
     negative cap means v cannot remain at all (such caps arise from the
     branch subproblems of the subset-enumeration algorithm).  weights[v] is
     a positive integer, or UNDELETABLE for vertices that must survive.
+
+    `removed` vertices are absent: they count in no degree, are never
+    picked and are never returned, and their cap and weight are ignored.
+    Solving with `removed` = R is solving on the subgraph induced on
+    V \\ R, with the original vertex ids.
     """
 
     graph: Graph
     cap: tuple
     weights: tuple
+    removed: frozenset = frozenset()
 
     def __post_init__(self):
         n = self.graph.n
         if len(self.cap) != n or len(self.weights) != n:
             raise PreconditionError("cap/weights length must equal vertex count")
-        for c in self.cap:
+        object.__setattr__(self, "removed", frozenset(self.removed))
+        if not all(isinstance(v, int) and 0 <= v < n for v in self.removed):
+            raise PreconditionError("removed vertices must be vertex ids")
+        for v in range(n):
+            if v in self.removed:
+                continue
+            c = self.cap[v]
             if c is not EXEMPT and not isinstance(c, int):
                 raise PreconditionError("caps must be integers or EXEMPT")
+            _check_weight(self.weights[v])
 
     @classmethod
     def uniform(cls, graph: Graph, f: int, weights=None) -> "FDepProblem":
@@ -57,40 +75,60 @@ def f_dependent_delete(prob: FDepProblem) -> frozenset:
     `over` by exactly 1.  Raises InfeasibleError when violations remain but
     no deletable vertex can reduce them (every violated vertex is
     undeletable with only undeletable remaining neighbors).
+
+    Excesses and gains are computed once in O(n + m); a deletion updates
+    them only around the deleted vertex and the neighbors that leave
+    `over`, and each pick is one O(n) scan in ascending id.
     """
     g = prob.graph
-    cap = prob.cap
-    deg = [g.degree(v) for v in range(g.n)]
-    deleted = set()
-    while True:
-        excess = {v: deg[v] - cap[v] for v in range(g.n)
-                  if v not in deleted and cap[v] is not EXEMPT
-                  and deg[v] > cap[v]}
-        if not excess:
-            break
-        over = set(excess)
+    cap, weights = prob.cap, prob.weights
+    removed = prob.removed
+    adj = [[] if v in removed else [u for u in g.adj[v] if u not in removed]
+           for v in range(g.n)]
+    excess = [0] * g.n
+    for v in range(g.n):
+        if v not in removed and cap[v] is not EXEMPT and len(adj[v]) > cap[v]:
+            excess[v] = len(adj[v]) - cap[v]
+    gain = excess[:]
+    over = 0
+    for v in range(g.n):
+        if excess[v]:
+            over += 1
+            for u in adj[v]:
+                gain[u] += 1
+    candidates = [u for u in range(g.n)
+                  if u not in removed and weights[u] != UNDELETABLE]
+    deleted = []
+    while over:
         best = None
         best_gain, best_w = 0, 1
-        for u in range(g.n):
-            w = prob.weights[u]
-            if u in deleted or w == math.inf:
-                continue
-            gain = excess.get(u, 0) + len(g.adj[u] & over)
-            if gain * best_w > best_gain * w:
-                best, best_gain, best_w = u, gain, w
+        for u in candidates:
+            if gain[u] * best_w > best_gain * weights[u]:
+                best, best_gain, best_w = u, gain[u], weights[u]
         if best is None:
             raise InfeasibleError(
                 "degree caps violated but every helpful vertex is undeletable")
-        deleted.add(best)
-        for v in g.adj[best]:
-            deg[v] -= 1
+        deleted.append(best)
+        # A deleted vertex's gain only falls from 0 on, so it never wins.
+        gain[best] = 0
+        leaving = [best] if excess[best] else []
+        excess[best] = 0
+        for v in adj[best]:
+            if excess[v]:
+                excess[v] -= 1
+                gain[v] -= 1
+                if not excess[v]:
+                    leaving.append(v)
+        over -= len(leaving)
+        for v in leaving:
+            for u in adj[v]:
+                gain[u] -= 1
     return frozenset(deleted)
 
 
 def check_degree_caps(prob: FDepProblem, deleted: Iterable[int]) -> bool:
     """Re-verify a candidate against the caps from scratch."""
-    deleted = set(deleted)
-    remaining = set(range(prob.graph.n)) - deleted
+    remaining = set(range(prob.graph.n)) - set(deleted) - prob.removed
     for v in remaining:
         c = prob.cap[v]
         if c is EXEMPT:
@@ -106,30 +144,42 @@ def dominating_set_approx(g: Graph, forbidden: Iterable[int] = (),
 
     Picks the allowed vertex covering the most still-undominated vertices
     per unit weight.  Vertices that are forbidden, or carry infinite weight,
-    are never selected but still need to be dominated.
+    are never selected but still need to be dominated.  covers[u] counts
+    the undominated vertices of N[u] and drops as vertices get dominated,
+    so each pick is one scan over the allowed vertices.
     """
     forbidden = set(forbidden)
     if weights is None:
         weights = tuple(1 for _ in range(g.n))
+    for w in weights:
+        _check_weight(w)
     allowed = [v for v in range(g.n)
-               if v not in forbidden and weights[v] != math.inf]
+               if v not in forbidden and weights[v] != UNDELETABLE]
     allowed_set = set(allowed)
+    closed = [g.closed_neighborhood(v) for v in range(g.n)]
     for v in range(g.n):
-        if not (g.closed_neighborhood(v) & allowed_set):
+        if not (closed[v] & allowed_set):
             raise InfeasibleError(
                 f"vertex {v} cannot be dominated: closed neighborhood forbidden")
-    uncovered = set(range(g.n))
+    covers = [len(c) for c in closed]
+    dominated = [False] * g.n
+    left = g.n
     chosen = set()
-    while uncovered:
+    # The precheck guarantees progress: an undominated vertex has an
+    # allowed vertex in its closed neighborhood, which covers at least it.
+    while left:
         best = None
         best_covered, best_w = 0, 1
         for u in allowed:
-            covered = len(g.closed_neighborhood(u) & uncovered)
-            if covered * best_w > best_covered * weights[u]:
-                best, best_covered, best_w = u, covered, weights[u]
-        assert best is not None  # the precheck above guarantees progress
+            if covers[u] * best_w > best_covered * weights[u]:
+                best, best_covered, best_w = u, covers[u], weights[u]
         chosen.add(best)
-        uncovered -= g.closed_neighborhood(best)
+        for v in closed[best]:
+            if not dominated[v]:
+                dominated[v] = True
+                left -= 1
+                for u in closed[v]:
+                    covers[u] -= 1
     return frozenset(chosen)
 
 

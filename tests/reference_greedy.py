@@ -2,14 +2,16 @@
 
 Quadratic implementations of the degree-cap and dominating-set greedies
 that rescore every vertex from scratch and compare ratios as exact
-`Fraction`s.  The package's faster versions must pick exactly the same
-vertices, so these stay as they are; tests compare against them.
+`Fraction`s, and the branch step of the log n algorithm that builds the
+induced subgraph G[V \\ K] and runs the reference greedy on it.  The
+package's faster versions must pick exactly the same vertices, so these
+stay as they are; tests compare against them.
 """
 import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from mdd import EXEMPT, FDepProblem, Graph, InfeasibleError
+from mdd import EXEMPT, FDepProblem, Graph, InfeasibleError, UNDELETABLE
 
 
 def _excess(prob: FDepProblem, v: int, degree: int) -> int:
@@ -100,3 +102,31 @@ def dominating_set_approx(g: Graph, forbidden: Iterable[int] = (),
         chosen.add(best)
         uncovered -= g.closed_neighborhood(best)
     return frozenset(chosen)
+
+
+def branch_candidate(inst, k_set, np_open, dp):
+    """Candidate deletion set for one branch K, or None if infeasible."""
+    g = inst.graph
+    p = inst.p
+    keep = [v for v in range(g.n) if v not in k_set]
+    cap_value = dp - len(k_set) - 1
+    protected = np_open - k_set
+    sub, remap = g.induced_subgraph(keep)
+    caps = []
+    weights = []
+    for new_id, old in enumerate(remap):
+        if old == p:
+            caps.append(EXEMPT)
+            weights.append(UNDELETABLE)
+        else:
+            caps.append(cap_value)
+            if old in protected:
+                weights.append(UNDELETABLE)
+            else:
+                weights.append(inst.weight(old))
+    prob = FDepProblem(sub, tuple(caps), tuple(weights))
+    try:
+        deleted = f_dependent_delete(prob)
+    except InfeasibleError:
+        return None
+    return k_set | {remap[i] for i in deleted}

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from mdd import (BudgetError, Graph, Instance, NeighborhoodCase, Objective,
-                 PreconditionError, brute_force_optimum, approx_max, build_L,
-                 classify_neighborhood, is_feasible, kreg_lower_bound,
-                 mdd_max_logn, mdd_max_logn_trace, mdd_max_special,
-                 generate_gnp)
+from mdd import (BudgetError, Graph, Instance, MDDError, NeighborhoodCase,
+                 Objective, PreconditionError, brute_force_optimum,
+                 approx_max, build_L, classify_neighborhood, is_feasible,
+                 kreg_lower_bound, mdd_max_logn, mdd_max_logn_trace,
+                 mdd_max_special, generate_gnp)
+from mdd import approx
 
 
 def check_l_invariants(inst, members):
@@ -121,6 +122,18 @@ class TestSpecialCase:
             hits += 1
             assert is_feasible(inst, mdd_max_special(inst))
         assert hits >= 5
+
+    def test_infeasible_greedy_result_raises(self, monkeypatch):
+        # p = 0 has leaves 1 and 2; the triangle 3-4-5 ties its degree away
+        # from N[p], so a feasible set must delete a triangle vertex.
+        g = Graph(6, [(0, 1), (0, 2), (3, 4), (4, 5), (3, 5)])
+        inst = Instance(g, 0, None, Objective.MAX)
+        assert classify_neighborhood(inst)[2] is NeighborhoodCase.DISJOINT_D
+        monkeypatch.setattr(approx, "f_dependent_delete",
+                            lambda prob: frozenset())
+        with pytest.raises(MDDError) as err:
+            mdd_max_special(inst)
+        assert err.type is MDDError
 
     def test_dispatch(self):
         for seed in range(30):

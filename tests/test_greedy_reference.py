@@ -1,16 +1,22 @@
 """The package's greedy subroutines against the reference in
 reference_greedy.py: identical vertex sets, or InfeasibleError on both
 sides, on G(n, q) and random regular graphs with EXEMPT, negative and small
-caps, weights that include UNDELETABLE, and forbidden sets.
+caps, weights that include UNDELETABLE, forbidden sets and removed sets.
+The log n branching algorithm gives the same trace as with the reference
+branch step, which builds an induced subgraph per branch.
 
 Derandomized, so every run checks the same examples; a failure is shrunk
 to a small counterexample.
 """
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
-from mdd import (EXEMPT, FDepProblem, InfeasibleError, UNDELETABLE,
-                 dominating_set_approx, f_dependent_delete, generate_gnp,
-                 generate_random_regular)
+from mdd import (EXEMPT, FDepProblem, InfeasibleError, Instance, MDDError,
+                 Objective, UNDELETABLE, dominating_set_approx, dualize,
+                 f_dependent_delete, generate_gnp, generate_random_regular,
+                 mdd_max_logn_trace)
+from mdd import approx
 
 import reference_greedy
 
@@ -36,8 +42,8 @@ def graphs(draw):
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except InfeasibleError:
-        return InfeasibleError
+    except MDDError as exc:
+        return type(exc)
 
 
 @EXAMPLES
@@ -60,3 +66,45 @@ def test_dominating_set_approx_matches_reference(data):
     assert (_outcome(dominating_set_approx, g, forbidden, weights)
             == _outcome(reference_greedy.dominating_set_approx, g, forbidden,
                         weights))
+
+
+@EXAMPLES
+@given(st.data())
+def test_removed_set_matches_reference_on_induced_subgraph(data):
+    g = data.draw(graphs())
+    removed = data.draw(st.frozensets(st.integers(0, g.n - 1),
+                                      max_size=g.n // 2))
+    caps = tuple(data.draw(st.lists(CAPS, min_size=g.n, max_size=g.n)))
+    # A removed vertex's weight is ignored, even one outside the domain.
+    weights = tuple(0 if v in removed else w for v, w in enumerate(
+        data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n))))
+    sub, remap = g.induced_subgraph(v for v in range(g.n) if v not in removed)
+    expected = _outcome(reference_greedy.f_dependent_delete, FDepProblem(
+        sub, tuple(caps[v] for v in remap), tuple(weights[v] for v in remap)))
+    if expected is not InfeasibleError:
+        expected = frozenset(remap[i] for i in expected)
+    assert (_outcome(f_dependent_delete, FDepProblem(g, caps, weights, removed))
+            == expected)
+
+
+@st.composite
+def max_instances(draw):
+    """Max instances, weighted or not, with UNDELETABLE weights, and the
+    duals of Min instances."""
+    n = draw(st.integers(1, 14))
+    g = generate_gnp(n, draw(st.sampled_from([0.2, 0.3, 0.5, 0.7])),
+                     draw(st.integers(0, 10**6)))
+    weights = draw(st.one_of(
+        st.none(), st.lists(WEIGHTS, min_size=n, max_size=n)))
+    inst = Instance(g, draw(st.integers(0, n - 1)), weights,
+                    draw(st.sampled_from([Objective.MAX, Objective.MIN])))
+    return inst if inst.objective is Objective.MAX else dualize(inst)
+
+
+@EXAMPLES
+@given(max_instances())
+def test_logn_trace_matches_reference_branch_step(inst):
+    result = _outcome(mdd_max_logn_trace, inst)
+    with mock.patch.object(approx, "_branch_candidate",
+                           reference_greedy.branch_candidate):
+        assert _outcome(mdd_max_logn_trace, inst) == result

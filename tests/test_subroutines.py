@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from mdd import (EXEMPT, FDepProblem, Graph, InfeasibleError, UNDELETABLE,
-                 check_degree_caps, dissociation_delete,
-                 dominating_set_approx, f_dependent_delete, generate_gnp,
-                 is_dominating)
+from mdd import (EXEMPT, FDepProblem, Graph, InfeasibleError,
+                 PreconditionError, UNDELETABLE, check_degree_caps,
+                 dissociation_delete, dominating_set_approx,
+                 f_dependent_delete, generate_gnp, is_dominating)
 
 from bruteforce import min_domset_weight, min_dissociation_weight, min_fdep_weight
 
@@ -68,6 +68,38 @@ class TestFDependentDelete:
             opt = min_fdep_weight(prob)
             assert opt is not None
             assert got <= 3 * max(opt, 1)
+
+    def test_removed_vertices_are_absent(self):
+        # Without the center, the leaves have degree 0 and meet cap 0.
+        prob = FDepProblem(Graph.star(3), (0, 0, 0, 0), (1, 1, 1, 1),
+                           removed={0})
+        assert f_dependent_delete(prob) == frozenset()
+        assert check_degree_caps(prob, ())
+        assert not check_degree_caps(FDepProblem.uniform(Graph.star(3), 0), ())
+
+    def test_removed_vertex_never_returned(self):
+        # Path 0-1-2-3 capped at 0 with 1 removed: the edge 2-3 remains,
+        # and 2 is the lowest id that fixes it.
+        prob = FDepProblem(Graph.path(4), (0, 0, 0, 0), (1, 1, 1, 1),
+                           removed={1})
+        assert f_dependent_delete(prob) == frozenset({2})
+
+    def test_removed_cap_and_weight_ignored(self):
+        prob = FDepProblem(Graph.path(3), (1.5, 0, 0), (0, 1, 1), removed={0})
+        assert f_dependent_delete(prob) == frozenset({1})
+
+    def test_removed_out_of_range(self):
+        with pytest.raises(PreconditionError):
+            FDepProblem(Graph.path(3), (0, 0, 0), (1, 1, 1), removed={3})
+
+
+@pytest.mark.parametrize("weights", [(0, 1, 1, 1), (-1, 1, 1, 1),
+                                     (2.5, 1, 1, 1)])
+def test_weights_outside_domain_rejected(weights):
+    with pytest.raises(PreconditionError):
+        FDepProblem.uniform(Graph.star(3), 1, weights)
+    with pytest.raises(PreconditionError):
+        dominating_set_approx(Graph.star(3), weights=weights)
 
 
 class TestDominatingSet:
