@@ -26,7 +26,6 @@ class LSet:
     """
 
     members: tuple
-    instance: Instance
 
 
 def build_L(inst: Instance) -> LSet:
@@ -46,7 +45,7 @@ def build_L(inst: Instance) -> LSet:
         u = candidates[0]
         members.append(u)
         chosen.add(u)
-    return LSet(tuple(members), inst)
+    return LSet(tuple(members))
 
 
 def default_l_cap(n: int) -> int:

@@ -207,14 +207,13 @@ def _setcover_rows(cfg: ExperimentConfig):
     rows = []
     for instance_id, sys in tasks:
         source_opt = _min_cover_size(sys)
-        for kind, build in (("mddmin-bip", setcover_to_mddmin_bip),
-                            ("mddmax-bip", setcover_to_mddmax_bip)):
+        for build in (setcover_to_mddmin_bip, setcover_to_mddmax_bip):
             start = time.perf_counter()
             art = build(sys)
             opt = brute_force_optimum(art.instance).size
             elapsed = time.perf_counter() - start
             rows.append(ExperimentRow(
-                instance_id, "setcover", art.instance.graph.n, kind,
+                instance_id, "setcover", art.instance.graph.n, art.kind,
                 opt, float(opt), float(source_opt),
                 None, elapsed, True,
                 extra={"source_opt": source_opt, "gap": opt - source_opt}))

@@ -16,8 +16,7 @@ from .errors import (BudgetError, InapplicableError, InfeasibleError,
                      InputError, MDDError, PreconditionError)
 from .generators import generate_gnp, generate_random_regular
 from .graph import is_feasible
-from .reductions import (mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
-                         setcover_to_mddmax_bip, setcover_to_mddmin_bip)
+from .reductions import CONSTRUCTIONS
 from .subroutines import (FDepProblem, dissociation_delete,
                           dominating_set_approx, f_dependent_delete)
 
@@ -25,6 +24,10 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
 EXIT_INPUT = 4
+
+#: Input parser of each source problem of `reduce --from`.
+SOURCE_PARSERS = {"mindom": fileio.parse_graph,
+                  "setcover": fileio.parse_setsystem}
 
 
 def _read(path: str) -> str:
@@ -62,22 +65,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    if args.source == "mindom":
-        g = fileio.parse_graph(_read(args.input))
-        if args.target == "mddmin":
-            art = mindom_to_mddmin(g)
-        elif args.target == "cubic":
-            art = mindom_cubic_to_mddmax_cubic(g)
-        else:
-            raise InputError(f"cannot reduce mindom to '{args.target}'")
-    else:  # setcover
-        sys_ = fileio.parse_setsystem(_read(args.input))
-        if args.target == "mddmin-bip":
-            art = setcover_to_mddmin_bip(sys_)
-        elif args.target == "mddmax-bip":
-            art = setcover_to_mddmax_bip(sys_)
-        else:
-            raise InputError(f"cannot reduce setcover to '{args.target}'")
+    source = SOURCE_PARSERS[args.source](_read(args.input))
+    source_kind, build = CONSTRUCTIONS[args.target]
+    if source_kind != args.source:
+        raise InputError(f"cannot reduce {args.source} to '{args.target}'")
+    art = build(source)
     text = fileio.serialize_instance(art.instance)
     if args.roles:
         text += "".join(f"# role {v} {r}\n" for v, r in enumerate(art.roles))
@@ -141,10 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="run a hardness construction")
     p_reduce.add_argument("--from", dest="source", required=True,
-                          choices=["mindom", "setcover"])
+                          choices=list(SOURCE_PARSERS))
     p_reduce.add_argument("--to", dest="target", required=True,
-                          choices=["mddmin", "mddmin-bip", "mddmax-bip",
-                                   "cubic"])
+                          choices=list(CONSTRUCTIONS))
     p_reduce.add_argument("input")
     p_reduce.add_argument("--out", default="-")
     p_reduce.add_argument("--roles", action="store_true",

@@ -26,7 +26,6 @@ class DominationGadget:
 
     gprime: Graph
     proxies: frozenset
-    origin: dict
     groups: dict
     remap: tuple
 
@@ -68,7 +67,6 @@ def build_domination_gadget(inst: Instance) -> DominationGadget:
     edges = [(index[u], index[v]) for u in outside for v in g.adj[u]
              if u < v and v in index]
     remap = [v for v in outside]
-    origin = {}
     groups = {}
     proxies = set()
     next_id = len(outside)
@@ -80,15 +78,13 @@ def build_domination_gadget(inst: Instance) -> DominationGadget:
             pid = next_id
             next_id += 1
             proxies.add(pid)
-            origin[pid] = x
             remap.append(None)
             for a in out_x:
                 edges.append((pid, index[a]))
             ids.append(pid)
         groups[x] = tuple(ids)
     gprime = Graph(next_id, edges)
-    return DominationGadget(gprime, frozenset(proxies), origin, groups,
-                            tuple(remap))
+    return DominationGadget(gprime, frozenset(proxies), groups, tuple(remap))
 
 
 def normalize_dominating_set(gadget: DominationGadget, d_in) -> frozenset:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InputError, PreconditionError
 
@@ -33,10 +33,9 @@ class Graph:
     (for fast degree counting during subset enumeration).
     """
 
-    __slots__ = ("n", "adj", "masks", "labels")
+    __slots__ = ("n", "adj", "masks")
 
-    def __init__(self, n: int, edges: Iterable[tuple] = (),
-                 labels: Optional[Sequence[str]] = None):
+    def __init__(self, n: int, edges: Iterable[tuple] = ()):
         if n < 0:
             raise InputError("vertex count must be non-negative")
         adj = [set() for _ in range(n)]
@@ -50,9 +49,6 @@ class Graph:
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
         self.masks = tuple(sum(1 << u for u in s) for s in self.adj)
-        if labels is not None and len(labels) != n:
-            raise InputError("labels length must equal vertex count")
-        self.labels = tuple(labels) if labels is not None else None
 
     # -- basic queries ----------------------------------------------------
 
@@ -130,7 +126,7 @@ class Graph:
     def complement(self) -> "Graph":
         edges = [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
                  if v not in self.adj[u]]
-        return Graph(self.n, edges, labels=self.labels)
+        return Graph(self.n, edges)
 
     def induced_subgraph(self, keep: Iterable[int]):
         """Subgraph induced on `keep`, plus the remap table.
@@ -145,10 +141,7 @@ class Graph:
         index = {v: i for i, v in enumerate(keep)}
         edges = [(index[u], index[v]) for u in keep for v in self.adj[u]
                  if u < v and v in index]
-        labels = None
-        if self.labels is not None:
-            labels = [self.labels[v] for v in keep]
-        return Graph(len(keep), edges, labels=labels), tuple(keep)
+        return Graph(len(keep), edges), tuple(keep)
 
     def disjoint_union(self, other: "Graph") -> "Graph":
         shift = self.n

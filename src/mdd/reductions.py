@@ -7,9 +7,9 @@ Four constructions are provided:
   * cubic dominating set -> cubic MDD(max) (disjoint 6-vertex gadget,
     additive constant 2).
 
-Each forward map sends a source solution to a feasible deletion set, and
-each backward map sends a feasible deletion set to a source solution of no
-larger size.
+`CONSTRUCTIONS` names each one.  Each forward map sends a source solution
+to a feasible deletion set, and each backward map sends a feasible deletion
+set to a source solution of no larger size.
 """
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import InapplicableError, InputError, PreconditionError
-from .graph import DeletionSet, Graph, Instance, Objective, is_feasible
+from .graph import (DeletionSet, Graph, Instance, Objective, _solution_vertices,
+                    is_feasible)
 from .subroutines import is_dominating
 
 
@@ -62,7 +63,7 @@ class SetSystem:
 class ReductionArtifact:
     """A constructed instance plus the provenance needed to map solutions."""
 
-    kind: str
+    kind: str             # its key in CONSTRUCTIONS
     instance: Instance
     roles: tuple          # per-vertex role tag
     data: dict = field(default_factory=dict)
@@ -102,32 +103,18 @@ def mindom_to_mddmin(g: Graph) -> ReductionArtifact:
     h = Graph(total, edges)
     roles = tuple(["original"] * n + ["p"] + ["T"] * t_size)
     inst = Instance(h, p, None, Objective.MIN)
-    return ReductionArtifact("mindom->mddmin", inst, roles, {"source": g})
+    return ReductionArtifact("mddmin", inst, roles,
+                             {"source": g, "forced": ()})
 
 
 def mddmin_solution_to_domset(art: ReductionArtifact, s) -> frozenset:
     """Drop clique vertices from a feasible deletion set; what remains is a
     dominating set of the source of no larger size."""
-    if art.kind != "mindom->mddmin":
-        raise PreconditionError("artifact is not a mindom->mddmin reduction")
-    if not is_feasible(art.instance, s):
-        raise PreconditionError("solution is not feasible for the instance")
-    source = art.data["source"]
-    verts = s.vertices if isinstance(s, DeletionSet) else frozenset(s)
-    dom = frozenset(v for v in verts if v < source.n)
-    if not is_dominating(source, dom):
-        raise PreconditionError(
-            "projected set fails domination; the input cannot have been feasible")
-    return dom
+    return _project_to_domset(art, "mddmin", s)
 
 
 def domset_to_mddmin_solution(art: ReductionArtifact, domset) -> DeletionSet:
-    if art.kind != "mindom->mddmin":
-        raise PreconditionError("artifact is not a mindom->mddmin reduction")
-    source = art.data["source"]
-    if not is_dominating(source, domset):
-        raise PreconditionError("input is not a dominating set of the source")
-    return DeletionSet.of(art.instance, domset)
+    return _lift_domset(art, "mddmin", domset)
 
 
 # ---------------------------------------------------------------------------
@@ -172,52 +159,21 @@ def setcover_to_mddmin_bip(sys: SetSystem) -> ReductionArtifact:
             edges.append((u_ids[i], c_ids[next_c]))
             next_c = (next_c + 1) % t
     h = Graph(r + 3 * t + 1, edges)
-    assert h.is_bipartite()
     roles = tuple(["U"] * r + ["F"] * t + ["C"] * t + ["D"] * t + ["p"])
     inst = Instance(h, p, None, Objective.MIN)
-    return ReductionArtifact("setcover->mddmin-bip", inst, roles,
+    return ReductionArtifact("mddmin-bip", inst, roles,
                              {"system": sys, "f_ids": tuple(f_ids),
-                              "u_ids": tuple(u_ids)})
-
-
-def _cover_from_deletion(art: ReductionArtifact, verts) -> frozenset:
-    sys = art.data["system"]
-    f_ids = art.data["f_ids"]
-    u_ids = art.data["u_ids"]
-    f_pos = {b: j for j, b in enumerate(f_ids)}
-    u_pos = {a: i for i, a in enumerate(u_ids)}
-    cover = {f_pos[v] for v in verts if v in f_pos}
-    for v in verts:
-        if v in u_pos:
-            x = u_pos[v]
-            j = min(j for j, f in enumerate(sys.family) if x in f)
-            cover.add(j)
-    # Pad/clique/pendant vertices are dropped outright.
-    if not sys.is_cover(cover):
-        raise PreconditionError(
-            "projected indices fail to cover; the input cannot have been feasible")
-    return frozenset(cover)
+                              "u_ids": tuple(u_ids), "pendant_owner": {}})
 
 
 def mddmin_bip_solution_to_cover(art: ReductionArtifact, s) -> frozenset:
     """Set-vertex deletions become sets; deleted element vertices are
     replaced by any set containing their element."""
-    if art.kind != "setcover->mddmin-bip":
-        raise PreconditionError("artifact is not a setcover->mddmin-bip reduction")
-    if not is_feasible(art.instance, s):
-        raise PreconditionError("solution is not feasible for the instance")
-    verts = s.vertices if isinstance(s, DeletionSet) else frozenset(s)
-    return _cover_from_deletion(art, verts)
+    return _project_to_cover(art, "mddmin-bip", s)
 
 
 def cover_to_mddmin_bip_solution(art: ReductionArtifact, cover) -> DeletionSet:
-    if art.kind != "setcover->mddmin-bip":
-        raise PreconditionError("artifact is not a setcover->mddmin-bip reduction")
-    sys = art.data["system"]
-    if not sys.is_cover(cover):
-        raise PreconditionError("input indices are not a set cover")
-    f_ids = art.data["f_ids"]
-    return DeletionSet.of(art.instance, {f_ids[j] for j in cover})
+    return _lift_cover(art, "mddmin-bip", cover)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +221,8 @@ def setcover_to_mddmax_bip(sys: SetSystem) -> ReductionArtifact:
         pendant_owner[next_id] = p
         next_id += 1
     h = Graph(next_id, edges)
-    assert h.is_bipartite()
     inst = Instance(h, p, None, Objective.MAX)
-    return ReductionArtifact("setcover->mddmax-bip", inst, tuple(roles),
+    return ReductionArtifact("mddmax-bip", inst, tuple(roles),
                              {"system": sys, "f_ids": tuple(f_ids),
                               "u_ids": tuple(u_ids),
                               "pendant_owner": pendant_owner})
@@ -276,40 +231,11 @@ def setcover_to_mddmax_bip(sys: SetSystem) -> ReductionArtifact:
 def mddmax_bip_solution_to_cover(art: ReductionArtifact, s) -> frozenset:
     """Normalization: element vertices and pendants of element vertices are
     replaced by a covering set vertex; pendants of p are dropped."""
-    if art.kind != "setcover->mddmax-bip":
-        raise PreconditionError("artifact is not a setcover->mddmax-bip reduction")
-    if not is_feasible(art.instance, s):
-        raise PreconditionError("solution is not feasible for the instance")
-    sys = art.data["system"]
-    u_ids = art.data["u_ids"]
-    f_ids = art.data["f_ids"]
-    owner = art.data["pendant_owner"]
-    u_pos = {a: i for i, a in enumerate(u_ids)}
-    f_pos = {b: j for j, b in enumerate(f_ids)}
-    verts = s.vertices if isinstance(s, DeletionSet) else frozenset(s)
-    cover = {f_pos[v] for v in verts if v in f_pos}
-    for v in verts:
-        x = None
-        if v in u_pos:
-            x = u_pos[v]
-        elif v in owner and owner[v] != art.instance.p:
-            x = u_pos[owner[v]]
-        if x is not None:
-            cover.add(min(j for j, f in enumerate(sys.family) if x in f))
-    if not sys.is_cover(cover):
-        raise PreconditionError(
-            "normalized indices fail to cover; the input cannot have been feasible")
-    return frozenset(cover)
+    return _project_to_cover(art, "mddmax-bip", s)
 
 
 def cover_to_mddmax_bip_solution(art: ReductionArtifact, cover) -> DeletionSet:
-    if art.kind != "setcover->mddmax-bip":
-        raise PreconditionError("artifact is not a setcover->mddmax-bip reduction")
-    sys = art.data["system"]
-    if not sys.is_cover(cover):
-        raise PreconditionError("input indices are not a set cover")
-    f_ids = art.data["f_ids"]
-    return DeletionSet.of(art.instance, {f_ids[j] for j in cover})
+    return _lift_cover(art, "mddmax-bip", cover)
 
 
 # ---------------------------------------------------------------------------
@@ -340,30 +266,86 @@ def mindom_cubic_to_mddmax_cubic(g: Graph) -> ReductionArtifact:
     roles = tuple(["original"] * g.n + ["p", "gadget", "gadget", "gadget",
                                         "gadget", "gadget"])
     inst = Instance(combined, p, None, Objective.MAX)
-    d_id, e_id = g.n + 4, g.n + 5
-    return ReductionArtifact("mindom-cubic->mddmax-cubic", inst, roles,
-                             {"source": g, "de": (d_id, e_id)})
+    # The gadget's d and e: its optimum, deleted by every lifted solution.
+    return ReductionArtifact("cubic", inst, roles,
+                             {"source": g, "forced": (g.n + 4, g.n + 5)})
 
 
 def domset_to_mddmax_cubic_solution(art: ReductionArtifact, domset) -> DeletionSet:
-    if art.kind != "mindom-cubic->mddmax-cubic":
-        raise PreconditionError("artifact is not a cubic reduction")
-    source = art.data["source"]
-    if not is_dominating(source, domset):
-        raise PreconditionError("input is not a dominating set of the source")
-    d_id, e_id = art.data["de"]
-    return DeletionSet.of(art.instance, set(domset) | {d_id, e_id})
+    return _lift_domset(art, "cubic", domset)
 
 
 def mddmax_cubic_solution_to_domset(art: ReductionArtifact, s) -> frozenset:
-    if art.kind != "mindom-cubic->mddmax-cubic":
-        raise PreconditionError("artifact is not a cubic reduction")
-    if not is_feasible(art.instance, s):
+    return _project_to_domset(art, "cubic", s)
+
+
+#: Every construction by its artifact kind: kind -> (source problem, builder).
+CONSTRUCTIONS = {
+    "mddmin": ("mindom", mindom_to_mddmin),
+    "mddmin-bip": ("setcover", setcover_to_mddmin_bip),
+    "mddmax-bip": ("setcover", setcover_to_mddmax_bip),
+    "cubic": ("mindom", mindom_cubic_to_mddmax_cubic),
+}
+
+
+# ---------------------------------------------------------------------------
+# solution mappers shared by the constructions
+# ---------------------------------------------------------------------------
+
+def _data(art: ReductionArtifact, kind: str) -> dict:
+    """The provenance of `art`, which must come from construction `kind`."""
+    if art.kind != kind:
+        raise PreconditionError(f"artifact is not a {kind} reduction")
+    return art.data
+
+
+def _feasible_vertices(art: ReductionArtifact, kind: str, s) -> frozenset:
+    _data(art, kind)
+    verts = _solution_vertices(s)
+    if not is_feasible(art.instance, verts):
         raise PreconditionError("solution is not feasible for the instance")
+    return verts
+
+
+def _project_to_domset(art: ReductionArtifact, kind: str, s) -> frozenset:
+    """The deleted vertices of the source graph, a dominating set of it."""
+    verts = _feasible_vertices(art, kind, s)
     source = art.data["source"]
-    verts = s.vertices if isinstance(s, DeletionSet) else frozenset(s)
     dom = frozenset(v for v in verts if v < source.n)
     if not is_dominating(source, dom):
         raise PreconditionError(
             "projected set fails domination; the input cannot have been feasible")
     return dom
+
+
+def _project_to_cover(art: ReductionArtifact, kind: str, s) -> frozenset:
+    """A deleted set vertex becomes its set; a deleted element vertex, or a
+    pendant it owns, becomes the first set containing the element; every
+    other vertex is dropped."""
+    verts = _feasible_vertices(art, kind, s)
+    sys = art.data["system"]
+    owner = art.data["pendant_owner"]
+    to_set = {a: min(j for j, f in enumerate(sys.family) if x in f)
+              for x, a in enumerate(art.data["u_ids"])}
+    to_set.update((b, j) for j, b in enumerate(art.data["f_ids"]))
+    cover = frozenset(to_set[u] for u in (owner.get(v, v) for v in verts)
+                      if u in to_set)
+    if not sys.is_cover(cover):
+        raise PreconditionError(
+            "projected indices fail to cover; the input cannot have been feasible")
+    return cover
+
+
+def _lift_domset(art: ReductionArtifact, kind: str, domset) -> DeletionSet:
+    data = _data(art, kind)
+    domset = frozenset(domset)
+    if not is_dominating(data["source"], domset):
+        raise PreconditionError("input is not a dominating set of the source")
+    return DeletionSet.of(art.instance, domset.union(data["forced"]))
+
+
+def _lift_cover(art: ReductionArtifact, kind: str, cover) -> DeletionSet:
+    data = _data(art, kind)
+    if not data["system"].is_cover(cover):
+        raise PreconditionError("input indices are not a set cover")
+    return DeletionSet.of(art.instance, {data["f_ids"][j] for j in cover})

@@ -155,6 +155,7 @@ def _check_setcover_source(sys):
                          cover_to_mddmax_bip_solution))
     for build, backward, forward in builders:
         art = build(sys)
+        assert art.instance.graph.is_bipartite()
         opt = brute_force_optimum(art.instance)
         cover = backward(art, opt)
         assert sys.is_cover(cover)

@@ -4,9 +4,13 @@ import subprocess
 import sys
 
 import mdd
+import pytest
+
 from mdd import (Graph, Instance, Objective, generate_gnp, serialize_graph,
                  serialize_instance, serialize_setsystem, serialize_solution,
-                 SetSystem, parse_instance)
+                 SetSystem, mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
+                 parse_instance, setcover_to_mddmax_bip,
+                 setcover_to_mddmin_bip)
 from mdd.cli import main
 
 
@@ -161,6 +165,40 @@ class TestReduce:
         g_path.write_text(serialize_graph(Graph.path(3)))
         assert main(["reduce", "--from", "mindom", "--to", "mddmax-bip",
                      str(g_path)]) == 4
+
+    @pytest.mark.parametrize("source, target, build", [
+        ("mindom", "mddmin", mindom_to_mddmin),
+        ("mindom", "cubic", mindom_cubic_to_mddmax_cubic),
+        ("setcover", "mddmin-bip", setcover_to_mddmin_bip),
+        ("setcover", "mddmax-bip", setcover_to_mddmax_bip)])
+    def test_output_is_the_constructed_instance(self, tmp_path, capsys,
+                                                source, target, build):
+        path, parsed = _reduce_input(tmp_path, source)
+        assert main(["reduce", "--from", source, "--to", target, path]) == 0
+        art = build(parsed)
+        assert art.kind == target
+        assert capsys.readouterr().out == serialize_instance(art.instance)
+
+    @pytest.mark.parametrize("source, target", [
+        ("mindom", "mddmin-bip"), ("mindom", "mddmax-bip"),
+        ("setcover", "mddmin"), ("setcover", "cubic")])
+    def test_mismatched_pair_exits_4(self, tmp_path, capsys, source, target):
+        path, _ = _reduce_input(tmp_path, source)
+        assert main(["reduce", "--from", source, "--to", target, path]) == 4
+        assert "cannot reduce" in capsys.readouterr().err
+
+
+def _reduce_input(tmp_path, source):
+    """A reduce input file of the given source problem and its parsed value."""
+    if source == "mindom":
+        value = Graph.complete(4)
+        text = serialize_graph(value)
+    else:
+        value = SetSystem(2, [{0}, {1}, {0, 1}])
+        text = serialize_setsystem(value)
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    return str(path), value
 
 
 class TestGenAndSubroutine:

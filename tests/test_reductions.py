@@ -145,14 +145,23 @@ class TestSetcoverToMddmaxBip:
     def test_normalization_handles_element_deletions(self):
         sys = SetSystem(2, [{0}, {1}, {0, 1}])
         art = setcover_to_mddmax_bip(sys)
-        # delete set vertex for {0,1} plus both element vertices: feasible
-        # only if it is; build one feasible set containing a U vertex
         f_ids = art.data["f_ids"]
         u_ids = art.data["u_ids"]
-        s = set(u_ids) | {f_ids[2]}
-        if is_feasible(art.instance, s):
-            cover = mddmax_bip_solution_to_cover(art, s)
-            assert sys.is_cover(cover)
+        s = {u_ids[0], f_ids[1], f_ids[2]}
+        assert is_feasible(art.instance, s)
+        # element 0 is replaced by the first set containing it
+        assert mddmax_bip_solution_to_cover(art, s) == {0, 1, 2}
+
+    def test_normalization_handles_element_pendants(self):
+        sys = SetSystem(2, [{0}, {1}, {1}])
+        art = setcover_to_mddmax_bip(sys)
+        u_ids = art.data["u_ids"]
+        pendant = next(v for v, owner in art.data["pendant_owner"].items()
+                       if owner == u_ids[0])
+        s = {art.data["f_ids"][1], pendant}
+        assert is_feasible(art.instance, s)
+        # the pendant of element 0 stands for the first set containing 0
+        assert mddmax_bip_solution_to_cover(art, s) == {0, 1}
 
 
 class TestCubicReduction:
@@ -192,3 +201,40 @@ class TestCubicReduction:
     def test_rejects_non_cubic_source(self):
         with pytest.raises(PreconditionError):
             mindom_cubic_to_mddmax_cubic(Graph.cycle(5))
+
+
+def _artifacts():
+    """One artifact per construction, with a feasible deletion set and a
+    source solution of each."""
+    out = {}
+    for art, source_solution in [
+            (mindom_to_mddmin(Graph.path(3)), {0, 1, 2}),
+            (setcover_to_mddmin_bip(SetSystem(2, [{0}, {1}, {0, 1}])), {0, 1, 2}),
+            (setcover_to_mddmax_bip(SetSystem(2, [{0}, {1}, {0, 1}])), {0, 1, 2}),
+            (mindom_cubic_to_mddmax_cubic(Graph.complete(4)), {0, 1, 2, 3})]:
+        out[art.kind] = (art, brute_force_optimum(art.instance), source_solution)
+    return out
+
+
+MAPPERS = [(mddmin_solution_to_domset, "mddmin", "backward"),
+           (domset_to_mddmin_solution, "mddmin", "forward"),
+           (mddmin_bip_solution_to_cover, "mddmin-bip", "backward"),
+           (cover_to_mddmin_bip_solution, "mddmin-bip", "forward"),
+           (mddmax_bip_solution_to_cover, "mddmax-bip", "backward"),
+           (cover_to_mddmax_bip_solution, "mddmax-bip", "forward"),
+           (mddmax_cubic_solution_to_domset, "cubic", "backward"),
+           (domset_to_mddmax_cubic_solution, "cubic", "forward")]
+
+
+@pytest.mark.parametrize("mapper, kind, direction", MAPPERS,
+                         ids=[m.__name__ for m, _, _ in MAPPERS])
+def test_mapper_rejects_other_constructions(mapper, kind, direction):
+    artifacts = _artifacts()
+    own, feasible, source_solution = artifacts[kind]
+    mapper(own, feasible if direction == "backward" else source_solution)
+    for other, (art, feasible, source_solution) in artifacts.items():
+        if other == kind:
+            continue
+        arg = feasible if direction == "backward" else source_solution
+        with pytest.raises(PreconditionError):
+            mapper(art, arg)
