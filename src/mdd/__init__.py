@@ -5,15 +5,15 @@ vertex of the remaining induced subgraph, at minimum weight.
 
 from .errors import (BudgetError, InapplicableError, InfeasibleError,
                      InputError, MDDError, PreconditionError)
-from .graph import (DeletionSet, Graph, Instance, NeighborhoodCase, Objective,
-                    UNDELETABLE, classify_neighborhood, is_feasible)
+from .graph import (DeletionSet, Graph, Instance, Objective, UNDELETABLE,
+                    is_feasible)
 from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,
                     kregular_feasible_witness, kregular_min_exact)
 from .subroutines import (EXEMPT, FDepProblem, check_degree_caps,
                           dissociation_delete, dominating_set_approx,
                           f_dependent_delete, is_dominating)
-from .approx import (LSet, approx_max, build_L, kreg_lower_bound,
-                     mdd_max_logn, mdd_max_logn_trace, mdd_max_special)
+from .approx import (LSet, build_L, kreg_lower_bound, mdd_max_logn,
+                     mdd_max_logn_trace)
 from .cubic import (DominationGadget, build_domination_gadget, build_gstar,
                     mdd_max_cubic, mdd_max_cubic_trace,
                     normalize_dominating_set)

@@ -1,6 +1,6 @@
 """Approximation machinery for MDD(max) on general graphs: the L-set
 construction, the subset-enumeration algorithm that branches over subsets of
-L, the disjoint-neighborhood fast paths, and the regular-graph lower bound.
+L, and the regular-graph lower bound.
 """
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BudgetError, InfeasibleError, MDDError, PreconditionError
-from .graph import (DeletionSet, Instance, NeighborhoodCase, Objective,
-                    UNDELETABLE, classify_neighborhood, is_feasible)
+from .graph import DeletionSet, Instance, Objective, UNDELETABLE, is_feasible
 from .subroutines import EXEMPT, FDepProblem, f_dependent_delete
 
 
@@ -127,36 +126,6 @@ def mdd_max_logn(inst: Instance, cap_on_L: Optional[int] = None) -> DeletionSet:
     cheapest feasible candidate wins; S = V \\ {p} is the final fallback.
     """
     return mdd_max_logn_trace(inst, cap_on_L).solution
-
-
-def mdd_max_special(inst: Instance) -> DeletionSet:
-    """Fast path when the high-degree region stays clear of N[p].
-
-    A single degree-cap subproblem on G[V \\ N[p]] with caps
-    f(v) = d(p) - |N(v) intersect N(p)| - 1 suffices; it runs on G with
-    N[p] passed as removed.
-    """
-    y, d, tag = classify_neighborhood(inst)
-    if tag is NeighborhoodCase.GENERAL:
-        raise PreconditionError("fast path requires a disjoint neighborhood case")
-    g = inst.graph
-    p = inst.p
-    t = g.degree(p)
-    np_open = g.adj[p]
-    caps = tuple(t - len(g.adj[v] & np_open) - 1 for v in range(g.n))
-    prob = FDepProblem(g, caps, inst.weights, g.closed_neighborhood(p))
-    solution = DeletionSet.of(inst, f_dependent_delete(prob))
-    if not is_feasible(inst, solution):
-        raise MDDError("fast path returned an infeasible set")
-    return solution
-
-
-def approx_max(inst: Instance, cap_on_L: Optional[int] = None) -> DeletionSet:
-    """Dispatch: fast path when a disjoint case applies, else branching."""
-    _, _, tag = classify_neighborhood(inst)
-    if tag is not NeighborhoodCase.GENERAL:
-        return mdd_max_special(inst)
-    return mdd_max_logn(inst, cap_on_L)
 
 
 def kreg_lower_bound(n: int, k: int, f: int) -> Fraction:

@@ -225,7 +225,7 @@ def _min_cover_size(sys) -> int:
         for combo in itertools.combinations(range(sys.num_sets), size):
             if sys.is_cover(combo):
                 return size
-    raise AssertionError("set system invariant guarantees a cover")
+    raise MDDError("set system invariant guarantees a cover")
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

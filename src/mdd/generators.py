@@ -64,9 +64,8 @@ def generate_random_setsystem(r: int, t: int, seed: int,
         # violating the occurrence bound.
         raise PreconditionError("need 2 <= r <= t")
     rng = random.Random(seed)
-    max_set = min(r, t - 1)
     for _ in range(max_attempts):
-        family = [frozenset(rng.sample(range(r), rng.randint(1, max_set)))
+        family = [frozenset(rng.sample(range(r), rng.randint(1, r - 1)))
                   for _ in range(t)]
         union = set().union(*family)
         if union != set(range(r)):

@@ -306,32 +306,3 @@ def feasible_mask(g: Graph, p: int, remaining: int, want_min: bool) -> bool:
             if dv >= dp:
                 return False
     return True
-
-
-class NeighborhoodCase(Enum):
-    """Which fast-path lemma applies around p for a Max instance."""
-
-    DISJOINT_D = "disjoint-d"   # N[high-degree region] misses N[p] entirely
-    DISJOINT_Y = "disjoint-y"   # no high-degree vertex in N[p], but region touches it
-    GENERAL = "general"
-
-
-def classify_neighborhood(inst: Instance):
-    """Compute the high-degree set Y, its closed neighborhood D, and case tag.
-
-    Y = {v != p : d(v) >= d(p)}, D = N[Y].  Only meaningful for objective Max.
-    """
-    if inst.objective is not Objective.MAX:
-        raise PreconditionError("neighborhood classification requires objective Max")
-    g = inst.graph
-    t = g.degree(inst.p)
-    y = frozenset(v for v in range(g.n) if v != inst.p and g.degree(v) >= t)
-    d = frozenset(set(y) | g.neighborhood_of_set(y)) if y else frozenset()
-    np_closed = g.closed_neighborhood(inst.p)
-    if not (d & np_closed):
-        tag = NeighborhoodCase.DISJOINT_D
-    elif not (y & np_closed):
-        tag = NeighborhoodCase.DISJOINT_Y
-    else:
-        tag = NeighborhoodCase.GENERAL
-    return y, d, tag

@@ -336,9 +336,16 @@ def _project_to_cover(art: ReductionArtifact, kind: str, s) -> frozenset:
     return cover
 
 
+def _in_range(values, bound: int, what: str) -> frozenset:
+    values = frozenset(values)
+    if not all(0 <= x < bound for x in values):
+        raise PreconditionError(f"input {what} outside range({bound})")
+    return values
+
+
 def _lift_domset(art: ReductionArtifact, kind: str, domset) -> DeletionSet:
     data = _data(art, kind)
-    domset = frozenset(domset)
+    domset = _in_range(domset, data["source"].n, "vertex")
     if not is_dominating(data["source"], domset):
         raise PreconditionError("input is not a dominating set of the source")
     return DeletionSet.of(art.instance, domset.union(data["forced"]))
@@ -346,6 +353,7 @@ def _lift_domset(art: ReductionArtifact, kind: str, domset) -> DeletionSet:
 
 def _lift_cover(art: ReductionArtifact, kind: str, cover) -> DeletionSet:
     data = _data(art, kind)
+    cover = _in_range(cover, data["system"].num_sets, "set index")
     if not data["system"].is_cover(cover):
         raise PreconditionError("input indices are not a set cover")
     return DeletionSet.of(art.instance, {data["f_ids"][j] for j in cover})

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from mdd import (BudgetError, Graph, Instance, MDDError, NeighborhoodCase,
-                 Objective, PreconditionError, brute_force_optimum,
-                 approx_max, build_L, classify_neighborhood, is_feasible,
+from mdd import (BudgetError, Graph, Instance, MDDError, Objective,
+                 PreconditionError, brute_force_optimum, build_L, is_feasible,
                  kreg_lower_bound, mdd_max_logn, mdd_max_logn_trace,
-                 mdd_max_special, generate_gnp)
+                 generate_gnp)
 from mdd import approx
 
 
@@ -43,13 +42,19 @@ class TestBuildL:
         for seed in range(30):
             g = generate_gnp(9, 0.45, 2000 + seed)
             inst = Instance(g, seed % 9, None, Objective.MAX)
-            check_l_invariants(inst, build_L(inst).members)
+            members = build_L(inst).members
+            check_l_invariants(inst, members)
+            dp = g.degree(inst.p)
+            assert (members == ()) == all(g.degree(u) < dp
+                                          for u in g.adj[inst.p])
 
 
 class TestMddMaxLogn:
     def test_star_returns_empty(self):
         inst = Instance(Graph.star(3), 0, None, Objective.MAX)
-        assert mdd_max_logn(inst).vertices == frozenset()
+        trace = mdd_max_logn_trace(inst)
+        assert trace.solution.vertices == frozenset()
+        assert trace.branches_total == 1       # L is empty: only K = {}
 
     def test_triangle(self):
         inst = Instance(Graph.complete(3), 0, None, Objective.MAX)
@@ -96,50 +101,40 @@ class TestMddMaxLogn:
             assert is_feasible(inst, best)
             assert best.total_weight >= brute_force_optimum(inst).total_weight
 
-    def test_min_objective_rejected(self):
-        with pytest.raises(PreconditionError):
-            mdd_max_logn(Instance(Graph.complete(3), 0))
-
-
-class TestSpecialCase:
-    def test_star_fast_path(self):
-        inst = Instance(Graph.star(4), 0, None, Objective.MAX)
-        assert mdd_max_special(inst).vertices == frozenset()
-
-    def test_general_case_rejected(self):
-        inst = Instance(Graph.complete(4), 0, None, Objective.MAX)
-        with pytest.raises(PreconditionError):
-            mdd_max_special(inst)
-
-    def test_disjoint_cases_feasible(self):
+    def test_low_degree_neighbors_run_one_branch(self):
+        # Every neighbor of p below d(p) means L is empty, so the one branch
+        # K = {} runs the greedy on V \ N[p] with N(p) undeletable.
         hits = 0
         for seed in range(200):
             g = generate_gnp(9, 0.3, 4000 + seed)
             inst = Instance(g, seed % 9, None, Objective.MAX)
-            _, _, tag = classify_neighborhood(inst)
-            if tag is NeighborhoodCase.GENERAL:
+            dp = g.degree(inst.p)
+            if any(g.degree(u) >= dp for u in g.adj[inst.p]):
                 continue
             hits += 1
-            assert is_feasible(inst, mdd_max_special(inst))
+            trace = mdd_max_logn_trace(inst)
+            assert trace.branches_total == 1
+            assert is_feasible(inst, trace.solution)
+            assert not trace.solution.vertices & g.adj[inst.p]
         assert hits >= 5
 
     def test_infeasible_greedy_result_raises(self, monkeypatch):
-        # p = 0 has leaves 1 and 2; the triangle 3-4-5 ties its degree away
-        # from N[p], so a feasible set must delete a triangle vertex.
+        # p = 0 has leaves 1 and 2, so L is empty; the triangle 3-4-5 ties
+        # its degree, so a feasible set must delete a triangle vertex.  A
+        # greedy that deletes nothing makes the branch K = {} pick the empty
+        # set over the fallback, and the final check must reject it.
         g = Graph(6, [(0, 1), (0, 2), (3, 4), (4, 5), (3, 5)])
         inst = Instance(g, 0, None, Objective.MAX)
-        assert classify_neighborhood(inst)[2] is NeighborhoodCase.DISJOINT_D
         monkeypatch.setattr(approx, "f_dependent_delete",
                             lambda prob: frozenset())
         with pytest.raises(MDDError) as err:
-            mdd_max_special(inst)
+            mdd_max_logn_trace(inst)
         assert err.type is MDDError
+        assert str(err.value) == "branching algorithm selected an infeasible set"
 
-    def test_dispatch(self):
-        for seed in range(30):
-            g = generate_gnp(8, 0.4, 5000 + seed)
-            inst = Instance(g, seed % 8, None, Objective.MAX)
-            assert is_feasible(inst, approx_max(inst, cap_on_L=8))
+    def test_min_objective_rejected(self):
+        with pytest.raises(PreconditionError):
+            mdd_max_logn(Instance(Graph.complete(3), 0))
 
 
 class TestKregLowerBound:

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdd import (Graph, Instance, InputError, NeighborhoodCase, Objective,
-                 PreconditionError, classify_neighborhood, is_feasible)
+from mdd import (Graph, Instance, InputError, Objective, PreconditionError,
+                 is_feasible)
 
 from bruteforce import check_feasible
 
@@ -138,32 +138,3 @@ class TestFeasibility:
         others = [v for v in range(g.n) if v != p]
         s = {v for v in others if rnd.random() < 0.5}
         assert is_feasible(inst, s) == check_feasible(inst, s)
-
-
-class TestClassifyNeighborhood:
-    def test_star_center(self):
-        inst = Instance(Graph.star(4), 0, None, Objective.MAX)
-        y, d, tag = classify_neighborhood(inst)
-        assert y == frozenset() and d == frozenset()
-        assert tag is NeighborhoodCase.DISJOINT_D
-
-    def test_k4_general(self):
-        inst = Instance(Graph.complete(4), 0, None, Objective.MAX)
-        y, d, tag = classify_neighborhood(inst)
-        assert y == frozenset({1, 2, 3})
-        assert d == frozenset(range(4))
-        assert tag is NeighborhoodCase.GENERAL
-
-    def test_pendant_vertex_near_clique(self):
-        # p (vertex 5) of degree 2 attached to vertices 0 and 4; 0..3 form K4.
-        g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-                      (0, 5), (4, 5)])
-        inst = Instance(g, 5, None, Objective.MAX)
-        y, d, tag = classify_neighborhood(inst)
-        assert y == frozenset({0, 1, 2, 3})
-        assert d == frozenset({0, 1, 2, 3, 5})
-        assert tag is NeighborhoodCase.GENERAL
-
-    def test_requires_max(self):
-        with pytest.raises(PreconditionError):
-            classify_neighborhood(Instance(Graph.star(3), 0))

@@ -30,11 +30,12 @@ class TestGenerators:
         assert generate_gnp(6, 1.0, 0).num_edges == 15
 
     def test_setsystem_meets_preconditions(self):
+        r, t = 3, 5
         for seed in range(10):
-            sys = generate_random_setsystem(3, 5, seed)
-            assert sys.universe_size == 3 and sys.num_sets == 5
-            assert all(sys.occurrences(x) <= 4 for x in range(3))
-            assert all(1 <= len(f) <= 4 for f in sys.family)
+            sys = generate_random_setsystem(r, t, seed)
+            assert sys.universe_size == r and sys.num_sets == t
+            assert all(sys.occurrences(x) <= t - 1 for x in range(r))
+            assert all(1 <= len(f) <= r - 1 for f in sys.family)
         assert (generate_random_setsystem(3, 5, 1)
                 == generate_random_setsystem(3, 5, 1))
 

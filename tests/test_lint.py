@@ -3,15 +3,36 @@ import ast
 from pathlib import Path
 
 import mdd
+from mdd import errors
 
 SOURCES = sorted(Path(mdd.__file__).parent.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text()) for path in SOURCES}
 
 
 def test_package_has_no_assert_statements():
     # `python -O` strips asserts, so no check the package relies on may be one.
-    found = [f"{path.name}:{node.lineno}"
-             for path in SOURCES
-             for node in ast.walk(ast.parse(path.read_text()))
+    found = [f"{name}:{node.lineno}"
+             for name, tree in TREES.items()
+             for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert SOURCES
     assert found == []
+
+
+def _raised_name(node):
+    """The class name in `raise Name(...)` or `raise Name`, else None."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_package_raises_only_its_own_errors():
+    # MDDError is the documented base of every error the package raises.
+    raised = [(f"{name}:{node.lineno}", _raised_name(node))
+              for name, tree in TREES.items()
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and _raised_name(node)]
+    assert raised
+    foreign = [(where, exc) for where, exc in raised
+               if not (isinstance(getattr(errors, exc, None), type)
+                       and issubclass(getattr(errors, exc), errors.MDDError))]
+    assert foreign == []

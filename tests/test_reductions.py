@@ -238,3 +238,28 @@ def test_mapper_rejects_other_constructions(mapper, kind, direction):
         arg = feasible if direction == "backward" else source_solution
         with pytest.raises(PreconditionError):
             mapper(art, arg)
+
+
+FORWARD = [(mapper, kind) for mapper, kind, direction in MAPPERS
+           if direction == "forward"]
+
+
+@pytest.mark.parametrize("mapper, kind", FORWARD,
+                         ids=[m.__name__ for m, _ in FORWARD])
+def test_forward_mapper_rejects_out_of_range(mapper, kind):
+    # A valid source solution plus one index just outside range(n) or
+    # range(t) on either side; Python's negative indexing must not accept -1.
+    art, _, source_solution = _artifacts()[kind]
+    data = art.data
+    bound = data["source"].n if "source" in data else data["system"].num_sets
+    for bad in (-1, bound):
+        with pytest.raises(PreconditionError):
+            mapper(art, set(source_solution) | {bad})
+
+
+def test_forward_maps_reject_negative_ids():
+    with pytest.raises(PreconditionError):
+        domset_to_mddmin_solution(mindom_to_mddmin(Graph.complete(3)), {-1})
+    art = setcover_to_mddmin_bip(SetSystem(2, [{0}, {1}, {0, 1}]))
+    with pytest.raises(PreconditionError):
+        cover_to_mddmin_bip_solution(art, {-1})
