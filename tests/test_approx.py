@@ -52,6 +52,10 @@ class TestBuildL:
 class TestMddMaxLogn:
     def test_star_returns_empty(self):
         inst = Instance(Graph.star(3), 0, None, Objective.MAX)
+        assert mdd_max_logn(inst).vertices == frozenset()
+
+    def test_star_runs_one_branch(self):
+        inst = Instance(Graph.star(4), 0, None, Objective.MAX)
         trace = mdd_max_logn_trace(inst)
         assert trace.solution.vertices == frozenset()
         assert trace.branches_total == 1       # L is empty: only K = {}
