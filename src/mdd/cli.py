@@ -6,7 +6,6 @@ Verbs: solve, verify, reduce, gen, bench, subroutine.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 

@@ -116,12 +116,11 @@ def normalize_dominating_set(gadget: DominationGadget, d_in) -> frozenset:
     return frozenset(d)
 
 
-def build_gstar(inst: Instance, x: int):
-    """Dissociation subproblem for the final-degree-2 case with x deleted.
-
-    Returns (gstar, remap, fixed) where fixed = {x} plus the neighbors of
-    the two surviving vertices y, z of N(p) (excluding p, y, z themselves),
-    and gstar is the subgraph induced on V minus N[{y,z}] and x.
+def build_gstar(inst: Instance, x: int) -> frozenset:
+    """Fixed set of the final-degree-2 case with x deleted: {x} plus the
+    neighbors of the surviving vertices y, z of N(p), minus p, y, z.  The
+    rest of the candidate is dissociation deletion on G*, which is G with
+    fixed | N[p] passed as `removed`.
     """
     _require_cubic_max_unit(inst)
     g = inst.graph
@@ -133,11 +132,7 @@ def build_gstar(inst: Instance, x: int):
         raise InapplicableError(
             f"surviving neighbors {y} and {z} are adjacent; branch at x={x} "
             f"does not apply")
-    nyz = g.adj[y] | g.adj[z]
-    fixed = ({x} | nyz) - {p, y, z}
-    vstar = set(range(g.n)) - ({y, z} | nyz | {x})
-    gstar, remap = g.induced_subgraph(vstar)
-    return gstar, remap, frozenset(fixed)
+    return frozenset(({x} | g.adj[y] | g.adj[z]) - {p, y, z})
 
 
 @dataclass(frozen=True)
@@ -166,11 +161,11 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
         pass
     for x in sorted(g.adj[p]):
         try:
-            gstar, remap, fixed = build_gstar(inst, x)
+            fixed = build_gstar(inst, x)
         except InapplicableError:
             continue
-        t = dissociation_delete(gstar)
-        candidates.append(("dissociation", set(fixed) | {remap[i] for i in t}))
+        t = dissociation_delete(g, removed=fixed | g.closed_neighborhood(p))
+        candidates.append(("dissociation", fixed | t))
     candidates.append(("full", set(range(g.n)) - {p}))
     label, cand = min(candidates, key=lambda c: (
         len(c[1]), _CASE_RANK[c[0]], tuple(sorted(c[1]))))

@@ -8,7 +8,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import BudgetError, InfeasibleError, PreconditionError
 from .graph import DeletionSet, Instance, Objective, feasible_mask
@@ -23,7 +22,6 @@ class WeightMode(Enum):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    max_subset_size: Optional[int] = None
     weight_mode: WeightMode = WeightMode.CARDINALITY
     budget: int = DEFAULT_BUDGET
 
@@ -50,14 +48,11 @@ def _enumerate(inst: Instance, cfg: OracleConfig) -> DeletionSet:
     p = inst.p
     want_min = inst.objective is Objective.MIN
     deletable = [v for v in range(g.n) if v != p and inst.weight(v) != math.inf]
-    max_size = len(deletable)
-    if cfg.max_subset_size is not None:
-        max_size = min(max_size, cfg.max_subset_size)
     cardinality = cfg.weight_mode is WeightMode.CARDINALITY
     full = g.full_mask
     checked = 0
     best = None
-    for size in range(max_size + 1):
+    for size in range(len(deletable) + 1):
         for combo in itertools.combinations(deletable, size):
             checked += 1
             if checked > cfg.budget:
@@ -118,10 +113,9 @@ def kregular_feasible_witness(inst: Instance) -> DeletionSet:
 def kregular_min_exact(inst: Instance) -> DeletionSet:
     """Exact MDD(min) on a k-regular graph with unit weights.
 
-    Some optimal solution has size at most 2k-1 (the witness above), so
-    the CARDINALITY oracle capped at that size is exact; its budget cannot
-    be exhausted.
+    The witness above is feasible with at most 2k-1 vertices, and the
+    CARDINALITY oracle returns at the first feasible size, so it stops by
+    size 2k-1 and its budget is never the limit.
     """
-    k = _require_regular_min_unit(inst)
-    return _enumerate(inst, OracleConfig(max_subset_size=2 * k - 1,
-                                         budget=sys.maxsize))
+    _require_regular_min_unit(inst)
+    return _enumerate(inst, OracleConfig(budget=sys.maxsize))

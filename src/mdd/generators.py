@@ -9,9 +9,11 @@ from .errors import InputError, PreconditionError
 from .graph import Graph
 from .reductions import SetSystem
 
+#: Samples drawn before a generator gives up with PreconditionError.
+_MAX_ATTEMPTS = 5000
 
-def generate_random_regular(n: int, k: int, seed: int,
-                            max_attempts: int = 5000) -> Graph:
+
+def generate_random_regular(n: int, k: int, seed: int) -> Graph:
     """Random simple k-regular graph via the pairing model.
 
     Shuffles n*k half-edge stubs and pairs them consecutively; restarts on a
@@ -22,7 +24,7 @@ def generate_random_regular(n: int, k: int, seed: int,
             f"no {k}-regular graph on {n} vertices (need 0 <= k < n, n*k even)")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(k)]
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         rng.shuffle(stubs)
         edges = set()
         ok = True
@@ -36,7 +38,7 @@ def generate_random_regular(n: int, k: int, seed: int,
             return Graph(n, sorted(edges))
     raise PreconditionError(
         f"pairing model failed to produce a simple {k}-regular graph on "
-        f"{n} vertices after {max_attempts} attempts")
+        f"{n} vertices after {_MAX_ATTEMPTS} attempts")
 
 
 def generate_random_cubic(n: int, seed: int) -> Graph:
@@ -53,8 +55,7 @@ def generate_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def generate_random_setsystem(r: int, t: int, seed: int,
-                              max_attempts: int = 5000) -> SetSystem:
+def generate_random_setsystem(r: int, t: int, seed: int) -> SetSystem:
     """Random set system with r elements and t sets satisfying the
     preconditions of both bipartite constructions: r <= t, every element
     missing from at least one set, every set missing at least one element.
@@ -64,7 +65,7 @@ def generate_random_setsystem(r: int, t: int, seed: int,
         # violating the occurrence bound.
         raise PreconditionError("need 2 <= r <= t")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         family = [frozenset(rng.sample(range(r), rng.randint(1, r - 1)))
                   for _ in range(t)]
         union = set().union(*family)

@@ -21,6 +21,11 @@ from .errors import InputError, PreconditionError
 UNDELETABLE = math.inf
 
 
+def is_valid_weight(w) -> bool:
+    """The weight domain: a positive integer, or UNDELETABLE."""
+    return w == UNDELETABLE or (isinstance(w, int) and w >= 1)
+
+
 class Objective(Enum):
     MIN = "min"
     MAX = "max"
@@ -222,11 +227,7 @@ class Instance:
         object.__setattr__(self, "weights",
                            _normalize_weights(self.graph, self.weights))
         for v, w in enumerate(self.weights):
-            if v == self.p:
-                continue
-            if w is UNDELETABLE or w == math.inf:
-                continue
-            if not isinstance(w, int) or w < 1:
+            if v != self.p and not is_valid_weight(w):
                 raise InputError(f"weight of vertex {v} must be a positive "
                                  f"integer or the undeletable sentinel")
 

@@ -11,14 +11,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InfeasibleError, PreconditionError
-from .graph import Graph, UNDELETABLE
+from .graph import Graph, UNDELETABLE, is_valid_weight
 
 #: Cap sentinel: the vertex carries no degree constraint at all.
 EXEMPT = None
 
 
 def _check_weight(w):
-    if w != UNDELETABLE and (not isinstance(w, int) or w < 1):
+    if not is_valid_weight(w):
         raise PreconditionError(
             f"weight {w!r} is neither a positive integer nor UNDELETABLE")
 
@@ -59,10 +59,12 @@ class FDepProblem:
             _check_weight(self.weights[v])
 
     @classmethod
-    def uniform(cls, graph: Graph, f: int, weights=None) -> "FDepProblem":
+    def uniform(cls, graph: Graph, f: int, weights=None,
+                removed: Iterable[int] = ()) -> "FDepProblem":
         if weights is None:
             weights = tuple(1 for _ in range(graph.n))
-        return cls(graph, tuple(f for _ in range(graph.n)), tuple(weights))
+        return cls(graph, tuple(f for _ in range(graph.n)), tuple(weights),
+                   removed)
 
 
 def f_dependent_delete(prob: FDepProblem) -> frozenset:
@@ -191,6 +193,8 @@ def is_dominating(g: Graph, vertices: Iterable[int]) -> bool:
     return len(covered) == g.n
 
 
-def dissociation_delete(g: Graph, weights: Optional[tuple] = None) -> frozenset:
-    """Greedy deletion until the remaining graph has maximum degree 1."""
-    return f_dependent_delete(FDepProblem.uniform(g, 1, weights))
+def dissociation_delete(g: Graph, weights: Optional[tuple] = None,
+                        removed: Iterable[int] = ()) -> frozenset:
+    """Greedy deletion until the remaining graph has maximum degree 1,
+    with `removed` vertices absent as in FDepProblem."""
+    return f_dependent_delete(FDepProblem.uniform(g, 1, weights, removed))

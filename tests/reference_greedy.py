@@ -2,8 +2,9 @@
 
 Quadratic implementations of the degree-cap and dominating-set greedies
 that rescore every vertex from scratch and compare ratios as exact
-`Fraction`s, and the branch step of the log n algorithm that builds the
-induced subgraph G[V \\ K] and runs the reference greedy on it.  The
+`Fraction`s; the branch step of the log n algorithm that builds the
+induced subgraph G[V \\ K] and runs the reference greedy on it; and the
+final-degree-2 step of the cubic algorithm that does the same on G*.  The
 package's faster versions must pick exactly the same vertices, so these
 stay as they are; tests compare against them.
 """
@@ -130,3 +131,19 @@ def branch_candidate(inst, k_set, np_open, dp):
     except InfeasibleError:
         return None
     return k_set | {remap[i] for i in deleted}
+
+
+def dissociation_candidate(inst, x):
+    """Candidate of the cubic final-degree-2 branch that deletes x, or None
+    where the surviving neighbors y, z of p are adjacent."""
+    g = inst.graph
+    p = inst.p
+    y, z = sorted(g.adj[p] - {x})
+    if z in g.adj[y]:
+        return None
+    nyz = g.adj[y] | g.adj[z]
+    fixed = ({x} | nyz) - {p, y, z}
+    vstar = set(range(g.n)) - ({y, z} | nyz | {x})
+    gstar, remap = g.induced_subgraph(vstar)
+    t = f_dependent_delete(FDepProblem.uniform(gstar, 1))
+    return set(fixed) | {remap[i] for i in t}

@@ -67,11 +67,12 @@ class TestDominationGadget:
 class TestGStar:
     def test_k33_branch(self):
         # p = 0, delete x = 3: survivors y = 4, z = 5 are non-adjacent,
-        # N(y) u N(z) = {0, 1, 2}, so everything is fixed or removed.
+        # N(y) u N(z) = {0, 1, 2}, so fixed u N[p] is every vertex and
+        # nothing is left for the dissociation greedy.
         inst = Instance(k33(), 0, None, Objective.MAX)
-        gstar, remap, fixed = build_gstar(inst, 3)
-        assert gstar.n == 0
+        fixed = build_gstar(inst, 3)
         assert fixed == frozenset({1, 2, 3})
+        assert fixed | inst.graph.closed_neighborhood(0) == set(range(6))
 
     def test_prism_adjacent_survivors_inapplicable(self):
         inst = Instance(prism(), 0, None, Objective.MAX)

@@ -3,18 +3,23 @@ reference_greedy.py: identical vertex sets, or InfeasibleError on both
 sides, on G(n, q) and random regular graphs with EXEMPT, negative and small
 caps, weights that include UNDELETABLE, forbidden sets and removed sets.
 The log n branching algorithm gives the same trace as with the reference
-branch step, which builds an induced subgraph per branch.
+branch step, which builds an induced subgraph per branch, and the cubic
+algorithm's final-degree-2 candidates equal the reference ones, which run
+the greedy on the induced subgraph G*.
 
 Derandomized, so every run checks the same examples; a failure is shrunk
 to a small counterexample.
 """
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdd import (EXEMPT, FDepProblem, InfeasibleError, Instance, MDDError,
-                 Objective, UNDELETABLE, dominating_set_approx, dualize,
-                 f_dependent_delete, generate_gnp, generate_random_regular,
+from mdd import (EXEMPT, FDepProblem, InapplicableError, InfeasibleError,
+                 Instance, MDDError, Objective, UNDELETABLE, build_gstar,
+                 dissociation_delete, dominating_set_approx, dualize,
+                 f_dependent_delete, generate_gnp, generate_random_cubic,
+                 generate_random_regular, mdd_max_cubic_trace,
                  mdd_max_logn_trace)
 from mdd import approx
 
@@ -108,3 +113,27 @@ def test_logn_trace_matches_reference_branch_step(inst):
     with mock.patch.object(approx, "_branch_candidate",
                            reference_greedy.branch_candidate):
         assert _outcome(mdd_max_logn_trace, inst) == result
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 20), st.integers(0, 10**6))
+def test_cubic_dissociation_candidates_match_reference(half, seed):
+    g = generate_random_cubic(2 * half, seed)
+    for p in range(g.n):
+        inst = Instance(g, p, None, Objective.MAX)
+        expected = []
+        for x in sorted(g.adj[p]):
+            reference = reference_greedy.dissociation_candidate(inst, x)
+            if reference is None:
+                with pytest.raises(InapplicableError):
+                    build_gstar(inst, x)
+                continue
+            fixed = build_gstar(inst, x)
+            removed = fixed | g.closed_neighborhood(p)
+            assert fixed | dissociation_delete(g, removed=removed) == reference
+            expected.append(reference)
+        trace = mdd_max_cubic_trace(inst)
+        assert [size for label, size in trace.candidate_sizes
+                if label == "dissociation"] == [len(c) for c in expected]
+        if trace.case == "dissociation":
+            assert trace.solution.vertices in expected

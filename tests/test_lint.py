@@ -36,3 +36,26 @@ def test_package_raises_only_its_own_errors():
                if not (isinstance(getattr(errors, exc, None), type)
                        and issubclass(getattr(errors, exc), errors.MDDError))]
     assert foreign == []
+
+
+def _imported_names(tree):
+    """(line, bound name) for every import except `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_package_has_no_unused_imports():
+    unused = []
+    for name, tree in TREES.items():
+        if name == "__init__.py":  # imports only to re-export
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line}: {imported}"
+                   for line, imported in _imported_names(tree)
+                   if imported not in used]
+    assert unused == []

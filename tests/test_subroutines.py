@@ -153,6 +153,11 @@ class TestDissociationDelete:
     def test_triangle_single_deletion(self):
         assert len(dissociation_delete(Graph.complete(3))) == 1
 
+    def test_removed_vertices_are_absent(self):
+        g = Graph.path(5)
+        assert dissociation_delete(g, removed={2}) == frozenset()
+        assert dissociation_delete(g, removed={0}) == frozenset({2})
+
     def test_max_degree_after(self):
         rng = random.Random(31)
         for trial in range(25):
