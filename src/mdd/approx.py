@@ -61,7 +61,12 @@ class BranchingResult:
 
 
 def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> BranchingResult:
-    """Branch over every subset K of L; see mdd_max_logn."""
+    """Branch over every subset K of L; see mdd_max_logn.
+
+    Every branch runs the degree-cap greedy on the whole graph with K
+    removed, which picks the same vertices as on G[V \\ K].  The weights
+    are built once per trace: N[p] is UNDELETABLE (K's own weights are
+    ignored, since K is removed), and the caps once per size |K|."""
     if inst.objective is not Objective.MAX:
         raise PreconditionError("branching algorithm applies to objective Max")
     g = inst.graph
@@ -73,15 +78,22 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
         raise BudgetError(
             f"|L| = {len(l_set.members)} exceeds cap {cap_on_L}; "
             f"branch count 2^|L| would be too large")
-    np_open = g.adj[p]
-    dp = g.degree(p)
+    closed_p = g.closed_neighborhood(p)
+    weights = tuple(UNDELETABLE if v in closed_p else w
+                    for v, w in enumerate(inst.weights))
     members = sorted(l_set.members)
     candidates = []
     for size in range(len(members) + 1):
+        caps = [g.degree(p) - size - 1] * g.n
+        caps[p] = EXEMPT
+        caps = tuple(caps)
         for k_tuple in itertools.combinations(members, size):
-            candidate = _branch_candidate(inst, set(k_tuple), np_open, dp)
-            if candidate is not None:
-                candidates.append((candidate, k_tuple))
+            try:
+                deleted = f_dependent_delete(
+                    FDepProblem(g, caps, weights, k_tuple))
+            except InfeasibleError:
+                continue
+            candidates.append((deleted.union(k_tuple), k_tuple))
     feasible_branches = len(candidates)
     # Deleting everything but p is always feasible; keep it as the last
     # candidate so the algorithm cannot come back empty-handed.  min keeps
@@ -96,26 +108,6 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
         raise MDDError("branching algorithm selected an infeasible set")
     return BranchingResult(solution, best_k, 2 ** len(members),
                            feasible_branches, l_set.members)
-
-
-def _branch_candidate(inst, k_set, np_open, dp):
-    """Candidate deletion set for one branch K, or None if infeasible.
-
-    The greedy runs on the whole graph with K passed as removed, which
-    picks the same vertices as on the subgraph induced on V \\ K."""
-    g = inst.graph
-    p = inst.p
-    caps = [dp - len(k_set) - 1] * g.n
-    caps[p] = EXEMPT
-    weights = list(inst.weights)
-    for v in (np_open - k_set) | {p}:
-        weights[v] = UNDELETABLE
-    prob = FDepProblem(g, tuple(caps), tuple(weights), frozenset(k_set))
-    try:
-        deleted = f_dependent_delete(prob)
-    except InfeasibleError:
-        return None
-    return k_set | deleted
 
 
 def mdd_max_logn(inst: Instance, cap_on_L: Optional[int] = None) -> DeletionSet:

@@ -84,6 +84,12 @@ def solve(name: str, inst: Instance, max_L: Optional[int] = None):
     return solution, notes
 
 
+def _is_int(value, low: Optional[int]) -> bool:
+    """An int that is not a bool, and at least `low` unless `low` is None."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (low is None or value >= low))
+
+
 @dataclass
 class ExperimentConfig:
     family: str                       # gnp | regular | setcover
@@ -101,10 +107,27 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in ("gnp", "regular", "setcover"):
             raise InputError(f"unknown instance family '{self.family}'")
+        if not isinstance(self.algorithms, list):
+            raise InputError("algorithms must be a list of solver names")
         for name in self.algorithms:
-            if name not in ALGORITHMS:
+            if not isinstance(name, str) or name not in ALGORITHMS:
                 raise InputError(f"unknown algorithm '{name}'")
-        Objective(self.objective)
+        if self.objective not in [o.value for o in Objective]:
+            raise InputError("objective must be 'min' or 'max'")
+        if not (isinstance(self.sizes, list)
+                and all(_is_int(n, 1) for n in self.sizes)):
+            raise InputError("sizes must be a list of integers >= 1")
+        for name, low in (("k", 0), ("instances_per_size", 0), ("seed", None),
+                          ("oracle_cutoff", None), ("setsystem_ratio", 1)):
+            if not _is_int(getattr(self, name), low):
+                raise InputError(f"{name} must be an integer"
+                                 + ("" if low is None else f" >= {low}"))
+        if self.max_L is not None and not _is_int(self.max_L, 0):
+            raise InputError("max_L must be null or an integer >= 0")
+        if (isinstance(self.edge_prob, bool)
+                or not isinstance(self.edge_prob, (int, float))
+                or not 0 <= self.edge_prob <= 1):
+            raise InputError("edge_prob must be a number in [0, 1]")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

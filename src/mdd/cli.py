@@ -14,7 +14,7 @@ from .bench import ALGORITHMS, ExperimentConfig, run_experiment, solve
 from .errors import (BudgetError, InapplicableError, InfeasibleError,
                      InputError, MDDError, PreconditionError)
 from .generators import generate_gnp, generate_random_regular
-from .graph import is_feasible
+from .graph import UNDELETABLE, is_feasible
 from .reductions import CONSTRUCTIONS
 from .subroutines import (FDepProblem, dissociation_delete,
                           dominating_set_approx, f_dependent_delete)
@@ -31,8 +31,8 @@ SOURCE_PARSERS = {"mindom": fileio.parse_graph,
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -104,7 +104,8 @@ def _cmd_subroutine(args) -> int:
         result = f_dependent_delete(prob)
     elif args.kind == "domset":
         forbidden = set(args.forbidden or [])
-        result = dominating_set_approx(g, forbidden)
+        result = dominating_set_approx(g, tuple(
+            UNDELETABLE if v in forbidden else 1 for v in range(g.n)))
     else:  # dissoc
         result = dissociation_delete(g)
     print(" ".join(str(v) for v in sorted(result)))

@@ -28,6 +28,14 @@ def _content_lines(text: str):
         yield lineno, line
 
 
+def _int(token: str, lineno: int, message: str) -> int:
+    """int(token), or InputError 'line <lineno>: <message>'."""
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"line {lineno}: {message}") from None
+
+
 def _parse_graph_lines(lines) -> Graph:
     try:
         lineno, header = next(lines)
@@ -36,10 +44,7 @@ def _parse_graph_lines(lines) -> Graph:
     parts = header.split()
     if len(parts) != 2:
         raise InputError(f"line {lineno}: expected 'n m' header")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InputError(f"line {lineno}: expected integer 'n m' header") from None
+    n, m = (_int(x, lineno, "expected integer 'n m' header") for x in parts)
     edges = []
     seen = set()
     for _ in range(m):
@@ -50,10 +55,7 @@ def _parse_graph_lines(lines) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: expected integer endpoints") from None
+        u, v = (_int(x, lineno, "expected integer endpoints") for x in parts)
         if u == v:
             raise InputError(f"line {lineno}: self-loop at {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -91,10 +93,7 @@ def parse_instance(text: str) -> Instance:
     parts = line.split()
     if len(parts) != 4 or parts[0] != "p" or parts[2] != "objective":
         raise InputError(f"line {lineno}: expected 'p <id> objective <min|max>'")
-    try:
-        p = int(parts[1])
-    except ValueError:
-        raise InputError(f"line {lineno}: p must be an integer") from None
+    p = _int(parts[1], lineno, "p must be an integer")
     try:
         objective = Objective(parts[3])
     except ValueError:
@@ -104,21 +103,11 @@ def parse_instance(text: str) -> Instance:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "w":
             raise InputError(f"line {lineno}: expected 'w <id> <weight>'")
-        try:
-            v = int(parts[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: vertex id must be an integer") from None
+        v = _int(parts[1], lineno, "vertex id must be an integer")
         if not 0 <= v < g.n:
             raise InputError(f"line {lineno}: vertex {v} out of range")
-        if parts[2] == "inf":
-            weights[v] = UNDELETABLE
-        else:
-            try:
-                weights[v] = int(parts[2])
-            except ValueError:
-                raise InputError(
-                    f"line {lineno}: weight must be a positive integer or 'inf'"
-                ) from None
+        weights[v] = UNDELETABLE if parts[2] == "inf" else _int(
+            parts[2], lineno, "weight must be a positive integer or 'inf'")
     return Instance(g, p, tuple(weights), objective)
 
 
@@ -141,21 +130,15 @@ def parse_setsystem(text: str) -> SetSystem:
     parts = header.split()
     if len(parts) != 2:
         raise InputError(f"line {lineno}: expected 'r t' header")
-    try:
-        r, t = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InputError(f"line {lineno}: expected integer 'r t' header") from None
+    r, t = (_int(x, lineno, "expected integer 'r t' header") for x in parts)
     family = []
     for _ in range(t):
         try:
             lineno, line = next(lines)
         except StopIteration:
             raise InputError(f"expected {t} set lines, got {len(family)}") from None
-        try:
-            members = frozenset(int(x) for x in line.split())
-        except ValueError:
-            raise InputError(f"line {lineno}: expected integer element ids") from None
-        family.append(members)
+        family.append(frozenset(_int(x, lineno, "expected integer element ids")
+                                for x in line.split()))
     for lineno, _ in lines:
         raise InputError(f"line {lineno}: trailing content after set list")
     return SetSystem(r, tuple(family))
@@ -170,11 +153,8 @@ def serialize_setsystem(sys: SetSystem) -> str:
 def parse_solution(text: str) -> frozenset:
     ids = []
     for lineno, line in _content_lines(text):
-        for tok in line.split():
-            try:
-                ids.append(int(tok))
-            except ValueError:
-                raise InputError(f"line {lineno}: '{tok}' is not a vertex id") from None
+        ids += (_int(tok, lineno, f"'{tok}' is not a vertex id")
+                for tok in line.split())
     return frozenset(ids)
 
 

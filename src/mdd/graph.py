@@ -60,9 +60,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> frozenset:
-        return self.adj[v]
-
     def closed_neighborhood(self, v: int) -> frozenset:
         return self.adj[v] | {v}
 
@@ -240,9 +237,6 @@ class Instance:
     @property
     def unit_weights(self) -> bool:
         return all(w == 1 for v, w in enumerate(self.weights) if v != self.p)
-
-    def with_objective(self, objective: Objective) -> "Instance":
-        return Instance(self.graph, self.p, self.weights, objective)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 degree-cap deletion (every remaining vertex v keeps degree <= f(v)),
 dominating set, and dissociation deletion (remaining max degree <= 1).
 
-All three are deterministic: ties are broken by lowest vertex id, and
-gain/weight ratios are compared by integer cross-multiplication.
+All three pick with one deterministic rule, `_best_ratio`: gain/weight
+ratios are compared by integer cross-multiplication, and ties go to the
+lowest vertex id.  An UNDELETABLE weight is the one way to keep a vertex
+from being picked.
 """
 from __future__ import annotations
 
@@ -21,6 +23,17 @@ def _check_weight(w):
     if not is_valid_weight(w):
         raise PreconditionError(
             f"weight {w!r} is neither a positive integer nor UNDELETABLE")
+
+
+def _best_ratio(candidates, score, weights):
+    """The pick rule of both greedies: the first candidate u with the largest
+    positive score[u] / weights[u], or None if no score is positive."""
+    best = None
+    best_score, best_w = 0, 1
+    for u in candidates:
+        if score[u] * best_w > best_score * weights[u]:
+            best, best_score, best_w = u, score[u], weights[u]
+    return best
 
 
 @dataclass(frozen=True)
@@ -102,11 +115,7 @@ def f_dependent_delete(prob: FDepProblem) -> frozenset:
                   if u not in removed and weights[u] != UNDELETABLE]
     deleted = []
     while over:
-        best = None
-        best_gain, best_w = 0, 1
-        for u in candidates:
-            if gain[u] * best_w > best_gain * weights[u]:
-                best, best_gain, best_w = u, gain[u], weights[u]
+        best = _best_ratio(candidates, gain, weights)
         if best is None:
             raise InfeasibleError(
                 "degree caps violated but every helpful vertex is undeletable")
@@ -140,23 +149,22 @@ def check_degree_caps(prob: FDepProblem, deleted: Iterable[int]) -> bool:
     return True
 
 
-def dominating_set_approx(g: Graph, forbidden: Iterable[int] = (),
-                          weights: Optional[tuple] = None) -> frozenset:
-    """Greedy weighted dominating set avoiding `forbidden` vertices.
+def dominating_set_approx(g: Graph, weights: Optional[tuple] = None) -> frozenset:
+    """Greedy weighted dominating set.
 
-    Picks the allowed vertex covering the most still-undominated vertices
-    per unit weight.  Vertices that are forbidden, or carry infinite weight,
-    are never selected but still need to be dominated.  covers[u] counts
-    the undominated vertices of N[u] and drops as vertices get dominated,
-    so each pick is one scan over the allowed vertices.
+    Picks the vertex covering the most still-undominated vertices per unit
+    weight.  UNDELETABLE vertices are never picked but still need to be
+    dominated.  covers[u] counts the undominated vertices of N[u] and drops
+    as vertices get dominated, so each pick is one scan over the pickable
+    vertices.
     """
-    forbidden = set(forbidden)
     if weights is None:
         weights = tuple(1 for _ in range(g.n))
+    if len(weights) != g.n:
+        raise PreconditionError("weights length must equal vertex count")
     for w in weights:
         _check_weight(w)
-    allowed = [v for v in range(g.n)
-               if v not in forbidden and weights[v] != UNDELETABLE]
+    allowed = [v for v in range(g.n) if weights[v] != UNDELETABLE]
     allowed_set = set(allowed)
     closed = [g.closed_neighborhood(v) for v in range(g.n)]
     for v in range(g.n):
@@ -170,11 +178,7 @@ def dominating_set_approx(g: Graph, forbidden: Iterable[int] = (),
     # The precheck guarantees progress: an undominated vertex has an
     # allowed vertex in its closed neighborhood, which covers at least it.
     while left:
-        best = None
-        best_covered, best_w = 0, 1
-        for u in allowed:
-            if covers[u] * best_w > best_covered * weights[u]:
-                best, best_covered, best_w = u, covers[u], weights[u]
+        best = _best_ratio(allowed, covers, weights)
         chosen.add(best)
         for v in closed[best]:
             if not dominated[v]:

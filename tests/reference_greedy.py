@@ -2,17 +2,21 @@
 
 Quadratic implementations of the degree-cap and dominating-set greedies
 that rescore every vertex from scratch and compare ratios as exact
-`Fraction`s; the branch step of the log n algorithm that builds the
-induced subgraph G[V \\ K] and runs the reference greedy on it; and the
-final-degree-2 step of the cubic algorithm that does the same on G*.  The
-package's faster versions must pick exactly the same vertices, so these
-stay as they are; tests compare against them.
+`Fraction`s; the branch loop of the log n algorithm, whose branch step
+builds the induced subgraph G[V \\ K] and runs the reference greedy on it;
+and the final-degree-2 step of the cubic algorithm that does the same on
+G*.  The package's faster versions must pick exactly the same vertices, so
+these stay as they are; tests compare against them.
 """
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from mdd import EXEMPT, FDepProblem, Graph, InfeasibleError, UNDELETABLE
+from mdd import (BudgetError, DeletionSet, EXEMPT, FDepProblem, Graph,
+                 InfeasibleError, MDDError, Objective, PreconditionError,
+                 UNDELETABLE, build_L, is_feasible)
+from mdd.approx import BranchingResult, default_l_cap
 
 
 def _excess(prob: FDepProblem, v: int, degree: int) -> int:
@@ -131,6 +135,42 @@ def branch_candidate(inst, k_set, np_open, dp):
     except InfeasibleError:
         return None
     return k_set | {remap[i] for i in deleted}
+
+
+def logn_trace(inst, cap):
+    """The log n branching algorithm with `branch_candidate` as its branch
+    step; cap bounds |L| as in mdd_max_logn_trace."""
+    if inst.objective is not Objective.MAX:
+        raise PreconditionError("branching algorithm applies to objective Max")
+    g = inst.graph
+    p = inst.p
+    if cap is None:
+        cap = default_l_cap(g.n)
+    l_set = build_L(inst)
+    if len(l_set.members) > cap:
+        raise BudgetError(
+            f"|L| = {len(l_set.members)} exceeds cap {cap}; "
+            f"branch count 2^|L| would be too large")
+    np_open = g.adj[p]
+    dp = g.degree(p)
+    members = sorted(l_set.members)
+    candidates = []
+    for size in range(len(members) + 1):
+        for k_tuple in itertools.combinations(members, size):
+            candidate = branch_candidate(inst, set(k_tuple), np_open, dp)
+            if candidate is not None:
+                candidates.append((candidate, k_tuple))
+    feasible_branches = len(candidates)
+    candidates.append((set(range(g.n)) - {p}, None))
+    best, best_k = min(candidates, key=lambda c: (
+        inst.weight_of(c[0]), len(c[0]), tuple(sorted(c[0]))))
+    if inst.weight_of(best) == math.inf:
+        raise InfeasibleError("every candidate requires an undeletable vertex")
+    solution = DeletionSet.of(inst, best)
+    if not is_feasible(inst, solution):
+        raise MDDError("branching algorithm selected an infeasible set")
+    return BranchingResult(solution, best_k, 2 ** len(members),
+                           feasible_branches, l_set.members)
 
 
 def dissociation_candidate(inst, x):

@@ -81,6 +81,12 @@ class TestSolve:
         path.write_text("not a graph\n")
         assert main(["solve", str(path), "--algo", "oracle"]) == 4
 
+    def test_file_not_utf8_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["solve", str(path), "--algo", "oracle"]) == 4
+        assert capsys.readouterr().err.startswith("input error: cannot read")
+
 
 # Runs under `python -O`: a registered solver that returns an infeasible set
 # must still be caught by both the CLI and the bench harness.
@@ -244,3 +250,16 @@ class TestBenchCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{}")
         assert main(["bench", "--config", str(cfg_path)]) == 4
+
+    @pytest.mark.parametrize("config", [
+        {"family": "gnp", "sizes": [5.5]},
+        {"family": "gnp", "sizes": "ab"},
+        {"family": "gnp", "sizes": [5], "instances_per_size": "x"},
+        {"family": "gnp", "sizes": [5], "algorithms": ["logn"], "max_L": "3"},
+        {"family": "setcover", "sizes": [4], "setsystem_ratio": 0},
+    ])
+    def test_bench_badly_typed_config_exits_4(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err.startswith("input error:")

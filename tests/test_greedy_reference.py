@@ -2,16 +2,14 @@
 reference_greedy.py: identical vertex sets, or InfeasibleError on both
 sides, on G(n, q) and random regular graphs with EXEMPT, negative and small
 caps, weights that include UNDELETABLE, forbidden sets and removed sets.
-The log n branching algorithm gives the same trace as with the reference
-branch step, which builds an induced subgraph per branch, and the cubic
+The log n branching algorithm gives the same trace as the reference branch
+loop, which builds an induced subgraph per branch, and the cubic
 algorithm's final-degree-2 candidates equal the reference ones, which run
 the greedy on the induced subgraph G*.
 
 Derandomized, so every run checks the same examples; a failure is shrunk
 to a small counterexample.
 """
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +19,6 @@ from mdd import (EXEMPT, FDepProblem, InapplicableError, InfeasibleError,
                  f_dependent_delete, generate_gnp, generate_random_cubic,
                  generate_random_regular, mdd_max_cubic_trace,
                  mdd_max_logn_trace)
-from mdd import approx
 
 import reference_greedy
 
@@ -68,7 +65,10 @@ def test_dominating_set_approx_matches_reference(data):
     g = data.draw(graphs())
     weights = tuple(data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n)))
     forbidden = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n // 3))
-    assert (_outcome(dominating_set_approx, g, forbidden, weights)
+    # The package forbids a pick only through an UNDELETABLE weight.
+    forbidding = tuple(UNDELETABLE if v in forbidden else w
+                       for v, w in enumerate(weights))
+    assert (_outcome(dominating_set_approx, g, forbidding)
             == _outcome(reference_greedy.dominating_set_approx, g, forbidden,
                         weights))
 
@@ -109,10 +109,8 @@ def max_instances(draw):
 @EXAMPLES
 @given(max_instances())
 def test_logn_trace_matches_reference_branch_step(inst):
-    result = _outcome(mdd_max_logn_trace, inst)
-    with mock.patch.object(approx, "_branch_candidate",
-                           reference_greedy.branch_candidate):
-        assert _outcome(mdd_max_logn_trace, inst) == result
+    assert (_outcome(mdd_max_logn_trace, inst)
+            == _outcome(reference_greedy.logn_trace, inst, None))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -102,6 +102,12 @@ def test_weights_outside_domain_rejected(weights):
         dominating_set_approx(Graph.star(3), weights=weights)
 
 
+@pytest.mark.parametrize("weights", [(1,), (1, 1, 1, 1)])
+def test_dominating_set_weights_length_checked(weights):
+    with pytest.raises(PreconditionError):
+        dominating_set_approx(Graph.path(3), weights=weights)
+
+
 class TestDominatingSet:
     def test_star(self):
         assert dominating_set_approx(Graph.star(4)) == frozenset({0})
@@ -118,14 +124,15 @@ class TestDominatingSet:
 
     def test_forbidden_respected(self):
         g = Graph.cycle(5)
-        result = dominating_set_approx(g, forbidden={0, 1})
+        result = dominating_set_approx(
+            g, (UNDELETABLE, UNDELETABLE, 1, 1, 1))
         assert is_dominating(g, result)
         assert not (result & {0, 1})
 
     def test_isolated_forbidden_vertex_infeasible(self):
         g = Graph(3, [(0, 1)])
         with pytest.raises(InfeasibleError):
-            dominating_set_approx(g, forbidden={2})
+            dominating_set_approx(g, (1, 1, UNDELETABLE))
 
     def test_weight_within_band_of_optimum(self):
         rng = random.Random(21)
