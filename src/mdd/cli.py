@@ -104,6 +104,9 @@ def _cmd_subroutine(args) -> int:
         result = f_dependent_delete(prob)
     elif args.kind == "domset":
         forbidden = set(args.forbidden or [])
+        for v in sorted(forbidden):
+            if not 0 <= v < g.n:
+                raise InputError(f"forbidden vertex {v} out of range for n={g.n}")
         result = dominating_set_approx(g, tuple(
             UNDELETABLE if v in forbidden else 1 for v in range(g.n)))
     else:  # dissoc

@@ -1,16 +1,15 @@
-"""Ground-truth solvers: subset-enumeration oracle, complement duality, and
+"""Ground-truth solvers: search-tree oracle, complement duality, and
 the polynomial exact solver for MDD(min) on regular graphs.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BudgetError, InfeasibleError, PreconditionError
-from .graph import DeletionSet, Instance, Objective, feasible_mask
+from .graph import DeletionSet, Instance, Objective
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -31,49 +30,98 @@ class OracleConfig:
 
 
 def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> DeletionSet:
-    """Minimum feasible deletion set by explicit subset enumeration.
+    """Minimum feasible deletion set by a bounded search tree.
 
-    Ties are broken deterministically: smaller weight, then smaller
-    cardinality, then lexicographically smallest vertex tuple.  In
-    CARDINALITY mode the enumeration proceeds by increasing subset size and
-    returns the first feasible set it meets, which is the minimum.
+    Every kept vertex that ties or beats p must be fixed by the deletion
+    set, so the search branches over the few vertices that can fix one (see
+    `_search`).  It returns the minimum under the deterministic tie-break:
+    smaller weight, then smaller cardinality, then lexicographically
+    smallest vertex tuple; CARDINALITY mode drops the weight.  The budget
+    counts search nodes.
     """
-    return _enumerate(inst, cfg)
+    return _search(inst, cfg)
 
 
-def _enumerate(inst: Instance, cfg: OracleConfig) -> DeletionSet:
-    # The loop behind brute_force_optimum, also called by kregular_min_exact,
+def _search(inst: Instance, cfg: OracleConfig) -> DeletionSet:
+    # The search behind brute_force_optimum, also called by kregular_min_exact,
     # so that a traced run attributes each solver's time to that solver.
+    #
+    # A node deletes `removed` and may no longer delete `blocked`.  A kept
+    # v != p violates when d(v) >= d(p) (Max) or d(v) <= d(p) (Min).  Every
+    # feasible superset must then meet v's fixing set: N[v] - {p} for Max,
+    # since deleting anything else cannot lower d(v) below d(p); {v} + N(p)
+    # for Min, since anything else leaves d(p) >= d(v).  The node branches
+    # on the smallest fixing set, without blocked vertices, in ascending id;
+    # each branch blocks the members tried before it, so the subtrees part
+    # the feasible supersets.  Costs are positive, so a feasible node is
+    # lighter and smaller than all its supersets and the search stops there;
+    # following any feasible set down the tree thus meets a feasible subset
+    # of it, and the minimum key is always met.
     g = inst.graph
     p = inst.p
+    masks = g.masks
     want_min = inst.objective is Objective.MIN
-    deletable = [v for v in range(g.n) if v != p and inst.weight(v) != math.inf]
-    cardinality = cfg.weight_mode is WeightMode.CARDINALITY
+    if cfg.weight_mode is WeightMode.WEIGHTED:
+        cost = inst.weights
+    else:
+        cost = (1,) * g.n
+    others = [(v, 1 << v) for v in range(g.n) if v != p]
     full = g.full_mask
-    checked = 0
+    undeletable = 1 << p
+    for v, bit in others:
+        if inst.weight(v) == math.inf:
+            undeletable |= bit
     best = None
-    for size in range(len(deletable) + 1):
-        for combo in itertools.combinations(deletable, size):
-            checked += 1
-            if checked > cfg.budget:
-                raise BudgetError(f"oracle budget of {cfg.budget} subsets exhausted")
-            remaining = full
-            for v in combo:
-                remaining &= ~(1 << v)
-            if not feasible_mask(g, p, remaining, want_min):
+    nodes = 0
+    # Depth-first with an explicit stack (a search can run n levels deep);
+    # a node is (removed, blocked, spent), children pop in ascending id.
+    stack = [(0, undeletable, 0)]
+    while stack:
+        removed, blocked, spent = stack.pop()
+        if best is not None and spent > best[0]:
+            continue
+        nodes += 1
+        if nodes > cfg.budget:
+            raise BudgetError(f"oracle budget of {cfg.budget} search nodes exhausted")
+        remaining = full & ~removed
+        free = remaining & ~blocked
+        near_p = masks[p] & remaining
+        dp = near_p.bit_count()
+        fix = None
+        for v, bit in others:
+            if not remaining & bit:
                 continue
-            weight = inst.weight_of(combo)
-            if cardinality:
-                # Sizes ascend and combinations are lexicographic, so the
-                # first feasible set already has the minimum (size, combo).
-                return DeletionSet(frozenset(combo), weight)
-            key = (weight, size, combo)
+            dv = (masks[v] & remaining).bit_count()
+            if want_min:
+                if dv > dp:
+                    continue
+                fixers = (bit | near_p) & free
+            else:
+                if dv < dp:
+                    continue
+                fixers = (bit | masks[v]) & free
+            if fix is None or fixers.bit_count() < fix.bit_count():
+                fix = fixers
+            if not fix:
+                break  # a violator nothing can fix: no children
+        if fix is None:
+            chosen = tuple(v for v, bit in others if removed & bit)
+            key = (spent, len(chosen), chosen)
             if best is None or key < best:
                 best = key
+            continue
+        children = []
+        while fix:
+            bit = fix & -fix
+            fix ^= bit
+            children.append((removed | bit, blocked,
+                             spent + cost[bit.bit_length() - 1]))
+            blocked |= bit
+        stack.extend(reversed(children))
     if best is None:
         raise InfeasibleError("no feasible deletion set within enumeration limits")
-    weight, _, combo = best
-    return DeletionSet(frozenset(combo), weight)
+    chosen = best[2]
+    return DeletionSet(frozenset(chosen), inst.weight_of(chosen))
 
 
 def dualize(inst: Instance) -> Instance:
@@ -113,9 +161,10 @@ def kregular_feasible_witness(inst: Instance) -> DeletionSet:
 def kregular_min_exact(inst: Instance) -> DeletionSet:
     """Exact MDD(min) on a k-regular graph with unit weights.
 
-    The witness above is feasible with at most 2k-1 vertices, and the
-    CARDINALITY oracle returns at the first feasible size, so it stops by
-    size 2k-1 and its budget is never the limit.
+    The CARDINALITY search of the oracle, run without a node budget.  The
+    witness above is feasible with at most 2k-1 vertices, so once the
+    search meets a set of that size it prunes every branch that grows past
+    it.
     """
     _require_regular_min_unit(inst)
-    return _enumerate(inst, OracleConfig(budget=sys.maxsize))
+    return _search(inst, OracleConfig(budget=sys.maxsize))

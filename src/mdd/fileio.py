@@ -13,6 +13,7 @@ round-trips are byte-identical on canonical files.
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterable
 
 from .errors import InputError
@@ -28,12 +29,16 @@ def _content_lines(text: str):
         yield lineno, line
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _int(token: str, lineno: int, message: str) -> int:
-    """int(token), or InputError 'line <lineno>: <message>'."""
-    try:
-        return int(token)
-    except ValueError:
-        raise InputError(f"line {lineno}: {message}") from None
+    """The integer an optional '-' and ASCII digits spell, or InputError
+    'line <lineno>: <message>'.  Python's int() would also take '+3', '1_0'
+    and non-ASCII digits, which the formats do not allow."""
+    if not _INTEGER.fullmatch(token):
+        raise InputError(f"line {lineno}: {message}")
+    return int(token)
 
 
 def _parse_graph_lines(lines) -> Graph:

@@ -35,7 +35,7 @@ class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
     Adjacency is stored both as frozensets (for set algebra) and as bitmasks
-    (for fast degree counting during subset enumeration).
+    (for fast degree counting in the oracle's search).
     """
 
     __slots__ = ("n", "adj", "masks")
@@ -285,8 +285,7 @@ def feasible_mask(g: Graph, p: int, remaining: int, want_min: bool) -> bool:
     """Feasibility kernel: is p the unique extreme-degree vertex of the
     subgraph induced on the bitmask `remaining` (which must contain p)?
 
-    Unvalidated, for enumeration hot loops; `is_feasible` checks its input
-    and then calls this."""
+    Unvalidated; `is_feasible` checks its input and then calls this."""
     dp = (g.masks[p] & remaining).bit_count()
     rest = remaining & ~(1 << p)
     while rest:

@@ -231,6 +231,16 @@ class TestGenAndSubroutine:
         assert main(["subroutine", "--kind", "domset", "--graph", str(g_path),
                      "--forbidden", "2"]) == 2
 
+    def test_subroutine_domset_forbidden_out_of_range_exits_4(self, tmp_path,
+                                                             capsys):
+        g_path = tmp_path / "g.txt"
+        g_path.write_text("3 1\n0 1\n")
+        assert main(["subroutine", "--kind", "domset", "--graph", str(g_path),
+                     "--forbidden", "7", "-5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of range" in captured.err
+
 
 class TestBenchCommand:
     def test_bench_csv_and_json(self, tmp_path, capsys):

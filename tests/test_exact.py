@@ -1,9 +1,13 @@
+import math
+import random
+
 import pytest
 
-from mdd import (BudgetError, Graph, Instance, Objective, OracleConfig,
-                 PreconditionError, WeightMode, brute_force_optimum, dualize,
-                 is_feasible, kregular_feasible_witness, kregular_min_exact,
-                 generate_gnp, generate_random_regular)
+from mdd import (BudgetError, Graph, InfeasibleError, Instance, Objective,
+                 OracleConfig, PreconditionError, UNDELETABLE, WeightMode,
+                 brute_force_optimum, dualize, is_feasible,
+                 kregular_feasible_witness, kregular_min_exact, generate_gnp,
+                 generate_random_regular)
 
 from bruteforce import min_deletion_set
 
@@ -34,6 +38,18 @@ class TestOracle:
         with pytest.raises(BudgetError):
             brute_force_optimum(inst, OracleConfig(budget=3))
 
+    def test_budget_counts_search_nodes(self):
+        # The search visits 9 nodes on C5; with the heavy vertices 2 and 3
+        # the weight prune skips one of them.  Visiting a set twice, or a
+        # branch heavier than the best set found, would need more.
+        for weights, mode, nodes in [(None, WeightMode.CARDINALITY, 9),
+                                     ((1, 1, 9, 9, 1), WeightMode.WEIGHTED, 8)]:
+            inst = Instance(Graph.cycle(5), 0, weights)
+            best = brute_force_optimum(inst, OracleConfig(mode, budget=nodes))
+            assert best.vertices == frozenset({1, 4})
+            with pytest.raises(BudgetError):
+                brute_force_optimum(inst, OracleConfig(mode, budget=nodes - 1))
+
     def test_weighted_mode(self):
         # deleting the two light neighbors beats one heavy vertex elsewhere
         inst = Instance(Graph.cycle(5), 0, (1, 1, 9, 9, 1), Objective.MIN)
@@ -49,6 +65,36 @@ class TestOracle:
                             Objective.MAX if seed % 2 else Objective.MIN)
             cfg = OracleConfig(weight_mode=WeightMode.WEIGHTED)
             assert brute_force_optimum(inst, cfg).vertices == min_deletion_set(inst)
+
+    def test_matches_independent_enumeration_weighted(self):
+        for seed in range(15):
+            rng = random.Random(seed)
+            g = generate_gnp(7, 0.4, seed)
+            inst = Instance(g, seed % 7, [rng.randint(1, 9) for _ in range(7)],
+                            Objective.MAX if seed % 2 else Objective.MIN)
+            cfg = OracleConfig(weight_mode=WeightMode.WEIGHTED)
+            assert brute_force_optimum(inst, cfg).vertices == min_deletion_set(inst)
+
+    def test_matches_independent_enumeration_undeletable(self):
+        # The independent enumeration may delete an UNDELETABLE vertex at
+        # infinite weight; the oracle then finds nothing feasible.
+        infeasible = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            g = generate_gnp(7, 0.4, seed)
+            weights = [UNDELETABLE if rng.random() < 0.3 else rng.randint(1, 9)
+                       for _ in range(7)]
+            inst = Instance(g, seed % 7, weights,
+                            Objective.MAX if seed % 2 else Objective.MIN)
+            cfg = OracleConfig(weight_mode=WeightMode.WEIGHTED)
+            expected = min_deletion_set(inst)
+            if expected is None or inst.weight_of(expected) == math.inf:
+                infeasible += 1
+                with pytest.raises(InfeasibleError):
+                    brute_force_optimum(inst, cfg)
+            else:
+                assert brute_force_optimum(inst, cfg).vertices == expected
+        assert 0 < infeasible < 30
 
     def test_determinism(self):
         inst = Instance(generate_gnp(8, 0.5, 3), 2, None, Objective.MAX)

@@ -1,0 +1,88 @@
+"""The package's search-tree oracle against the subset enumeration in
+reference_exact.py: the identical DeletionSet, or the same MDDError type,
+in both weight modes and for both objectives, on G(n, q) and random regular
+graphs with unit weights, weights 1-9 and weights that include
+UNDELETABLE.  `kregular_min_exact` gives the same set as the enumeration
+on random regular graphs.
+
+Each comparison gives both sides a budget equal to the number of subsets
+the enumeration checks, so the search must also never visit more nodes
+than there are subsets: its branches part the supersets of a node, so no
+set is visited twice.
+
+Derandomized, so every run checks the same examples; a failure is shrunk
+to a small counterexample.
+"""
+import sys
+
+from hypothesis import assume, given, settings, strategies as st
+
+from mdd import (Instance, MDDError, Objective, OracleConfig,
+                 PreconditionError, UNDELETABLE, WeightMode,
+                 brute_force_optimum, generate_gnp, generate_random_regular,
+                 kregular_min_exact)
+
+import reference_exact
+
+EXAMPLES = settings(derandomize=True, max_examples=500, deadline=None)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MDDError as exc:
+        return type(exc)
+
+
+def _regular(draw, max_n):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, max_n))
+    n += n * k % 2
+    try:
+        return generate_random_regular(n, k, draw(st.integers(0, 10**6)))
+    except PreconditionError:
+        # The pairing model rarely yields a simple graph when k is near n.
+        assume(False)
+
+
+@st.composite
+def graphs(draw):
+    if draw(st.booleans()):
+        return generate_gnp(draw(st.integers(1, 12)),
+                            draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.7, 0.9])),
+                            draw(st.integers(0, 10**6)))
+    return _regular(draw, 12)
+
+
+@st.composite
+def instances(draw):
+    g = draw(graphs())
+    weights = draw(st.sampled_from(["unit", "integer", "undeletable"]))
+    if weights == "unit":
+        weights = None
+    elif weights == "integer":
+        weights = draw(st.lists(st.integers(1, 9), min_size=g.n, max_size=g.n))
+    else:
+        weights = draw(st.lists(st.one_of(st.integers(1, 9), st.just(UNDELETABLE)),
+                                min_size=g.n, max_size=g.n))
+    return Instance(g, draw(st.integers(0, g.n - 1)), weights,
+                    draw(st.sampled_from(list(Objective))))
+
+
+@EXAMPLES
+@given(instances(), st.sampled_from(list(WeightMode)))
+def test_oracle_matches_subset_enumeration(inst, mode):
+    deletable = [v for v in range(inst.graph.n)
+                 if v != inst.p and inst.weight(v) != UNDELETABLE]
+    cfg = OracleConfig(weight_mode=mode, budget=2 ** len(deletable))
+    assert (_outcome(brute_force_optimum, inst, cfg)
+            == _outcome(reference_exact._enumerate, inst, cfg))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_kregular_min_exact_matches_subset_enumeration(data):
+    g = _regular(data.draw, 14)
+    inst = Instance(g, data.draw(st.integers(0, g.n - 1)))
+    assert kregular_min_exact(inst) == reference_exact._enumerate(
+        inst, OracleConfig(budget=sys.maxsize))

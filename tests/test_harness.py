@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -84,6 +85,20 @@ class TestFileIO:
         text = serialize_setsystem(sys)
         assert parse_setsystem(text) == sys
         assert serialize_setsystem(parse_setsystem(text)) == text
+
+    @pytest.mark.parametrize("token", ["+3", "1_0", "0_1", "\u0663"])
+    def test_integers_are_ascii_digits_only(self, token):
+        # int() takes each of these; no file format does.
+        with pytest.raises(InputError, match="^line 1: expected integer 'n m' header$"):
+            parse_graph(f"{token} 0\n")
+        with pytest.raises(InputError, match="^line 4: vertex id must be an integer$"):
+            parse_instance(f"3 1\n0 1\np 0 objective min\nw {token} 2\n")
+        with pytest.raises(InputError,
+                           match=f"^line 1: '{re.escape(token)}' is not a vertex id$"):
+            parse_solution(f"0 {token}\n")
+
+    def test_negative_integers_still_parse(self):
+        assert parse_solution("-0 -2 007\n") == frozenset({0, -2, 7})
 
     def test_solution_round_trip(self):
         assert parse_solution(serialize_solution({5, 1, 3})) == frozenset({1, 3, 5})
