@@ -18,15 +18,8 @@ from .cubic import (DominationGadget, build_domination_gadget, build_gstar,
                     mdd_max_cubic, mdd_max_cubic_trace,
                     normalize_dominating_set)
 from .reductions import (ReductionArtifact, SetSystem, cubic_gadget,
-                         cover_to_mddmax_bip_solution,
-                         cover_to_mddmin_bip_solution,
-                         domset_to_mddmax_cubic_solution,
-                         domset_to_mddmin_solution,
-                         mddmax_bip_solution_to_cover,
-                         mddmax_cubic_solution_to_domset,
-                         mddmin_bip_solution_to_cover,
-                         mddmin_solution_to_domset,
-                         mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
+                         lift_solution, mindom_cubic_to_mddmax_cubic,
+                         mindom_to_mddmin, project_solution,
                          setcover_to_mddmax_bip, setcover_to_mddmin_bip)
 from .generators import (generate_gnp, generate_random_cubic,
                          generate_random_regular, generate_random_setsystem)

@@ -39,11 +39,16 @@ def _read(path: str) -> str:
 def _write_or_print(text: str, out: str):
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from None
 
 
 def _cmd_solve(args) -> int:
+    if args.max_L is not None and args.max_L < 0:
+        raise InputError("--max-L must be an integer >= 0")
     inst = fileio.parse_instance(_read(args.instance))
     solution, notes = solve(args.algo, inst, args.max_L)
     for line in notes:

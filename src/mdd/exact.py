@@ -119,7 +119,8 @@ def _search(inst: Instance, cfg: OracleConfig) -> DeletionSet:
             blocked |= bit
         stack.extend(reversed(children))
     if best is None:
-        raise InfeasibleError("no feasible deletion set within enumeration limits")
+        raise InfeasibleError(
+            "no deletion set avoiding p and the undeletable vertices is feasible")
     chosen = best[2]
     return DeletionSet(frozenset(chosen), inst.weight_of(chosen))
 

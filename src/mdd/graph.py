@@ -89,21 +89,8 @@ class Graph:
             return k
         return None
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in self.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
-
-    def two_coloring(self) -> Optional[list]:
-        """A proper 2-coloring (list of 0/1), or None if not bipartite."""
+    def is_bipartite(self) -> bool:
+        """True iff a proper 2-coloring exists."""
         color = [None] * self.n
         for root in range(self.n):
             if color[root] is not None:
@@ -117,11 +104,8 @@ class Graph:
                         color[u] = 1 - color[v]
                         stack.append(u)
                     elif color[u] == color[v]:
-                        return None
-        return color
-
-    def is_bipartite(self) -> bool:
-        return self.two_coloring() is not None
+                        return False
+        return True
 
     # -- transforms -------------------------------------------------------
 

@@ -11,16 +11,14 @@ from fractions import Fraction
 
 from mdd import (FDepProblem, Graph, Instance, Objective, OracleConfig,
                  SetSystem, WeightMode, brute_force_optimum, build_L,
-                 cover_to_mddmax_bip_solution, cover_to_mddmin_bip_solution,
                  cubic_gadget, dissociation_delete, dominating_set_approx,
-                 domset_to_mddmin_solution, f_dependent_delete,
-                 check_degree_caps, generate_gnp, generate_random_cubic,
-                 generate_random_regular, is_dominating, is_feasible,
-                 kreg_lower_bound, kregular_min_exact,
-                 mdd_max_cubic, mdd_max_logn, mddmax_bip_solution_to_cover,
-                 mddmin_bip_solution_to_cover, mddmin_solution_to_domset,
-                 mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
-                 setcover_to_mddmax_bip, setcover_to_mddmin_bip)
+                 f_dependent_delete, check_degree_caps, generate_gnp,
+                 generate_random_cubic, generate_random_regular,
+                 is_dominating, is_feasible, kreg_lower_bound,
+                 kregular_min_exact, lift_solution, mdd_max_cubic,
+                 mdd_max_logn, mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
+                 project_solution, setcover_to_mddmax_bip,
+                 setcover_to_mddmin_bip)
 from bruteforce import (all_feasible_sets, min_cover_size,
                         min_deletion_weight, min_dissociation_weight,
                         min_domset_size, min_domset_weight, min_fdep_weight,
@@ -41,6 +39,15 @@ def all_labeled_graphs(n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for bits in range(1 << len(pairs)):
         yield Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+def _connected(g):
+    seen, stack = {0}, [0]
+    while stack:
+        for u in g.adj[stack.pop()] - seen:
+            seen.add(u)
+            stack.append(u)
+    return len(seen) == g.n
 
 
 def small_cubic_graphs():
@@ -84,7 +91,7 @@ def test_criterion_2_regular_exactness():
                     continue
                 for seed in range(3):
                     g = generate_random_regular(n, k, 20_000 + seed)
-                    if not g.is_connected():
+                    if not _connected(g):
                         continue
                     inst = Instance(g, (seed * 7) % n)
                     exact = kregular_min_exact(inst)
@@ -131,9 +138,9 @@ def test_criterion_4_gadget_optimum():
 def _check_mindom_source(g):
     art = mindom_to_mddmin(g)
     opt = brute_force_optimum(art.instance)
-    dom = mddmin_solution_to_domset(art, opt)
+    dom = project_solution(art, opt)
     assert len(dom) <= opt.size
-    back = domset_to_mddmin_solution(art, dom)
+    back = lift_solution(art, dom)
     assert is_feasible(art.instance, back)
     assert opt.size == min_domset_size(g)
 
@@ -142,25 +149,21 @@ def _check_setcover_source(sys):
     source_opt = min_cover_size(sys)
     builders = []
     if sys.universe_size <= sys.num_sets:
-        builders.append((setcover_to_mddmin_bip,
-                         mddmin_bip_solution_to_cover,
-                         cover_to_mddmin_bip_solution))
+        builders.append(setcover_to_mddmin_bip)
     t = sys.num_sets
     if (sys.universe_size <= t
             and all(sys.occurrences(x) <= t - 1
                     for x in range(sys.universe_size))
             and all(len(f) <= t - 1 for f in sys.family)):
-        builders.append((setcover_to_mddmax_bip,
-                         mddmax_bip_solution_to_cover,
-                         cover_to_mddmax_bip_solution))
-    for build, backward, forward in builders:
+        builders.append(setcover_to_mddmax_bip)
+    for build in builders:
         art = build(sys)
         assert art.instance.graph.is_bipartite()
         opt = brute_force_optimum(art.instance)
-        cover = backward(art, opt)
+        cover = project_solution(art, opt)
         assert sys.is_cover(cover)
         assert len(cover) <= opt.size
-        assert is_feasible(art.instance, forward(art, cover))
+        assert is_feasible(art.instance, lift_solution(art, cover))
         assert opt.size == source_opt
 
 

@@ -76,6 +76,14 @@ class TestSolve:
         path = write_instance(tmp_path, inst)
         assert main(["solve", path, "--algo", "logn", "--max-L", "2"]) == 3
 
+    def test_negative_max_l_exits_4(self, tmp_path, capsys):
+        inst = Instance(Graph.complete(4), 0, None, Objective.MAX)
+        path = write_instance(tmp_path, inst)
+        assert main(["solve", path, "--algo", "logn", "--max-L", "-1"]) == 4
+        assert capsys.readouterr().err == (
+            "input error: --max-L must be an integer >= 0\n")
+        assert main(["solve", path, "--algo", "oracle", "--max-L", "0"]) == 0
+
     def test_bad_file_exits_4(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("not a graph\n")
@@ -217,6 +225,13 @@ class TestGenAndSubroutine:
 
     def test_gen_impossible_exits_4(self, tmp_path):
         assert main(["gen", "--family", "regular", "--n", "5", "--k", "3"]) == 4
+
+    def test_unwritable_out_exits_4(self, tmp_path, capsys):
+        for out in (tmp_path, tmp_path / "missing" / "g.txt"):
+            assert main(["gen", "--family", "gnp", "--n", "5",
+                         "--out", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: cannot write {out}: ")
 
     def test_subroutine_fdep(self, tmp_path, capsys):
         g_path = tmp_path / "g.txt"

@@ -43,7 +43,6 @@ class TestGraphBasics:
         g = Graph.petersen()
         assert g.n == 10
         assert g.regular_degree() == 3
-        assert g.is_connected()
 
     def test_bipartite_detection(self):
         assert Graph.complete_bipartite(2, 3).is_bipartite()

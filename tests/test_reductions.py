@@ -3,15 +3,11 @@ import itertools
 import pytest
 
 from mdd import (Graph, InapplicableError, InputError, Instance, Objective,
-                 PreconditionError, SetSystem,
-                 brute_force_optimum, cover_to_mddmax_bip_solution,
-                 cover_to_mddmin_bip_solution, cubic_gadget,
-                 domset_to_mddmax_cubic_solution, domset_to_mddmin_solution,
-                 generate_random_cubic, is_feasible,
-                 mddmax_bip_solution_to_cover, mddmax_cubic_solution_to_domset,
-                 mddmin_bip_solution_to_cover, mddmin_solution_to_domset,
-                 mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
-                 setcover_to_mddmax_bip, setcover_to_mddmin_bip)
+                 PreconditionError, SetSystem, brute_force_optimum,
+                 cubic_gadget, generate_random_cubic, is_feasible,
+                 lift_solution, mindom_cubic_to_mddmax_cubic,
+                 mindom_to_mddmin, project_solution, setcover_to_mddmax_bip,
+                 setcover_to_mddmin_bip)
 
 from bruteforce import min_cover_size, min_domset_size
 
@@ -49,9 +45,9 @@ class TestMindomToMddmin:
         for g in graphs:
             art = mindom_to_mddmin(g)
             opt = brute_force_optimum(art.instance)
-            dom = mddmin_solution_to_domset(art, opt)
+            dom = project_solution(art, opt)
             assert len(dom) <= opt.size
-            back = domset_to_mddmin_solution(art, dom)
+            back = lift_solution(art, dom)
             assert is_feasible(art.instance, back)
             # costs match exactly in both directions
             assert opt.size == min_domset_size(g)
@@ -60,12 +56,12 @@ class TestMindomToMddmin:
     def test_forward_rejects_non_dominating(self):
         art = mindom_to_mddmin(Graph.path(3))
         with pytest.raises(PreconditionError):
-            domset_to_mddmin_solution(art, {0})
+            lift_solution(art, {0})
 
     def test_backward_rejects_infeasible(self):
         art = mindom_to_mddmin(Graph.path(3))
         with pytest.raises(PreconditionError):
-            mddmin_solution_to_domset(art, set())
+            project_solution(art, set())
 
 
 class TestSetcoverToMddminBip:
@@ -73,7 +69,7 @@ class TestSetcoverToMddminBip:
         art = setcover_to_mddmin_bip(SetSystem(1, [{0}]))
         assert art.instance.graph.is_bipartite()
         opt = brute_force_optimum(art.instance)
-        assert len(mddmin_bip_solution_to_cover(art, opt)) == 1
+        assert len(project_solution(art, opt)) == 1
 
     def test_requires_r_le_t(self):
         with pytest.raises(InapplicableError):
@@ -88,11 +84,11 @@ class TestSetcoverToMddminBip:
             art = setcover_to_mddmin_bip(sys)
             assert art.instance.graph.is_bipartite()
             opt = brute_force_optimum(art.instance)
-            cover = mddmin_bip_solution_to_cover(art, opt)
+            cover = project_solution(art, opt)
             assert sys.is_cover(cover)
             assert len(cover) <= opt.size
             assert opt.size == min_cover_size(sys)
-            back = cover_to_mddmin_bip_solution(art, cover)
+            back = lift_solution(art, cover)
             assert is_feasible(art.instance, back)
             assert back.size == len(cover)
 
@@ -134,34 +130,34 @@ class TestSetcoverToMddmaxBip:
         for sys in systems:
             art = setcover_to_mddmax_bip(sys)
             opt = brute_force_optimum(art.instance)
-            cover = mddmax_bip_solution_to_cover(art, opt)
+            cover = project_solution(art, opt)
             assert sys.is_cover(cover)
             assert len(cover) <= opt.size
             assert opt.size == min_cover_size(sys)
-            back = cover_to_mddmax_bip_solution(art, cover)
+            back = lift_solution(art, cover)
             assert is_feasible(art.instance, back)
             assert back.size == len(cover)
 
     def test_normalization_handles_element_deletions(self):
         sys = SetSystem(2, [{0}, {1}, {0, 1}])
         art = setcover_to_mddmax_bip(sys)
-        f_ids = art.data["f_ids"]
-        u_ids = art.data["u_ids"]
+        f_ids = art.vertices_with_role("F")
+        u_ids = art.vertices_with_role("U")
         s = {u_ids[0], f_ids[1], f_ids[2]}
         assert is_feasible(art.instance, s)
         # element 0 is replaced by the first set containing it
-        assert mddmax_bip_solution_to_cover(art, s) == {0, 1, 2}
+        assert project_solution(art, s) == {0, 1, 2}
 
     def test_normalization_handles_element_pendants(self):
         sys = SetSystem(2, [{0}, {1}, {1}])
         art = setcover_to_mddmax_bip(sys)
-        u_ids = art.data["u_ids"]
-        pendant = next(v for v, owner in art.data["pendant_owner"].items()
-                       if owner == u_ids[0])
-        s = {art.data["f_ids"][1], pendant}
+        u_ids = art.vertices_with_role("U")
+        pendant = next(v for v in art.vertices_with_role("I")
+                       if art.instance.graph.adj[v] == {u_ids[0]})
+        s = {art.vertices_with_role("F")[1], pendant}
         assert is_feasible(art.instance, s)
         # the pendant of element 0 stands for the first set containing 0
-        assert mddmax_bip_solution_to_cover(art, s) == {0, 1}
+        assert project_solution(art, s) == {0, 1}
 
 
 class TestCubicReduction:
@@ -191,9 +187,9 @@ class TestCubicReduction:
             art = mindom_cubic_to_mddmax_cubic(g)
             assert art.instance.graph.regular_degree() == 3
             opt = brute_force_optimum(art.instance)
-            dom = mddmax_cubic_solution_to_domset(art, opt)
+            dom = project_solution(art, opt)
             assert len(dom) <= opt.size - 2
-            back = domset_to_mddmax_cubic_solution(art, dom)
+            back = lift_solution(art, dom)
             assert is_feasible(art.instance, back)
             assert back.size == len(dom) + 2
             assert opt.size == min_domset_size(g) + 2
@@ -203,63 +199,36 @@ class TestCubicReduction:
             mindom_cubic_to_mddmax_cubic(Graph.cycle(5))
 
 
-def _artifacts():
-    """One artifact per construction, with a feasible deletion set and a
-    source solution of each."""
-    out = {}
-    for art, source_solution in [
-            (mindom_to_mddmin(Graph.path(3)), {0, 1, 2}),
-            (setcover_to_mddmin_bip(SetSystem(2, [{0}, {1}, {0, 1}])), {0, 1, 2}),
-            (setcover_to_mddmax_bip(SetSystem(2, [{0}, {1}, {0, 1}])), {0, 1, 2}),
-            (mindom_cubic_to_mddmax_cubic(Graph.complete(4)), {0, 1, 2, 3})]:
-        out[art.kind] = (art, brute_force_optimum(art.instance), source_solution)
-    return out
+#: One artifact per construction and a source solution of it, labelled by
+#: what lifting that solution does.
+FORWARD = {
+    "domset_to_mddmin_solution":
+        (mindom_to_mddmin(Graph.path(3)), {0, 1, 2}),
+    "cover_to_mddmin_bip_solution":
+        (setcover_to_mddmin_bip(SetSystem(2, [{0}, {1}, {0, 1}])), {0, 1, 2}),
+    "cover_to_mddmax_bip_solution":
+        (setcover_to_mddmax_bip(SetSystem(2, [{0}, {1}, {0, 1}])), {0, 1, 2}),
+    "domset_to_mddmax_cubic_solution":
+        (mindom_cubic_to_mddmax_cubic(Graph.complete(4)), {0, 1, 2, 3}),
+}
 
 
-MAPPERS = [(mddmin_solution_to_domset, "mddmin", "backward"),
-           (domset_to_mddmin_solution, "mddmin", "forward"),
-           (mddmin_bip_solution_to_cover, "mddmin-bip", "backward"),
-           (cover_to_mddmin_bip_solution, "mddmin-bip", "forward"),
-           (mddmax_bip_solution_to_cover, "mddmax-bip", "backward"),
-           (cover_to_mddmax_bip_solution, "mddmax-bip", "forward"),
-           (mddmax_cubic_solution_to_domset, "cubic", "backward"),
-           (domset_to_mddmax_cubic_solution, "cubic", "forward")]
-
-
-@pytest.mark.parametrize("mapper, kind, direction", MAPPERS,
-                         ids=[m.__name__ for m, _, _ in MAPPERS])
-def test_mapper_rejects_other_constructions(mapper, kind, direction):
-    artifacts = _artifacts()
-    own, feasible, source_solution = artifacts[kind]
-    mapper(own, feasible if direction == "backward" else source_solution)
-    for other, (art, feasible, source_solution) in artifacts.items():
-        if other == kind:
-            continue
-        arg = feasible if direction == "backward" else source_solution
-        with pytest.raises(PreconditionError):
-            mapper(art, arg)
-
-
-FORWARD = [(mapper, kind) for mapper, kind, direction in MAPPERS
-           if direction == "forward"]
-
-
-@pytest.mark.parametrize("mapper, kind", FORWARD,
-                         ids=[m.__name__ for m, _ in FORWARD])
-def test_forward_mapper_rejects_out_of_range(mapper, kind):
+@pytest.mark.parametrize("art, source_solution", FORWARD.values(),
+                         ids=FORWARD.keys())
+def test_forward_mapper_rejects_out_of_range(art, source_solution):
     # A valid source solution plus one index just outside range(n) or
     # range(t) on either side; Python's negative indexing must not accept -1.
-    art, _, source_solution = _artifacts()[kind]
-    data = art.data
-    bound = data["source"].n if "source" in data else data["system"].num_sets
+    lift_solution(art, source_solution)
+    source = art.source
+    bound = source.n if isinstance(source, Graph) else source.num_sets
     for bad in (-1, bound):
         with pytest.raises(PreconditionError):
-            mapper(art, set(source_solution) | {bad})
+            lift_solution(art, set(source_solution) | {bad})
 
 
 def test_forward_maps_reject_negative_ids():
     with pytest.raises(PreconditionError):
-        domset_to_mddmin_solution(mindom_to_mddmin(Graph.complete(3)), {-1})
+        lift_solution(mindom_to_mddmin(Graph.complete(3)), {-1})
     art = setcover_to_mddmin_bip(SetSystem(2, [{0}, {1}, {0, 1}]))
     with pytest.raises(PreconditionError):
-        cover_to_mddmin_bip_solution(art, {-1})
+        lift_solution(art, {-1})
