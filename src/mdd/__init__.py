@@ -8,10 +8,10 @@ from .errors import (BudgetError, InapplicableError, InfeasibleError,
 from .graph import (DeletionSet, Graph, Instance, Objective, UNDELETABLE,
                     is_feasible)
 from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,
-                    kregular_feasible_witness, kregular_min_exact)
-from .subroutines import (EXEMPT, FDepProblem, check_degree_caps,
-                          dissociation_delete, dominating_set_approx,
-                          f_dependent_delete, is_dominating)
+                    kregular_min_exact)
+from .subroutines import (FDepProblem, check_degree_caps, dissociation_delete,
+                          dominating_set_approx, f_dependent_delete,
+                          is_dominating)
 from .approx import (LSet, build_L, kreg_lower_bound, mdd_max_logn,
                      mdd_max_logn_trace)
 from .cubic import (DominationGadget, build_domination_gadget, build_gstar,

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .errors import BudgetError, InfeasibleError, MDDError, PreconditionError
 from .graph import DeletionSet, Instance, Objective, UNDELETABLE, is_feasible
-from .subroutines import EXEMPT, FDepProblem, f_dependent_delete
+from .subroutines import FDepProblem, f_dependent_delete
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
 
     Every branch runs the degree-cap greedy on the whole graph with K
     removed, which picks the same vertices as on G[V \\ K].  The weights
-    are built once per trace: N[p] is UNDELETABLE (K's own weights are
-    ignored, since K is removed), and the caps once per size |K|."""
+    are built once per trace, N[p] UNDELETABLE (K is removed, so its own
+    weights are ignored); the caps once per size |K|, d(p) for p itself."""
     if inst.objective is not Objective.MAX:
         raise PreconditionError("branching algorithm applies to objective Max")
     g = inst.graph
@@ -85,7 +85,7 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     candidates = []
     for size in range(len(members) + 1):
         caps = [g.degree(p) - size - 1] * g.n
-        caps[p] = EXEMPT
+        caps[p] = g.degree(p)
         caps = tuple(caps)
         for k_tuple in itertools.combinations(members, size):
             try:

@@ -1,10 +1,10 @@
-"""Ground-truth solvers: search-tree oracle, complement duality, and
-the polynomial exact solver for MDD(min) on regular graphs.
+"""Ground-truth solvers: search-tree oracle, complement duality, and the
+polynomial exact solver for MDD(min) on regular graphs, one peel per K <= N(p).
 """
 from __future__ import annotations
 
+import itertools
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,19 +33,11 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
     """Minimum feasible deletion set by a bounded search tree.
 
     Every kept vertex that ties or beats p must be fixed by the deletion
-    set, so the search branches over the few vertices that can fix one (see
-    `_search`).  It returns the minimum under the deterministic tie-break:
-    smaller weight, then smaller cardinality, then lexicographically
-    smallest vertex tuple; CARDINALITY mode drops the weight.  The budget
-    counts search nodes.
+    set, so the search branches over the few vertices that can fix one.  It
+    returns the minimum under the deterministic tie-break: smaller weight,
+    then smaller cardinality, then lexicographically smallest vertex tuple;
+    CARDINALITY mode drops the weight.  The budget counts search nodes.
     """
-    return _search(inst, cfg)
-
-
-def _search(inst: Instance, cfg: OracleConfig) -> DeletionSet:
-    # The search behind brute_force_optimum, also called by kregular_min_exact,
-    # so that a traced run attributes each solver's time to that solver.
-    #
     # A node deletes `removed` and may no longer delete `blocked`.  A kept
     # v != p violates when d(v) >= d(p) (Max) or d(v) <= d(p) (Min).  Every
     # feasible superset must then meet v's fixing set: N[v] - {p} for Max,
@@ -145,27 +137,31 @@ def _require_regular_min_unit(inst: Instance) -> int:
     return k
 
 
-def kregular_feasible_witness(inst: Instance) -> DeletionSet:
-    """The constructive feasible set S = N(p) + {v outside N[p] : N(v)=N(p)}.
+def kregular_min_exact(inst: Instance) -> DeletionSet:
+    """Exact MDD(min) on a k-regular graph with unit weights, in
+    O(2^k * k * n^2) time: 2^k peels of at most n rounds of O(k * n) each.
 
-    Its size is at most 2k-1 on a k-regular graph, which bounds the optimum.
+    Fix K = S & N(p) for a feasible S.  Then p keeps degree k - |K|, so S
+    holds every v != p whose degree falls to k - |K| or below.  Peeling such
+    vertices from V - K to a fixpoint thus yields a part of every such S; if
+    the peel reaches N(p) - K, no such S exists, and otherwise K plus the
+    peel is feasible.  So every minimum S is the peel of its own K, and the
+    least peel by (size, sorted tuple) is the oracle's CARDINALITY answer.
     """
-    _require_regular_min_unit(inst)
+    k = _require_regular_min_unit(inst)
     g = inst.graph
     p = inst.p
-    np_open = g.adj[p]
-    np_closed = g.closed_neighborhood(p)
-    twins = {v for v in range(g.n) if v not in np_closed and g.adj[v] == np_open}
-    return DeletionSet.of(inst, np_open | twins)
-
-
-def kregular_min_exact(inst: Instance) -> DeletionSet:
-    """Exact MDD(min) on a k-regular graph with unit weights.
-
-    The CARDINALITY search of the oracle, run without a node budget.  The
-    witness above is feasible with at most 2k-1 vertices, so once the
-    search meets a set of that size it prunes every branch that grows past
-    it.
-    """
-    _require_regular_min_unit(inst)
-    return _search(inst, OracleConfig(budget=sys.maxsize))
+    peels = []
+    for size in range(k + 1):
+        for ks in itertools.combinations(sorted(g.adj[p]), size):
+            kept = set(range(g.n)).difference(ks)
+            while True:
+                peel = {v for v in kept
+                        if v != p and len(g.adj[v] & kept) <= k - size}
+                if not peel:
+                    break
+                kept -= peel
+            if g.adj[p].difference(ks) <= kept:
+                peels.append(tuple(v for v in range(g.n) if v not in kept))
+    # K = N(p) always yields a peel: V - {p} is feasible.
+    return DeletionSet.of(inst, min(peels, key=lambda s: (len(s), s)))

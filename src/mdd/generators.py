@@ -17,7 +17,10 @@ def generate_random_regular(n: int, k: int, seed: int) -> Graph:
     """Random simple k-regular graph via the pairing model.
 
     Shuffles n*k half-edge stubs and pairs them consecutively; restarts on a
-    self-loop or parallel edge.  Deterministic per seed.
+    self-loop or parallel edge.  The pairing model rarely succeeds for
+    k >= 6, so after _MAX_ATTEMPTS restarts it falls back to Steger and
+    Wormald's algorithm, drawing from the same generator.  Deterministic per
+    seed.
     """
     if n < 1 or k < 0 or k >= n or (n * k) % 2 != 0:
         raise PreconditionError(
@@ -36,9 +39,35 @@ def generate_random_regular(n: int, k: int, seed: int) -> Graph:
             edges.add((min(u, v), max(u, v)))
         if ok:
             return Graph(n, sorted(edges))
+    for _ in range(_MAX_ATTEMPTS):
+        edges = _steger_wormald(n, k, rng)
+        if edges is not None:
+            return Graph(n, sorted(edges))
     raise PreconditionError(
-        f"pairing model failed to produce a simple {k}-regular graph on "
-        f"{n} vertices after {_MAX_ATTEMPTS} attempts")
+        f"failed to produce a simple {k}-regular graph on {n} vertices")
+
+
+def _steger_wormald(n: int, k: int, rng: random.Random):
+    """One run of Steger and Wormald, "Generating random regular graphs
+    quickly" (1999): join two uniformly random free stubs whenever they lie
+    on distinct non-adjacent vertices, until no stub is free (returns the
+    edge set) or no free pair can be joined (returns None)."""
+    free = [v for v in range(n) for _ in range(k)]
+    adj = [set() for _ in range(n)]
+    while free:
+        i, j = rng.randrange(len(free)), rng.randrange(len(free))
+        u, v = free[i], free[j]
+        if u == v or v in adj[u]:
+            ends = set(free)
+            if all(b == a or b in adj[a] for a in ends for b in ends):
+                return None
+            continue
+        for index in sorted((i, j), reverse=True):
+            free[index] = free[-1]
+            free.pop()
+        adj[u].add(v)
+        adj[v].add(u)
+    return {(u, v) for u in range(n) for v in adj[u] if u < v}
 
 
 def generate_random_cubic(n: int, seed: int) -> Graph:

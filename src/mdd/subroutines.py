@@ -15,9 +15,6 @@ from typing import Iterable, Optional
 from .errors import InfeasibleError, PreconditionError
 from .graph import Graph, UNDELETABLE, is_valid_weight
 
-#: Cap sentinel: the vertex carries no degree constraint at all.
-EXEMPT = None
-
 
 def _check_weight(w):
     if not is_valid_weight(w):
@@ -40,10 +37,11 @@ def _best_ratio(candidates, score, weights):
 class FDepProblem:
     """Degree-cap deletion problem.
 
-    cap[v] is an integer bound on the degree v may keep, or EXEMPT.  A
-    negative cap means v cannot remain at all (such caps arise from the
-    branch subproblems of the subset-enumeration algorithm).  weights[v] is
-    a positive integer, or UNDELETABLE for vertices that must survive.
+    cap[v] is an integer bound on the degree v may keep; a cap of d(v) or
+    more never binds.  A negative cap means v cannot remain at all (such
+    caps arise from the branch subproblems of the subset-enumeration
+    algorithm).  weights[v] is a positive integer, or UNDELETABLE for
+    vertices that must survive.
 
     `removed` vertices are absent: they count in no degree, are never
     picked and are never returned, and their cap and weight are ignored.
@@ -66,9 +64,8 @@ class FDepProblem:
         for v in range(n):
             if v in self.removed:
                 continue
-            c = self.cap[v]
-            if c is not EXEMPT and not isinstance(c, int):
-                raise PreconditionError("caps must be integers or EXEMPT")
+            if not isinstance(self.cap[v], int):
+                raise PreconditionError("caps must be integers")
             _check_weight(self.weights[v])
 
     @classmethod
@@ -102,7 +99,7 @@ def f_dependent_delete(prob: FDepProblem) -> frozenset:
            for v in range(g.n)]
     excess = [0] * g.n
     for v in range(g.n):
-        if v not in removed and cap[v] is not EXEMPT and len(adj[v]) > cap[v]:
+        if v not in removed and len(adj[v]) > cap[v]:
             excess[v] = len(adj[v]) - cap[v]
     gain = excess[:]
     over = 0
@@ -140,13 +137,8 @@ def f_dependent_delete(prob: FDepProblem) -> frozenset:
 def check_degree_caps(prob: FDepProblem, deleted: Iterable[int]) -> bool:
     """Re-verify a candidate against the caps from scratch."""
     remaining = set(range(prob.graph.n)) - set(deleted) - prob.removed
-    for v in remaining:
-        c = prob.cap[v]
-        if c is EXEMPT:
-            continue
-        if len(prob.graph.adj[v] & remaining) > c:
-            return False
-    return True
+    return all(len(prob.graph.adj[v] & remaining) <= prob.cap[v]
+               for v in remaining)
 
 
 def dominating_set_approx(g: Graph, weights: Optional[tuple] = None) -> frozenset:

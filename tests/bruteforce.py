@@ -75,10 +75,7 @@ def min_fdep_weight(prob):
             remaining = set(range(n)) - set(combo)
             ok = True
             for v in remaining:
-                c = prob.cap[v]
-                if c is None:
-                    continue
-                if len(prob.graph.adj[v] & remaining) > c:
+                if len(prob.graph.adj[v] & remaining) > prob.cap[v]:
                     ok = False
                     break
             if ok:

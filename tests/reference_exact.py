@@ -1,18 +1,24 @@
-"""Reference subset-enumeration oracle for differential tests.
+"""Reference exact solvers for differential tests.
 
 `_enumerate` is the loop that used to stand behind
 `mdd.exact.brute_force_optimum` and `mdd.exact.kregular_min_exact`, kept
 verbatim: it checks every subset of the deletable vertices by increasing
 size, in lexicographic order, and keeps the minimum key (weight, size,
 sorted tuple), or returns the first feasible set in CARDINALITY mode.  Its
-budget counts subsets.  The package's search tree must return exactly the
-same sets, so this stays as it is; tests compare against it.
+budget counts subsets.  The package's search tree and k-regular peel must
+return exactly the same sets, so this stays as it is; tests compare
+against it.
+
+`kregular_feasible_witness` is the constructive feasible set that bounds
+the k-regular optimum by 2k - 1; tests check the exact solver against it
+on graphs too large for any enumeration.
 """
 import itertools
 import math
 
 from mdd import (BudgetError, DeletionSet, InfeasibleError, Instance,
                  Objective, OracleConfig, WeightMode)
+from mdd.exact import _require_regular_min_unit
 from mdd.graph import feasible_mask
 
 
@@ -49,3 +55,17 @@ def _enumerate(inst: Instance, cfg: OracleConfig) -> DeletionSet:
         raise InfeasibleError("no feasible deletion set within enumeration limits")
     weight, _, combo = best
     return DeletionSet(frozenset(combo), weight)
+
+
+def kregular_feasible_witness(inst: Instance) -> DeletionSet:
+    """The constructive feasible set S = N(p) + {v outside N[p] : N(v)=N(p)}.
+
+    Its size is at most 2k-1 on a k-regular graph, which bounds the optimum.
+    """
+    _require_regular_min_unit(inst)
+    g = inst.graph
+    p = inst.p
+    np_open = g.adj[p]
+    np_closed = g.closed_neighborhood(p)
+    twins = {v for v in range(g.n) if v not in np_closed and g.adj[v] == np_open}
+    return DeletionSet.of(inst, np_open | twins)

@@ -10,23 +10,32 @@ these stay as they are; tests compare against them.
 """
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from mdd import (BudgetError, DeletionSet, EXEMPT, FDepProblem, Graph,
+from mdd import (BudgetError, DeletionSet, FDepProblem, Graph,
                  InfeasibleError, MDDError, Objective, PreconditionError,
                  UNDELETABLE, build_L, is_feasible)
 from mdd.approx import BranchingResult, default_l_cap
 
+#: Cap sentinel of the reference: the vertex carries no degree constraint at
+#: all.  The package caps such a vertex at its own degree instead.
+EXEMPT = None
 
-def _excess(prob: FDepProblem, v: int, degree: int) -> int:
+#: The reference greedy's input: FDepProblem's fields without the removed
+#: set, with EXEMPT caps allowed.  An FDepProblem with nothing removed does too.
+CapProblem = namedtuple("CapProblem", "graph cap weights")
+
+
+def _excess(prob: CapProblem, v: int, degree: int) -> int:
     c = prob.cap[v]
     if c is EXEMPT:
         return 0
     return max(0, degree - c)
 
 
-def f_dependent_delete(prob: FDepProblem) -> frozenset:
+def f_dependent_delete(prob: CapProblem) -> frozenset:
     """Greedy degree-cap deletion.
 
     Repeatedly deletes the deletable vertex with the best ratio of total
@@ -129,7 +138,7 @@ def branch_candidate(inst, k_set, np_open, dp):
                 weights.append(UNDELETABLE)
             else:
                 weights.append(inst.weight(old))
-    prob = FDepProblem(sub, tuple(caps), tuple(weights))
+    prob = CapProblem(sub, tuple(caps), tuple(weights))
     try:
         deleted = f_dependent_delete(prob)
     except InfeasibleError:

