@@ -65,8 +65,8 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
 
     Every branch runs the degree-cap greedy on the whole graph with K
     removed, which picks the same vertices as on G[V \\ K].  The weights
-    are built once per trace, N[p] UNDELETABLE (K is removed, so its own
-    weights are ignored); the caps once per size |K|, d(p) for p itself."""
+    are built once per trace, N[p] UNDELETABLE; the problem once per size
+    |K|, with caps d(p) - |K| - 1 and d(p) for p itself."""
     if inst.objective is not Objective.MAX:
         raise PreconditionError("branching algorithm applies to objective Max")
     g = inst.graph
@@ -86,11 +86,10 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     for size in range(len(members) + 1):
         caps = [g.degree(p) - size - 1] * g.n
         caps[p] = g.degree(p)
-        caps = tuple(caps)
+        prob = FDepProblem(g, tuple(caps), weights)
         for k_tuple in itertools.combinations(members, size):
             try:
-                deleted = f_dependent_delete(
-                    FDepProblem(g, caps, weights, k_tuple))
+                deleted = f_dependent_delete(prob, k_tuple)
             except InfeasibleError:
                 continue
             candidates.append((deleted.union(k_tuple), k_tuple))

@@ -26,8 +26,9 @@ DEFAULT_ORACLE_CUTOFF = 18
 
 
 def _solve_oracle(inst, max_L):
-    mode = WeightMode.CARDINALITY if inst.unit_weights else WeightMode.WEIGHTED
-    return brute_force_optimum(inst, OracleConfig(weight_mode=mode)), ()
+    # On unit weights the WEIGHTED search is the CARDINALITY one.
+    return brute_force_optimum(
+        inst, OracleConfig(weight_mode=WeightMode.WEIGHTED)), ()
 
 
 def _solve_kreg(inst, max_L):
@@ -233,10 +234,19 @@ def _setcover_rows(cfg: ExperimentConfig):
         for build in (setcover_to_mddmin_bip, setcover_to_mddmax_bip):
             start = time.perf_counter()
             art = build(sys)
-            opt = brute_force_optimum(art.instance).size
+            n = art.instance.graph.n
+            try:
+                opt = brute_force_optimum(art.instance).size
+            except BudgetError:
+                # Recorded, not fatal, as a solver row that gives up.
+                rows.append(ExperimentRow(
+                    instance_id, "setcover", n, art.kind, None, None,
+                    float(source_opt), None, time.perf_counter() - start, None,
+                    extra={"status": "budget", "source_opt": source_opt}))
+                continue
             elapsed = time.perf_counter() - start
             rows.append(ExperimentRow(
-                instance_id, "setcover", art.instance.graph.n, art.kind,
+                instance_id, "setcover", n, art.kind,
                 opt, float(opt), float(source_opt),
                 None, elapsed, True,
                 extra={"source_opt": source_opt, "gap": opt - source_opt}))
@@ -259,7 +269,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         oracle_weights = {}
         for instance_id, inst in instances:
             if inst.graph.n <= cfg.oracle_cutoff:
-                oracle_weights[instance_id] = brute_force_optimum(inst).total_weight
+                try:
+                    oracle_weights[instance_id] = brute_force_optimum(
+                        inst).total_weight
+                except BudgetError:
+                    pass  # unscored, as if above the cutoff
         rows = [_run_solver_row(cfg, instance_id, inst, name,
                                 oracle_weights.get(instance_id))
                 for instance_id, inst in instances for name in cfg.algorithms]

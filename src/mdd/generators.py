@@ -12,14 +12,19 @@ from .reductions import SetSystem
 #: Samples drawn before a generator gives up with PreconditionError.
 _MAX_ATTEMPTS = 5000
 
+#: Smallest degree for which generate_random_regular skips the pairing
+#: model: an attempt yields a simple graph with probability about
+#: exp(-(k^2 - 1)/4), 1.6e-4 at k = 6, so its attempts are nearly all wasted.
+_STEGER_WORMALD_MIN_DEGREE = 6
+
 
 def generate_random_regular(n: int, k: int, seed: int) -> Graph:
     """Random simple k-regular graph via the pairing model.
 
     Shuffles n*k half-edge stubs and pairs them consecutively; restarts on a
-    self-loop or parallel edge.  The pairing model rarely succeeds for
-    k >= 6, so after _MAX_ATTEMPTS restarts it falls back to Steger and
-    Wormald's algorithm, drawing from the same generator.  Deterministic per
+    self-loop or parallel edge.  After _MAX_ATTEMPTS restarts, and from the
+    start for k >= _STEGER_WORMALD_MIN_DEGREE, it runs Steger and Wormald's
+    algorithm instead, drawing from the same generator.  Deterministic per
     seed.
     """
     if n < 1 or k < 0 or k >= n or (n * k) % 2 != 0:
@@ -27,7 +32,7 @@ def generate_random_regular(n: int, k: int, seed: int) -> Graph:
             f"no {k}-regular graph on {n} vertices (need 0 <= k < n, n*k even)")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(k)]
-    for _ in range(_MAX_ATTEMPTS):
+    for _ in range(_MAX_ATTEMPTS if k < _STEGER_WORMALD_MIN_DEGREE else 0):
         rng.shuffle(stubs)
         edges = set()
         ok = True

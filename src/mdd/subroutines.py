@@ -41,44 +41,31 @@ class FDepProblem:
     more never binds.  A negative cap means v cannot remain at all (such
     caps arise from the branch subproblems of the subset-enumeration
     algorithm).  weights[v] is a positive integer, or UNDELETABLE for
-    vertices that must survive.
-
-    `removed` vertices are absent: they count in no degree, are never
-    picked and are never returned, and their cap and weight are ignored.
-    Solving with `removed` = R is solving on the subgraph induced on
-    V \\ R, with the original vertex ids.
+    vertices that must survive.  Every vertex's cap and weight are checked,
+    also those of vertices a call to f_dependent_delete removes.
     """
 
     graph: Graph
     cap: tuple
     weights: tuple
-    removed: frozenset = frozenset()
 
     def __post_init__(self):
-        n = self.graph.n
-        if len(self.cap) != n or len(self.weights) != n:
+        if len(self.cap) != self.graph.n or len(self.weights) != self.graph.n:
             raise PreconditionError("cap/weights length must equal vertex count")
-        object.__setattr__(self, "removed", frozenset(self.removed))
-        if not all(isinstance(v, int) and 0 <= v < n for v in self.removed):
-            raise PreconditionError("removed vertices must be vertex ids")
-        for v in range(n):
-            if v in self.removed:
-                continue
-            if not isinstance(self.cap[v], int):
+        for c, w in zip(self.cap, self.weights):
+            if not isinstance(c, int):
                 raise PreconditionError("caps must be integers")
-            _check_weight(self.weights[v])
+            _check_weight(w)
 
     @classmethod
-    def uniform(cls, graph: Graph, f: int, weights=None,
-                removed: Iterable[int] = ()) -> "FDepProblem":
+    def uniform(cls, graph: Graph, f: int, weights=None) -> "FDepProblem":
         if weights is None:
             weights = tuple(1 for _ in range(graph.n))
-        return cls(graph, tuple(f for _ in range(graph.n)), tuple(weights),
-                   removed)
+        return cls(graph, tuple(f for _ in range(graph.n)), tuple(weights))
 
 
-def f_dependent_delete(prob: FDepProblem) -> frozenset:
-    """Greedy degree-cap deletion.
+def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozenset:
+    """Greedy degree-cap deletion on G - removed, in the original ids.
 
     Repeatedly deletes the deletable vertex u with the best ratio
     gain(u) / weight(u), where gain(u) = excess(u) + |N(u) & over|, excess
@@ -88,19 +75,18 @@ def f_dependent_delete(prob: FDepProblem) -> frozenset:
     no deletable vertex can reduce them (every violated vertex is
     undeletable with only undeletable remaining neighbors).
 
-    Excesses and gains are computed once in O(n + m); a deletion updates
-    them only around the deleted vertex and the neighbors that leave
-    `over`, and each pick is one O(n) scan in ascending id.
+    Excesses and gains are computed once on the whole graph in O(n + m).
+    The `removed` vertices are then deleted by the same update as a pick,
+    which touches only the deleted vertex, its neighbors and the neighbors
+    of those that leave `over`; they are never picked and never returned.
+    Each pick is one O(n) scan in ascending id.
     """
     g = prob.graph
-    cap, weights = prob.cap, prob.weights
-    removed = prob.removed
-    adj = [[] if v in removed else [u for u in g.adj[v] if u not in removed]
-           for v in range(g.n)]
-    excess = [0] * g.n
-    for v in range(g.n):
-        if v not in removed and len(adj[v]) > cap[v]:
-            excess[v] = len(adj[v]) - cap[v]
+    cap, weights, adj = prob.cap, prob.weights, g.adj
+    removed = frozenset(removed)
+    if not all(isinstance(v, int) and 0 <= v < g.n for v in removed):
+        raise PreconditionError("removed vertices must be vertex ids")
+    excess = [max(0, len(adj[v]) - cap[v]) for v in range(g.n)]
     gain = excess[:]
     over = 0
     for v in range(g.n):
@@ -108,6 +94,26 @@ def f_dependent_delete(prob: FDepProblem) -> frozenset:
             over += 1
             for u in adj[v]:
                 gain[u] += 1
+
+    def delete(u):
+        # A deleted vertex's gain only falls from 0 on, so it never wins.
+        nonlocal over
+        gain[u] = 0
+        leaving = [u] if excess[u] else []
+        excess[u] = 0
+        for v in adj[u]:
+            if excess[v]:
+                excess[v] -= 1
+                gain[v] -= 1
+                if not excess[v]:
+                    leaving.append(v)
+        over -= len(leaving)
+        for v in leaving:
+            for w in adj[v]:
+                gain[w] -= 1
+
+    for u in removed:
+        delete(u)
     candidates = [u for u in range(g.n)
                   if u not in removed and weights[u] != UNDELETABLE]
     deleted = []
@@ -117,26 +123,14 @@ def f_dependent_delete(prob: FDepProblem) -> frozenset:
             raise InfeasibleError(
                 "degree caps violated but every helpful vertex is undeletable")
         deleted.append(best)
-        # A deleted vertex's gain only falls from 0 on, so it never wins.
-        gain[best] = 0
-        leaving = [best] if excess[best] else []
-        excess[best] = 0
-        for v in adj[best]:
-            if excess[v]:
-                excess[v] -= 1
-                gain[v] -= 1
-                if not excess[v]:
-                    leaving.append(v)
-        over -= len(leaving)
-        for v in leaving:
-            for u in adj[v]:
-                gain[u] -= 1
+        delete(best)
     return frozenset(deleted)
 
 
 def check_degree_caps(prob: FDepProblem, deleted: Iterable[int]) -> bool:
-    """Re-verify a candidate against the caps from scratch."""
-    remaining = set(range(prob.graph.n)) - set(deleted) - prob.removed
+    """Re-verify a candidate against the caps from scratch: every vertex
+    outside `deleted` keeps at most its cap."""
+    remaining = set(range(prob.graph.n)) - set(deleted)
     return all(len(prob.graph.adj[v] & remaining) <= prob.cap[v]
                for v in remaining)
 
@@ -191,6 +185,6 @@ def is_dominating(g: Graph, vertices: Iterable[int]) -> bool:
 
 def dissociation_delete(g: Graph, weights: Optional[tuple] = None,
                         removed: Iterable[int] = ()) -> frozenset:
-    """Greedy deletion until the remaining graph has maximum degree 1,
-    with `removed` vertices absent as in FDepProblem."""
-    return f_dependent_delete(FDepProblem.uniform(g, 1, weights, removed))
+    """Greedy deletion until G - removed has maximum degree 1, as
+    f_dependent_delete with every cap 1."""
+    return f_dependent_delete(FDepProblem.uniform(g, 1, weights), removed)

@@ -23,8 +23,8 @@ from mdd.approx import BranchingResult, default_l_cap
 #: all.  The package caps such a vertex at its own degree instead.
 EXEMPT = None
 
-#: The reference greedy's input: FDepProblem's fields without the removed
-#: set, with EXEMPT caps allowed.  An FDepProblem with nothing removed does too.
+#: The reference greedy's input: FDepProblem's fields, with EXEMPT caps
+#: allowed.  An FDepProblem does too.
 CapProblem = namedtuple("CapProblem", "graph cap weights")
 
 

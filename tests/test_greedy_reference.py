@@ -88,16 +88,14 @@ def test_removed_set_matches_reference_on_induced_subgraph(data):
     removed = data.draw(st.frozensets(st.integers(0, g.n - 1),
                                       max_size=g.n // 2))
     caps = tuple(data.draw(st.lists(CAPS, min_size=g.n, max_size=g.n)))
-    # A removed vertex's weight is ignored, even one outside the domain.
-    weights = tuple(0 if v in removed else w for v, w in enumerate(
-        data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n))))
+    weights = tuple(data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n)))
     sub, remap = g.induced_subgraph(v for v in range(g.n) if v not in removed)
     expected = _outcome(reference_greedy.f_dependent_delete, CapProblem(
         sub, tuple(caps[v] for v in remap), tuple(weights[v] for v in remap)))
     if expected is not InfeasibleError:
         expected = frozenset(remap[i] for i in expected)
-    prob = FDepProblem(g, _package_caps(g, caps), weights, removed)
-    assert _outcome(f_dependent_delete, prob) == expected
+    prob = FDepProblem(g, _package_caps(g, caps), weights)
+    assert _outcome(f_dependent_delete, prob, removed) == expected
 
 
 @st.composite

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
-from mdd import (ExperimentConfig, Graph, InputError, PreconditionError,
-                 generate_gnp, generate_random_regular,
+import mdd.bench
+from mdd import (BudgetError, ExperimentConfig, Graph, InputError,
+                 PreconditionError, generate_gnp, generate_random_regular,
                  generate_random_setsystem, parse_graph, parse_instance,
                  parse_setsystem, parse_solution, run_experiment,
                  serialize_graph, serialize_instance, serialize_setsystem,
@@ -178,6 +180,47 @@ class TestBench:
         assert len(report.rows) == 2 * 2 * 2
         for row in report.rows:
             assert row.extra["gap"] == 0  # constructions preserve the optimum
+
+    def test_reference_budget_leaves_rows_unscored(self, monkeypatch):
+        def give_up(inst, cfg=None):
+            raise BudgetError("oracle budget exhausted")
+
+        monkeypatch.setattr(mdd.bench, "brute_force_optimum", give_up)
+        cfg = ExperimentConfig(family="gnp", sizes=[6, 7], algorithms=["logn"],
+                               instances_per_size=2, seed=1)
+        report = run_experiment(cfg)
+        assert len(report.rows) == 2 * 2
+        for row in report.rows:
+            assert row.feasible and row.extra == {}
+            assert (row.oracle_weight, row.ratio) == (None, None)
+        assert report.aggregates["logn"]["failed"] == 0
+
+    def test_setcover_oracle_budget_is_recorded(self, monkeypatch):
+        cfg = ExperimentConfig(family="setcover", sizes=[4, 5],
+                               instances_per_size=2, seed=3)
+        before = run_experiment(cfg).rows
+        solve = mdd.bench.brute_force_optimum
+
+        def max_gives_up(inst, cfg=None):
+            if inst.objective is Objective.MAX:
+                raise BudgetError("oracle budget exhausted")
+            return solve(inst)
+
+        monkeypatch.setattr(mdd.bench, "brute_force_optimum", max_gives_up)
+        report = run_experiment(cfg)
+        assert len(report.rows) == len(before) == 2 * 2 * 2
+        for old, row in zip(before, report.rows):
+            if row.algorithm == "mddmax-bip":
+                assert (row.size, row.weight, row.ratio, row.feasible) == \
+                    (None, None, None, None)
+                assert row.extra == {"status": "budget",
+                                     "source_opt": old.extra["source_opt"]}
+                assert row.oracle_weight == old.oracle_weight
+            else:
+                assert (dataclasses.replace(row, wall_time=0)
+                        == dataclasses.replace(old, wall_time=0))
+        assert [report.aggregates[kind]["failed"] for kind in
+                ("mddmax-bip", "mddmin-bip")] == [4, 0]
 
     def test_report_serialization(self):
         cfg = ExperimentConfig(family="gnp", sizes=[5], instances_per_size=1)

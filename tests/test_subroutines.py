@@ -72,26 +72,32 @@ class TestFDependentDelete:
 
     def test_removed_vertices_are_absent(self):
         # Without the center, the leaves have degree 0 and meet cap 0.
-        prob = FDepProblem(Graph.star(3), (0, 0, 0, 0), (1, 1, 1, 1),
-                           removed={0})
-        assert f_dependent_delete(prob) == frozenset()
-        assert check_degree_caps(prob, ())
-        assert not check_degree_caps(FDepProblem.uniform(Graph.star(3), 0), ())
+        prob = FDepProblem(Graph.star(3), (0, 0, 0, 0), (1, 1, 1, 1))
+        assert f_dependent_delete(prob, {0}) == frozenset()
+        assert check_degree_caps(prob, {0})
+        assert not check_degree_caps(prob, ())
 
     def test_removed_vertex_never_returned(self):
         # Path 0-1-2-3 capped at 0 with 1 removed: the edge 2-3 remains,
         # and 2 is the lowest id that fixes it.
-        prob = FDepProblem(Graph.path(4), (0, 0, 0, 0), (1, 1, 1, 1),
-                           removed={1})
-        assert f_dependent_delete(prob) == frozenset({2})
+        prob = FDepProblem(Graph.path(4), (0, 0, 0, 0), (1, 1, 1, 1))
+        assert f_dependent_delete(prob, {1}) == frozenset({2})
 
-    def test_removed_cap_and_weight_ignored(self):
-        prob = FDepProblem(Graph.path(3), (1.5, 0, 0), (0, 1, 1), removed={0})
-        assert f_dependent_delete(prob) == frozenset({1})
+    def test_removed_vertex_with_negative_cap(self):
+        # A removed vertex may be over its cap, as K is in the log n
+        # branches when d(p) <= |K|: its excess leaves with it.
+        prob = FDepProblem(Graph.star(3), (-1, 0, 0, 0), (1, 1, 1, 1))
+        assert f_dependent_delete(prob) == frozenset({0})
+        assert f_dependent_delete(prob, {0}) == frozenset()
+        prob = FDepProblem(Graph.path(3), (-1, 0, 0), (1, 1, 1))
+        assert f_dependent_delete(prob, (0,)) == frozenset({1})
 
     def test_removed_out_of_range(self):
-        with pytest.raises(PreconditionError):
-            FDepProblem(Graph.path(3), (0, 0, 0), (1, 1, 1), removed={3})
+        prob = FDepProblem(Graph.path(3), (0, 0, 0), (1, 1, 1))
+        for removed in ({3}, {-1}, {"0"}):
+            with pytest.raises(PreconditionError,
+                               match="^removed vertices must be vertex ids$"):
+                f_dependent_delete(prob, removed)
 
     def test_non_integer_cap_rejected(self):
         for cap in (None, 1.5):
