@@ -1,6 +1,11 @@
 """Solver registry and benchmark harness: run any registered solver with
-one feasibility check, generate instance families, run solvers against the
-oracle, and collect ratio reports as CSV or JSON.
+one feasibility check, generate instance families, score every solver row
+against the instance's optimum, and collect ratio reports as CSV or JSON.
+
+The optimum of a set-cover instance is known from its source (the minimum
+cover size, which both bipartite constructions keep); on gnp and regular
+instances up to `oracle_cutoff` vertices it is the weight of the `oracle`
+row, solved once per instance.
 """
 from __future__ import annotations
 
@@ -103,7 +108,8 @@ class ExperimentConfig:
     objective: str = "max"
     oracle_cutoff: int = DEFAULT_ORACLE_CUTOFF
     max_L: Optional[int] = None
-    setsystem_ratio: int = 2          # t = size, r = size // setsystem_ratio
+    setsystem_ratio: int = 2          # setcover: t = size sets over
+                                      # r = max(2, size // setsystem_ratio)
 
     def __post_init__(self):
         if self.family not in ("gnp", "regular", "setcover"):
@@ -187,70 +193,27 @@ class ExperimentReport:
 
 
 def _make_instances(cfg: ExperimentConfig):
+    """Yield (instance_id, instance, known optimum or None).
+
+    A set-cover instance is lifted by the construction of `cfg.objective`.
+    Both constructions keep the optimum exactly (no forced vertices, unit
+    weights), so the source's minimum cover size is the MDD optimum.
+    """
     objective = Objective(cfg.objective)
     for n, idx in itertools.product(cfg.sizes, range(cfg.instances_per_size)):
         seed = cfg.seed * 100003 + n * 131 + idx
-        if cfg.family == "gnp":
-            g = generate_gnp(n, cfg.edge_prob, seed)
+        if cfg.family == "setcover":
+            sys = generate_random_setsystem(max(2, n // cfg.setsystem_ratio),
+                                            n, seed)
+            build = (setcover_to_mddmax_bip if objective is Objective.MAX
+                     else setcover_to_mddmin_bip)
+            yield (f"setcover-t{n}-i{idx}", build(sys).instance,
+                   _min_cover_size(sys))
         else:
-            g = generate_random_regular(n, cfg.k, seed)
-        yield f"{cfg.family}-n{n}-i{idx}", Instance(g, 0, None, objective)
-
-
-def _run_solver_row(cfg, instance_id, inst, name, oracle_weight):
-    start = time.perf_counter()
-    try:
-        solution, _ = solve(name, inst, cfg.max_L)
-    except (BudgetError, InfeasibleError) as exc:
-        # Recorded, not fatal: one solver giving up on one instance leaves
-        # the rest of the experiment standing.
-        status = "budget" if isinstance(exc, BudgetError) else "infeasible"
-        return ExperimentRow(instance_id, cfg.family, inst.graph.n, name,
-                             None, None, oracle_weight, None,
-                             time.perf_counter() - start, None,
-                             extra={"status": status})
-    elapsed = time.perf_counter() - start
-    ratio = None
-    if oracle_weight is not None:
-        if oracle_weight > 0:
-            ratio = solution.total_weight / oracle_weight
-        elif solution.total_weight == 0:
-            ratio = 1.0
-    return ExperimentRow(instance_id, cfg.family, inst.graph.n, name,
-                         solution.size, solution.total_weight, oracle_weight,
-                         ratio, elapsed, True)
-
-
-def _setcover_rows(cfg: ExperimentConfig):
-    tasks = []
-    for t, idx in itertools.product(cfg.sizes, range(cfg.instances_per_size)):
-        r = max(2, t // cfg.setsystem_ratio)
-        seed = cfg.seed * 100003 + t * 131 + idx
-        sys = generate_random_setsystem(r, t, seed)
-        tasks.append((f"setcover-t{t}-i{idx}", sys))
-    rows = []
-    for instance_id, sys in tasks:
-        source_opt = _min_cover_size(sys)
-        for build in (setcover_to_mddmin_bip, setcover_to_mddmax_bip):
-            start = time.perf_counter()
-            art = build(sys)
-            n = art.instance.graph.n
-            try:
-                opt = brute_force_optimum(art.instance).size
-            except BudgetError:
-                # Recorded, not fatal, as a solver row that gives up.
-                rows.append(ExperimentRow(
-                    instance_id, "setcover", n, art.kind, None, None,
-                    float(source_opt), None, time.perf_counter() - start, None,
-                    extra={"status": "budget", "source_opt": source_opt}))
-                continue
-            elapsed = time.perf_counter() - start
-            rows.append(ExperimentRow(
-                instance_id, "setcover", n, art.kind,
-                opt, float(opt), float(source_opt),
-                None, elapsed, True,
-                extra={"source_opt": source_opt, "gap": opt - source_opt}))
-    return rows
+            g = (generate_gnp(n, cfg.edge_prob, seed) if cfg.family == "gnp"
+                 else generate_random_regular(n, cfg.k, seed))
+            yield (f"{cfg.family}-n{n}-i{idx}",
+                   Instance(g, 0, None, objective), None)
 
 
 def _min_cover_size(sys) -> int:
@@ -261,22 +224,47 @@ def _min_cover_size(sys) -> int:
     raise MDDError("set system invariant guarantees a cover")
 
 
+def _run_solver_row(cfg, instance_id, inst, name):
+    start = time.perf_counter()
+    try:
+        solution, _ = solve(name, inst, cfg.max_L)
+    except (BudgetError, InfeasibleError) as exc:
+        # Recorded, not fatal: one solver giving up on one instance leaves
+        # the rest of the experiment standing.
+        status = "budget" if isinstance(exc, BudgetError) else "infeasible"
+        return ExperimentRow(instance_id, cfg.family, inst.graph.n, name,
+                             None, None, None, None,
+                             time.perf_counter() - start, None,
+                             extra={"status": status})
+    return ExperimentRow(instance_id, cfg.family, inst.graph.n, name,
+                         solution.size, solution.total_weight, None, None,
+                         time.perf_counter() - start, True)
+
+
+def _score(row, reference):
+    row.oracle_weight = reference
+    if reference is not None and row.weight is not None:
+        if reference > 0:
+            row.ratio = row.weight / reference
+        elif row.weight == 0:
+            row.ratio = 1.0
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    if cfg.family == "setcover":
-        rows = _setcover_rows(cfg)
-    else:
-        instances = list(_make_instances(cfg))
-        oracle_weights = {}
-        for instance_id, inst in instances:
-            if inst.graph.n <= cfg.oracle_cutoff:
-                try:
-                    oracle_weights[instance_id] = brute_force_optimum(
-                        inst).total_weight
-                except BudgetError:
-                    pass  # unscored, as if above the cutoff
-        rows = [_run_solver_row(cfg, instance_id, inst, name,
-                                oracle_weights.get(instance_id))
-                for instance_id, inst in instances for name in cfg.algorithms]
+    rows = []
+    # Every instance is built before any solver runs, so a bad size fails
+    # first and fast.
+    for instance_id, inst, reference in list(_make_instances(cfg)):
+        solved = {}  # the reference oracle row, emitted if configured
+        if reference is None and inst.graph.n <= cfg.oracle_cutoff:
+            # A BudgetError leaves the instance unscored, as above the cutoff.
+            solved["oracle"] = _run_solver_row(cfg, instance_id, inst, "oracle")
+            reference = solved["oracle"].weight
+        for name in cfg.algorithms:
+            row = (solved.get(name)
+                   or _run_solver_row(cfg, instance_id, inst, name))
+            _score(row, reference)
+            rows.append(row)
     rows.sort(key=lambda r: (r.instance_id, r.algorithm))
     aggregates = _aggregate(rows)
     return ExperimentReport(cfg, rows, aggregates)

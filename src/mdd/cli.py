@@ -104,18 +104,20 @@ def _cmd_bench(args) -> int:
 
 def _cmd_subroutine(args) -> int:
     g = fileio.parse_graph(_read(args.graph))
+    if args.cap is not None and args.kind != "fdep":
+        raise InputError(f"--cap applies only to --kind fdep, not {args.kind}")
+    forbidden = set(args.forbidden or [])
+    for v in sorted(forbidden):
+        if not 0 <= v < g.n:
+            raise InputError(f"forbidden vertex {v} out of range for n={g.n}")
+    weights = tuple(UNDELETABLE if v in forbidden else 1 for v in range(g.n))
     if args.kind == "fdep":
-        prob = FDepProblem.uniform(g, args.cap)
-        result = f_dependent_delete(prob)
+        cap = 1 if args.cap is None else args.cap
+        result = f_dependent_delete(FDepProblem.uniform(g, cap, weights))
     elif args.kind == "domset":
-        forbidden = set(args.forbidden or [])
-        for v in sorted(forbidden):
-            if not 0 <= v < g.n:
-                raise InputError(f"forbidden vertex {v} out of range for n={g.n}")
-        result = dominating_set_approx(g, tuple(
-            UNDELETABLE if v in forbidden else 1 for v in range(g.n)))
+        result = dominating_set_approx(g, weights)
     else:  # dissoc
-        result = dissociation_delete(g)
+        result = dissociation_delete(g, weights)
     print(" ".join(str(v) for v in sorted(result)))
     print(f"size: {len(result)}")
     return EXIT_OK
@@ -169,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--kind", required=True,
                        choices=["fdep", "domset", "dissoc"])
     p_sub.add_argument("--graph", required=True)
-    p_sub.add_argument("--cap", type=int, default=1)
+    p_sub.add_argument("--cap", type=int, default=None,
+                       help="degree cap of --kind fdep (default 1)")
     p_sub.add_argument("--forbidden", type=int, nargs="*", default=None)
     p_sub.set_defaults(func=_cmd_subroutine)
 

@@ -271,6 +271,37 @@ class TestGenAndSubroutine:
         assert captured.out == ""
         assert "out of range" in captured.err
 
+    @pytest.mark.parametrize("kind, cap, expected", [
+        ("fdep", [], "1 2 3"), ("fdep", ["--cap", "2"], "1 2"),
+        ("dissoc", [], "1 2 3")], ids=["fdep", "fdep-cap2", "dissoc"])
+    def test_subroutine_forbidden_applies_to_every_kind(self, tmp_path, capsys,
+                                                        kind, cap, expected):
+        # Without --forbidden 0 each of these deletes the star's centre.
+        g_path = tmp_path / "g.txt"
+        g_path.write_text(serialize_graph(Graph.star(4)))
+        assert main(["subroutine", "--kind", kind, "--graph", str(g_path),
+                     *cap, "--forbidden", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == expected
+
+    @pytest.mark.parametrize("kind", ["fdep", "dissoc"])
+    def test_subroutine_forbidden_out_of_range_exits_4(self, tmp_path, capsys,
+                                                       kind):
+        g_path = tmp_path / "g.txt"
+        g_path.write_text("3 1\n0 1\n")
+        assert main(["subroutine", "--kind", kind, "--graph", str(g_path),
+                     "--forbidden", "3"]) == 4
+        assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["domset", "dissoc"])
+    def test_subroutine_cap_without_fdep_exits_4(self, tmp_path, capsys, kind):
+        g_path = tmp_path / "g.txt"
+        g_path.write_text(serialize_graph(Graph.star(4)))
+        assert main(["subroutine", "--kind", kind, "--graph", str(g_path),
+                     "--cap", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--cap applies only to --kind fdep" in captured.err
+
 
 class TestBenchCommand:
     def test_bench_csv_and_json(self, tmp_path, capsys):

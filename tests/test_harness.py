@@ -10,7 +10,10 @@ from mdd import (BudgetError, ExperimentConfig, Graph, InputError,
                  generate_random_setsystem, parse_graph, parse_instance,
                  parse_setsystem, parse_solution, run_experiment,
                  serialize_graph, serialize_instance, serialize_setsystem,
-                 serialize_solution, Instance, Objective, UNDELETABLE)
+                 serialize_solution, setcover_to_mddmax_bip,
+                 setcover_to_mddmin_bip, Instance, Objective, UNDELETABLE)
+
+from bruteforce import min_cover_size
 
 
 class TestGenerators:
@@ -174,12 +177,79 @@ class TestBench:
                 for name in ("dual-logn", "kreg-exact", "oracle")] == [3, 0, 0]
 
     def test_setcover_experiment(self):
-        cfg = ExperimentConfig(family="setcover", sizes=[4, 5],
+        # Both constructions keep the optimum, so on either objective the
+        # oracle meets the source's minimum cover size.
+        for objective in ("max", "min"):
+            cfg = ExperimentConfig(family="setcover", sizes=[4, 5],
+                                   instances_per_size=2, seed=3,
+                                   objective=objective)
+            report = run_experiment(cfg)
+            assert len(report.rows) == 2 * 2
+            for row in report.rows:
+                assert row.algorithm == "oracle" and row.ratio == 1.0
+
+    def test_oracle_runs_once_per_instance(self, monkeypatch):
+        calls = []
+        solve = mdd.bench.brute_force_optimum
+
+        def counting(inst, cfg=None):
+            calls.append(inst)
+            return solve(inst, cfg)
+
+        monkeypatch.setattr(mdd.bench, "brute_force_optimum", counting)
+        cfg = ExperimentConfig(family="gnp", sizes=[18],
+                               algorithms=["oracle", "logn"],
+                               instances_per_size=4)
+        report = run_experiment(cfg)
+        assert len(calls) == 4
+        assert all(row.ratio is not None for row in report.rows)
+        assert report.aggregates["oracle"]["max_ratio"] == 1.0
+
+    @staticmethod
+    def _setsystems(cfg):
+        """The set system behind each setcover instance id of `cfg`."""
+        return {f"setcover-t{t}-i{idx}": generate_random_setsystem(
+                    max(2, t // cfg.setsystem_ratio), t,
+                    cfg.seed * 100003 + t * 131 + idx)
+                for t in cfg.sizes for idx in range(cfg.instances_per_size)}
+
+    def test_setcover_rows_are_scored_against_source_optimum(self):
+        cfg = ExperimentConfig(family="setcover", sizes=[4, 8],
+                               algorithms=["oracle", "logn"],
                                instances_per_size=2, seed=3)
         report = run_experiment(cfg)
-        assert len(report.rows) == 2 * 2 * 2
+        systems = self._setsystems(cfg)
+        assert len(report.rows) == 2 * len(systems)
         for row in report.rows:
-            assert row.extra["gap"] == 0  # constructions preserve the optimum
+            sys = systems[row.instance_id]
+            assert row.n == setcover_to_mddmax_bip(sys).instance.graph.n
+            assert row.oracle_weight == min_cover_size(sys)
+            assert row.ratio == row.weight / row.oracle_weight >= 1.0
+        assert report.aggregates["oracle"]["max_ratio"] == 1.0
+        assert report.aggregates["logn"]["rows"] == len(systems)
+        # max_L reaches the setcover rows: a cap of 0 is below every |L| here.
+        capped = run_experiment(dataclasses.replace(cfg, max_L=0))
+        assert [row.extra for row in capped.rows if row.algorithm == "logn"] \
+            == [{"status": "budget"}] * len(systems)
+
+    def test_setcover_min_builds_mddmin_bip(self):
+        cfg = ExperimentConfig(family="setcover", sizes=[4, 6],
+                               algorithms=["oracle", "dual-logn"],
+                               instances_per_size=2, seed=3, objective="min")
+        report = run_experiment(cfg)
+        systems = self._setsystems(cfg)
+        assert len(report.rows) == 2 * len(systems)
+        for row in report.rows:
+            sys = systems[row.instance_id]
+            assert row.n == setcover_to_mddmin_bip(sys).instance.graph.n
+            assert row.oracle_weight == min_cover_size(sys)
+            if row.algorithm == "oracle":
+                assert row.ratio == 1.0
+            else:
+                # d(p) = n - O(log n) puts the dual's |L| over the default cap.
+                assert row.extra == {"status": "budget"}
+                assert (row.size, row.ratio) == (None, None)
+        assert report.aggregates["dual-logn"]["failed"] == len(systems)
 
     def test_reference_budget_leaves_rows_unscored(self, monkeypatch):
         def give_up(inst, cfg=None):
@@ -197,30 +267,29 @@ class TestBench:
 
     def test_setcover_oracle_budget_is_recorded(self, monkeypatch):
         cfg = ExperimentConfig(family="setcover", sizes=[4, 5],
+                               algorithms=["oracle", "logn"],
                                instances_per_size=2, seed=3)
         before = run_experiment(cfg).rows
-        solve = mdd.bench.brute_force_optimum
 
-        def max_gives_up(inst, cfg=None):
-            if inst.objective is Objective.MAX:
-                raise BudgetError("oracle budget exhausted")
-            return solve(inst)
+        def give_up(inst, cfg=None):
+            raise BudgetError("oracle budget exhausted")
 
-        monkeypatch.setattr(mdd.bench, "brute_force_optimum", max_gives_up)
+        monkeypatch.setattr(mdd.bench, "brute_force_optimum", give_up)
         report = run_experiment(cfg)
         assert len(report.rows) == len(before) == 2 * 2 * 2
         for old, row in zip(before, report.rows):
-            if row.algorithm == "mddmax-bip":
+            if row.algorithm == "oracle":
                 assert (row.size, row.weight, row.ratio, row.feasible) == \
                     (None, None, None, None)
-                assert row.extra == {"status": "budget",
-                                     "source_opt": old.extra["source_opt"]}
-                assert row.oracle_weight == old.oracle_weight
+                assert row.extra == {"status": "budget"}
+                # Still the source optimum: the reference never needs the oracle.
+                assert row.oracle_weight == old.oracle_weight is not None
             else:
+                assert row.ratio is not None
                 assert (dataclasses.replace(row, wall_time=0)
                         == dataclasses.replace(old, wall_time=0))
-        assert [report.aggregates[kind]["failed"] for kind in
-                ("mddmax-bip", "mddmin-bip")] == [4, 0]
+        assert [report.aggregates[name]["failed"]
+                for name in ("logn", "oracle")] == [0, 4]
 
     def test_report_serialization(self):
         cfg = ExperimentConfig(family="gnp", sizes=[5], instances_per_size=1)

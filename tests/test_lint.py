@@ -59,3 +59,19 @@ def test_package_has_no_unused_imports():
                    for line, imported in _imported_names(tree)
                    if imported not in used]
     assert unused == []
+
+
+def test_package_has_no_unused_private_definitions():
+    # A private module-level function or class has no caller outside the
+    # package, so one that nothing in the package names is dead code.
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    defined = [(f"{name}:{node.lineno}", node.name)
+               for name, tree in TREES.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert defined
+    unused = [f"{where}: {fn}" for where, fn in defined if fn not in named]
+    assert unused == []
