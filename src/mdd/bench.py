@@ -40,15 +40,17 @@ def _solve_kreg(inst, max_L):
     return kregular_min_exact(inst), ()
 
 
-def _branches_note(trace):
-    return f"branches = {trace.branches_total} (feasible {trace.branches_feasible})"
-
-
 def _solve_logn(inst, max_L):
+    # MDD(min) runs on the complement, whose Max has the same feasible sets.
+    if inst.objective is Objective.MIN:
+        inst = dualize(inst)
     trace = mdd_max_logn_trace(inst, max_L)
-    chosen = sorted(trace.chosen_k) if trace.chosen_k else "[] (fallback)"
-    return trace.solution, (f"L = {sorted(trace.l_set)}", _branches_note(trace),
-                            f"chosen K = {chosen}")
+    chosen = ("[] (fallback)" if trace.chosen_k is None
+              else sorted(trace.chosen_k))
+    return trace.solution, (
+        f"L = {sorted(trace.l_set)}",
+        f"branches = {trace.branches_total} (feasible {trace.branches_feasible})",
+        f"chosen K = {chosen}")
 
 
 def _solve_cubic(inst, max_L):
@@ -58,22 +60,13 @@ def _solve_cubic(inst, max_L):
     return trace.solution, (*notes, f"winning case: {trace.case}")
 
 
-def _solve_dual_logn(inst, max_L):
-    # MDD(min) routed through the complement: the same vertex set solves both.
-    if inst.objective is not Objective.MIN:
-        raise InputError("dual-logn expects a Min instance")
-    trace = mdd_max_logn_trace(dualize(inst), max_L)
-    return trace.solution, (_branches_note(trace),)
-
-
 #: Every solver by name: fn(instance, max_L) -> (DeletionSet, trace lines).
-#: max_L caps the L-set of the branching solvers; the others ignore it.
+#: max_L caps the L-set of `logn`; the others ignore it.
 ALGORITHMS = {
     "oracle": _solve_oracle,
     "kreg-exact": _solve_kreg,
     "logn": _solve_logn,
     "cubic": _solve_cubic,
-    "dual-logn": _solve_dual_logn,
 }
 
 

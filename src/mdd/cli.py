@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Verbs: solve, verify, reduce, gen, bench, subroutine.  Exit codes:
-0 success, 2 infeasible/inapplicable, 3 budget exhausted, 4 input error.
+0 success, 2 infeasible/inapplicable, 3 budget exhausted, 4 input error
+(a usage error included).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
 EXIT_INPUT = 4
 
-#: Input parser of each source problem of `reduce --from`.
+#: Input parser of each source problem in `CONSTRUCTIONS`.
 SOURCE_PARSERS = {"mindom": fileio.parse_graph,
                   "setcover": fileio.parse_setsystem}
 
@@ -69,11 +70,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    source = SOURCE_PARSERS[args.source](_read(args.input))
     source_kind, build = CONSTRUCTIONS[args.target]
-    if source_kind != args.source:
-        raise InputError(f"cannot reduce {args.source} to '{args.target}'")
-    art = build(source)
+    art = build(SOURCE_PARSERS[source_kind](_read(args.input)))
     text = fileio.serialize_instance(art.instance)
     if args.roles:
         text += "".join(f"# role {v} {r}\n" for v, r in enumerate(art.roles))
@@ -123,8 +121,17 @@ def _cmd_subroutine(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code of an infeasible
+    instance here; a malformed command line is malformed input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mdd",
         description="Solvers for making a distinguished vertex the unique "
                     "minimum or maximum degree vertex by vertex deletion.")
@@ -142,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_reduce = sub.add_parser("reduce", help="run a hardness construction")
-    p_reduce.add_argument("--from", dest="source", required=True,
-                          choices=list(SOURCE_PARSERS))
     p_reduce.add_argument("--to", dest="target", required=True,
                           choices=list(CONSTRUCTIONS))
     p_reduce.add_argument("input")

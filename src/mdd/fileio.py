@@ -104,6 +104,7 @@ def parse_instance(text: str) -> Instance:
     except ValueError:
         raise InputError(f"line {lineno}: objective must be 'min' or 'max'") from None
     weights = [1] * g.n
+    weighted = set()
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "w":
@@ -111,6 +112,9 @@ def parse_instance(text: str) -> Instance:
         v = _int(parts[1], lineno, "vertex id must be an integer")
         if not 0 <= v < g.n:
             raise InputError(f"line {lineno}: vertex {v} out of range")
+        if v in weighted:
+            raise InputError(f"line {lineno}: duplicate weight for vertex {v}")
+        weighted.add(v)
         weights[v] = UNDELETABLE if parts[2] == "inf" else _int(
             parts[2], lineno, "weight must be a positive integer or 'inf'")
     return Instance(g, p, tuple(weights), objective)

@@ -252,7 +252,8 @@ def _solution_vertices(solution) -> frozenset:
 
 
 def is_feasible(inst: Instance, solution) -> bool:
-    """True iff p is the unique extreme-degree vertex of G[V \\ S]."""
+    """True iff S deletes no UNDELETABLE vertex and p is the unique
+    extreme-degree vertex of G[V \\ S]."""
     s = _solution_vertices(solution)
     if inst.p in s:
         raise PreconditionError("deletion set may not contain p")
@@ -262,6 +263,8 @@ def is_feasible(inst: Instance, solution) -> bool:
         if not 0 <= v < g.n:
             raise InputError(f"vertex {v} out of range")
         remaining &= ~(1 << v)
+    if any(inst.weights[v] == UNDELETABLE for v in s):
+        return False
     return feasible_mask(g, inst.p, remaining, inst.objective is Objective.MIN)
 
 

@@ -1,23 +1,148 @@
+import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import mdd
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdd import (Graph, Instance, Objective, generate_gnp, serialize_graph,
                  serialize_instance, serialize_setsystem, serialize_solution,
                  SetSystem, mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
                  parse_graph, parse_instance, setcover_to_mddmax_bip,
                  setcover_to_mddmin_bip)
-from mdd.cli import main
+from mdd import InputError, fileio
+from mdd.cli import build_parser, main
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write_instance(tmp_path, inst, name="inst.txt"):
     path = tmp_path / name
     path.write_text(serialize_instance(inst))
     return str(path)
+
+
+def _usage_error(argv, capsys) -> str:
+    """Run the CLI on a bad command line; check it exits 4 with argparse's
+    usage text, and return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mdd")
+    return err
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "f.txt", "--algo", "bogus"], "invalid choice: 'bogus'"),
+        (["solve", "f.txt", "--algo", "oracle", "--max-L", "x"],
+         "invalid int value: 'x'"),
+        (["reduce", "g.txt"], "required: --to"),
+        ([], "required: command")])
+    def test_usage_error_exits_4(self, capsys, argv, message):
+        assert message in _usage_error(argv, capsys)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mdd solve")
+
+    def test_readme_cli_lines_parse(self):
+        # Parsed only, not run: the files they name need not exist.
+        text = open(README, encoding="utf-8").read()
+        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+        lines = [shlex.split(line, comments=True)
+                 for line in block.split("```", 1)[0].splitlines()]
+        commands = [words for words in lines if words and words[0] == "mdd"]
+        assert len(commands) >= 10
+        for words in commands:
+            build_parser().parse_args(words[1:])
+
+
+_INSTANCE = "2 1\n0 1\np 0 objective max\n"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("verb, text, message", [
+        ("solve", "# nothing\n", "empty graph file"),
+        ("solve", "3 2\n0 1\n", "expected 2 edge lines, got 1"),
+        ("verify", "3 1\n0 1 2\n", "line 2: expected 'u v'"),
+        ("solve", "3 1\n# loop\n1 1\n", "line 3: self-loop at 1"),
+        ("reduce", "3 1\n0 3\n", "line 2: edge (0, 3) out of range"),
+        ("reduce", "3 2\n0 1\n0 1\n", "line 3: duplicate edge (0, 1)"),
+        ("solve", "2 1\n0 1\np 0 objective\n",
+         "line 3: expected 'p <id> objective <min|max>'"),
+        ("verify", "2 1\n0 1\np 0 objective mid\n",
+         "line 3: objective must be 'min' or 'max'"),
+        ("solve", _INSTANCE + "w 1\n", "line 4: expected 'w <id> <weight>'"),
+        ("verify", _INSTANCE + "w 2 3\n", "line 4: vertex 2 out of range"),
+        ("solve", _INSTANCE + "w 1 3\nw 1 inf\n",
+         "line 5: duplicate weight for vertex 1"),
+        ("reduce-sets", "\n", "empty set system file"),
+        ("reduce-sets", "2\n", "line 1: expected 'r t' header"),
+        ("reduce-sets", "2 2\n0 1\n", "expected 2 set lines, got 1"),
+        ("reduce-sets", "2 1\n0 1\n1\n",
+         "line 3: trailing content after set list"),
+    ])
+    def test_exits_4_with_message(self, tmp_path, capsys, verb, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        sol_path = tmp_path / "sol.txt"
+        sol_path.write_text("1\n")
+        argv = {"solve": ["solve", str(path), "--algo", "oracle"],
+                "verify": ["verify", str(path), str(sol_path)],
+                "reduce": ["reduce", "--to", "mddmin", str(path)],
+                "reduce-sets": ["reduce", "--to", "mddmin-bip", str(path)],
+                }[verb]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    # Small integers only: a header such as `n m` may not ask for a huge
+    # graph.  Other tokens are keywords, integer look-alikes the formats
+    # reject, and short runs of characters that are not decimal digits.
+    _TOKEN = st.one_of(
+        st.integers(-2, 9).map(str),
+        st.sampled_from(["p", "w", "objective", "min", "max", "inf", "#",
+                         "+1", "1_0", "\u0663", "0x1", "1.5"]),
+        st.text(st.characters(blacklist_categories=("Nd", "Cs")),
+                max_size=3))
+    _LINES = st.lists(st.lists(_TOKEN, max_size=5).map(" ".join),
+                      max_size=8).map("\n".join)
+
+    @staticmethod
+    def _replace(text, edits):
+        """`text` with the token at each (index mod count) replaced."""
+        tokens = text.replace("\n", " \n ").split(" ")
+        for i, token in edits:
+            tokens[i % len(tokens)] = token
+        return " ".join(tokens)
+
+    # Valid files of each format, then a few tokens replaced, reach the
+    # checks behind the headers.
+    _VALID = ["3 2\n0 1\n1 2\n", _INSTANCE + "w 1 inf\n",
+              "3 2\n0 1\n1 2\np 1 objective min\nw 0 2\nw 2 5\n",
+              "2 3\n0\n1\n0 1\n", "0 2 5\n"]
+    _TEXT = st.one_of(_LINES, st.builds(
+        _replace, st.sampled_from(_VALID),
+        st.lists(st.tuples(st.integers(0, 30), _TOKEN), max_size=3)))
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_TEXT, st.sampled_from([
+        fileio.parse_graph, fileio.parse_instance, fileio.parse_setsystem,
+        fileio.parse_solution]))
+    def test_parsers_raise_only_input_error(self, text, parse):
+        try:
+            parse(text)
+        except InputError:
+            pass
 
 
 class TestSolve:
@@ -39,17 +164,44 @@ class TestSolve:
         assert "size: 2  weight: 6\n" in out
 
     def test_dual_logn_min(self, tmp_path, capsys):
+        # logn solves a Min instance on the complement: L and K are the
+        # complement's, the solution is the Min instance's.
         path = write_instance(tmp_path, Instance(Graph.cycle(5), 0))
-        assert main(["solve", path, "--algo", "dual-logn"]) == 0
-        assert capsys.readouterr().out == ("branches = 4 (feasible 2)\n"
+        assert main(["solve", path, "--algo", "logn"]) == 0
+        assert capsys.readouterr().out == ("L = [2, 3]\n"
+                                           "branches = 4 (feasible 2)\n"
+                                           "chosen K = []\n"
                                            "solution: 1 4\n"
                                            "size: 2  weight: 2\n")
 
     def test_dual_logn_on_max_exits_4(self, tmp_path, capsys):
+        # The complement route has no name of its own; a Max instance is
+        # solved as it is.
         inst = Instance(Graph.cycle(5), 0, None, Objective.MAX)
         path = write_instance(tmp_path, inst)
-        assert main(["solve", path, "--algo", "dual-logn"]) == 4
-        assert "expects a Min instance" in capsys.readouterr().err
+        err = _usage_error(["solve", path, "--algo", "dual-logn"], capsys)
+        assert "invalid choice: 'dual-logn'" in err
+        assert main(["solve", path, "--algo", "logn"]) == 0
+        assert "L = [1, 4]\n" in capsys.readouterr().out
+
+    def test_logn_chosen_k_labels(self, tmp_path, capsys, monkeypatch):
+        # K = [] wins on a star: p already has the largest degree.
+        path = write_instance(tmp_path, Instance(Graph.star(3), 0, None,
+                                                 Objective.MAX))
+        assert main(["solve", path, "--algo", "logn"]) == 0
+        assert "chosen K = []\nsolution: \n" in capsys.readouterr().out
+        # The fallback V - {p} is the candidate with chosen_k None.  No
+        # instance makes it win (the branch K = L is feasible whenever no
+        # weight is inf), so the trace is substituted.
+        trace = mdd.bench.mdd_max_logn_trace
+        monkeypatch.setattr(mdd.bench, "mdd_max_logn_trace",
+                            lambda inst, cap: dataclasses.replace(
+                                trace(inst, cap), chosen_k=None))
+        path = write_instance(tmp_path, Instance(Graph.complete(4), 0, None,
+                                                 Objective.MAX))
+        assert main(["solve", path, "--algo", "logn"]) == 0
+        assert "chosen K = [] (fallback)\nsolution: 1 2 3\n" in \
+            capsys.readouterr().out
 
     def test_logn_trace_output(self, tmp_path, capsys):
         inst = Instance(Graph.complete(3), 0, None, Objective.MAX)
@@ -148,6 +300,23 @@ class TestVerify:
         assert main(["verify", inst_path, str(sol_path)]) == 0
         assert "FEASIBLE" in capsys.readouterr().out
 
+    def test_deleting_an_undeletable_vertex_is_infeasible(self, tmp_path,
+                                                          capsys):
+        # Without the inf weight on vertex 1, deleting {1, 2} is feasible.
+        g_path = tmp_path / "g.txt"
+        assert main(["gen", "--family", "gnp", "--n", "5", "--prob", "0.5",
+                     "--seed", "0", "--out", str(g_path)]) == 0
+        inst_path = tmp_path / "inst.txt"
+        inst_path.write_text(g_path.read_text()
+                             + "p 0 objective max\nw 1 inf\n")
+        sol_path = tmp_path / "sol.txt"
+        sol_path.write_text("1 2\n")
+        assert main(["verify", str(inst_path), str(sol_path)]) == 2
+        assert capsys.readouterr().out == "INFEASIBLE\n"
+        assert main(["solve", str(inst_path), "--algo", "oracle"]) == 2
+        inst_path.write_text(g_path.read_text() + "p 0 objective max\n")
+        assert main(["verify", str(inst_path), str(sol_path)]) == 0
+
     def test_infeasible(self, tmp_path, capsys):
         inst_path = write_instance(tmp_path, Instance(Graph.cycle(5), 0))
         sol_path = tmp_path / "sol.txt"
@@ -161,7 +330,7 @@ class TestReduce:
         g_path = tmp_path / "g.txt"
         g_path.write_text(serialize_graph(Graph.path(3)))
         out_path = tmp_path / "h.txt"
-        assert main(["reduce", "--from", "mindom", "--to", "mddmin",
+        assert main(["reduce", "--to", "mddmin",
                      str(g_path), "--out", str(out_path)]) == 0
         inst = parse_instance(out_path.read_text())
         assert inst.graph.n == 3 * 3 + 3
@@ -171,7 +340,7 @@ class TestReduce:
         g_path = tmp_path / "g.txt"
         g_path.write_text(serialize_graph(Graph.path(3)))
         out_path = tmp_path / "h.txt"
-        assert main(["reduce", "--from", "mindom", "--to", "mddmin",
+        assert main(["reduce", "--to", "mddmin",
                      str(g_path), "--out", str(out_path), "--roles"]) == 0
         text = out_path.read_text()
         assert "# role 3 p" in text
@@ -180,14 +349,16 @@ class TestReduce:
     def test_setcover_precondition_exits_2(self, tmp_path):
         s_path = tmp_path / "s.txt"
         s_path.write_text(serialize_setsystem(SetSystem(3, [{0, 1}, {2}])))
-        assert main(["reduce", "--from", "setcover", "--to", "mddmax-bip",
-                     str(s_path)]) == 2
+        assert main(["reduce", "--to", "mddmax-bip", str(s_path)]) == 2
 
-    def test_bad_target_combination(self, tmp_path):
+    def test_bad_target_combination(self, tmp_path, capsys):
+        # --to alone picks the source problem, so --from is a usage error,
+        # even with the source that --to picks.
         g_path = tmp_path / "g.txt"
         g_path.write_text(serialize_graph(Graph.path(3)))
-        assert main(["reduce", "--from", "mindom", "--to", "mddmax-bip",
-                     str(g_path)]) == 4
+        err = _usage_error(["reduce", "--from", "mindom", "--to", "mddmin",
+                            str(g_path)], capsys)
+        assert "unrecognized arguments: --from" in err
 
     @pytest.mark.parametrize("source, target, build", [
         ("mindom", "mddmin", mindom_to_mddmin),
@@ -197,7 +368,7 @@ class TestReduce:
     def test_output_is_the_constructed_instance(self, tmp_path, capsys,
                                                 source, target, build):
         path, parsed = _reduce_input(tmp_path, source)
-        assert main(["reduce", "--from", source, "--to", target, path]) == 0
+        assert main(["reduce", "--to", target, path]) == 0
         art = build(parsed)
         assert art.kind == target
         assert capsys.readouterr().out == serialize_instance(art.instance)
@@ -206,9 +377,11 @@ class TestReduce:
         ("mindom", "mddmin-bip"), ("mindom", "mddmax-bip"),
         ("setcover", "mddmin"), ("setcover", "cubic")])
     def test_mismatched_pair_exits_4(self, tmp_path, capsys, source, target):
+        # A pair of problems can no longer be written: each --to names one.
         path, _ = _reduce_input(tmp_path, source)
-        assert main(["reduce", "--from", source, "--to", target, path]) == 4
-        assert "cannot reduce" in capsys.readouterr().err
+        err = _usage_error(["reduce", "--from", source, "--to", target, path],
+                           capsys)
+        assert "unrecognized arguments: --from" in err
 
 
 def _reduce_input(tmp_path, source):

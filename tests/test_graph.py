@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdd import (Graph, Instance, InputError, Objective, PreconditionError,
-                 is_feasible)
+from mdd import (UNDELETABLE, Graph, Instance, InputError, Objective,
+                 PreconditionError, generate_gnp, is_feasible)
 
 from bruteforce import check_feasible
 
@@ -122,6 +122,18 @@ class TestFeasibility:
         for objective in Objective:
             inst = Instance(Graph.petersen(), 3, None, objective)
             assert is_feasible(inst, set(range(10)) - {3})
+
+    def test_deleting_an_undeletable_vertex_is_infeasible(self):
+        g = generate_gnp(5, 0.5, 0)
+        assert is_feasible(Instance(g, 0, None, Objective.MAX), {1, 2})
+        weights = (1, UNDELETABLE, 1, 1, 1)
+        inst = Instance(g, 0, weights, Objective.MAX)
+        assert not is_feasible(inst, {1, 2})
+        # Ids are range-checked before any weight is read: 1 comes first
+        # in the set's iteration order.
+        assert list(frozenset({1, 7})) == [1, 7]
+        with pytest.raises(InputError, match="vertex 7 out of range"):
+            is_feasible(inst, {1, 7})
 
     def test_p_in_set_rejected(self):
         inst = Instance(Graph.complete(3), 0)

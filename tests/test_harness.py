@@ -150,7 +150,7 @@ class TestBench:
 
     def test_regular_min_experiment(self):
         cfg = ExperimentConfig(family="regular", sizes=[8],
-                               algorithms=["oracle", "kreg-exact", "dual-logn"],
+                               algorithms=["oracle", "kreg-exact", "logn"],
                                k=3, instances_per_size=2, seed=2,
                                objective="min", max_L=10)
         report = run_experiment(cfg)
@@ -159,22 +159,23 @@ class TestBench:
                 assert row.ratio == 1.0
 
     def test_failing_rows_are_recorded(self):
-        # The complement of a 3-regular graph on 12 vertices has |L| = 8,
-        # over the default cap of 6, so dual-logn gives up on those rows.
+        # logn solves Min on the complement.  The complement of a 3-regular
+        # graph on 12 vertices has |L| = 8, over the default cap of 6, so
+        # logn gives up on those rows.
         cfg = ExperimentConfig(family="regular", sizes=[8, 10, 12],
-                               algorithms=["oracle", "kreg-exact", "dual-logn"],
+                               algorithms=["oracle", "kreg-exact", "logn"],
                                k=3, instances_per_size=3, seed=3,
                                objective="min")
         report = run_experiment(cfg)
         assert len(report.rows) == 3 * 3 * 3
         failed = [r for r in report.rows if r.extra]
-        assert [(r.n, r.algorithm) for r in failed] == [(12, "dual-logn")] * 3
+        assert [(r.n, r.algorithm) for r in failed] == [(12, "logn")] * 3
         for row in failed:
             assert row.extra == {"status": "budget"}
             assert (row.size, row.weight, row.ratio, row.feasible) == \
                 (None, None, None, None)
         assert [report.aggregates[name]["failed"]
-                for name in ("dual-logn", "kreg-exact", "oracle")] == [3, 0, 0]
+                for name in ("logn", "kreg-exact", "oracle")] == [3, 0, 0]
 
     def test_setcover_experiment(self):
         # Both constructions keep the optimum, so on either objective the
@@ -234,7 +235,7 @@ class TestBench:
 
     def test_setcover_min_builds_mddmin_bip(self):
         cfg = ExperimentConfig(family="setcover", sizes=[4, 6],
-                               algorithms=["oracle", "dual-logn"],
+                               algorithms=["oracle", "logn"],
                                instances_per_size=2, seed=3, objective="min")
         report = run_experiment(cfg)
         systems = self._setsystems(cfg)
@@ -246,10 +247,22 @@ class TestBench:
             if row.algorithm == "oracle":
                 assert row.ratio == 1.0
             else:
-                # d(p) = n - O(log n) puts the dual's |L| over the default cap.
+                # d(p) = t, far below n - O(log n): the complement's |L|
+                # is over the default cap.
                 assert row.extra == {"status": "budget"}
                 assert (row.size, row.ratio) == (None, None)
-        assert report.aggregates["dual-logn"]["failed"] == len(systems)
+        assert report.aggregates["logn"]["failed"] == len(systems)
+
+    def test_zero_optimum_scores_only_zero_weight_rows(self):
+        # p is the star's unique maximum already: the optimum is 0.
+        inst = Instance(Graph.star(3), 0, None, Objective.MAX)
+        cfg = ExperimentConfig(family="gnp", sizes=[4])
+        row = mdd.bench._run_solver_row(cfg, "star", inst, "oracle")
+        heavier = dataclasses.replace(row, size=3, weight=3)
+        for r in (row, heavier):
+            mdd.bench._score(r, 0)
+        assert (row.weight, row.oracle_weight, row.ratio) == (0, 0, 1.0)
+        assert (heavier.oracle_weight, heavier.ratio) == (0, None)
 
     def test_reference_budget_leaves_rows_unscored(self, monkeypatch):
         def give_up(inst, cfg=None):
