@@ -11,7 +11,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BudgetError, InfeasibleError, MDDError, PreconditionError
-from .graph import DeletionSet, Instance, Objective, UNDELETABLE, is_feasible
+from .graph import (DeletionSet, Instance, Objective, UNDELETABLE, is_feasible,
+                    is_int)
 from .subroutines import FDepProblem, f_dependent_delete
 
 
@@ -73,6 +74,8 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     p = inst.p
     if cap_on_L is None:
         cap_on_L = default_l_cap(g.n)
+    elif not is_int(cap_on_L, 0):
+        raise PreconditionError("cap on |L| must be an integer >= 0")
     l_set = build_L(inst)
     if len(l_set.members) > cap_on_L:
         raise BudgetError(
@@ -93,20 +96,18 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
             except InfeasibleError:
                 continue
             candidates.append((deleted.union(k_tuple), k_tuple))
-    feasible_branches = len(candidates)
-    # Deleting everything but p is always feasible; keep it as the last
-    # candidate so the algorithm cannot come back empty-handed.  min keeps
-    # the first of equal keys, so a branch wins a tie with the fallback.
-    candidates.append((set(range(g.n)) - {p}, None))
-    best, best_k = min(candidates, key=lambda c: (
+    # V - {p} is no candidate: with no inf weight off p, the branch K = L is
+    # feasible (build_L stops with N(p) - L within cap; any other violator
+    # can delete itself) and no heavier; with one, V - {p} weighs inf.
+    best, best_k = min(candidates, default=(None, None), key=lambda c: (
         inst.weight_of(c[0]), len(c[0]), tuple(sorted(c[0]))))
-    if inst.weight_of(best) == math.inf:
+    if best is None or inst.weight_of(best) == math.inf:
         raise InfeasibleError("every candidate requires an undeletable vertex")
     solution = DeletionSet.of(inst, best)
     if not is_feasible(inst, solution):
         raise MDDError("branching algorithm selected an infeasible set")
     return BranchingResult(solution, best_k, 2 ** len(members),
-                           feasible_branches, l_set.members)
+                           len(candidates), l_set.members)
 
 
 def mdd_max_logn(inst: Instance, cap_on_L: Optional[int] = None) -> DeletionSet:
@@ -114,7 +115,7 @@ def mdd_max_logn(inst: Instance, cap_on_L: Optional[int] = None) -> DeletionSet:
 
     Each branch deletes K up front, forbids the rest of N(p), and caps every
     other vertex at d(p) - |K| - 1 via the degree-cap subroutine.  The
-    cheapest feasible candidate wins; S = V \\ {p} is the final fallback.
+    cheapest feasible candidate wins.
     """
     return mdd_max_logn_trace(inst, cap_on_L).solution
 

@@ -24,7 +24,7 @@ from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,
                     kregular_min_exact)
 from .generators import (generate_gnp, generate_random_regular,
                          generate_random_setsystem)
-from .graph import Instance, Objective, is_feasible
+from .graph import Instance, Objective, is_feasible, is_int
 from .reductions import setcover_to_mddmax_bip, setcover_to_mddmin_bip
 
 DEFAULT_ORACLE_CUTOFF = 18
@@ -45,12 +45,10 @@ def _solve_logn(inst, max_L):
     if inst.objective is Objective.MIN:
         inst = dualize(inst)
     trace = mdd_max_logn_trace(inst, max_L)
-    chosen = ("[] (fallback)" if trace.chosen_k is None
-              else sorted(trace.chosen_k))
     return trace.solution, (
         f"L = {sorted(trace.l_set)}",
         f"branches = {trace.branches_total} (feasible {trace.branches_feasible})",
-        f"chosen K = {chosen}")
+        f"chosen K = {sorted(trace.chosen_k)}")
 
 
 def _solve_cubic(inst, max_L):
@@ -83,12 +81,6 @@ def solve(name: str, inst: Instance, max_L: Optional[int] = None):
     return solution, notes
 
 
-def _is_int(value, low: Optional[int]) -> bool:
-    """An int that is not a bool, and at least `low` unless `low` is None."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and (low is None or value >= low))
-
-
 @dataclass
 class ExperimentConfig:
     family: str                       # gnp | regular | setcover
@@ -101,8 +93,6 @@ class ExperimentConfig:
     objective: str = "max"
     oracle_cutoff: int = DEFAULT_ORACLE_CUTOFF
     max_L: Optional[int] = None
-    setsystem_ratio: int = 2          # setcover: t = size sets over
-                                      # r = max(2, size // setsystem_ratio)
 
     def __post_init__(self):
         if self.family not in ("gnp", "regular", "setcover"):
@@ -115,14 +105,14 @@ class ExperimentConfig:
         if self.objective not in [o.value for o in Objective]:
             raise InputError("objective must be 'min' or 'max'")
         if not (isinstance(self.sizes, list)
-                and all(_is_int(n, 1) for n in self.sizes)):
+                and all(is_int(n, 1) for n in self.sizes)):
             raise InputError("sizes must be a list of integers >= 1")
         for name, low in (("k", 0), ("instances_per_size", 0), ("seed", None),
-                          ("oracle_cutoff", None), ("setsystem_ratio", 1)):
-            if not _is_int(getattr(self, name), low):
+                          ("oracle_cutoff", None)):
+            if not is_int(getattr(self, name), low):
                 raise InputError(f"{name} must be an integer"
                                  + ("" if low is None else f" >= {low}"))
-        if self.max_L is not None and not _is_int(self.max_L, 0):
+        if self.max_L is not None and not is_int(self.max_L, 0):
             raise InputError("max_L must be null or an integer >= 0")
         if (isinstance(self.edge_prob, bool)
                 or not isinstance(self.edge_prob, (int, float))
@@ -188,7 +178,8 @@ class ExperimentReport:
 def _make_instances(cfg: ExperimentConfig):
     """Yield (instance_id, instance, known optimum or None).
 
-    A set-cover instance is lifted by the construction of `cfg.objective`.
+    A set-cover instance (t = size sets over r = max(2, size // 2)
+    elements) is lifted by the construction of `cfg.objective`.
     Both constructions keep the optimum exactly (no forced vertices, unit
     weights), so the source's minimum cover size is the MDD optimum.
     """
@@ -196,8 +187,7 @@ def _make_instances(cfg: ExperimentConfig):
     for n, idx in itertools.product(cfg.sizes, range(cfg.instances_per_size)):
         seed = cfg.seed * 100003 + n * 131 + idx
         if cfg.family == "setcover":
-            sys = generate_random_setsystem(max(2, n // cfg.setsystem_ratio),
-                                            n, seed)
+            sys = generate_random_setsystem(max(2, n // 2), n, seed)
             build = (setcover_to_mddmax_bip if objective is Objective.MAX
                      else setcover_to_mddmin_bip)
             yield (f"setcover-t{n}-i{idx}", build(sys).instance,

@@ -26,6 +26,12 @@ def is_valid_weight(w) -> bool:
     return w == UNDELETABLE or (isinstance(w, int) and w >= 1)
 
 
+def is_int(value, low: Optional[int] = None) -> bool:
+    """An int that is not a bool, and at least `low` unless `low` is None."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (low is None or value >= low))
+
+
 class Objective(Enum):
     MIN = "min"
     MAX = "max"

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from mdd import (BudgetError, Graph, Instance, MDDError, Objective,
-                 PreconditionError, brute_force_optimum, build_L, is_feasible,
-                 kreg_lower_bound, mdd_max_logn, mdd_max_logn_trace,
-                 generate_gnp)
+from mdd import (BudgetError, Graph, InfeasibleError, Instance, MDDError,
+                 Objective, PreconditionError, brute_force_optimum, build_L,
+                 is_feasible, kreg_lower_bound, mdd_max_logn,
+                 mdd_max_logn_trace, generate_gnp)
 from mdd import approx
 
 
@@ -97,6 +97,28 @@ class TestMddMaxLogn:
         with pytest.raises(BudgetError):
             mdd_max_logn(inst, cap_on_L=2)
 
+    @pytest.mark.parametrize("cap", [-1, 2.5, True, "3"])
+    def test_bad_l_cap_is_a_precondition_error(self, cap):
+        # Bad input, not an exhausted budget: the star's L is empty.
+        inst = Instance(Graph.star(3), 0, None, Objective.MAX)
+        with pytest.raises(PreconditionError) as err:
+            mdd_max_logn(inst, cap)
+        assert str(err.value) == "cap on |L| must be an integer >= 0"
+
+    def test_no_finite_branch_raises_infeasible(self):
+        # Beside p's two leaves, an undeletable triangle ties d(p): no
+        # branch is feasible.  On K4 only K = L = {1, 2, 3} is, and it
+        # deletes the undeletable vertex 1.
+        g = Graph(6, [(0, 1), (0, 2), (3, 4), (4, 5), (3, 5)])
+        triangle = Instance(g, 0, (1, 1, 1, math.inf, math.inf, math.inf),
+                            Objective.MAX)
+        k4 = Instance(Graph.complete(4), 0, (1, math.inf, 1, 1), Objective.MAX)
+        for inst in (triangle, k4):
+            with pytest.raises(InfeasibleError) as err:
+                mdd_max_logn(inst)
+            assert str(err.value) == \
+                "every candidate requires an undeletable vertex"
+
     def test_feasible_and_no_better_than_oracle(self):
         for seed in range(40):
             g = generate_gnp(8, 0.5, 3000 + seed)
@@ -125,8 +147,8 @@ class TestMddMaxLogn:
     def test_infeasible_greedy_result_raises(self, monkeypatch):
         # p = 0 has leaves 1 and 2, so L is empty; the triangle 3-4-5 ties
         # its degree, so a feasible set must delete a triangle vertex.  A
-        # greedy that deletes nothing makes the branch K = {} pick the empty
-        # set over the fallback, and the final check must reject it.
+        # greedy that deletes nothing makes the branch K = {} the lightest
+        # candidate, the empty set, and the final check must reject it.
         g = Graph(6, [(0, 1), (0, 2), (3, 4), (4, 5), (3, 5)])
         inst = Instance(g, 0, None, Objective.MAX)
         monkeypatch.setattr(approx, "f_dependent_delete",

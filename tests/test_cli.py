@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import shlex
@@ -15,6 +14,7 @@ from mdd import (Graph, Instance, Objective, generate_gnp, serialize_graph,
                  parse_graph, parse_instance, setcover_to_mddmax_bip,
                  setcover_to_mddmin_bip)
 from mdd import InputError, fileio
+from mdd.bench import ALGORITHMS
 from mdd.cli import build_parser, main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -63,6 +63,9 @@ class TestUsage:
         assert len(commands) >= 10
         for words in commands:
             build_parser().parse_args(words[1:])
+        # Every registered solver is shown, and no other.
+        assert {words[words.index("--algo") + 1] for words in commands
+                if "--algo" in words} == set(ALGORITHMS)
 
 
 _INSTANCE = "2 1\n0 1\np 0 objective max\n"
@@ -184,24 +187,12 @@ class TestSolve:
         assert main(["solve", path, "--algo", "logn"]) == 0
         assert "L = [1, 4]\n" in capsys.readouterr().out
 
-    def test_logn_chosen_k_labels(self, tmp_path, capsys, monkeypatch):
+    def test_logn_chosen_k_labels(self, tmp_path, capsys):
         # K = [] wins on a star: p already has the largest degree.
         path = write_instance(tmp_path, Instance(Graph.star(3), 0, None,
                                                  Objective.MAX))
         assert main(["solve", path, "--algo", "logn"]) == 0
         assert "chosen K = []\nsolution: \n" in capsys.readouterr().out
-        # The fallback V - {p} is the candidate with chosen_k None.  No
-        # instance makes it win (the branch K = L is feasible whenever no
-        # weight is inf), so the trace is substituted.
-        trace = mdd.bench.mdd_max_logn_trace
-        monkeypatch.setattr(mdd.bench, "mdd_max_logn_trace",
-                            lambda inst, cap: dataclasses.replace(
-                                trace(inst, cap), chosen_k=None))
-        path = write_instance(tmp_path, Instance(Graph.complete(4), 0, None,
-                                                 Objective.MAX))
-        assert main(["solve", path, "--algo", "logn"]) == 0
-        assert "chosen K = [] (fallback)\nsolution: 1 2 3\n" in \
-            capsys.readouterr().out
 
     def test_logn_trace_output(self, tmp_path, capsys):
         inst = Instance(Graph.complete(3), 0, None, Objective.MAX)
@@ -500,7 +491,7 @@ class TestBenchCommand:
         {"family": "gnp", "sizes": "ab"},
         {"family": "gnp", "sizes": [5], "instances_per_size": "x"},
         {"family": "gnp", "sizes": [5], "algorithms": ["logn"], "max_L": "3"},
-        {"family": "setcover", "sizes": [4], "setsystem_ratio": 0},
+        {"family": "setcover", "sizes": [4], "seed": 1.5},
     ])
     def test_bench_badly_typed_config_exits_4(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"

@@ -210,7 +210,7 @@ class TestBench:
     def _setsystems(cfg):
         """The set system behind each setcover instance id of `cfg`."""
         return {f"setcover-t{t}-i{idx}": generate_random_setsystem(
-                    max(2, t // cfg.setsystem_ratio), t,
+                    max(2, t // 2), t,
                     cfg.seed * 100003 + t * 131 + idx)
                 for t in cfg.sizes for idx in range(cfg.instances_per_size)}
 
