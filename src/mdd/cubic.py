@@ -1,9 +1,10 @@
 """MDD(max) on 3-regular graphs: case analysis on the final degree of p.
 
 Final degree 3 reduces to dominating set on a proxy graph in which N[p] is
-replaced by pendant-pair proxies; final degree 2 reduces to dissociation
-deletion after fixing the two surviving neighbors of p; final degree 0 is
-S = V \\ {p}.  Final degree 1 is impossible for any feasible solution.
+isolated and proxies stand in for the neighbors of p; final degree 2
+reduces to dissociation deletion after fixing the two surviving neighbors
+of p; final degree 0 is S = V \\ {p}.  Final degree 1 is impossible for
+any feasible solution.
 """
 from __future__ import annotations
 
@@ -16,27 +17,18 @@ from .subroutines import dissociation_delete, dominating_set_approx, is_dominati
 
 @dataclass(frozen=True)
 class DominationGadget:
-    """Proxy graph for the final-degree-3 case.
+    """Proxy graph for the final-degree-3 case, on the ids of G.
 
-    gprime is built on (V \\ N[p]) plus proxy vertices: each x in N(p) with
-    two neighbors a, b outside N[p] contributes two proxies adjacent to both;
-    each x with one outside neighbor contributes one proxy adjacent to it.
-    remap[i] is the original id of gprime vertex i, or None for a proxy.
+    gprime keeps the n vertices of G and the edges of G[V \\ N[p]], so the
+    `removed` set N[p] is isolated.  The proxies follow from id n on, in
+    ascending x in N(p): x with two neighbors a, b outside N[p] gets two
+    proxies adjacent to both, x with one outside neighbor gets one proxy
+    adjacent to it.  groups[x] holds the proxies of x.
     """
 
     gprime: Graph
-    proxies: frozenset
+    removed: frozenset
     groups: dict
-    remap: tuple
-
-    def to_original(self, vertices) -> frozenset:
-        out = set()
-        for v in vertices:
-            orig = self.remap[v]
-            if orig is None:
-                raise PreconditionError(f"gprime vertex {v} is a proxy")
-            out.add(orig)
-        return frozenset(out)
 
 
 def _require_cubic_max_unit(inst: Instance):
@@ -51,54 +43,36 @@ def _require_cubic_max_unit(inst: Instance):
 def build_domination_gadget(inst: Instance) -> DominationGadget:
     _require_cubic_max_unit(inst)
     g = inst.graph
-    p = inst.p
-    np_closed = g.closed_neighborhood(p)
-    outside = sorted(set(range(g.n)) - np_closed)
-    outside_set = set(outside)
-    per_x = {}
-    for x in sorted(g.adj[p]):
-        out_x = sorted(g.adj[x] & outside_set)
+    removed = g.closed_neighborhood(inst.p)
+    edges = [(u, v) for u in range(g.n) if u not in removed
+             for v in g.adj[u] if u < v and v not in removed]
+    groups = {}
+    next_id = g.n
+    for x in sorted(g.adj[inst.p]):
+        out_x = g.adj[x] - removed
         if not 1 <= len(out_x) <= 2:
             raise InapplicableError(
                 f"neighbor {x} of p has {len(out_x)} neighbors outside N[p]; "
                 f"the final-degree-3 case does not apply")
-        per_x[x] = out_x
-    index = {v: i for i, v in enumerate(outside)}
-    edges = [(index[u], index[v]) for u in outside for v in g.adj[u]
-             if u < v and v in index]
-    remap = [v for v in outside]
-    groups = {}
-    proxies = set()
-    next_id = len(outside)
-    for x in sorted(g.adj[p]):
-        out_x = per_x[x]
-        count = 2 if len(out_x) == 2 else 1
-        ids = []
-        for _ in range(count):
-            pid = next_id
-            next_id += 1
-            proxies.add(pid)
-            remap.append(None)
-            for a in out_x:
-                edges.append((pid, index[a]))
-            ids.append(pid)
-        groups[x] = tuple(ids)
-    gprime = Graph(next_id, edges)
-    return DominationGadget(gprime, frozenset(proxies), groups, tuple(remap))
+        groups[x] = tuple(range(next_id, next_id + len(out_x)))
+        edges += [(pid, a) for pid in groups[x] for a in out_x]
+        next_id += len(out_x)
+    return DominationGadget(Graph(next_id, edges), removed, groups)
 
 
 def normalize_dominating_set(gadget: DominationGadget, d_in) -> frozenset:
-    """Push proxy vertices out of a dominating set of gprime.
+    """Push proxy vertices out of a dominating set of gprime - removed.
 
     Each selected proxy is replaced by one of its neighbors (the outside
     neighbors of the source vertex), which dominates the whole proxy group.
-    The result is a dominating set of gprime, disjoint from the proxies and
-    no larger than the input.
+    The result is a dominating set of gprime - removed, disjoint from the
+    proxies and no larger than the input: a deletion set of G.
     """
     g = gadget.gprime
     d = set(d_in)
-    if not is_dominating(g, d):
-        raise PreconditionError("input does not dominate the proxy graph")
+    if d & gadget.removed or not is_dominating(g, d | gadget.removed):
+        raise PreconditionError(
+            "input does not dominate the proxy graph outside N[p]")
     for x, group in gadget.groups.items():
         hits = d & set(group)
         if not hits:
@@ -111,7 +85,7 @@ def normalize_dominating_set(gadget: DominationGadget, d_in) -> frozenset:
                 d.add(fresh[0])
             # else: the neighbors are all chosen already and dominate the
             # group; dropping the proxy only shrinks the set.
-    if not is_dominating(g, d):
+    if not is_dominating(g, d | gadget.removed):
         raise MDDError("normalized set no longer dominates the proxy graph")
     return frozenset(d)
 
@@ -154,9 +128,8 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
     candidates = []
     try:
         gadget = build_domination_gadget(inst)
-        dom = dominating_set_approx(gadget.gprime)
-        normalized = normalize_dominating_set(gadget, dom)
-        candidates.append(("domination", gadget.to_original(normalized)))
+        dom = dominating_set_approx(gadget.gprime, removed=gadget.removed)
+        candidates.append(("domination", normalize_dominating_set(gadget, dom)))
     except InapplicableError:
         pass
     for x in sorted(g.adj[p]):

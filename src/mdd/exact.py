@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BudgetError, InfeasibleError, PreconditionError
-from .graph import DeletionSet, Instance, Objective
+from .graph import DeletionSet, Instance, Objective, is_int
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -25,8 +25,10 @@ class OracleConfig:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise PreconditionError("oracle budget must be at least 1")
+        if not isinstance(self.weight_mode, WeightMode):
+            raise PreconditionError("oracle weight_mode must be a WeightMode")
+        if not is_int(self.budget, 1):
+            raise PreconditionError("oracle budget must be an integer >= 1")
 
 
 def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> DeletionSet:
@@ -140,6 +142,8 @@ def _require_regular_min_unit(inst: Instance) -> int:
 def kregular_min_exact(inst: Instance) -> DeletionSet:
     """Exact MDD(min) on a k-regular graph with unit weights, in
     O(2^k * k * n^2) time: 2^k peels of at most n rounds of O(k * n) each.
+    Each peel counts as one node against DEFAULT_BUDGET, so BudgetError is
+    raised up front when 2^k exceeds it (k >= 21).
 
     Fix K = S & N(p) for a feasible S.  Then p keeps degree k - |K|, so S
     holds every v != p whose degree falls to k - |K| or below.  Peeling such
@@ -149,6 +153,9 @@ def kregular_min_exact(inst: Instance) -> DeletionSet:
     least peel by (size, sorted tuple) is the oracle's CARDINALITY answer.
     """
     k = _require_regular_min_unit(inst)
+    if 2 ** k > DEFAULT_BUDGET:
+        raise BudgetError(f"2^{k} peels exceed the budget of "
+                          f"{DEFAULT_BUDGET} search nodes")
     g = inst.graph
     p = inst.p
     peels = []

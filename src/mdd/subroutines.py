@@ -22,6 +22,13 @@ def _check_weight(w):
             f"weight {w!r} is neither a positive integer nor UNDELETABLE")
 
 
+def _vertex_ids(g: Graph, removed) -> frozenset:
+    removed = frozenset(removed)
+    if not all(isinstance(v, int) and 0 <= v < g.n for v in removed):
+        raise PreconditionError("removed vertices must be vertex ids")
+    return removed
+
+
 def _best_ratio(candidates, score, weights):
     """The pick rule of both greedies: the first candidate u with the largest
     positive score[u] / weights[u], or None if no score is positive."""
@@ -83,9 +90,7 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
     """
     g = prob.graph
     cap, weights, adj = prob.cap, prob.weights, g.adj
-    removed = frozenset(removed)
-    if not all(isinstance(v, int) and 0 <= v < g.n for v in removed):
-        raise PreconditionError("removed vertices must be vertex ids")
+    removed = _vertex_ids(g, removed)
     excess = [max(0, len(adj[v]) - cap[v]) for v in range(g.n)]
     gain = excess[:]
     over = 0
@@ -135,14 +140,16 @@ def check_degree_caps(prob: FDepProblem, deleted: Iterable[int]) -> bool:
                for v in remaining)
 
 
-def dominating_set_approx(g: Graph, weights: Optional[tuple] = None) -> frozenset:
-    """Greedy weighted dominating set.
+def dominating_set_approx(g: Graph, weights: Optional[tuple] = None,
+                          removed: Iterable[int] = ()) -> frozenset:
+    """Greedy weighted dominating set of G - removed, in the original ids.
 
     Picks the vertex covering the most still-undominated vertices per unit
     weight.  UNDELETABLE vertices are never picked but still need to be
     dominated.  covers[u] counts the undominated vertices of N[u] and drops
     as vertices get dominated, so each pick is one scan over the pickable
-    vertices.
+    vertices.  The `removed` vertices are marked dominated up front, by the
+    same update as a pick; they are never picked and need no dominator.
     """
     if weights is None:
         weights = tuple(1 for _ in range(g.n))
@@ -150,16 +157,29 @@ def dominating_set_approx(g: Graph, weights: Optional[tuple] = None) -> frozense
         raise PreconditionError("weights length must equal vertex count")
     for w in weights:
         _check_weight(w)
-    allowed = [v for v in range(g.n) if weights[v] != UNDELETABLE]
+    removed = _vertex_ids(g, removed)
+    allowed = [v for v in range(g.n)
+               if v not in removed and weights[v] != UNDELETABLE]
     allowed_set = set(allowed)
     closed = [g.closed_neighborhood(v) for v in range(g.n)]
     for v in range(g.n):
-        if not (closed[v] & allowed_set):
+        if v not in removed and not (closed[v] & allowed_set):
             raise InfeasibleError(
                 f"vertex {v} cannot be dominated: closed neighborhood forbidden")
     covers = [len(c) for c in closed]
     dominated = [False] * g.n
     left = g.n
+
+    def dominate(v):
+        nonlocal left
+        if not dominated[v]:
+            dominated[v] = True
+            left -= 1
+            for u in closed[v]:
+                covers[u] -= 1
+
+    for v in removed:
+        dominate(v)
     chosen = set()
     # The precheck guarantees progress: an undominated vertex has an
     # allowed vertex in its closed neighborhood, which covers at least it.
@@ -167,11 +187,7 @@ def dominating_set_approx(g: Graph, weights: Optional[tuple] = None) -> frozense
         best = _best_ratio(allowed, covers, weights)
         chosen.add(best)
         for v in closed[best]:
-            if not dominated[v]:
-                dominated[v] = True
-                left -= 1
-                for u in closed[v]:
-                    covers[u] -= 1
+            dominate(v)
     return frozenset(chosen)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -66,6 +67,24 @@ class TestUsage:
         # Every registered solver is shown, and no other.
         assert {words[words.index("--algo") + 1] for words in commands
                 if "--algo" in words} == set(ALGORITHMS)
+
+    def test_readme_python_blocks_run(self):
+        # Each block runs on its own, and every `name = ...  # <set>` comment
+        # (a DeletionSet's vertices or a frozenset) states the value.
+        text = open(README, encoding="utf-8").read()
+        blocks = [part.split("```", 1)[0]
+                  for part in text.split("```python\n")[1:]]
+        stated = {}
+        for block in blocks:
+            namespace = {}
+            exec(block, namespace)
+            for name, value in re.findall(
+                    r"^(\w+) = .*# (?:DeletionSet\(vertices=|frozenset\()"
+                    r"(\{[\d, ]*\})", block, re.M):
+                got = namespace[name]
+                stated[name] = set(getattr(got, "vertices", got))
+                assert stated[name] == set(map(int, re.findall(r"\d+", value)))
+        assert stated == {"best": {1, 4}, "opt": {1}, "dom": {1}}
 
 
 _INSTANCE = "2 1\n0 1\np 0 objective max\n"

@@ -22,11 +22,12 @@ class TestDominationGadget:
         # p = 0, N(p) = {3, 4, 5}, each with two neighbors outside N[p]
         inst = Instance(k33(), 0, None, Objective.MAX)
         gadget = build_domination_gadget(inst)
-        assert len(gadget.proxies) == 6
-        assert gadget.gprime.n == 2 + 6
-        # outside vertices 1, 2 come first and keep their original ids
-        assert gadget.remap[:2] == (1, 2)
-        assert all(gadget.remap[v] is None for v in gadget.proxies)
+        # the six vertices keep their ids; proxies 6-11 follow, two per x
+        assert gadget.gprime.n == 6 + 6
+        assert gadget.groups == {3: (6, 7), 4: (8, 9), 5: (10, 11)}
+        assert gadget.removed == frozenset({0, 3, 4, 5})
+        assert all(gadget.gprime.degree(v) == 0 for v in gadget.removed)
+        assert all(gadget.gprime.adj[v] == {1, 2} for v in range(6, 12))
 
     def test_single_outside_neighbor_single_proxy(self):
         inst = Instance(prism(), 0, None, Objective.MAX)
@@ -36,7 +37,7 @@ class TestDominationGadget:
         assert len(gadget.groups[1]) == 1
         assert len(gadget.groups[2]) == 1
         assert len(gadget.groups[3]) == 2
-        assert len(gadget.proxies) == 4
+        assert gadget.gprime.n == 6 + 4
 
     def test_k4_inapplicable(self):
         inst = Instance(Graph.complete(4), 0, None, Objective.MAX)
@@ -46,22 +47,18 @@ class TestDominationGadget:
     def test_normalize_removes_proxies(self):
         inst = Instance(k33(), 0, None, Objective.MAX)
         gadget = build_domination_gadget(inst)
-        proxy = min(gadget.proxies)
-        d = normalize_dominating_set(gadget, {proxy} | set(gadget.proxies))
-        assert not (d & gadget.proxies)
-        assert is_dominating(gadget.gprime, d)
+        d = normalize_dominating_set(gadget, set(range(6, 12)))
+        assert d == frozenset({1, 2})
+        assert is_dominating(gadget.gprime, d | gadget.removed)
 
     def test_normalize_rejects_non_dominating(self):
         inst = Instance(k33(), 0, None, Objective.MAX)
         gadget = build_domination_gadget(inst)
         with pytest.raises(PreconditionError):
             normalize_dominating_set(gadget, set())
-
-    def test_to_original_rejects_proxy(self):
-        inst = Instance(k33(), 0, None, Objective.MAX)
-        gadget = build_domination_gadget(inst)
+        # a set that dominates but picks from N[p] is no deletion set
         with pytest.raises(PreconditionError):
-            gadget.to_original({min(gadget.proxies)})
+            normalize_dominating_set(gadget, {1, 2, 3})
 
 
 class TestGStar:

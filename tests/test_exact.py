@@ -50,6 +50,14 @@ class TestOracle:
             with pytest.raises(BudgetError):
                 brute_force_optimum(inst, OracleConfig(mode, budget=nodes - 1))
 
+    @pytest.mark.parametrize("field, value", [
+        ("weight_mode", "weighted"), ("budget", "3"), ("budget", True)])
+    def test_config_rejects_what_it_cannot_use(self, field, value):
+        # A string weight_mode used to run CARDINALITY silently, a string
+        # budget raised TypeError and a bool budget was taken as 1.
+        with pytest.raises(PreconditionError):
+            OracleConfig(**{field: value})
+
     def test_weighted_mode(self):
         # deleting the two light neighbors beats one heavy vertex elsewhere
         inst = Instance(Graph.cycle(5), 0, (1, 1, 9, 9, 1), Objective.MIN)
@@ -162,6 +170,15 @@ class TestKRegular:
             for p in range(n):
                 inst = Instance(g, p)
                 assert kregular_min_exact(inst) == brute_force_optimum(inst, cfg)
+
+    def test_peel_count_over_budget_raises_at_once(self):
+        # K_22 needs 2^21 peels, over the 2,000,000-node oracle budget.
+        with pytest.raises(BudgetError):
+            kregular_min_exact(Instance(Graph.complete(22), 0))
+
+    def test_dense_regular_matches_oracle(self):
+        inst = Instance(generate_random_regular(24, 12, 1), 0)
+        assert kregular_min_exact(inst) == brute_force_optimum(inst)
 
     @pytest.mark.parametrize("n, k, seed", [(3000, 3, 3), (1000, 4, 5)])
     def test_large_regular_feasible_within_witness(self, n, k, seed):

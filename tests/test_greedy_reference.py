@@ -1,7 +1,9 @@
 """The package's greedy subroutines against the reference in
 reference_greedy.py: identical vertex sets, or InfeasibleError on both
 sides, on G(n, q) and random regular graphs with EXEMPT, negative and small
-caps, weights that include UNDELETABLE, forbidden sets and removed sets.
+caps, weights that include UNDELETABLE, forbidden sets and removed sets
+(each greedy on G with a removed set equals the reference on the induced
+subgraph of the other vertices).
 EXEMPT is the reference's sentinel; the package caps that vertex at its own
 degree, which must change nothing.
 The log n branching algorithm gives the same trace as the reference branch
@@ -96,6 +98,21 @@ def test_removed_set_matches_reference_on_induced_subgraph(data):
         expected = frozenset(remap[i] for i in expected)
     prob = FDepProblem(g, _package_caps(g, caps), weights)
     assert _outcome(f_dependent_delete, prob, removed) == expected
+
+
+@EXAMPLES
+@given(st.data())
+def test_removed_set_dominating_matches_reference_on_induced_subgraph(data):
+    g = data.draw(graphs())
+    removed = data.draw(st.frozensets(st.integers(0, g.n - 1),
+                                      max_size=g.n // 2))
+    weights = tuple(data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n)))
+    sub, remap = g.induced_subgraph(v for v in range(g.n) if v not in removed)
+    expected = _outcome(reference_greedy.dominating_set_approx, sub, (),
+                        tuple(weights[v] for v in remap))
+    if expected is not InfeasibleError:
+        expected = frozenset(remap[i] for i in expected)
+    assert _outcome(dominating_set_approx, g, weights, removed) == expected
 
 
 @st.composite

@@ -7,7 +7,8 @@ random regular graphs, where `kreg-exact` applies on Min and `cubic` on
 cubic Max.  A solver may give up (BudgetError, InfeasibleError,
 PreconditionError); otherwise its set is feasible and no lighter than the
 optimum, and the set of an exact solver (`oracle`, `kreg-exact`) is the
-optimum under the (weight, size, sorted tuple) tie-break.
+optimum under the (weight, size, sorted tuple) tie-break.  On a unit-weight
+k-regular Max instance every set also meets `kreg_lower_bound`.
 
 Derandomized, so every run checks the same examples.
 """
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdd import (BudgetError, InfeasibleError, Instance, Objective,
                  PreconditionError, UNDELETABLE, generate_gnp,
-                 generate_random_regular)
+                 generate_random_regular, kreg_lower_bound)
 from mdd.bench import ALGORITHMS, solve
 
 import bruteforce
@@ -47,6 +48,9 @@ def instances(draw):
 @given(instances())
 def test_every_solver_is_feasible_and_no_lighter_than_optimum(inst):
     optimum = bruteforce.min_deletion_weight(inst)
+    k = inst.graph.regular_degree()
+    bounded = (k is not None and inst.unit_weights
+               and inst.objective is Objective.MAX)
     for name in ALGORITHMS:
         try:
             solution, _ = solve(name, inst)
@@ -61,5 +65,8 @@ def test_every_solver_is_feasible_and_no_lighter_than_optimum(inst):
         assert bruteforce.check_feasible(inst, solution.vertices)
         assert solution.total_weight == inst.weight_of(solution.vertices)
         assert solution.total_weight >= optimum
+        if bounded:
+            f = len(inst.graph.adj[inst.p] - solution.vertices)
+            assert solution.size >= kreg_lower_bound(inst.graph.n, k, f)
         if name in ("oracle", "kreg-exact"):
             assert solution.vertices == bruteforce.min_deletion_set(inst)

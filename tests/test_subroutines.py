@@ -98,6 +98,9 @@ class TestFDependentDelete:
             with pytest.raises(PreconditionError,
                                match="^removed vertices must be vertex ids$"):
                 f_dependent_delete(prob, removed)
+            with pytest.raises(PreconditionError,
+                               match="^removed vertices must be vertex ids$"):
+                dominating_set_approx(prob.graph, removed=removed)
 
     def test_non_integer_cap_rejected(self):
         for cap in (None, 1.5):
@@ -145,6 +148,8 @@ class TestDominatingSet:
         g = Graph(3, [(0, 1)])
         with pytest.raises(InfeasibleError):
             dominating_set_approx(g, (1, 1, UNDELETABLE))
+        # a removed vertex needs no dominator
+        assert dominating_set_approx(g, (1, 1, UNDELETABLE), {2}) == {0}
 
     def test_weight_within_band_of_optimum(self):
         rng = random.Random(21)
