@@ -75,6 +75,8 @@ def solve(name: str, inst: Instance, max_L: Optional[int] = None):
     returns an infeasible set; the check is explicit so that it also runs
     under `python -O`.
     """
+    if name not in ALGORITHMS:
+        raise InputError(f"unknown algorithm '{name}'")
     solution, notes = ALGORITHMS[name](inst, max_L)
     if not is_feasible(inst, solution):
         raise MDDError(f"solver '{name}' returned an infeasible deletion set")

@@ -66,7 +66,10 @@ def normalize_dominating_set(gadget: DominationGadget, d_in) -> frozenset:
     Each selected proxy is replaced by one of its neighbors (the outside
     neighbors of the source vertex), which dominates the whole proxy group.
     The result is a dominating set of gprime - removed, disjoint from the
-    proxies and no larger than the input: a deletion set of G.
+    proxies and no larger than the input: a deletion set of G.  The greedy
+    dominating set of the final-degree-3 case holds no proxy (an outside
+    neighbor of x covers what a proxy of x covers and has a lower id), so
+    on it this returns the input unchanged.
     """
     g = gadget.gprime
     d = set(d_in)

@@ -1,11 +1,13 @@
-"""Greedy deletion subroutines used by the approximation algorithms:
-degree-cap deletion (every remaining vertex v keeps degree <= f(v)),
-dominating set, and dissociation deletion (remaining max degree <= 1).
+"""Greedy deletion subroutines used by the approximation algorithms.
 
-All three pick with one deterministic rule, `_best_ratio`: gain/weight
-ratios are compared by integer cross-multiplication, and ties go to the
-lowest vertex id.  An UNDELETABLE weight is the one way to keep a vertex
-from being picked.
+There is one greedy, degree-cap deletion (`f_dependent_delete`: every
+remaining vertex v keeps degree <= cap[v]), and three cap rules on it: the
+caps given, every cap 1 (`dissociation_delete`: remaining max degree <= 1),
+and every cap one below the degree on G - removed (`dominating_set_approx`:
+a vertex meets that cap exactly when it or a neighbor is deleted).  The
+greedy picks by one deterministic rule: gain/weight ratios are compared by
+integer cross-multiplication, and ties go to the lowest vertex id.  An
+UNDELETABLE weight is the one way to keep a vertex from being picked.
 """
 from __future__ import annotations
 
@@ -22,22 +24,11 @@ def _check_weight(w):
             f"weight {w!r} is neither a positive integer nor UNDELETABLE")
 
 
-def _vertex_ids(g: Graph, removed) -> frozenset:
-    removed = frozenset(removed)
-    if not all(isinstance(v, int) and 0 <= v < g.n for v in removed):
-        raise PreconditionError("removed vertices must be vertex ids")
-    return removed
-
-
-def _best_ratio(candidates, score, weights):
-    """The pick rule of both greedies: the first candidate u with the largest
-    positive score[u] / weights[u], or None if no score is positive."""
-    best = None
-    best_score, best_w = 0, 1
-    for u in candidates:
-        if score[u] * best_w > best_score * weights[u]:
-            best, best_score, best_w = u, score[u], weights[u]
-    return best
+def _vertex_ids(g: Graph, vertices, role: str = "removed") -> frozenset:
+    vertices = frozenset(vertices)
+    if not all(isinstance(v, int) and 0 <= v < g.n for v in vertices):
+        raise PreconditionError(f"{role} vertices must be vertex ids")
+    return vertices
 
 
 @dataclass(frozen=True)
@@ -86,7 +77,8 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
     The `removed` vertices are then deleted by the same update as a pick,
     which touches only the deleted vertex, its neighbors and the neighbors
     of those that leave `over`; they are never picked and never returned.
-    Each pick is one O(n) scan in ascending id.
+    Each pick is one O(n) scan in ascending id for the first candidate with
+    the largest positive gain / weight.
     """
     g = prob.graph
     cap, weights, adj = prob.cap, prob.weights, g.adj
@@ -123,7 +115,11 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
                   if u not in removed and weights[u] != UNDELETABLE]
     deleted = []
     while over:
-        best = _best_ratio(candidates, gain, weights)
+        best = None
+        best_gain, best_w = 0, 1
+        for u in candidates:
+            if gain[u] * best_w > best_gain * weights[u]:
+                best, best_gain, best_w = u, gain[u], weights[u]
         if best is None:
             raise InfeasibleError(
                 "degree caps violated but every helpful vertex is undeletable")
@@ -135,7 +131,8 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
 def check_degree_caps(prob: FDepProblem, deleted: Iterable[int]) -> bool:
     """Re-verify a candidate against the caps from scratch: every vertex
     outside `deleted` keeps at most its cap."""
-    remaining = set(range(prob.graph.n)) - set(deleted)
+    remaining = (set(range(prob.graph.n))
+                 - _vertex_ids(prob.graph, deleted, "deleted"))
     return all(len(prob.graph.adj[v] & remaining) <= prob.cap[v]
                for v in remaining)
 
@@ -144,59 +141,39 @@ def dominating_set_approx(g: Graph, weights: Optional[tuple] = None,
                           removed: Iterable[int] = ()) -> frozenset:
     """Greedy weighted dominating set of G - removed, in the original ids.
 
-    Picks the vertex covering the most still-undominated vertices per unit
-    weight.  UNDELETABLE vertices are never picked but still need to be
-    dominated.  covers[u] counts the undominated vertices of N[u] and drops
-    as vertices get dominated, so each pick is one scan over the pickable
-    vertices.  The `removed` vertices are marked dominated up front, by the
-    same update as a pick; they are never picked and need no dominator.
+    This is f_dependent_delete with cap[v] = |N(v) - removed| - 1: v meets
+    its cap once v or a neighbor is deleted, so the excess of v is 1 while v
+    is undominated, and the gain of u counts the undominated vertices of
+    N[u].  UNDELETABLE vertices are never picked but still need to be
+    dominated; a vertex whose closed neighborhood holds no pickable vertex
+    raises InfeasibleError before any pick.  The `removed` vertices are
+    never picked and need no dominator.
     """
     if weights is None:
         weights = tuple(1 for _ in range(g.n))
     if len(weights) != g.n:
         raise PreconditionError("weights length must equal vertex count")
-    for w in weights:
-        _check_weight(w)
     removed = _vertex_ids(g, removed)
-    allowed = [v for v in range(g.n)
-               if v not in removed and weights[v] != UNDELETABLE]
-    allowed_set = set(allowed)
-    closed = [g.closed_neighborhood(v) for v in range(g.n)]
+    adj = g.adj
+    cap = [len(a) - 1 for a in adj]
+    for u in removed:
+        for v in adj[u]:
+            cap[v] -= 1
+    prob = FDepProblem(g, tuple(cap), tuple(weights))
+    pickable = [w != UNDELETABLE for w in prob.weights]
+    for u in removed:
+        pickable[u] = False
     for v in range(g.n):
-        if v not in removed and not (closed[v] & allowed_set):
+        if (v not in removed and not pickable[v]
+                and not any(pickable[u] for u in adj[v])):
             raise InfeasibleError(
                 f"vertex {v} cannot be dominated: closed neighborhood forbidden")
-    covers = [len(c) for c in closed]
-    dominated = [False] * g.n
-    left = g.n
-
-    def dominate(v):
-        nonlocal left
-        if not dominated[v]:
-            dominated[v] = True
-            left -= 1
-            for u in closed[v]:
-                covers[u] -= 1
-
-    for v in removed:
-        dominate(v)
-    chosen = set()
-    # The precheck guarantees progress: an undominated vertex has an
-    # allowed vertex in its closed neighborhood, which covers at least it.
-    while left:
-        best = _best_ratio(allowed, covers, weights)
-        chosen.add(best)
-        for v in closed[best]:
-            dominate(v)
-    return frozenset(chosen)
+    return f_dependent_delete(prob, removed)
 
 
 def is_dominating(g: Graph, vertices: Iterable[int]) -> bool:
-    vertices = set(vertices)
-    covered = set()
-    for v in vertices:
-        covered |= g.closed_neighborhood(v)
-    return len(covered) == g.n
+    vertices = _vertex_ids(g, vertices, "dominating")
+    return len(vertices | g.neighborhood_of_set(vertices)) == g.n
 
 
 def dissociation_delete(g: Graph, weights: Optional[tuple] = None,

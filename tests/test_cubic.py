@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdd import (Graph, InapplicableError, Instance, Objective,
                  PreconditionError, brute_force_optimum,
-                 build_domination_gadget, build_gstar, generate_random_cubic,
-                 is_dominating, is_feasible, mdd_max_cubic,
-                 mdd_max_cubic_trace, normalize_dominating_set)
+                 build_domination_gadget, build_gstar, dominating_set_approx,
+                 generate_random_cubic, is_dominating, is_feasible,
+                 mdd_max_cubic, mdd_max_cubic_trace, normalize_dominating_set)
 
 
 def prism():
@@ -59,6 +60,30 @@ class TestDominationGadget:
         # a set that dominates but picks from N[p] is no deletion set
         with pytest.raises(PreconditionError):
             normalize_dominating_set(gadget, {1, 2, 3})
+
+    def test_normalize_rejects_ids_outside_proxy_graph(self):
+        inst = Instance(k33(), 0, None, Objective.MAX)
+        gadget = build_domination_gadget(inst)
+        with pytest.raises(PreconditionError,
+                           match="^dominating vertices must be vertex ids$"):
+            normalize_dominating_set(gadget, {1, 2, -1})
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 19), st.integers(0, 10**6))
+def test_domination_greedy_never_picks_a_proxy(half, seed):
+    # An outside neighbor of x covers every undominated vertex a proxy of x
+    # covers and has a lower id, so the greedy prefers it.
+    g = generate_random_cubic(2 * half, seed)
+    for p in range(g.n):
+        try:
+            gadget = build_domination_gadget(
+                Instance(g, p, None, Objective.MAX))
+        except InapplicableError:
+            continue
+        dom = dominating_set_approx(gadget.gprime, removed=gadget.removed)
+        assert all(v < g.n for v in dom)
+        assert normalize_dominating_set(gadget, dom) == dom
 
 
 class TestGStar:

@@ -1,9 +1,10 @@
 """The package's greedy subroutines against the reference in
 reference_greedy.py: identical vertex sets, or InfeasibleError on both
-sides, on G(n, q) and random regular graphs with EXEMPT, negative and small
-caps, weights that include UNDELETABLE, forbidden sets and removed sets
-(each greedy on G with a removed set equals the reference on the induced
-subgraph of the other vertices).
+sides (with the same message where no ids are renumbered), on G(n, q) and
+random regular graphs with EXEMPT, negative and small caps, weights that
+include UNDELETABLE, forbidden sets and removed sets (each greedy on G with
+a removed set equals the reference on the induced subgraph of the other
+vertices).
 EXEMPT is the reference's sentinel; the package caps that vertex at its own
 degree, which must change nothing.
 The log n branching algorithm gives the same trace as the reference branch
@@ -50,11 +51,13 @@ def _package_caps(g, caps):
     return tuple(g.degree(v) if c is EXEMPT else c for v, c in enumerate(caps))
 
 
-def _outcome(fn, *args, **kwargs):
+def _outcome(fn, *args, message=False):
+    """fn's result, or the type of the MDDError it raises, with the error's
+    text too if `message` (for calls whose ids are not renumbered)."""
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except MDDError as exc:
-        return type(exc)
+        return (type(exc), str(exc)) if message else type(exc)
 
 
 @EXAMPLES
@@ -64,9 +67,10 @@ def test_f_dependent_delete_matches_reference(data):
     caps = tuple(data.draw(st.lists(CAPS, min_size=g.n, max_size=g.n)))
     weights = tuple(data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n)))
     assert (_outcome(f_dependent_delete,
-                     FDepProblem(g, _package_caps(g, caps), weights))
+                     FDepProblem(g, _package_caps(g, caps), weights),
+                     message=True)
             == _outcome(reference_greedy.f_dependent_delete,
-                        CapProblem(g, caps, weights)))
+                        CapProblem(g, caps, weights), message=True))
 
 
 @EXAMPLES
@@ -78,9 +82,9 @@ def test_dominating_set_approx_matches_reference(data):
     # The package forbids a pick only through an UNDELETABLE weight.
     forbidding = tuple(UNDELETABLE if v in forbidden else w
                        for v, w in enumerate(weights))
-    assert (_outcome(dominating_set_approx, g, forbidding)
+    assert (_outcome(dominating_set_approx, g, forbidding, message=True)
             == _outcome(reference_greedy.dominating_set_approx, g, forbidden,
-                        weights))
+                        weights, message=True))
 
 
 @EXAMPLES

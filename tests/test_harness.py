@@ -130,6 +130,11 @@ class TestBench:
         with pytest.raises(InputError):
             ExperimentConfig.from_json(json.dumps({"bogus": 1}))
 
+    def test_solve_rejects_unknown_algorithm(self):
+        inst = Instance(Graph.path(3), 0, None, Objective.MAX)
+        with pytest.raises(InputError, match="^unknown algorithm 'bogus'$"):
+            mdd.bench.solve("bogus", inst)
+
     def test_gnp_experiment(self):
         cfg = ExperimentConfig(family="gnp", sizes=[6, 7],
                                algorithms=["oracle", "logn"],

@@ -102,6 +102,12 @@ class TestFDependentDelete:
                                match="^removed vertices must be vertex ids$"):
                 dominating_set_approx(prob.graph, removed=removed)
 
+    def test_check_degree_caps_rejects_ids_outside_graph(self):
+        prob = FDepProblem(Graph.path(3), (0, 0, 0), (1, 1, 1))
+        with pytest.raises(PreconditionError,
+                           match="^deleted vertices must be vertex ids$"):
+            check_degree_caps(prob, {99})
+
     def test_non_integer_cap_rejected(self):
         for cap in (None, 1.5):
             with pytest.raises(PreconditionError):
@@ -161,6 +167,19 @@ class TestDominatingSet:
             got = sum(weights[v] for v in result)
             opt = min_domset_weight(g, weights=weights)
             assert got <= 3 * max(opt, 1)
+
+
+@pytest.mark.parametrize("g, vertices", [
+    # Python's negative indexing would alias a real vertex.
+    (Graph.path(2), {-1}),
+    (Graph.path(3), {-2}),
+    # Past the end: no vertex to index.
+    (Graph.path(2), {5}),
+])
+def test_is_dominating_rejects_ids_outside_graph(g, vertices):
+    with pytest.raises(PreconditionError,
+                       match="^dominating vertices must be vertex ids$"):
+        is_dominating(g, vertices)
 
 
 class TestDissociationDelete:
