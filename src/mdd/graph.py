@@ -23,7 +23,7 @@ UNDELETABLE = math.inf
 
 def is_valid_weight(w) -> bool:
     """The weight domain: a positive integer, or UNDELETABLE."""
-    return w == UNDELETABLE or (isinstance(w, int) and w >= 1)
+    return w == UNDELETABLE or is_int(w, 1)
 
 
 def is_int(value, low: Optional[int] = None) -> bool:
@@ -209,7 +209,7 @@ class Instance:
     objective: Objective = Objective.MIN
 
     def __post_init__(self):
-        if not 0 <= self.p < self.graph.n:
+        if not (is_int(self.p, 0) and self.p < self.graph.n):
             raise InputError(f"distinguished vertex {self.p} out of range")
         object.__setattr__(self, "weights",
                            _normalize_weights(self.graph, self.weights))
@@ -266,7 +266,7 @@ def is_feasible(inst: Instance, solution) -> bool:
     g = inst.graph
     remaining = g.full_mask
     for v in s:
-        if not 0 <= v < g.n:
+        if not (is_int(v, 0) and v < g.n):
             raise InputError(f"vertex {v} out of range")
         remaining &= ~(1 << v)
     if any(inst.weights[v] == UNDELETABLE for v in s):

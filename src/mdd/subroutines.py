@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InfeasibleError, PreconditionError
-from .graph import Graph, UNDELETABLE, is_valid_weight
+from .graph import Graph, UNDELETABLE, is_int, is_valid_weight
 
 
 def _check_weight(w):
@@ -26,7 +26,7 @@ def _check_weight(w):
 
 def _vertex_ids(g: Graph, vertices, role: str = "removed") -> frozenset:
     vertices = frozenset(vertices)
-    if not all(isinstance(v, int) and 0 <= v < g.n for v in vertices):
+    if not all(is_int(v, 0) and v < g.n for v in vertices):
         raise PreconditionError(f"{role} vertices must be vertex ids")
     return vertices
 
@@ -51,7 +51,7 @@ class FDepProblem:
         if len(self.cap) != self.graph.n or len(self.weights) != self.graph.n:
             raise PreconditionError("cap/weights length must equal vertex count")
         for c, w in zip(self.cap, self.weights):
-            if not isinstance(c, int):
+            if not is_int(c):
                 raise PreconditionError("caps must be integers")
             _check_weight(w)
 

@@ -1,8 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdd import (UNDELETABLE, Graph, Instance, InputError, Objective,
                  PreconditionError, generate_gnp, is_feasible)
+
+from mdd.graph import is_valid_weight
 
 from bruteforce import check_feasible
 
@@ -102,6 +106,17 @@ class TestInstance:
         with pytest.raises(InputError):
             Instance(Graph.complete(3), 0, (1, 0, 1))
 
+    @pytest.mark.parametrize("p", [True, 1.0])
+    def test_p_must_be_an_int(self, p):
+        with pytest.raises(InputError,
+                           match=f"^distinguished vertex {p} out of range$"):
+            Instance(Graph.complete(3), p)
+
+    def test_bool_weight_rejected(self):
+        assert not is_valid_weight(True)
+        with pytest.raises(InputError, match="^weight of vertex 1 must be"):
+            Instance(Graph.complete(3), 0, (1, True, 1))
+
     def test_infinite_weight_allowed(self):
         from mdd import UNDELETABLE
         inst = Instance(Graph.complete(3), 0, (1, UNDELETABLE, 2))
@@ -134,6 +149,13 @@ class TestFeasibility:
         assert list(frozenset({1, 7})) == [1, 7]
         with pytest.raises(InputError, match="vertex 7 out of range"):
             is_feasible(inst, {1, 7})
+
+    @pytest.mark.parametrize("vertex", [True, 1.5, "a"])
+    def test_non_int_vertex_rejected(self, vertex):
+        inst = Instance(Graph.complete(3), 0)
+        with pytest.raises(InputError,
+                           match=f"^vertex {re.escape(str(vertex))} out of range$"):
+            is_feasible(inst, {vertex})
 
     def test_p_in_set_rejected(self):
         inst = Instance(Graph.complete(3), 0)

@@ -75,3 +75,23 @@ def test_package_has_no_unused_private_definitions():
     assert defined
     unused = [f"{where}: {fn}" for where, fn in defined if fn not in named]
     assert unused == []
+
+
+def _is_bare_int_check(node):
+    """`isinstance(x, int)`: the class argument is the bare name `int`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Name) and node.args[1].id == "int")
+
+
+def test_integer_checks_go_through_is_int():
+    # isinstance(True, int) holds, so a bare check lets bools pass as
+    # integers; graph.is_int is the one integer rule.
+    allowed = {id(node) for fn in TREES["graph.py"].body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "is_int"
+               for node in ast.walk(fn)}
+    bare = [f"{name}:{node.lineno}"
+            for name, tree in TREES.items() for node in ast.walk(tree)
+            if _is_bare_int_check(node) and id(node) not in allowed]
+    assert allowed
+    assert bare == []

@@ -21,6 +21,15 @@ class TestSetSystem:
         with pytest.raises(InputError):
             SetSystem(2, [{0, 1, 2}])
 
+    def test_rejects_non_int_elements(self):
+        with pytest.raises(InputError, match="^element 0.0 outside universe$"):
+            SetSystem(2, ({0.0, 1}, {1}))
+
+    @pytest.mark.parametrize("size", [1.5, True])
+    def test_rejects_non_int_universe(self, size):
+        with pytest.raises(InputError, match="^universe must be non-empty$"):
+            SetSystem(size, ({0},))
+
     def test_occurrences_and_cover(self):
         sys = SetSystem(3, [{0, 1}, {1, 2}, {2}])
         assert sys.occurrences(1) == 2
@@ -232,3 +241,14 @@ def test_forward_maps_reject_negative_ids():
     art = setcover_to_mddmin_bip(SetSystem(2, [{0}, {1}, {0, 1}]))
     with pytest.raises(PreconditionError):
         lift_solution(art, {-1})
+
+
+def test_maps_reject_non_int_ids():
+    # {True} would read as set 1, which alone covers.
+    art = setcover_to_mddmin_bip(SetSystem(2, [{0}, {0, 1}]))
+    for solution in ({0.0, 1}, {True}):
+        with pytest.raises(PreconditionError,
+                           match=r"^input set index outside range\(2\)$"):
+            lift_solution(art, solution)
+    with pytest.raises(InputError, match="^vertex True out of range$"):
+        project_solution(art, {True})

@@ -112,3 +112,51 @@ def test_maps_match_reference(kind, data):
                 solution = set(ids) | set(extra)
                 assert (_outcome(lift_solution, art, solution)
                         == _outcome(ref_lift, ref_art, solution))
+
+
+@st.composite
+def padded_sources(draw, kind):
+    """Sources large enough for the round-robin pads to wrap: G(n, q) with
+    n up to 16, cubic graphs up to 20 vertices, and set systems with r <= 10
+    and t <= 14 (the draws include empty sets with r = t)."""
+    seed = draw(st.integers(0, 10**6))
+    if kind == "mddmin":
+        return generate_gnp(draw(st.integers(1, 16)),
+                            draw(st.sampled_from([0.0, 0.3, 0.6, 1.0])), seed)
+    if kind == "cubic":
+        return generate_random_cubic(draw(st.sampled_from(range(4, 21, 2))),
+                                     seed)
+    return draw(set_systems(10, 14))
+
+
+def _padding_invariants(art, source):
+    """The degrees each construction's padding promises."""
+    g, p = art.instance.graph, art.instance.p
+    degree = [g.degree(v) for v in range(g.n)]
+    if art.kind == "mddmin":
+        assert all(degree[v] == source.n for v in range(source.n))
+    elif art.kind != "cubic":
+        r, t = source.universe_size, source.num_sets
+        assert degree[p] == t
+        assert all(degree[i] == t for i in range(r))
+        if art.kind == "mddmin-bip":
+            assert all(degree[r + j] == max(t, 1 + r - len(f))
+                       for j, f in enumerate(source.family))
+        else:
+            assert all(degree[v] < t for v in range(r, g.n) if v != p)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_constructions_match_reference_where_pads_wrap(kind, data):
+    source = data.draw(padded_sources(kind))
+    build, ref_build = KINDS[kind][:2]
+    built, ref_built = _outcome(build, source), _outcome(ref_build, source)
+    if ref_built[0] is not ref.ReductionArtifact:
+        assert built == ref_built
+        return
+    art, ref_art = built[1], ref_built[1]
+    assert serialize_instance(art.instance) == serialize_instance(ref_art.instance)
+    assert art.roles == ref_art.roles
+    _padding_invariants(art, source)

@@ -114,6 +114,23 @@ class TestFDependentDelete:
                 FDepProblem(Graph.path(3), (cap, 0, 0), (1, 1, 1))
 
 
+def test_bools_are_not_vertex_ids():
+    prob = FDepProblem(Graph.path(3), (0, 0, 0), (1, 1, 1))
+    with pytest.raises(PreconditionError,
+                       match="^removed vertices must be vertex ids$"):
+        f_dependent_delete(prob, {True})
+    with pytest.raises(PreconditionError,
+                       match="^dominating vertices must be vertex ids$"):
+        is_dominating(Graph.path(2), {True, False})
+
+
+def test_bools_are_not_caps_or_weights():
+    with pytest.raises(PreconditionError, match="^caps must be integers$"):
+        FDepProblem(Graph.path(3), (True, 0, 0), (1, 1, 1))
+    with pytest.raises(PreconditionError, match="^weight True is neither"):
+        FDepProblem(Graph.path(3), (0, 0, 0), (True, 1, 1))
+
+
 @pytest.mark.parametrize("weights", [(0, 1, 1, 1), (-1, 1, 1, 1),
                                      (2.5, 1, 1, 1)])
 def test_weights_outside_domain_rejected(weights):
