@@ -47,12 +47,12 @@ class Graph:
     __slots__ = ("n", "adj", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple] = ()):
-        if n < 0:
-            raise InputError("vertex count must be non-negative")
+        if not is_int(n, 0):
+            raise InputError("vertex count must be a non-negative integer")
         adj = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+            if not (is_int(u, 0) and u < n and is_int(v, 0) and v < n):
+                raise InputError(f"edge ({u!r}, {v!r}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
             adj[u].add(v)

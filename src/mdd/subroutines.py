@@ -5,12 +5,14 @@ remaining vertex v keeps degree <= cap[v]), and three cap rules on it: the
 caps given, every cap 1 (`dissociation_delete`: remaining max degree <= 1),
 and every cap one below the degree on G - removed (`dominating_set_approx`:
 a vertex meets that cap exactly when it or a neighbor is deleted).  The
-greedy picks by one deterministic rule: gain/weight ratios are compared by
-integer cross-multiplication, and ties go to the lowest vertex id.  An
+greedy picks by one deterministic rule: the best gain/weight ratio, compared
+exactly in integers, and ties go to the lowest vertex id.  An
 UNDELETABLE weight is the one way to keep a vertex from being picked.
 """
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -41,6 +43,13 @@ class FDepProblem:
     algorithm).  weights[v] is a positive integer, or UNDELETABLE for
     vertices that must survive.  Every vertex's cap and weight are checked,
     also those of vertices a call to f_dependent_delete removes.
+
+    After the checks the greedy's start state on the whole graph is built
+    once, in O(n + m), and kept for every call: excesses, gains, the count
+    of vertices over their caps, and a heap of (-gain[u] * (lcm // w[u]),
+    u) for every deletable u with positive gain, where lcm is the lcm of
+    the deletable weights.  It is not a field, so eq, hash and repr see
+    only graph, cap and weights, and no call mutates it.
     """
 
     graph: Graph
@@ -54,6 +63,21 @@ class FDepProblem:
             if not is_int(c):
                 raise PreconditionError("caps must be integers")
             _check_weight(w)
+        adj = self.graph.adj
+        excess = [max(0, len(a) - c) for a, c in zip(adj, self.cap)]
+        gain = excess[:]
+        over = 0
+        for v, e in enumerate(excess):
+            if e:
+                over += 1
+                for u in adj[v]:
+                    gain[u] += 1
+        lcm = math.lcm(*(w for w in self.weights if w != UNDELETABLE))
+        scale = [0 if w == UNDELETABLE else lcm // w for w in self.weights]
+        heap = [(-gain[u] * s, u) for u, s in enumerate(scale)
+                if s and gain[u] > 0]
+        heapq.heapify(heap)
+        object.__setattr__(self, "_start", (excess, gain, over, scale, heap))
 
     @classmethod
     def uniform(cls, graph: Graph, f: int, weights=None) -> "FDepProblem":
@@ -73,27 +97,24 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
     no deletable vertex can reduce them (every violated vertex is
     undeletable with only undeletable remaining neighbors).
 
-    Excesses and gains are computed once on the whole graph in O(n + m).
-    The `removed` vertices are then deleted by the same update as a pick,
-    which touches only the deleted vertex, its neighbors and the neighbors
-    of those that leave `over`; they are never picked and never returned.
-    Each pick is one O(n) scan in ascending id for the first candidate with
-    the largest positive gain / weight.
+    Each call copies the problem's start state (see FDepProblem), then
+    deletes the `removed` vertices by the same update as a pick, which
+    touches only the deleted vertex, its neighbors and the neighbors of
+    those that leave `over`; they are never picked and never returned.
+    Each pick pops the heap.  Its key -gain * (lcm // weight) orders
+    gain/weight exactly, ties on the lowest id.  Gains only fall, so an
+    entry can only overstate its vertex: a top entry that still equals its
+    vertex's key is the best pick, and a stale one is pushed back with the
+    current key while that gain is positive and dropped otherwise (a
+    deleted vertex's gain is 0 or below, so it never comes back).
     """
     g = prob.graph
-    cap, weights, adj = prob.cap, prob.weights, g.adj
+    adj = g.adj
     removed = _vertex_ids(g, removed)
-    excess = [max(0, len(adj[v]) - cap[v]) for v in range(g.n)]
-    gain = excess[:]
-    over = 0
-    for v in range(g.n):
-        if excess[v]:
-            over += 1
-            for u in adj[v]:
-                gain[u] += 1
+    excess, gain, over, scale, heap = prob._start
+    excess, gain, heap = excess[:], gain[:], heap[:]
 
     def delete(u):
-        # A deleted vertex's gain only falls from 0 on, so it never wins.
         nonlocal over
         gain[u] = 0
         leaving = [u] if excess[u] else []
@@ -111,20 +132,23 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
 
     for u in removed:
         delete(u)
-    candidates = [u for u in range(g.n)
-                  if u not in removed and weights[u] != UNDELETABLE]
     deleted = []
     while over:
-        best = None
-        best_gain, best_w = 0, 1
-        for u in candidates:
-            if gain[u] * best_w > best_gain * weights[u]:
-                best, best_gain, best_w = u, gain[u], weights[u]
-        if best is None:
+        while heap:
+            key, u = heap[0]
+            if gain[u] <= 0:
+                heapq.heappop(heap)
+                continue
+            current = -gain[u] * scale[u]
+            if current == key:
+                break
+            heapq.heapreplace(heap, (current, u))
+        else:
             raise InfeasibleError(
                 "degree caps violated but every helpful vertex is undeletable")
-        deleted.append(best)
-        delete(best)
+        heapq.heappop(heap)
+        deleted.append(u)
+        delete(u)
     return frozenset(deleted)
 
 

@@ -33,6 +33,19 @@ class TestGraphBasics:
         with pytest.raises(InputError):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("n", [2.0, True, -1, "3"])
+    def test_vertex_count_must_be_a_non_negative_int(self, n):
+        with pytest.raises(InputError,
+                           match="^vertex count must be a non-negative integer$"):
+            Graph(n)
+
+    @pytest.mark.parametrize("edge", [(True, 0), (0, False), (0, 1.0),
+                                      (0, "1"), (-1, 0)])
+    def test_endpoints_must_be_vertex_ids(self, edge):
+        with pytest.raises(InputError, match=re.escape(
+                f"edge ({edge[0]!r}, {edge[1]!r}) out of range for n=3")):
+            Graph(3, [edge])
+
     def test_parallel_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1

@@ -4,7 +4,9 @@ sides (with the same message where no ids are renumbered), on G(n, q) and
 random regular graphs with EXEMPT, negative and small caps, weights that
 include UNDELETABLE, forbidden sets and removed sets (each greedy on G with
 a removed set equals the reference on the induced subgraph of the other
-vertices).
+vertices).  One problem reused for many removed sets, in any order,
+gives what a fresh problem gives.  Weights include large coprime ones,
+so gain/weight ratios are compared exactly far beyond small weights.
 EXEMPT is the reference's sentinel; the package caps that vertex at its own
 degree, which must change nothing.
 The log n branching algorithm gives the same trace as the reference branch
@@ -15,12 +17,15 @@ the greedy on the induced subgraph G*.
 Derandomized, so every run checks the same examples; a failure is shrunk
 to a small counterexample.
 """
+import copy
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdd import (FDepProblem, InapplicableError, InfeasibleError,
                  Instance, MDDError, Objective, UNDELETABLE, build_gstar,
-                 dissociation_delete, dominating_set_approx, dualize,
+                 Graph, dissociation_delete, dominating_set_approx, dualize,
                  f_dependent_delete, generate_gnp, generate_random_cubic,
                  generate_random_regular, mdd_max_cubic_trace,
                  mdd_max_logn_trace)
@@ -30,7 +35,8 @@ from reference_greedy import EXEMPT, CapProblem
 
 EXAMPLES = settings(derandomize=True, max_examples=400, deadline=None)
 
-WEIGHTS = st.sampled_from([1, 1, 2, 3, 5, UNDELETABLE])
+WEIGHTS = st.sampled_from([1, 1, 2, 3, 5, 999_999_937, 10**9 + 7, 2**61 - 1,
+                           UNDELETABLE])
 CAPS = st.sampled_from([EXEMPT, -1, 0, 1, 2, 3])
 
 
@@ -87,6 +93,16 @@ def test_dominating_set_approx_matches_reference(data):
                         weights, message=True))
 
 
+def _reference_without(g, caps, weights, removed):
+    """The reference greedy on G - removed, mapped back to G's ids."""
+    sub, remap = g.induced_subgraph(v for v in range(g.n) if v not in removed)
+    expected = _outcome(reference_greedy.f_dependent_delete, CapProblem(
+        sub, tuple(caps[v] for v in remap), tuple(weights[v] for v in remap)))
+    if expected is not InfeasibleError:
+        expected = frozenset(remap[i] for i in expected)
+    return expected
+
+
 @EXAMPLES
 @given(st.data())
 def test_removed_set_matches_reference_on_induced_subgraph(data):
@@ -95,13 +111,89 @@ def test_removed_set_matches_reference_on_induced_subgraph(data):
                                       max_size=g.n // 2))
     caps = tuple(data.draw(st.lists(CAPS, min_size=g.n, max_size=g.n)))
     weights = tuple(data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n)))
-    sub, remap = g.induced_subgraph(v for v in range(g.n) if v not in removed)
-    expected = _outcome(reference_greedy.f_dependent_delete, CapProblem(
-        sub, tuple(caps[v] for v in remap), tuple(weights[v] for v in remap)))
-    if expected is not InfeasibleError:
-        expected = frozenset(remap[i] for i in expected)
     prob = FDepProblem(g, _package_caps(g, caps), weights)
-    assert _outcome(f_dependent_delete, prob, removed) == expected
+    assert (_outcome(f_dependent_delete, prob, removed)
+            == _reference_without(g, caps, weights, removed))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_reused_problem_matches_fresh_problem_and_reference(data):
+    """One problem serves many removed sets, each twice, the second pass in
+    a shuffled order: every call equals a fresh problem's call and the
+    reference on G - removed, and no call changes the problem's state."""
+    g = data.draw(graphs())
+    caps = tuple(data.draw(st.lists(CAPS, min_size=g.n, max_size=g.n)))
+    weights = tuple(data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n)))
+    removed_sets = data.draw(st.lists(
+        st.frozensets(st.integers(0, g.n - 1), max_size=g.n // 2),
+        min_size=1, max_size=6))
+    order = removed_sets + data.draw(st.permutations(removed_sets))
+    prob = FDepProblem(g, _package_caps(g, caps), weights)
+    state = copy.deepcopy(vars(prob))
+    for removed in order:
+        fresh = FDepProblem(g, _package_caps(g, caps), weights)
+        got = _outcome(f_dependent_delete, prob, removed, message=True)
+        assert got == _outcome(f_dependent_delete, fresh, removed, message=True)
+        assert (_outcome(f_dependent_delete, prob, removed)
+                == _reference_without(g, caps, weights, removed))
+        assert vars(prob) == state
+
+
+def test_problem_identity_is_graph_cap_and_weights():
+    caps = (1, 0, 2, 1, 0, 1, 2, 1)
+    weights = (1, 2, UNDELETABLE, 3, 2**61 - 1, 1, 5, 1)
+    used = FDepProblem(generate_gnp(8, 0.5, 3), caps, weights)
+    f_dependent_delete(used, {0, 5})
+    fresh = FDepProblem(generate_gnp(8, 0.5, 3), caps, weights)
+    assert [f.name for f in dataclasses.fields(FDepProblem)] == [
+        "graph", "cap", "weights"]
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == (
+        f"FDepProblem(graph={used.graph!r}, cap={caps!r}, weights={weights!r})")
+    assert used != FDepProblem(used.graph, (0,) + caps[1:], weights)
+
+
+def _tie_problem(a, b, scale):
+    """a has gain 2 at weight 2 * scale, b gain 1 at weight scale: equal
+    ratios.  Undeletable c (over by 1) is adjacent to a and b, undeletable
+    d (over by 1) to a and to e (weight 3 * scale).  Picking a first fixes
+    both, so the result is {a}; picking b first leaves d over, and then a
+    (ratio 1/2) beats e (1/3), so the result is {a, b}."""
+    c, d, e = 2, 3, 4
+    cap, weights = [0] * 5, [0] * 5
+    for v, k, w in ((a, 2, 2 * scale), (b, 1, scale), (c, 1, UNDELETABLE),
+                    (d, 1, UNDELETABLE), (e, 1, 3 * scale)):
+        cap[v], weights[v] = k, w
+    return FDepProblem(Graph(5, [(a, c), (a, d), (b, c), (e, d)]),
+                       tuple(cap), tuple(weights))
+
+
+@pytest.mark.parametrize("scale", [1, 999_999_937, 2**61 - 1])
+@pytest.mark.parametrize("a, b, expected", [(0, 1, {0}), (1, 0, {0, 1})])
+def test_equal_ratios_at_different_weights_go_to_lower_id(a, b, expected,
+                                                          scale):
+    prob = _tie_problem(a, b, scale)
+    assert f_dependent_delete(prob) == expected
+    assert reference_greedy.f_dependent_delete(prob) == expected
+
+
+def test_infeasible_when_every_helpful_vertex_is_removed_or_undeletable():
+    # Center 0 of a 3-leaf star is over its cap by 3 and only leaf 1 is
+    # deletable: picked, or removed (its start-state heap entry goes stale),
+    # it lowers the excess by 1, and no helpful vertex is left.
+    g = Graph.star(3)
+    prob = FDepProblem(g, (0, 5, 5, 5), (UNDELETABLE, 1, UNDELETABLE,
+                                         UNDELETABLE))
+    error = (InfeasibleError,
+             "degree caps violated but every helpful vertex is undeletable")
+    assert _outcome(f_dependent_delete, prob, message=True) == error
+    assert _outcome(f_dependent_delete, prob, {1}, message=True) == error
+    assert _outcome(reference_greedy.f_dependent_delete, prob,
+                    message=True) == error
+    sub, _ = g.induced_subgraph([0, 2, 3])
+    assert _outcome(reference_greedy.f_dependent_delete, CapProblem(
+        sub, (0, 5, 5), (UNDELETABLE,) * 3), message=True) == error
 
 
 @EXAMPLES
