@@ -13,7 +13,8 @@ from typing import Optional
 from .errors import BudgetError, InfeasibleError, MDDError, PreconditionError
 from .graph import (DeletionSet, Instance, Objective, UNDELETABLE, is_feasible,
                     is_int)
-from .subroutines import FDepProblem, f_dependent_delete
+from .subroutines import (FDepProblem, f_dependent_delete,
+                          f_dependent_feasible, f_dependent_outweighs)
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,13 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     Every branch runs the degree-cap greedy on the whole graph with K
     removed, which picks the same vertices as on G[V \\ K].  The weights
     are built once per trace, N[p] UNDELETABLE; the problem once per size
-    |K|, with caps d(p) - |K| - 1 and d(p) for p itself."""
+    |K|, with caps d(p) - |K| - 1 and d(p) for p itself.
+
+    The greedy runs only on a branch that f_dependent_feasible (exact)
+    passes, whose w(K) is finite, and for which f_dependent_outweighs does
+    not show that every candidate outweighs the best one so far; a skipped
+    candidate weighs more than the best, so the result is that of running
+    every branch."""
     if inst.objective is not Objective.MAX:
         raise PreconditionError("branching algorithm applies to objective Max")
     g = inst.graph
@@ -85,29 +92,40 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     weights = tuple(UNDELETABLE if v in closed_p else w
                     for v, w in enumerate(inst.weights))
     members = sorted(l_set.members)
-    candidates = []
+    feasible = 0
+    best = best_k = None  # best: the (weight, size, sorted tuple) key
     for size in range(len(members) + 1):
         caps = [g.degree(p) - size - 1] * g.n
         caps[p] = g.degree(p)
         prob = FDepProblem(g, tuple(caps), weights)
         for k_tuple in itertools.combinations(members, size):
-            try:
-                deleted = f_dependent_delete(prob, k_tuple)
-            except InfeasibleError:
+            if not f_dependent_feasible(prob, k_tuple):
                 continue
-            candidates.append((deleted.union(k_tuple), k_tuple))
+            feasible += 1
+            k_weight = inst.weight_of(k_tuple)
+            if k_weight == math.inf:
+                continue
+            if best is not None and f_dependent_outweighs(
+                    prob, k_tuple, best[0] - k_weight):
+                continue
+            deleted = f_dependent_delete(prob, k_tuple)
+            candidate = deleted.union(k_tuple)
+            key = (k_weight + inst.weight_of(deleted), len(candidate),
+                   tuple(sorted(candidate)))
+            if best is None or key < best:
+                best, best_k = key, k_tuple
     # V - {p} is no candidate: with no inf weight off p, the branch K = L is
     # feasible (build_L stops with N(p) - L within cap; any other violator
-    # can delete itself) and no heavier; with one, V - {p} weighs inf.
-    best, best_k = min(candidates, default=(None, None), key=lambda c: (
-        inst.weight_of(c[0]), len(c[0]), tuple(sorted(c[0]))))
-    if best is None or inst.weight_of(best) == math.inf:
+    # can delete itself) and no heavier; with one, V - {p} weighs inf.  No
+    # candidate of an inf w(K) is built: such a candidate is selected only
+    # when every candidate weighs inf, and then the error below is raised.
+    if best is None:
         raise InfeasibleError("every candidate requires an undeletable vertex")
-    solution = DeletionSet.of(inst, best)
+    solution = DeletionSet.of(inst, best[2])
     if not is_feasible(inst, solution):
         raise MDDError("branching algorithm selected an infeasible set")
-    return BranchingResult(solution, best_k, 2 ** len(members),
-                           len(candidates), l_set.members)
+    return BranchingResult(solution, best_k, 2 ** len(members), feasible,
+                           l_set.members)
 
 
 def mdd_max_logn(inst: Instance, cap_on_L: Optional[int] = None) -> DeletionSet:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .errors import InapplicableError, MDDError, PreconditionError
 from .graph import DeletionSet, Graph, Instance, Objective, is_feasible
-from .subroutines import dissociation_delete, dominating_set_approx, is_dominating
+from .subroutines import (FDepProblem, dominating_set_approx,
+                          f_dependent_delete, is_dominating)
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,16 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
         candidates.append(("domination", normalize_dominating_set(gadget, dom)))
     except InapplicableError:
         pass
+    dissociation = None  # one problem for every final-degree-2 branch
     for x in sorted(g.adj[p]):
         try:
             fixed = build_gstar(inst, x)
         except InapplicableError:
             continue
-        t = dissociation_delete(g, removed=fixed | g.closed_neighborhood(p))
+        if dissociation is None:
+            dissociation = FDepProblem.uniform(g, 1)
+        t = f_dependent_delete(dissociation,
+                               fixed | g.closed_neighborhood(p))
         candidates.append(("dissociation", fixed | t))
     candidates.append(("full", set(range(g.n)) - {p}))
     label, cand = min(candidates, key=lambda c: (

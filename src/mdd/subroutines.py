@@ -8,6 +8,10 @@ a vertex meets that cap exactly when it or a neighbor is deleted).  The
 greedy picks by one deterministic rule: the best gain/weight ratio, compared
 exactly in integers, and ties go to the lowest vertex id.  An
 UNDELETABLE weight is the one way to keep a vertex from being picked.
+Two tests answer from a problem's start state without running the greedy:
+whether it returns on G - removed (`f_dependent_feasible`, exact), and
+whether every set meeting the caps there outweighs a budget
+(`f_dependent_outweighs`, a lower bound).
 """
 from __future__ import annotations
 
@@ -49,7 +53,12 @@ class FDepProblem:
     of vertices over their caps, and a heap of (-gain[u] * (lcm // w[u]),
     u) for every deletable u with positive gain, where lcm is the lcm of
     the deletable weights.  It is not a field, so eq, hash and repr see
-    only graph, cap and weights, and no call mutates it.
+    only graph, cap and weights, and no call mutates it.  Beside it, for
+    f_dependent_feasible and f_dependent_outweighs, the problem keeps the
+    start total excess E0, lcm, `top` (the negated key at the top of the
+    start heap: the best start gain * (lcm // w), 0 if the heap is empty),
+    the set U of UNDELETABLE vertices, and each v in U that has more
+    neighbors in U than cap[v], with that surplus.
     """
 
     graph: Graph
@@ -78,6 +87,15 @@ class FDepProblem:
                 if s and gain[u] > 0]
         heapq.heapify(heap)
         object.__setattr__(self, "_start", (excess, gain, over, scale, heap))
+        undeletable = frozenset(v for v, s in enumerate(scale) if not s)
+        crowded = []
+        for v in undeletable:
+            surplus = len(adj[v] & undeletable) - self.cap[v]
+            if surplus > 0:
+                crowded.append((v, surplus))
+        object.__setattr__(self, "_settle", (
+            sum(excess), lcm, -heap[0][0] if heap else 0, undeletable,
+            tuple(crowded)))
 
     @classmethod
     def uniform(cls, graph: Graph, f: int, weights=None) -> "FDepProblem":
@@ -150,6 +168,52 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
         deleted.append(u)
         delete(u)
     return frozenset(deleted)
+
+
+def f_dependent_feasible(prob: FDepProblem,
+                         removed: Iterable[int] = ()) -> bool:
+    """True exactly when f_dependent_delete(prob, removed) returns, False
+    when it raises InfeasibleError.
+
+    Let U be the UNDELETABLE vertices outside `removed`.  The call returns
+    exactly when every v in U has at most cap[v] neighbors in U.  If some
+    v has more, no deletion helps it.  If none has, every remaining vertex
+    over its cap gives the greedy a pick: a deletable one has positive gain
+    itself, and one in U has a remaining deletable neighbor, whose gain is
+    positive.  Gains only fall, so a vertex with positive gain still has a
+    live heap entry.  Removing vertices only lowers degrees in U, so only
+    the vertices of the problem's U that are over their caps within U are
+    checked: O(|removed|) plus their neighbors.
+    """
+    removed = _vertex_ids(prob.graph, removed)
+    adj = prob.graph.adj
+    *_, undeletable, crowded = prob._settle
+    gone = removed & undeletable
+    return all(v in gone or len(adj[v] & gone) >= surplus
+               for v, surplus in crowded)
+
+
+def f_dependent_outweighs(prob: FDepProblem, removed: Iterable[int],
+                          budget: int) -> bool:
+    """True when every set of deletable vertices that meets the caps on
+    G - removed weighs more than the integer `budget`.
+
+    Deleting a vertex lowers the total excess by exactly its current gain,
+    and gains only fall.  So at least left = E0 - (the start gains of
+    `removed`) of excess remains after `removed`, and a deletable u clears
+    at most its start gain, which is at most top * w[u] / lcm.  Any set that
+    clears what remains weighs at least left * lcm / top, and at least 0;
+    the test compares that bound with `budget` in integers, with no
+    division.  If top is 0 and left > 0, no set meets the caps and the
+    answer is True.  O(|removed|).
+    """
+    removed = _vertex_ids(prob.graph, removed)
+    if not is_int(budget):
+        raise PreconditionError("budget must be an integer")
+    gain = prob._start[1]
+    total, lcm, top, *_ = prob._settle
+    left = total - sum(gain[u] for u in removed)
+    return budget < 0 or left * lcm > budget * top
 
 
 def check_degree_caps(prob: FDepProblem, deleted: Iterable[int]) -> bool:

@@ -222,6 +222,18 @@ class TestSolve:
         assert "branches = 4" in out
         assert "solution: 1 2" in out
 
+    def test_logn_output_where_branches_are_pruned(self, tmp_path, capsys):
+        # G(40, 0.1), seed 0, p = 3: |L| = 6, and the greedy runs on 7 of
+        # the 56 feasible branches; the others are provably heavier.
+        inst = Instance(generate_gnp(40, 0.1, 0), 3, None, Objective.MAX)
+        path = write_instance(tmp_path, inst)
+        assert main(["solve", path, "--algo", "logn"]) == 0
+        assert capsys.readouterr().out == ("L = [1, 7, 14, 15, 22, 31]\n"
+                                           "branches = 64 (feasible 56)\n"
+                                           "chosen K = []\n"
+                                           "solution: 4 8 23 26 36 38\n"
+                                           "size: 6  weight: 6\n")
+
     def test_cubic_trace_output(self, tmp_path, capsys):
         inst = Instance(Graph.complete(4), 0, None, Objective.MAX)
         path = write_instance(tmp_path, inst)

@@ -9,8 +9,12 @@ gives what a fresh problem gives.  Weights include large coprime ones,
 so gain/weight ratios are compared exactly far beyond small weights.
 EXEMPT is the reference's sentinel; the package caps that vertex at its own
 degree, which must change nothing.
+The feasibility test says exactly whether the greedy returns, and the
+lower bound never exceeds the greedy's weight or, on small graphs, the
+optimum; a bound equal to a weight does not exceed it.
 The log n branching algorithm gives the same trace as the reference branch
-loop, which builds an induced subgraph per branch, and the cubic
+loop, which builds an induced subgraph per branch, also on G(40-60, 0.1)
+instances where the bound prunes branches, and the cubic
 algorithm's final-degree-2 candidates equal the reference ones, which run
 the greedy on the induced subgraph G*.
 
@@ -19,17 +23,20 @@ to a small counterexample.
 """
 import copy
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdd import (FDepProblem, InapplicableError, InfeasibleError,
-                 Instance, MDDError, Objective, UNDELETABLE, build_gstar,
-                 Graph, dissociation_delete, dominating_set_approx, dualize,
-                 f_dependent_delete, generate_gnp, generate_random_cubic,
-                 generate_random_regular, mdd_max_cubic_trace,
-                 mdd_max_logn_trace)
+                 Instance, MDDError, Objective, UNDELETABLE, approx, build_L,
+                 build_gstar, Graph, dissociation_delete,
+                 dominating_set_approx, dualize, f_dependent_delete,
+                 f_dependent_feasible, f_dependent_outweighs, generate_gnp,
+                 generate_random_cubic, generate_random_regular,
+                 mdd_max_cubic_trace, mdd_max_logn_trace)
 
+import bruteforce
 import reference_greedy
 from reference_greedy import EXEMPT, CapProblem
 
@@ -41,14 +48,14 @@ CAPS = st.sampled_from([EXEMPT, -1, 0, 1, 2, 3])
 
 
 @st.composite
-def graphs(draw):
+def graphs(draw, max_n=25):
     seed = draw(st.integers(0, 10**6))
     if draw(st.booleans()):
-        n = draw(st.integers(1, 25))
+        n = draw(st.integers(1, max_n))
         return generate_gnp(n, draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.8])),
                             seed)
     k = draw(st.integers(1, 4))
-    n = draw(st.integers(k + 1, 24))
+    n = draw(st.integers(k + 1, max_n - 1))
     n += n * k % 2
     return generate_random_regular(n, k, seed)
 
@@ -194,6 +201,123 @@ def test_infeasible_when_every_helpful_vertex_is_removed_or_undeletable():
     sub, _ = g.induced_subgraph([0, 2, 3])
     assert _outcome(reference_greedy.f_dependent_delete, CapProblem(
         sub, (0, 5, 5), (UNDELETABLE,) * 3), message=True) == error
+
+
+def _settle_problem(data, g):
+    """A problem on g with caps -1..4 and weights that include UNDELETABLE
+    and 2**61 - 1, and 1-6 removed sets for it."""
+    caps = tuple(data.draw(st.lists(st.integers(-1, 4), min_size=g.n,
+                                    max_size=g.n)))
+    weights = tuple(data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n)))
+    removed_sets = data.draw(st.lists(
+        st.frozensets(st.integers(0, g.n - 1), max_size=g.n // 2),
+        min_size=1, max_size=6))
+    return FDepProblem(g, caps, weights), removed_sets
+
+
+def _weight(prob, vertices):
+    return sum(prob.weights[v] for v in vertices)
+
+
+@EXAMPLES
+@given(st.data())
+def test_feasibility_test_says_whether_the_greedy_returns(data):
+    """One problem per graph, several removed sets: the test passes exactly
+    when f_dependent_delete returns, on G(n, q) and regular graphs, cubic
+    ones among them."""
+    g = data.draw(st.one_of(graphs(), st.builds(
+        generate_random_cubic, st.integers(2, 12).map(lambda h: 2 * h),
+        st.integers(0, 10**6))))
+    prob, removed_sets = _settle_problem(data, g)
+    for removed in removed_sets:
+        returns = _outcome(f_dependent_delete, prob, removed) is not InfeasibleError
+        assert f_dependent_feasible(prob, removed) == returns
+
+
+@EXAMPLES
+@given(st.data())
+def test_bound_never_exceeds_the_greedy_weight(data):
+    g = data.draw(graphs())
+    prob, removed_sets = _settle_problem(data, g)
+    for removed in removed_sets:
+        deleted = _outcome(f_dependent_delete, prob, removed)
+        if deleted is not InfeasibleError:
+            assert not f_dependent_outweighs(prob, removed,
+                                             _weight(prob, deleted))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_bound_never_exceeds_the_optimum_on_small_graphs(data):
+    """On n <= 10, against the brute-force optimum of the degree-cap
+    problem on G - removed."""
+    g = data.draw(graphs(max_n=10))
+    prob, removed_sets = _settle_problem(data, g)
+    for removed in removed_sets:
+        sub, remap = g.induced_subgraph(v for v in range(g.n)
+                                        if v not in removed)
+        best = bruteforce.min_fdep_weight(CapProblem(
+            sub, tuple(prob.cap[v] for v in remap),
+            tuple(prob.weights[v] for v in remap)))
+        assert f_dependent_outweighs(prob, removed, -1)
+        if best is not None:
+            assert not f_dependent_outweighs(prob, removed, best)
+
+
+@pytest.mark.parametrize("cap, weights, bound", [
+    # Center 0 is over its cap 0 by 2 and each leaf clears 1 at weight 3.
+    (0, (UNDELETABLE, 3, 3), 6),
+    # Center 0 is over its cap 1 by 1; lcm 6, and leaf 1 clears it at 2.
+    (1, (UNDELETABLE, 2, 3), 2),
+])
+def test_bound_equal_to_the_best_weight_does_not_exceed_it(cap, weights,
+                                                          bound):
+    prob = FDepProblem(Graph.star(2), (cap, 5, 5), weights)
+    assert _weight(prob, f_dependent_delete(prob)) == bound
+    assert not f_dependent_outweighs(prob, (), bound)
+    assert f_dependent_outweighs(prob, (), bound - 1)
+
+
+def _pruning_instances():
+    """G(40-60, 0.1) Max instances with |L| >= 5, p the first such vertex,
+    with unit weights, weights 1-5, and weights 1-5 with one member of L
+    and one other vertex UNDELETABLE."""
+    for seed in range(6):
+        n = 40 + 7 * seed % 21
+        g = generate_gnp(n, 0.1, seed)
+        p, members = next(
+            (p, members) for p in range(n)
+            for members in [build_L(Instance(g, p, None, Objective.MAX)).members]
+            if len(members) >= 5)
+        rng = random.Random(seed)
+        yield Instance(g, p, None, Objective.MAX)
+        weights = [rng.randint(1, 5) for _ in range(n)]
+        yield Instance(g, p, weights, Objective.MAX)
+        others = [v for v in range(n) if v != p and v not in members]
+        for v in (rng.choice(members), rng.choice(others)):
+            weights[v] = UNDELETABLE
+        yield Instance(g, p, weights, Objective.MAX)
+
+
+def test_pruned_logn_trace_matches_reference_branch_step(monkeypatch):
+    """Where the bound prunes: the trace is the reference's, which runs the
+    greedy on every branch, and on some instance the greedy runs on fewer
+    branches than are feasible."""
+    calls = []
+
+    def counting(prob, removed=()):
+        calls.append(removed)
+        return f_dependent_delete(prob, removed)
+
+    monkeypatch.setattr(approx, "f_dependent_delete", counting)
+    pruned = 0
+    for inst in _pruning_instances():
+        calls.clear()
+        trace = _outcome(mdd_max_logn_trace, inst)
+        assert trace == _outcome(reference_greedy.logn_trace, inst, None)
+        if not isinstance(trace, type):
+            pruned += len(calls) < trace.branches_feasible
+    assert pruned
 
 
 @EXAMPLES
