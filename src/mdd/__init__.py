@@ -11,7 +11,6 @@ from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,
                     kregular_min_exact)
 from .subroutines import (FDepProblem, check_degree_caps, dissociation_delete,
                           dominating_set_approx, f_dependent_delete,
-                          f_dependent_feasible, f_dependent_outweighs,
                           is_dominating)
 from .approx import (LSet, build_L, kreg_lower_bound, mdd_max_logn,
                      mdd_max_logn_trace)

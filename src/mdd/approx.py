@@ -13,8 +13,7 @@ from typing import Optional
 from .errors import BudgetError, InfeasibleError, MDDError, PreconditionError
 from .graph import (DeletionSet, Instance, Objective, UNDELETABLE, is_feasible,
                     is_int)
-from .subroutines import (FDepProblem, f_dependent_delete,
-                          f_dependent_feasible, f_dependent_outweighs)
+from .subroutines import FDepProblem, _outweighs, _returns, f_dependent_delete
 
 
 @dataclass(frozen=True)
@@ -70,11 +69,12 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     are built once per trace, N[p] UNDELETABLE; the problem once per size
     |K|, with caps d(p) - |K| - 1 and d(p) for p itself.
 
-    The greedy runs only on a branch that f_dependent_feasible (exact)
-    passes, whose w(K) is finite, and for which f_dependent_outweighs does
-    not show that every candidate outweighs the best one so far; a skipped
-    candidate weighs more than the best, so the result is that of running
-    every branch."""
+    The greedy runs only on a branch that _returns (exact) passes, whose
+    w(K) is finite, and for which _outweighs does not show that every
+    candidate outweighs the best one so far; a skipped candidate weighs
+    more than the best, so the result is that of running every branch.
+    The ids of K are checked once, by f_dependent_delete, and only on
+    branches where the greedy runs."""
     if inst.objective is not Objective.MAX:
         raise PreconditionError("branching algorithm applies to objective Max")
     g = inst.graph
@@ -99,14 +99,14 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
         caps[p] = g.degree(p)
         prob = FDepProblem(g, tuple(caps), weights)
         for k_tuple in itertools.combinations(members, size):
-            if not f_dependent_feasible(prob, k_tuple):
+            if not _returns(prob, k_tuple):
                 continue
             feasible += 1
             k_weight = inst.weight_of(k_tuple)
             if k_weight == math.inf:
                 continue
-            if best is not None and f_dependent_outweighs(
-                    prob, k_tuple, best[0] - k_weight):
+            if best is not None and _outweighs(prob, k_tuple,
+                                               best[0] - k_weight):
                 continue
             deleted = f_dependent_delete(prob, k_tuple)
             candidate = deleted.union(k_tuple)

@@ -14,7 +14,7 @@ import io
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Optional
 
 from .approx import mdd_max_logn_trace
@@ -159,14 +159,12 @@ class ExperimentReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        fields = ["instance_id", "family", "n", "algorithm", "size", "weight",
-                  "oracle_weight", "ratio", "wall_time", "feasible", "extra"]
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
+        writer.writerow(f.name for f in fields(ExperimentRow))
         for row in self.rows:
             d = asdict(row)
             d["extra"] = json.dumps(d["extra"], sort_keys=True)
-            writer.writerow([d[f] for f in fields])
+            writer.writerow(d.values())
         return buf.getvalue()
 
     def to_json(self) -> str:

@@ -17,8 +17,7 @@ from .errors import (BudgetError, InapplicableError, InfeasibleError,
 from .generators import generate_gnp, generate_random_regular
 from .graph import UNDELETABLE, is_feasible
 from .reductions import CONSTRUCTIONS
-from .subroutines import (FDepProblem, dissociation_delete,
-                          dominating_set_approx, f_dependent_delete)
+from .subroutines import FDepProblem, dominating_set_approx, f_dependent_delete
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -112,10 +111,8 @@ def _cmd_subroutine(args) -> int:
     if args.kind == "fdep":
         cap = 1 if args.cap is None else args.cap
         result = f_dependent_delete(FDepProblem.uniform(g, cap, weights))
-    elif args.kind == "domset":
+    else:  # domset
         result = dominating_set_approx(g, weights)
-    else:  # dissoc
-        result = dissociation_delete(g, weights)
     print(" ".join(str(v) for v in sorted(result)))
     print(f"size: {len(result)}")
     return EXIT_OK
@@ -173,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     p_sub = sub.add_parser("subroutine", help="run a greedy subroutine directly")
-    p_sub.add_argument("--kind", required=True,
-                       choices=["fdep", "domset", "dissoc"])
+    p_sub.add_argument("--kind", required=True, choices=["fdep", "domset"])
     p_sub.add_argument("--graph", required=True)
     p_sub.add_argument("--cap", type=int, default=None,
                        help="degree cap of --kind fdep (default 1)")

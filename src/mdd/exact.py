@@ -115,8 +115,7 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
     if best is None:
         raise InfeasibleError(
             "no deletion set avoiding p and the undeletable vertices is feasible")
-    chosen = best[2]
-    return DeletionSet(frozenset(chosen), inst.weight_of(chosen))
+    return DeletionSet.of(inst, best[2])
 
 
 def dualize(inst: Instance) -> Instance:

@@ -41,22 +41,34 @@ def _int(token: str, lineno: int, message: str) -> int:
     return int(token)
 
 
-def _parse_graph_lines(lines) -> Graph:
+def _header(lines, kind: str, names: str) -> tuple:
+    """The two integers of the `<names>` header that opens a `kind` file."""
     try:
         lineno, header = next(lines)
     except StopIteration:
-        raise InputError("empty graph file") from None
+        raise InputError(f"empty {kind} file") from None
     parts = header.split()
     if len(parts) != 2:
-        raise InputError(f"line {lineno}: expected 'n m' header")
-    n, m = (_int(x, lineno, "expected integer 'n m' header") for x in parts)
+        raise InputError(f"line {lineno}: expected '{names}' header")
+    return tuple(_int(x, lineno, f"expected integer '{names}' header")
+                 for x in parts)
+
+
+def _counted(lines, count: int, kind: str):
+    """The next `count` content lines, the `kind` lines a header counts."""
+    for got in range(count):
+        try:
+            yield next(lines)
+        except StopIteration:
+            raise InputError(
+                f"expected {count} {kind} lines, got {got}") from None
+
+
+def _parse_graph_lines(lines) -> Graph:
+    n, m = _header(lines, "graph", "n m")
     edges = []
     seen = set()
-    for _ in range(m):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise InputError(f"expected {m} edge lines, got {len(edges)}") from None
+    for lineno, line in _counted(lines, m, "edge"):
         parts = line.split()
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected 'u v'")
@@ -132,22 +144,10 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_setsystem(text: str) -> SetSystem:
     lines = _content_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise InputError("empty set system file") from None
-    parts = header.split()
-    if len(parts) != 2:
-        raise InputError(f"line {lineno}: expected 'r t' header")
-    r, t = (_int(x, lineno, "expected integer 'r t' header") for x in parts)
-    family = []
-    for _ in range(t):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise InputError(f"expected {t} set lines, got {len(family)}") from None
-        family.append(frozenset(_int(x, lineno, "expected integer element ids")
-                                for x in line.split()))
+    r, t = _header(lines, "set system", "r t")
+    family = [frozenset(_int(x, lineno, "expected integer element ids")
+                        for x in line.split())
+              for lineno, line in _counted(lines, t, "set")]
     for lineno, _ in lines:
         raise InputError(f"line {lineno}: trailing content after set list")
     return SetSystem(r, tuple(family))

@@ -8,10 +8,10 @@ a vertex meets that cap exactly when it or a neighbor is deleted).  The
 greedy picks by one deterministic rule: the best gain/weight ratio, compared
 exactly in integers, and ties go to the lowest vertex id.  An
 UNDELETABLE weight is the one way to keep a vertex from being picked.
-Two tests answer from a problem's start state without running the greedy:
-whether it returns on G - removed (`f_dependent_feasible`, exact), and
-whether every set meeting the caps there outweighs a budget
-(`f_dependent_outweighs`, a lower bound).
+Two private steps of the log n branching loop answer from a problem's start
+state without running the greedy: whether it returns on G - removed
+(`_returns`, exact), and whether every set meeting the caps there outweighs
+a budget (`_outweighs`, a lower bound).
 """
 from __future__ import annotations
 
@@ -22,12 +22,6 @@ from typing import Iterable, Optional
 
 from .errors import InfeasibleError, PreconditionError
 from .graph import Graph, UNDELETABLE, is_int, is_valid_weight
-
-
-def _check_weight(w):
-    if not is_valid_weight(w):
-        raise PreconditionError(
-            f"weight {w!r} is neither a positive integer nor UNDELETABLE")
 
 
 def _vertex_ids(g: Graph, vertices, role: str = "removed") -> frozenset:
@@ -54,11 +48,11 @@ class FDepProblem:
     u) for every deletable u with positive gain, where lcm is the lcm of
     the deletable weights.  It is not a field, so eq, hash and repr see
     only graph, cap and weights, and no call mutates it.  Beside it, for
-    f_dependent_feasible and f_dependent_outweighs, the problem keeps the
-    start total excess E0, lcm, `top` (the negated key at the top of the
-    start heap: the best start gain * (lcm // w), 0 if the heap is empty),
-    the set U of UNDELETABLE vertices, and each v in U that has more
-    neighbors in U than cap[v], with that surplus.
+    _returns and _outweighs, the problem keeps the start total excess E0,
+    lcm, `top` (the negated key at the top of the start heap: the best
+    start gain * (lcm // w), 0 if the heap is empty), the set U of
+    UNDELETABLE vertices, and each v in U that has more neighbors in U than
+    cap[v], with that surplus.
     """
 
     graph: Graph
@@ -71,7 +65,9 @@ class FDepProblem:
         for c, w in zip(self.cap, self.weights):
             if not is_int(c):
                 raise PreconditionError("caps must be integers")
-            _check_weight(w)
+            if not is_valid_weight(w):
+                raise PreconditionError(f"weight {w!r} is neither a positive "
+                                        "integer nor UNDELETABLE")
         adj = self.graph.adj
         excess = [max(0, len(a) - c) for a, c in zip(adj, self.cap)]
         gain = excess[:]
@@ -170,10 +166,13 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
     return frozenset(deleted)
 
 
-def f_dependent_feasible(prob: FDepProblem,
-                         removed: Iterable[int] = ()) -> bool:
+def _returns(prob: FDepProblem, removed: Iterable[int]) -> bool:
     """True exactly when f_dependent_delete(prob, removed) returns, False
     when it raises InfeasibleError.
+
+    Unchecked: `removed` must hold distinct vertex ids of prob.graph, in
+    any iterable (the log n loop passes the K tuples of
+    combinations(sorted(L))).
 
     Let U be the UNDELETABLE vertices outside `removed`.  The call returns
     exactly when every v in U has at most cap[v] neighbors in U.  If some
@@ -185,18 +184,20 @@ def f_dependent_feasible(prob: FDepProblem,
     the vertices of the problem's U that are over their caps within U are
     checked: O(|removed|) plus their neighbors.
     """
-    removed = _vertex_ids(prob.graph, removed)
     adj = prob.graph.adj
     *_, undeletable, crowded = prob._settle
-    gone = removed & undeletable
+    gone = undeletable.intersection(removed)
     return all(v in gone or len(adj[v] & gone) >= surplus
                for v, surplus in crowded)
 
 
-def f_dependent_outweighs(prob: FDepProblem, removed: Iterable[int],
-                          budget: int) -> bool:
+def _outweighs(prob: FDepProblem, removed: Iterable[int], budget: int) -> bool:
     """True when every set of deletable vertices that meets the caps on
-    G - removed weighs more than the integer `budget`.
+    G - removed weighs more than `budget`.
+
+    Unchecked: `removed` must hold distinct vertex ids of prob.graph, in
+    any iterable, and `budget` must be an integer (the log n loop passes
+    the best weight so far less the finite w(K)).
 
     Deleting a vertex lowers the total excess by exactly its current gain,
     and gains only fall.  So at least left = E0 - (the start gains of
@@ -207,9 +208,6 @@ def f_dependent_outweighs(prob: FDepProblem, removed: Iterable[int],
     division.  If top is 0 and left > 0, no set meets the caps and the
     answer is True.  O(|removed|).
     """
-    removed = _vertex_ids(prob.graph, removed)
-    if not is_int(budget):
-        raise PreconditionError("budget must be an integer")
     gain = prob._start[1]
     total, lcm, top, *_ = prob._settle
     left = total - sum(gain[u] for u in removed)
@@ -239,8 +237,6 @@ def dominating_set_approx(g: Graph, weights: Optional[tuple] = None,
     """
     if weights is None:
         weights = tuple(1 for _ in range(g.n))
-    if len(weights) != g.n:
-        raise PreconditionError("weights length must equal vertex count")
     removed = _vertex_ids(g, removed)
     adj = g.adj
     cap = [len(a) - 1 for a in adj]

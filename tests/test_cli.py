@@ -44,7 +44,10 @@ class TestUsage:
         (["solve", "f.txt", "--algo", "oracle", "--max-L", "x"],
          "invalid int value: 'x'"),
         (["reduce", "g.txt"], "required: --to"),
-        ([], "required: command")])
+        ([], "required: command"),
+        # --kind fdep at its default cap 1 is dissociation deletion.
+        (["subroutine", "--kind", "dissoc", "--graph", "g.txt"],
+         "invalid choice: 'dissoc'")])
     def test_usage_error_exits_4(self, capsys, argv, message):
         assert message in _usage_error(argv, capsys)
 
@@ -466,28 +469,29 @@ class TestGenAndSubroutine:
         assert captured.out == ""
         assert "out of range" in captured.err
 
-    @pytest.mark.parametrize("kind, cap, expected", [
-        ("fdep", [], "1 2 3"), ("fdep", ["--cap", "2"], "1 2"),
-        ("dissoc", [], "1 2 3")], ids=["fdep", "fdep-cap2", "dissoc"])
+    @pytest.mark.parametrize("cap, expected", [
+        ([], "1 2 3"), (["--cap", "2"], "1 2"), (["--cap", "1"], "1 2 3")],
+        ids=["fdep", "fdep-cap2", "fdep-cap1"])
     def test_subroutine_forbidden_applies_to_every_kind(self, tmp_path, capsys,
-                                                        kind, cap, expected):
+                                                        cap, expected):
         # Without --forbidden 0 each of these deletes the star's centre.
         g_path = tmp_path / "g.txt"
         g_path.write_text(serialize_graph(Graph.star(4)))
-        assert main(["subroutine", "--kind", kind, "--graph", str(g_path),
+        assert main(["subroutine", "--kind", "fdep", "--graph", str(g_path),
                      *cap, "--forbidden", "0"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == expected
 
-    @pytest.mark.parametrize("kind", ["fdep", "dissoc"])
+    @pytest.mark.parametrize("cap", [[], ["--cap", "1"]],
+                             ids=["fdep", "fdep-cap1"])
     def test_subroutine_forbidden_out_of_range_exits_4(self, tmp_path, capsys,
-                                                       kind):
+                                                       cap):
         g_path = tmp_path / "g.txt"
         g_path.write_text("3 1\n0 1\n")
-        assert main(["subroutine", "--kind", kind, "--graph", str(g_path),
-                     "--forbidden", "3"]) == 4
+        assert main(["subroutine", "--kind", "fdep", "--graph", str(g_path),
+                     *cap, "--forbidden", "3"]) == 4
         assert "out of range" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["domset", "dissoc"])
+    @pytest.mark.parametrize("kind", ["domset"])
     def test_subroutine_cap_without_fdep_exits_4(self, tmp_path, capsys, kind):
         g_path = tmp_path / "g.txt"
         g_path.write_text(serialize_graph(Graph.star(4)))

@@ -9,9 +9,11 @@ gives what a fresh problem gives.  Weights include large coprime ones,
 so gain/weight ratios are compared exactly far beyond small weights.
 EXEMPT is the reference's sentinel; the package caps that vertex at its own
 degree, which must change nothing.
-The feasibility test says exactly whether the greedy returns, and the
-lower bound never exceeds the greedy's weight or, on small graphs, the
-optimum; a bound equal to a weight does not exceed it.
+The log n loop's feasibility step says exactly whether the greedy returns,
+and its lower bound never exceeds the greedy's weight or, on small graphs,
+the optimum; a bound equal to a weight does not exceed it.  Both steps
+answer the same for a removed set as a frozenset and as the sorted tuple
+the loop passes.
 The log n branching algorithm gives the same trace as the reference branch
 loop, which builds an induced subgraph per branch, also on G(40-60, 0.1)
 instances where the bound prunes branches, and the cubic
@@ -32,9 +34,9 @@ from mdd import (FDepProblem, InapplicableError, InfeasibleError,
                  Instance, MDDError, Objective, UNDELETABLE, approx, build_L,
                  build_gstar, Graph, dissociation_delete,
                  dominating_set_approx, dualize, f_dependent_delete,
-                 f_dependent_feasible, f_dependent_outweighs, generate_gnp,
-                 generate_random_cubic, generate_random_regular,
-                 mdd_max_cubic_trace, mdd_max_logn_trace)
+                 generate_gnp, generate_random_cubic, generate_random_regular,
+                 mdd_max_cubic_trace, mdd_max_logn_trace, subroutines)
+from mdd.subroutines import _outweighs, _returns
 
 import bruteforce
 import reference_greedy
@@ -231,7 +233,8 @@ def test_feasibility_test_says_whether_the_greedy_returns(data):
     prob, removed_sets = _settle_problem(data, g)
     for removed in removed_sets:
         returns = _outcome(f_dependent_delete, prob, removed) is not InfeasibleError
-        assert f_dependent_feasible(prob, removed) == returns
+        assert _returns(prob, removed) == returns
+        assert _returns(prob, tuple(sorted(removed))) == returns
 
 
 @EXAMPLES
@@ -242,8 +245,8 @@ def test_bound_never_exceeds_the_greedy_weight(data):
     for removed in removed_sets:
         deleted = _outcome(f_dependent_delete, prob, removed)
         if deleted is not InfeasibleError:
-            assert not f_dependent_outweighs(prob, removed,
-                                             _weight(prob, deleted))
+            for form in (removed, tuple(sorted(removed))):
+                assert not _outweighs(prob, form, _weight(prob, deleted))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -259,9 +262,10 @@ def test_bound_never_exceeds_the_optimum_on_small_graphs(data):
         best = bruteforce.min_fdep_weight(CapProblem(
             sub, tuple(prob.cap[v] for v in remap),
             tuple(prob.weights[v] for v in remap)))
-        assert f_dependent_outweighs(prob, removed, -1)
-        if best is not None:
-            assert not f_dependent_outweighs(prob, removed, best)
+        for form in (removed, tuple(sorted(removed))):
+            assert _outweighs(prob, form, -1)
+            if best is not None:
+                assert not _outweighs(prob, form, best)
 
 
 @pytest.mark.parametrize("cap, weights, bound", [
@@ -274,8 +278,8 @@ def test_bound_equal_to_the_best_weight_does_not_exceed_it(cap, weights,
                                                           bound):
     prob = FDepProblem(Graph.star(2), (cap, 5, 5), weights)
     assert _weight(prob, f_dependent_delete(prob)) == bound
-    assert not f_dependent_outweighs(prob, (), bound)
-    assert f_dependent_outweighs(prob, (), bound - 1)
+    assert not _outweighs(prob, (), bound)
+    assert _outweighs(prob, (), bound - 1)
 
 
 def _pruning_instances():
@@ -318,6 +322,32 @@ def test_pruned_logn_trace_matches_reference_branch_step(monkeypatch):
         if not isinstance(trace, type):
             pruned += len(calls) < trace.branches_feasible
     assert pruned
+
+
+def test_logn_checks_ids_only_where_the_greedy_runs(monkeypatch):
+    """The settling steps take K unchecked, so each branch's ids are
+    checked once, by f_dependent_delete, and only where the greedy runs."""
+    check = subroutines._vertex_ids
+    checks = []
+    calls = []
+
+    def counting_check(g, vertices, role="removed"):
+        checks.append(vertices)
+        return check(g, vertices, role)
+
+    def counting_delete(prob, removed=()):
+        calls.append(removed)
+        return f_dependent_delete(prob, removed)
+
+    monkeypatch.setattr(subroutines, "_vertex_ids", counting_check)
+    monkeypatch.setattr(approx, "f_dependent_delete", counting_delete)
+    for inst in _pruning_instances():
+        checks.clear()
+        calls.clear()
+        trace = _outcome(mdd_max_logn_trace, inst)
+        assert calls and len(checks) == len(calls)
+        if not isinstance(trace, type):
+            assert len(calls) < trace.branches_total
 
 
 @EXAMPLES

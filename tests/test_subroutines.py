@@ -142,7 +142,9 @@ def test_weights_outside_domain_rejected(weights):
 
 @pytest.mark.parametrize("weights", [(1,), (1, 1, 1, 1)])
 def test_dominating_set_weights_length_checked(weights):
-    with pytest.raises(PreconditionError):
+    # FDepProblem's check, the one length rule of the greedy layer.
+    with pytest.raises(PreconditionError, match=r"^cap/weights length must "
+                       r"equal vertex count$"):
         dominating_set_approx(Graph.path(3), weights=weights)
 
 
