@@ -53,14 +53,16 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
     # of it, and the minimum key is always met.
     g = inst.graph
     p = inst.p
-    masks = g.masks
     want_min = inst.objective is Objective.MIN
     if cfg.weight_mode is WeightMode.WEIGHTED:
         cost = inst.weights
     else:
         cost = (1,) * g.n
+    # The search's private encoding: a vertex set is an int with bit v set
+    # for each member v, so a degree in G - removed is one popcount.
+    masks = [sum(1 << u for u in s) for s in g.adj]
+    full = (1 << g.n) - 1
     others = [(v, 1 << v) for v in range(g.n) if v != p]
-    full = g.full_mask
     undeletable = 1 << p
     for v, bit in others:
         if inst.weight(v) == math.inf:

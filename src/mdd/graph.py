@@ -40,11 +40,10 @@ class Objective(Enum):
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
-    Adjacency is stored both as frozensets (for set algebra) and as bitmasks
-    (for fast degree counting in the oracle's search).
+    `adj[v]` is the frozenset of v's neighbours, the one adjacency store.
     """
 
-    __slots__ = ("n", "adj", "masks")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple] = ()):
         if not is_int(n, 0):
@@ -59,7 +58,6 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
-        self.masks = tuple(sum(1 << u for u in s) for s in self.adj)
 
     # -- basic queries ----------------------------------------------------
 
@@ -81,10 +79,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return sum(len(s) for s in self.adj) // 2
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     def regular_degree(self) -> Optional[int]:
         """Degree k if the graph is k-regular, else None."""
@@ -124,12 +118,14 @@ class Graph:
         """Subgraph induced on `keep`, plus the remap table.
 
         Returns (subgraph, remap) where remap[new_id] = original id.  The
-        kept vertices are renumbered in increasing original-id order.
+        kept vertices are renumbered in increasing original-id order.  The
+        first entry of `keep` that is not a vertex id raises InputError.
         """
-        keep = sorted(set(keep))
+        keep = list(keep)
         for v in keep:
-            if not 0 <= v < self.n:
+            if not (is_int(v, 0) and v < self.n):
                 raise InputError(f"vertex {v} out of range for n={self.n}")
+        keep = sorted(set(keep))
         index = {v: i for i, v in enumerate(keep)}
         edges = [(index[u], index[v]) for u in keep for v in self.adj[u]
                  if u < v and v in index]
@@ -264,32 +260,14 @@ def is_feasible(inst: Instance, solution) -> bool:
     if inst.p in s:
         raise PreconditionError("deletion set may not contain p")
     g = inst.graph
-    remaining = g.full_mask
     for v in s:
         if not (is_int(v, 0) and v < g.n):
             raise InputError(f"vertex {v} out of range")
-        remaining &= ~(1 << v)
     if any(inst.weights[v] == UNDELETABLE for v in s):
         return False
-    return feasible_mask(g, inst.p, remaining, inst.objective is Objective.MIN)
-
-
-def feasible_mask(g: Graph, p: int, remaining: int, want_min: bool) -> bool:
-    """Feasibility kernel: is p the unique extreme-degree vertex of the
-    subgraph induced on the bitmask `remaining` (which must contain p)?
-
-    Unvalidated; `is_feasible` checks its input and then calls this."""
-    dp = (g.masks[p] & remaining).bit_count()
-    rest = remaining & ~(1 << p)
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest ^= low
-        dv = (g.masks[v] & remaining).bit_count()
-        if want_min:
-            if dv <= dp:
-                return False
-        else:
-            if dv >= dp:
-                return False
-    return True
+    dp = len(g.adj[inst.p] - s)
+    degrees = [len(g.adj[v] - s) for v in range(g.n)
+               if v != inst.p and v not in s]
+    if inst.objective is Objective.MIN:
+        return all(dv > dp for dv in degrees)
+    return all(dv < dp for dv in degrees)

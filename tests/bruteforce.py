@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here recomputes degrees from the adjacency sets of a freshly
-induced subgraph, deliberately avoiding the package's bitmask fast paths, so
-that tests cross-validate two distinct code paths.
+Everything here recomputes degrees from the adjacency sets on the vertices
+left after each deletion, and calls none of the package's feasibility or
+solver code, so that tests cross-validate two distinct code paths.
 """
 import itertools
 import math

@@ -1,13 +1,12 @@
 """Reference exact solvers for differential tests.
 
 `_enumerate` is the loop that used to stand behind
-`mdd.exact.brute_force_optimum` and `mdd.exact.kregular_min_exact`, kept
-verbatim: it checks every subset of the deletable vertices by increasing
-size, in lexicographic order, and keeps the minimum key (weight, size,
-sorted tuple), or returns the first feasible set in CARDINALITY mode.  Its
-budget counts subsets.  The package's search tree and k-regular peel must
-return exactly the same sets, so this stays as it is; tests compare
-against it.
+`mdd.exact.brute_force_optimum` and `mdd.exact.kregular_min_exact`: it
+checks every subset of the deletable vertices by increasing size, in
+lexicographic order, with `is_feasible`, and keeps the minimum key (weight,
+size, sorted tuple), or returns the first feasible set in CARDINALITY mode.
+Its budget counts subsets.  The package's search tree and k-regular peel
+must return exactly the same sets; tests compare against it.
 
 `kregular_feasible_witness` is the constructive feasible set that bounds
 the k-regular optimum by 2k - 1; tests check the exact solver against it
@@ -17,20 +16,16 @@ import itertools
 import math
 
 from mdd import (BudgetError, DeletionSet, InfeasibleError, Instance,
-                 Objective, OracleConfig, WeightMode)
+                 OracleConfig, WeightMode, is_feasible)
 from mdd.exact import _require_regular_min_unit
-from mdd.graph import feasible_mask
 
 
 def _enumerate(inst: Instance, cfg: OracleConfig) -> DeletionSet:
-    # The loop behind brute_force_optimum, also called by kregular_min_exact,
-    # so that a traced run attributes each solver's time to that solver.
-    g = inst.graph
-    p = inst.p
-    want_min = inst.objective is Objective.MIN
-    deletable = [v for v in range(g.n) if v != p and inst.weight(v) != math.inf]
+    # Every subset of the deletable vertices, smallest first; the reference
+    # that brute_force_optimum and kregular_min_exact are tested against.
+    deletable = [v for v in range(inst.graph.n)
+                 if v != inst.p and inst.weight(v) != math.inf]
     cardinality = cfg.weight_mode is WeightMode.CARDINALITY
-    full = g.full_mask
     checked = 0
     best = None
     for size in range(len(deletable) + 1):
@@ -38,10 +33,7 @@ def _enumerate(inst: Instance, cfg: OracleConfig) -> DeletionSet:
             checked += 1
             if checked > cfg.budget:
                 raise BudgetError(f"oracle budget of {cfg.budget} subsets exhausted")
-            remaining = full
-            for v in combo:
-                remaining &= ~(1 << v)
-            if not feasible_mask(g, p, remaining, want_min):
+            if not is_feasible(inst, combo):
                 continue
             weight = inst.weight_of(combo)
             if cardinality:

@@ -109,6 +109,16 @@ class TestInducedSubgraph:
         with pytest.raises(InputError):
             Graph.complete(3).induced_subgraph([0, 5])
 
+    @pytest.mark.parametrize("keep, bad", [([True, 2], True), ([1.0, 2], 1.0),
+                                           (["a"], "a"), ([0, -1], -1),
+                                           ([2, 1, "a", 3], "a")])
+    def test_ids_must_be_vertex_ids(self, keep, bad):
+        # The first entry that is not a vertex id is named, before any
+        # dedup or sort could fold a bool into an int or fail on a str.
+        with pytest.raises(InputError, match=re.escape(
+                f"vertex {bad} out of range for n=3")):
+            Graph.path(3).induced_subgraph(keep)
+
 
 class TestInstance:
     def test_p_out_of_range(self):
@@ -175,12 +185,18 @@ class TestFeasibility:
         with pytest.raises(PreconditionError):
             is_feasible(inst, {0})
 
-    @settings(max_examples=80, deadline=None)
-    @given(small_graphs(), st.randoms(use_true_random=False))
-    def test_agrees_with_recount(self, g, rnd):
-        p = rnd.randrange(g.n)
-        objective = rnd.choice([Objective.MIN, Objective.MAX])
-        inst = Instance(g, p, None, objective)
-        others = [v for v in range(g.n) if v != p]
-        s = {v for v in others if rnd.random() < 0.5}
-        assert is_feasible(inst, s) == check_feasible(inst, s)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_agrees_with_recount(self, g, data):
+        # Unit, 1-9 and UNDELETABLE weights in both objectives: a set is
+        # feasible iff it deletes no UNDELETABLE vertex and the recount
+        # from scratch agrees.
+        p = data.draw(st.integers(0, g.n - 1))
+        weight = data.draw(st.sampled_from([
+            st.just(1), st.integers(1, 9),
+            st.one_of(st.integers(1, 9), st.just(UNDELETABLE))]))
+        weights = data.draw(st.lists(weight, min_size=g.n, max_size=g.n))
+        inst = Instance(g, p, weights, data.draw(st.sampled_from(list(Objective))))
+        s = data.draw(st.sets(st.integers(0, g.n - 1))) - {p}
+        deletable = all(weights[v] != UNDELETABLE for v in s)
+        assert is_feasible(inst, s) == (deletable and check_feasible(inst, s))

@@ -95,3 +95,12 @@ def test_integer_checks_go_through_is_int():
             if _is_bare_int_check(node) and id(node) not in allowed]
     assert allowed
     assert bare == []
+
+
+def test_bitmask_encoding_stays_in_exact():
+    # Graph keeps one adjacency, the frozensets; only the oracle's search
+    # packs vertex sets into ints, so only exact.py may count their bits.
+    users = sorted({name for name, tree in TREES.items()
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "bit_count"})
+    assert users == ["exact.py"]
