@@ -27,7 +27,7 @@ from .generators import (generate_gnp, generate_random_regular,
 from .graph import Instance, Objective, is_feasible, is_int
 from .reductions import setcover_to_mddmax_bip, setcover_to_mddmin_bip
 
-DEFAULT_ORACLE_CUTOFF = 18
+DEFAULT_ORACLE_CUTOFF = 28
 
 
 def _solve_oracle(inst, max_L):

@@ -35,22 +35,31 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
     """Minimum feasible deletion set by a bounded search tree.
 
     Every kept vertex that ties or beats p must be fixed by the deletion
-    set, so the search branches over the few vertices that can fix one.  It
-    returns the minimum under the deterministic tie-break: smaller weight,
-    then smaller cardinality, then lexicographically smallest vertex tuple;
-    CARDINALITY mode drops the weight.  The budget counts search nodes.
+    set, so the search branches over the few vertices that can fix one: the
+    vertex itself, or a vertex adjacent to exactly one of it and p, on the
+    side that closes the degree gap.  It returns the minimum under the
+    deterministic tie-break: smaller weight, then smaller cardinality, then
+    lexicographically smallest vertex tuple; CARDINALITY mode drops the
+    weight.  The budget counts search nodes.  The search builds the same
+    tree on an instance and on its `dualize`, so both give the same result,
+    or both raise the same error.
     """
     # A node deletes `removed` and may no longer delete `blocked`.  A kept
-    # v != p violates when d(v) >= d(p) (Max) or d(v) <= d(p) (Min).  Every
-    # feasible superset must then meet v's fixing set: N[v] - {p} for Max,
-    # since deleting anything else cannot lower d(v) below d(p); {v} + N(p)
-    # for Min, since anything else leaves d(p) >= d(v).  The node branches
-    # on the smallest fixing set, without blocked vertices, in ascending id;
-    # each branch blocks the members tried before it, so the subtrees part
-    # the feasible supersets.  Costs are positive, so a feasible node is
-    # lighter and smaller than all its supersets and the search stops there;
-    # following any feasible set down the tree thus meets a feasible subset
-    # of it, and the minimum key is always met.
+    # v != p violates when d(v) >= d(p) (Max) or d(v) <= d(p) (Min).
+    # Deleting a common neighbour of v and p lowers both degrees by one, and
+    # deleting a vertex adjacent to neither changes neither, so the gap
+    # d(v) - d(p) moves only when v goes or a vertex adjacent to exactly one
+    # of them goes.  Every feasible superset must then meet v's fixing set:
+    # {v} + (N(v) - N[p]) for Max, since only those lower d(v) against
+    # d(p); {v} + (N(p) - N(v)) for Min, since only those lower d(p) against
+    # d(v).  Under `dualize` the Min set on G is the Max set on the
+    # complement, and the violators are the same, so the two trees agree.
+    # The node branches on the smallest fixing set, without blocked
+    # vertices, in ascending id; each branch blocks the members tried before
+    # it, so the subtrees part the feasible supersets.  Costs are positive,
+    # so a feasible node is lighter and smaller than all its supersets and
+    # the search stops there; following any feasible set down the tree thus
+    # meets a feasible subset of it, and the minimum key is always met.
     g = inst.graph
     p = inst.p
     want_min = inst.objective is Objective.MIN
@@ -91,11 +100,11 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
             if want_min:
                 if dv > dp:
                     continue
-                fixers = (bit | near_p) & free
+                fixers = (bit | (near_p & ~masks[v])) & free
             else:
                 if dv < dp:
                     continue
-                fixers = (bit | masks[v]) & free
+                fixers = (bit | (masks[v] & ~masks[p])) & free
             if fix is None or fixers.bit_count() < fix.bit_count():
                 fix = fixers
             if not fix:

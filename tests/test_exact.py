@@ -39,16 +39,30 @@ class TestOracle:
             brute_force_optimum(inst, OracleConfig(budget=3))
 
     def test_budget_counts_search_nodes(self):
-        # The search visits 9 nodes on C5; with the heavy vertices 2 and 3
-        # the weight prune skips one of them.  Visiting a set twice, or a
-        # branch heavier than the best set found, would need more.
-        for weights, mode, nodes in [(None, WeightMode.CARDINALITY, 9),
-                                     ((1, 1, 9, 9, 1), WeightMode.WEIGHTED, 8)]:
+        # The search visits 8 nodes on C5; with the heavy vertices 2 and 3
+        # the weight prune skips one of them.  At {1, 2} the violator 3
+        # shares its neighbour 4 with p, so deleting 4 cannot close the gap
+        # and only 3 is tried.  Visiting a set twice, branching on a common
+        # neighbour, or a branch heavier than the best set found, would
+        # need more.
+        for weights, mode, nodes in [(None, WeightMode.CARDINALITY, 8),
+                                     ((1, 1, 9, 9, 1), WeightMode.WEIGHTED, 7)]:
             inst = Instance(Graph.cycle(5), 0, weights)
             best = brute_force_optimum(inst, OracleConfig(mode, budget=nodes))
             assert best.vertices == frozenset({1, 4})
             with pytest.raises(BudgetError):
                 brute_force_optimum(inst, OracleConfig(mode, budget=nodes - 1))
+
+    def test_complete_graph_min_branches_once_per_vertex(self):
+        # On K_18 every vertex shares all its other neighbours with p, so
+        # each fixing set is the violator alone: one path of 18 nodes down
+        # to V - {p}.  A fixing set that kept the common neighbours would
+        # branch over all of N(p) at every level.
+        inst = Instance(Graph.complete(18), 0)
+        best = brute_force_optimum(inst, OracleConfig(budget=18))
+        assert best.vertices == frozenset(range(1, 18))
+        with pytest.raises(BudgetError):
+            brute_force_optimum(inst, OracleConfig(budget=17))
 
     @pytest.mark.parametrize("field, value", [
         ("weight_mode", "weighted"), ("budget", "3"), ("budget", True)])
@@ -182,7 +196,7 @@ class TestKRegular:
 
     @pytest.mark.parametrize("n, k, seed", [(3000, 3, 3), (1000, 4, 5)])
     def test_large_regular_feasible_within_witness(self, n, k, seed):
-        # Far beyond the oracle: 3000, 3, 3 took the old search about 143 s.
+        # Far beyond the subset enumeration of reference_exact.py.
         g = generate_random_regular(n, k, seed)
         for p in (0, 1, n // 2, n - 1):
             inst = Instance(g, p)

@@ -2,7 +2,9 @@
 reference_exact.py: the identical DeletionSet, or the same MDDError type,
 in both weight modes and for both objectives, on G(n, q) and random regular
 graphs with unit weights, weights 1-9 and weights that include
-UNDELETABLE.  `kregular_min_exact` gives the same set as the enumeration
+UNDELETABLE.  The search gives the same outcome on an instance and on its
+`dualize`, at every budget, because it builds the same tree on both.
+`kregular_min_exact` gives the same set as the enumeration
 on random regular graphs.  The reference k-regular witness is checked on
 small graphs.
 
@@ -19,8 +21,9 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from mdd import (Graph, Instance, MDDError, Objective, OracleConfig,
-                 UNDELETABLE, WeightMode, brute_force_optimum, generate_gnp,
-                 generate_random_regular, is_feasible, kregular_min_exact)
+                 UNDELETABLE, WeightMode, brute_force_optimum, dualize,
+                 generate_gnp, generate_random_regular, is_feasible,
+                 kregular_min_exact)
 
 import reference_exact
 
@@ -32,6 +35,11 @@ def _outcome(fn, *args):
         return fn(*args)
     except MDDError as exc:
         return type(exc)
+
+
+def _deletable(inst):
+    return [v for v in range(inst.graph.n)
+            if v != inst.p and inst.weight(v) != UNDELETABLE]
 
 
 def _regular(draw, max_n):
@@ -68,11 +76,22 @@ def instances(draw):
 @EXAMPLES
 @given(instances(), st.sampled_from(list(WeightMode)))
 def test_oracle_matches_subset_enumeration(inst, mode):
-    deletable = [v for v in range(inst.graph.n)
-                 if v != inst.p and inst.weight(v) != UNDELETABLE]
-    cfg = OracleConfig(weight_mode=mode, budget=2 ** len(deletable))
+    cfg = OracleConfig(weight_mode=mode, budget=2 ** len(_deletable(inst)))
     assert (_outcome(brute_force_optimum, inst, cfg)
             == _outcome(reference_exact._enumerate, inst, cfg))
+
+
+@EXAMPLES
+@given(instances())
+def test_oracle_is_self_dual(inst):
+    # The Min fixing set of a violator on G is its Max fixing set on the
+    # complement, so even the budget edge falls on the same node.
+    dual = dualize(inst)
+    for mode in WeightMode:
+        for budget in (2 ** i for i in range(len(_deletable(inst)) + 1)):
+            cfg = OracleConfig(weight_mode=mode, budget=budget)
+            assert (_outcome(brute_force_optimum, inst, cfg)
+                    == _outcome(brute_force_optimum, dual, cfg))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

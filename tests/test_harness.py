@@ -269,6 +269,16 @@ class TestBench:
         assert (row.weight, row.oracle_weight, row.ratio) == (0, 0, 1.0)
         assert (heavier.oracle_weight, heavier.ratio) == (0, None)
 
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    def test_default_cutoff_scores_gnp_at_n28(self, objective):
+        # The default oracle cutoff reaches n = 28 on default-config gnp.
+        cfg = ExperimentConfig(family="gnp", sizes=[28], instances_per_size=1,
+                               objective=objective)
+        [row] = run_experiment(cfg).rows
+        assert row.extra == {}
+        assert row.oracle_weight == row.weight is not None
+        assert row.ratio == 1.0
+
     def test_reference_budget_leaves_rows_unscored(self, monkeypatch):
         def give_up(inst, cfg=None):
             raise BudgetError("oracle budget exhausted")
