@@ -4,7 +4,8 @@ vertex of the remaining induced subgraph, at minimum weight.
 """
 
 from .errors import (BudgetError, InapplicableError, InfeasibleError,
-                     InputError, MDDError, PreconditionError)
+                     InputError, MDDError, PreconditionError,
+                     VerificationError)
 from .graph import (DeletionSet, Graph, Instance, Objective, UNDELETABLE,
                     is_feasible)
 from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,

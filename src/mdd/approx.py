@@ -13,7 +13,8 @@ from typing import Optional
 from .errors import BudgetError, InfeasibleError, MDDError, PreconditionError
 from .graph import (DeletionSet, Instance, Objective, UNDELETABLE, is_feasible,
                     is_int)
-from .subroutines import FDepProblem, _outweighs, _returns, f_dependent_delete
+from .subroutines import (FDepProblem, _outweighs, _returns, _settling,
+                          f_dependent_delete)
 
 
 @dataclass(frozen=True)
@@ -66,15 +67,17 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
 
     Every branch runs the degree-cap greedy on the whole graph with K
     removed, which picks the same vertices as on G[V \\ K].  The weights
-    are built once per trace, N[p] UNDELETABLE; the problem once per size
-    |K|, with caps d(p) - |K| - 1 and d(p) for p itself.
+    are built once per trace, N[p] UNDELETABLE, and checked once, by the
+    size-0 problem; each larger size |K| recaps it, unchecked, with caps
+    d(p) - |K| - 1 and d(p) for p itself, and builds its settling state.
 
     The greedy runs only on a branch that _returns (exact) passes, whose
-    w(K) is finite, and for which _outweighs does not show that every
-    candidate outweighs the best one so far; a skipped candidate weighs
-    more than the best, so the result is that of running every branch.
-    The ids of K are checked once, by f_dependent_delete, and only on
-    branches where the greedy runs."""
+    w(K) is finite, and for which _outweighs (the fractional knapsack over
+    the start gains) does not show that every candidate outweighs the best
+    one so far; a skipped candidate weighs more than the best, so the
+    result is that of running every branch.  The ids of K are checked
+    once, by f_dependent_delete, and only on branches where the greedy
+    runs."""
     if inst.objective is not Objective.MAX:
         raise PreconditionError("branching algorithm applies to objective Max")
     g = inst.graph
@@ -97,15 +100,17 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     for size in range(len(members) + 1):
         caps = [g.degree(p) - size - 1] * g.n
         caps[p] = g.degree(p)
-        prob = FDepProblem(g, tuple(caps), weights)
+        prob = (prob._recapped(tuple(caps)) if size
+                else FDepProblem(g, tuple(caps), weights))
+        settling = _settling(prob)
         for k_tuple in itertools.combinations(members, size):
-            if not _returns(prob, k_tuple):
+            if not _returns(settling, k_tuple):
                 continue
             feasible += 1
             k_weight = inst.weight_of(k_tuple)
             if k_weight == math.inf:
                 continue
-            if best is not None and _outweighs(prob, k_tuple,
+            if best is not None and _outweighs(settling, k_tuple,
                                                best[0] - k_weight):
                 continue
             deleted = f_dependent_delete(prob, k_tuple)

@@ -19,7 +19,8 @@ from typing import Optional
 
 from .approx import mdd_max_logn_trace
 from .cubic import mdd_max_cubic_trace
-from .errors import BudgetError, InfeasibleError, InputError, MDDError
+from .errors import (BudgetError, InfeasibleError, InputError, MDDError,
+                     VerificationError)
 from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,
                     kregular_min_exact)
 from .generators import (generate_gnp, generate_random_regular,
@@ -71,15 +72,16 @@ ALGORITHMS = {
 def solve(name: str, inst: Instance, max_L: Optional[int] = None):
     """Run solver `name` and verify its result.
 
-    Returns (DeletionSet, trace lines).  Raises MDDError if the solver
-    returns an infeasible set; the check is explicit so that it also runs
-    under `python -O`.
+    Returns (DeletionSet, trace lines).  Raises VerificationError if the
+    solver returns an infeasible set; the check is explicit so that it also
+    runs under `python -O`.
     """
     if name not in ALGORITHMS:
         raise InputError(f"unknown algorithm '{name}'")
     solution, notes = ALGORITHMS[name](inst, max_L)
     if not is_feasible(inst, solution):
-        raise MDDError(f"solver '{name}' returned an infeasible deletion set")
+        raise VerificationError(
+            f"solver '{name}' returned an infeasible deletion set")
     return solution, notes
 
 
@@ -200,21 +202,31 @@ def _make_instances(cfg: ExperimentConfig):
 
 
 def _min_cover_size(sys) -> int:
-    for size in range(sys.num_sets + 1):
-        for combo in itertools.combinations(range(sys.num_sets), size):
-            if sys.is_cover(combo):
-                return size
-    raise MDDError("set system invariant guarantees a cover")
+    """Breadth-first search over covered-element bitmasks: level s holds the
+    masks first reached by s sets, so the level that reaches the whole
+    universe is the least cover size.  O(2^r * t) for r elements, t sets."""
+    sets = {sum(1 << x for x in f) for f in sys.family}
+    universe = (1 << sys.universe_size) - 1
+    seen, level, size = {0}, {0}, 0
+    while universe not in level:
+        level = {covered | s for covered in level for s in sets} - seen
+        if not level:
+            raise MDDError("set system invariant guarantees a cover")
+        seen |= level
+        size += 1
+    return size
 
 
 def _run_solver_row(cfg, instance_id, inst, name):
     start = time.perf_counter()
     try:
         solution, _ = solve(name, inst, cfg.max_L)
-    except (BudgetError, InfeasibleError) as exc:
-        # Recorded, not fatal: one solver giving up on one instance leaves
-        # the rest of the experiment standing.
-        status = "budget" if isinstance(exc, BudgetError) else "infeasible"
+    except (BudgetError, InfeasibleError, VerificationError) as exc:
+        # Recorded, not fatal: one solver giving up on, or failing, one
+        # instance leaves the rest of the experiment standing.
+        status = ("budget" if isinstance(exc, BudgetError)
+                  else "infeasible" if isinstance(exc, InfeasibleError)
+                  else "error")
         return ExperimentRow(instance_id, cfg.family, inst.graph.n, name,
                              None, None, None, None,
                              time.perf_counter() - start, None,

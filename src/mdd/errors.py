@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all solver modules.
 
 The CLI maps these onto process exit codes: infeasible/inapplicable -> 2,
-budget exhaustion -> 3, bad input or violated precondition -> 4.
+budget exhaustion -> 3, bad input, violated precondition or any other
+error (a result that fails verification among them) -> 4.
 """
 
 
@@ -27,3 +28,7 @@ class InapplicableError(MDDError):
 
 class BudgetError(MDDError):
     """An enumeration limit was exhausted before a result was found."""
+
+
+class VerificationError(MDDError):
+    """A solver returned a set that fails the feasibility check."""

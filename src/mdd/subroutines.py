@@ -11,14 +11,18 @@ UNDELETABLE weight is the one way to keep a vertex from being picked.
 Two private steps of the log n branching loop answer from a problem's start
 state without running the greedy: whether it returns on G - removed
 (`_returns`, exact), and whether every set meeting the caps there outweighs
-a budget (`_outweighs`, a lower bound).
+a budget (`_outweighs`, a fractional-knapsack lower bound).  Both read a
+`_Settling` state that only the loop builds, once per problem.
 """
 from __future__ import annotations
 
+import bisect
+import copy
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InfeasibleError, PreconditionError
 from .graph import Graph, UNDELETABLE, is_int, is_valid_weight
@@ -44,15 +48,11 @@ class FDepProblem:
 
     After the checks the greedy's start state on the whole graph is built
     once, in O(n + m), and kept for every call: excesses, gains, the count
-    of vertices over their caps, and a heap of (-gain[u] * (lcm // w[u]),
-    u) for every deletable u with positive gain, where lcm is the lcm of
-    the deletable weights.  It is not a field, so eq, hash and repr see
-    only graph, cap and weights, and no call mutates it.  Beside it, for
-    _returns and _outweighs, the problem keeps the start total excess E0,
-    lcm, `top` (the negated key at the top of the start heap: the best
-    start gain * (lcm // w), 0 if the heap is empty), the set U of
-    UNDELETABLE vertices, and each v in U that has more neighbors in U than
-    cap[v], with that surplus.
+    of vertices over their caps, scale[u] = lcm // w[u] (0 for UNDELETABLE
+    u), where lcm is the lcm of the deletable weights, and a heap of
+    (-gain[u] * scale[u], u) for every deletable u with positive gain.  It
+    is not a field, so eq, hash and repr see only graph, cap and weights,
+    and no call mutates it.
     """
 
     graph: Graph
@@ -68,6 +68,11 @@ class FDepProblem:
             if not is_valid_weight(w):
                 raise PreconditionError(f"weight {w!r} is neither a positive "
                                         "integer nor UNDELETABLE")
+        lcm = math.lcm(*(w for w in self.weights if w != UNDELETABLE))
+        self._build([0 if w == UNDELETABLE else lcm // w
+                     for w in self.weights])
+
+    def _build(self, scale):
         adj = self.graph.adj
         excess = [max(0, len(a) - c) for a, c in zip(adj, self.cap)]
         gain = excess[:]
@@ -77,21 +82,20 @@ class FDepProblem:
                 over += 1
                 for u in adj[v]:
                     gain[u] += 1
-        lcm = math.lcm(*(w for w in self.weights if w != UNDELETABLE))
-        scale = [0 if w == UNDELETABLE else lcm // w for w in self.weights]
         heap = [(-gain[u] * s, u) for u, s in enumerate(scale)
                 if s and gain[u] > 0]
         heapq.heapify(heap)
         object.__setattr__(self, "_start", (excess, gain, over, scale, heap))
-        undeletable = frozenset(v for v, s in enumerate(scale) if not s)
-        crowded = []
-        for v in undeletable:
-            surplus = len(adj[v] & undeletable) - self.cap[v]
-            if surplus > 0:
-                crowded.append((v, surplus))
-        object.__setattr__(self, "_settle", (
-            sum(excess), lcm, -heap[0][0] if heap else 0, undeletable,
-            tuple(crowded)))
+
+    def _recapped(self, cap: tuple) -> "FDepProblem":
+        """The problem on the same graph and weights with caps `cap`, whose
+        start state reuses this one's scale.  Unchecked: `cap` must be a
+        tuple of n ints (the log n loop computes it), so the weights are
+        checked once, by the problem it recaps."""
+        prob = copy.copy(self)
+        object.__setattr__(prob, "cap", cap)
+        prob._build(self._start[3])
+        return prob
 
     @classmethod
     def uniform(cls, graph: Graph, f: int, weights=None) -> "FDepProblem":
@@ -166,9 +170,47 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
     return frozenset(deleted)
 
 
-def _returns(prob: FDepProblem, removed: Iterable[int]) -> bool:
+class _Settling(NamedTuple):
+    """The start state of one problem as the log n loop's settling steps
+    read it: the graph's adjacency, the start gains and total excess E0,
+    the set U of UNDELETABLE vertices, each v in U that has more neighbors
+    in U than cap[v] with that surplus, and the integer prefix sums of the
+    start gains and of the weights of the deletable vertices with positive
+    start gain, in start-heap order (gain/weight descending, ties to the
+    lowest id), each from 0."""
+
+    adj: tuple
+    gain: list
+    total: int
+    undeletable: frozenset
+    crowded: tuple
+    gain_sums: list
+    weight_sums: list
+
+
+def _settling(prob: FDepProblem) -> _Settling:
+    """Build the settling state of `prob`, in O(n + h log h) for h heap
+    entries.  Only the log n loop builds it, once per size |K|."""
+    adj = prob.graph.adj
+    excess, gain, _, scale, heap = prob._start
+    undeletable = frozenset(v for v, s in enumerate(scale) if not s)
+    crowded = []
+    for v in undeletable:
+        surplus = len(adj[v] & undeletable) - prob.cap[v]
+        if surplus > 0:
+            crowded.append((v, surplus))
+    order = [u for _, u in sorted(heap)]
+    return _Settling(
+        adj, gain, sum(excess), undeletable, tuple(crowded),
+        list(itertools.accumulate((gain[u] for u in order), initial=0)),
+        list(itertools.accumulate((prob.weights[u] for u in order),
+                                  initial=0)))
+
+
+def _returns(settling: _Settling, removed: Iterable[int]) -> bool:
     """True exactly when f_dependent_delete(prob, removed) returns, False
-    when it raises InfeasibleError.
+    when it raises InfeasibleError, for the problem `settling` was built
+    from.
 
     Unchecked: `removed` must hold distinct vertex ids of prob.graph, in
     any iterable (the log n loop passes the K tuples of
@@ -184,16 +226,17 @@ def _returns(prob: FDepProblem, removed: Iterable[int]) -> bool:
     the vertices of the problem's U that are over their caps within U are
     checked: O(|removed|) plus their neighbors.
     """
-    adj = prob.graph.adj
-    *_, undeletable, crowded = prob._settle
-    gone = undeletable.intersection(removed)
+    adj = settling.adj
+    gone = settling.undeletable.intersection(removed)
     return all(v in gone or len(adj[v] & gone) >= surplus
-               for v, surplus in crowded)
+               for v, surplus in settling.crowded)
 
 
-def _outweighs(prob: FDepProblem, removed: Iterable[int], budget: int) -> bool:
+def _outweighs(settling: _Settling, removed: Iterable[int],
+               budget: int) -> bool:
     """True when every set of deletable vertices that meets the caps on
-    G - removed weighs more than `budget`.
+    G - removed weighs more than `budget`, for the problem `settling` was
+    built from.
 
     Unchecked: `removed` must hold distinct vertex ids of prob.graph, in
     any iterable, and `budget` must be an integer (the log n loop passes
@@ -201,17 +244,30 @@ def _outweighs(prob: FDepProblem, removed: Iterable[int], budget: int) -> bool:
 
     Deleting a vertex lowers the total excess by exactly its current gain,
     and gains only fall.  So at least left = E0 - (the start gains of
-    `removed`) of excess remains after `removed`, and a deletable u clears
-    at most its start gain, which is at most top * w[u] / lcm.  Any set that
-    clears what remains weighs at least left * lcm / top, and at least 0;
+    `removed`) of excess remains after `removed`, and a set S that clears
+    it has start gains summing to at least left.  The lightest such S,
+    with vertices taken fractionally, is the fractional knapsack (Dantzig,
+    1957): take the vertices in start-heap order until their gains reach
+    left, and the last one, i, only in part.  With pg and pw the gain and
+    weight sums before i, S weighs at least pw + (left - pg) * w_i / g_i;
     the test compares that bound with `budget` in integers, with no
-    division.  If top is 0 and left > 0, no set meets the caps and the
-    answer is True.  O(|removed|).
+    division, after one bisect on the gain sums.  Listing `removed` among
+    the vertices only lowers the bound.  If the gains never reach left, no
+    set meets the caps and the answer is True.  O(|removed| + log n).
     """
-    gain = prob._start[1]
-    total, lcm, top, *_ = prob._settle
-    left = total - sum(gain[u] for u in removed)
-    return budget < 0 or left * lcm > budget * top
+    if budget < 0:
+        return True
+    gain = settling.gain
+    left = settling.total - sum(gain[u] for u in removed)
+    if left <= 0:
+        return False
+    gain_sums, weight_sums = settling.gain_sums, settling.weight_sums
+    i = bisect.bisect_left(gain_sums, left)
+    if i == len(gain_sums):
+        return True
+    pg, pw = gain_sums[i - 1], weight_sums[i - 1]
+    g_i, w_i = gain_sums[i] - pg, weight_sums[i] - pw
+    return pw * g_i + (left - pg) * w_i > budget * g_i
 
 
 def check_degree_caps(prob: FDepProblem, deleted: Iterable[int]) -> bool:

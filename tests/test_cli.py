@@ -283,10 +283,11 @@ class TestSolve:
 
 
 # Runs under `python -O`: a registered solver that returns an infeasible set
-# must still be caught by both the CLI and the bench harness.
+# must still be caught by both the CLI (exit 4) and the bench harness (an
+# `error` row, counted as failed).
 _OPTIMISED_SCRIPT = """
 import sys
-from mdd import (DeletionSet, ExperimentConfig, Graph, Instance, MDDError,
+from mdd import (DeletionSet, ExperimentConfig, Graph, Instance,
                  run_experiment, serialize_instance)
 from mdd import bench
 from mdd.cli import main
@@ -296,12 +297,11 @@ bench.ALGORITHMS["oracle"] = lambda inst, max_L: (DeletionSet(frozenset(), 0), (
 with open(sys.argv[1], "w") as f:
     f.write(serialize_instance(Instance(Graph.cycle(5), 0)))
 print("exit", main(["solve", sys.argv[1], "--algo", "oracle"]))
-try:
-    run_experiment(ExperimentConfig(family="regular", sizes=[6],
-                                    algorithms=["oracle"],
-                                    instances_per_size=1))
-except MDDError:
-    print("raised")
+report = run_experiment(ExperimentConfig(family="regular", sizes=[6],
+                                         algorithms=["oracle"],
+                                         instances_per_size=1))
+print("rows", [row.extra for row in report.rows],
+      "failed", report.aggregates["oracle"]["failed"])
 """
 
 
@@ -313,7 +313,8 @@ def test_verification_survives_optimised_mode(tmp_path):
          str(tmp_path / "inst.txt")],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["exit 4", "raised"]
+    assert proc.stdout.splitlines() == [
+        "exit 4", "rows [{'status': 'error'}] failed 1"]
     assert "error: solver 'oracle' returned an infeasible" in proc.stderr
 
 

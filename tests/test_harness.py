@@ -3,9 +3,10 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mdd.bench
-from mdd import (BudgetError, ExperimentConfig, Graph, InputError,
+from mdd import (BudgetError, DeletionSet, ExperimentConfig, Graph, InputError,
                  PreconditionError, generate_gnp, generate_random_regular,
                  generate_random_setsystem, parse_graph, parse_instance,
                  parse_setsystem, parse_solution, run_experiment,
@@ -182,6 +183,27 @@ class TestBench:
         assert [report.aggregates[name]["failed"]
                 for name in ("logn", "kreg-exact", "oracle")] == [3, 0, 0]
 
+    def test_infeasible_result_is_an_error_row(self, monkeypatch):
+        # A solver whose set fails bench.solve's feasibility check gives an
+        # `error` row, counted as failed, and the run goes on.
+        monkeypatch.setitem(mdd.bench.ALGORITHMS, "logn", lambda inst, max_L: (
+            DeletionSet(frozenset(), 0), ()))
+        cfg = ExperimentConfig(family="regular", sizes=[6, 8],
+                               algorithms=["oracle", "logn"], k=3,
+                               instances_per_size=2, seed=2)
+        report = run_experiment(cfg)
+        assert len(report.rows) == 2 * 2 * 2
+        for row in report.rows:
+            if row.algorithm == "logn":
+                assert row.extra == {"status": "error"}
+                assert (row.size, row.weight, row.ratio, row.feasible) == \
+                    (None, None, None, None)
+                assert row.oracle_weight is not None
+            else:
+                assert row.extra == {} and row.ratio == 1.0
+        assert [report.aggregates[name]["failed"]
+                for name in ("logn", "oracle")] == [4, 0]
+
     def test_setcover_experiment(self):
         # Both constructions keep the optimum, so on either objective the
         # oracle meets the source's minimum cover size.
@@ -237,6 +259,12 @@ class TestBench:
         capped = run_experiment(dataclasses.replace(cfg, max_L=0))
         assert [row.extra for row in capped.rows if row.algorithm == "logn"] \
             == [{"status": "budget"}] * len(systems)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 7), st.integers(0, 10**6))
+    def test_min_cover_size_matches_enumeration(self, r, extra, seed):
+        sys = generate_random_setsystem(r, r + extra, seed)
+        assert mdd.bench._min_cover_size(sys) == min_cover_size(sys)
 
     def test_setcover_min_builds_mddmin_bip(self):
         cfg = ExperimentConfig(family="setcover", sizes=[4, 6],

@@ -104,3 +104,23 @@ def test_bitmask_encoding_stays_in_exact():
                     for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr == "bit_count"})
     assert users == ["exact.py"]
+
+
+def test_package_reads_no_environment():
+    # Every choice the package makes comes from its inputs or its callers'
+    # arguments, so no environment variable can become a hidden option.
+    reads = [f"{name}:{node.lineno}"
+             for name, tree in TREES.items() for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute)
+                 and node.attr in ("environ", "environb", "getenv", "getenvb"))
+             or (isinstance(node, ast.ImportFrom) and node.module == "os")]
+    assert reads == []
+
+
+def test_greedy_layer_has_no_true_division():
+    # The greedy's picks and the log n loop's bounds compare gain/weight
+    # ratios exactly, as products of integers.
+    divisions = [node.lineno for node in ast.walk(TREES["subroutines.py"])
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.Div)]
+    assert divisions == []
