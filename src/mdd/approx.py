@@ -69,15 +69,19 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     removed, which picks the same vertices as on G[V \\ K].  The weights
     are built once per trace, N[p] UNDELETABLE, and checked once, by the
     size-0 problem; each larger size |K| recaps it, unchecked, with caps
-    d(p) - |K| - 1 and d(p) for p itself, and builds its settling state.
+    d(p) - |K| - 1 and d(p) for p itself, and builds its settling state
+    (U, the UNDELETABLE vertices, and their counts of neighbors in U come
+    from the previous size's).
 
     The greedy runs only on a branch that _returns (exact) passes, whose
     w(K) is finite, and for which _outweighs (the fractional knapsack over
     the start gains) does not show that every candidate outweighs the best
-    one so far; a skipped candidate weighs more than the best, so the
-    result is that of running every branch.  The ids of K are checked
-    once, by f_dependent_delete, and only on branches where the greedy
-    runs."""
+    one so far.  Once there is a best, the greedy gets the budget best -
+    w(K) and returns None as soon as its set must weigh more.  A skipped
+    or stopped candidate weighs more than the best, and both tests are
+    strict, so the result, ties on weight included, is that of running
+    every branch to the end.  The ids of K are checked once, by
+    f_dependent_delete, and only on branches where the greedy runs."""
     if inst.objective is not Objective.MAX:
         raise PreconditionError("branching algorithm applies to objective Max")
     g = inst.graph
@@ -97,12 +101,13 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     members = sorted(l_set.members)
     feasible = 0
     best = best_k = None  # best: the (weight, size, sorted tuple) key
+    settling = None
     for size in range(len(members) + 1):
         caps = [g.degree(p) - size - 1] * g.n
         caps[p] = g.degree(p)
         prob = (prob._recapped(tuple(caps)) if size
                 else FDepProblem(g, tuple(caps), weights))
-        settling = _settling(prob)
+        settling = _settling(prob, settling)
         for k_tuple in itertools.combinations(members, size):
             if not _returns(settling, k_tuple):
                 continue
@@ -110,10 +115,12 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
             k_weight = inst.weight_of(k_tuple)
             if k_weight == math.inf:
                 continue
-            if best is not None and _outweighs(settling, k_tuple,
-                                               best[0] - k_weight):
+            budget = None if best is None else best[0] - k_weight
+            if budget is not None and _outweighs(settling, k_tuple, budget):
                 continue
-            deleted = f_dependent_delete(prob, k_tuple)
+            deleted = f_dependent_delete(prob, k_tuple, budget=budget)
+            if deleted is None:
+                continue
             candidate = deleted.union(k_tuple)
             key = (k_weight + inst.weight_of(deleted), len(candidate),
                    tuple(sorted(candidate)))

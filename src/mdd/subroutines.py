@@ -8,10 +8,12 @@ a vertex meets that cap exactly when it or a neighbor is deleted).  The
 greedy picks by one deterministic rule: the best gain/weight ratio, compared
 exactly in integers, and ties go to the lowest vertex id.  An
 UNDELETABLE weight is the one way to keep a vertex from being picked.
-Two private steps of the log n branching loop answer from a problem's start
-state without running the greedy: whether it returns on G - removed
-(`_returns`, exact), and whether every set meeting the caps there outweighs
-a budget (`_outweighs`, a fractional-knapsack lower bound).  Both read a
+Given a budget, the greedy returns None as soon as its set must weigh more;
+only the log n branching loop passes one.
+Two private steps of that loop answer from a problem's start state without
+running the greedy: whether it returns on G - removed (`_returns`, exact),
+and whether every set meeting the caps there outweighs a budget
+(`_outweighs`, a fractional-knapsack lower bound).  Both read a
 `_Settling` state that only the loop builds, once per problem.
 """
 from __future__ import annotations
@@ -104,7 +106,8 @@ class FDepProblem:
         return cls(graph, tuple(f for _ in range(graph.n)), tuple(weights))
 
 
-def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozenset:
+def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = (), *,
+                       budget: Optional[int] = None) -> Optional[frozenset]:
     """Greedy degree-cap deletion on G - removed, in the original ids.
 
     Repeatedly deletes the deletable vertex u with the best ratio
@@ -125,10 +128,23 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
     vertex's key is the best pick, and a stale one is pushed back with the
     current key while that gain is positive and dropped otherwise (a
     deleted vertex's gain is 0 or below, so it never comes back).
+
+    With an integer `budget`, the call returns None in place of a set that
+    weighs more than `budget` (and may return None where it would raise
+    InfeasibleError), and stops as soon as it can tell.  Before each pick
+    u, let spent be the weight deleted so far and left the total excess
+    still to clear, which each deletion lowers by exactly its current
+    gain.  No later pick has a better gain/weight than u, so the set weighs
+    at least spent + left * w_u / g_u, and the call stops when
+    spent * g_u + left * w_u > budget * g_u.  The last pick clears all of
+    left, so there the bound is the set's weight: the test is exact, in
+    integers, with no division.
     """
     g = prob.graph
     adj = g.adj
     removed = _vertex_ids(g, removed)
+    if not (budget is None or is_int(budget)):
+        raise PreconditionError("budget must be an integer")
     excess, gain, over, scale, heap = prob._start
     excess, gain, heap = excess[:], gain[:], heap[:]
 
@@ -150,6 +166,11 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
 
     for u in removed:
         delete(u)
+    if budget is not None:
+        if budget < 0:
+            return None
+        weights = prob.weights
+        spent, left = 0, sum(excess)
     deleted = []
     while over:
         while heap:
@@ -164,6 +185,12 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
         else:
             raise InfeasibleError(
                 "degree caps violated but every helpful vertex is undeletable")
+        if budget is not None:
+            g_u, w_u = gain[u], weights[u]
+            if spent * g_u + left * w_u > budget * g_u:
+                return None
+            spent += w_u
+            left -= g_u
         heapq.heappop(heap)
         deleted.append(u)
         delete(u)
@@ -173,35 +200,42 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = ()) -> frozen
 class _Settling(NamedTuple):
     """The start state of one problem as the log n loop's settling steps
     read it: the graph's adjacency, the start gains and total excess E0,
-    the set U of UNDELETABLE vertices, each v in U that has more neighbors
-    in U than cap[v] with that surplus, and the integer prefix sums of the
-    start gains and of the weights of the deletable vertices with positive
-    start gain, in start-heap order (gain/weight descending, ties to the
-    lowest id), each from 0."""
+    the set U of UNDELETABLE vertices with each one's count of neighbors
+    in U, each v in U that has more neighbors in U than cap[v] with that
+    surplus, and the integer prefix sums of the start gains and of the
+    weights of the deletable vertices with positive start gain, in
+    start-heap order (gain/weight descending, ties to the lowest id), each
+    from 0."""
 
     adj: tuple
     gain: list
     total: int
     undeletable: frozenset
+    inner: tuple
     crowded: tuple
     gain_sums: list
     weight_sums: list
 
 
-def _settling(prob: FDepProblem) -> _Settling:
+def _settling(prob: FDepProblem,
+              previous: Optional[_Settling] = None) -> _Settling:
     """Build the settling state of `prob`, in O(n + h log h) for h heap
-    entries.  Only the log n loop builds it, once per size |K|."""
+    entries.  Only the log n loop builds it, once per size |K|.  U and the
+    counts of neighbors in U depend only on the graph and the weights, so
+    they are taken from `previous`, the state of the loop's previous size,
+    when it is given: once per trace, not once per size."""
     adj = prob.graph.adj
     excess, gain, _, scale, heap = prob._start
-    undeletable = frozenset(v for v, s in enumerate(scale) if not s)
-    crowded = []
-    for v in undeletable:
-        surplus = len(adj[v] & undeletable) - prob.cap[v]
-        if surplus > 0:
-            crowded.append((v, surplus))
+    if previous is None:
+        undeletable = frozenset(v for v, s in enumerate(scale) if not s)
+        inner = tuple((v, len(adj[v] & undeletable)) for v in undeletable)
+    else:
+        undeletable, inner = previous.undeletable, previous.inner
+    cap = prob.cap
     order = [u for _, u in sorted(heap)]
     return _Settling(
-        adj, gain, sum(excess), undeletable, tuple(crowded),
+        adj, gain, sum(excess), undeletable, inner,
+        tuple((v, d - cap[v]) for v, d in inner if d > cap[v]),
         list(itertools.accumulate((gain[u] for u in order), initial=0)),
         list(itertools.accumulate((prob.weights[u] for u in order),
                                   initial=0)))

@@ -152,7 +152,8 @@ class TestMddMaxLogn:
         g = Graph(6, [(0, 1), (0, 2), (3, 4), (4, 5), (3, 5)])
         inst = Instance(g, 0, None, Objective.MAX)
         monkeypatch.setattr(approx, "f_dependent_delete",
-                            lambda prob, removed=(): frozenset())
+                            lambda prob, removed=(), *, budget=None:
+                            frozenset())
         with pytest.raises(MDDError) as err:
             mdd_max_logn_trace(inst)
         assert err.type is MDDError

@@ -16,9 +16,13 @@ the optimum; a bound equal to a weight does not exceed it, and the
 knapsack bound prunes a pinned case that pricing every vertex at the best
 ratio does not.  Both steps answer the same for a removed set as a
 frozenset and as the sorted tuple the loop passes.
+A greedy given a budget returns its set, or None exactly when that set
+weighs more than the budget.
 The log n branching algorithm gives the same trace as the reference branch
 loop, which builds an induced subgraph per branch, also on G(40-60, 0.1)
-instances where the bound prunes branches, and the cubic
+instances where the bound prunes branches and budgeted greedy calls stop
+early, and on pinned instances where a branch ties the best weight and
+wins on size or sorted tuple; the cubic
 algorithm's final-degree-2 candidates equal the reference ones, which run
 the greedy on the induced subgraph G*.
 
@@ -27,6 +31,7 @@ to a small counterexample.
 """
 import copy
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -125,6 +130,36 @@ def test_removed_set_matches_reference_on_induced_subgraph(data):
     prob = FDepProblem(g, _package_caps(g, caps), weights)
     assert (_outcome(f_dependent_delete, prob, removed)
             == _reference_without(g, caps, weights, removed))
+
+
+@EXAMPLES
+@given(st.data())
+def test_budgeted_greedy_returns_none_exactly_above_the_budget(data):
+    """With a budget the greedy returns the set it returns without one, or
+    None exactly when that set weighs more than the budget: at the set's
+    weight, one either side of it, and a random budget.  Where the greedy
+    raises InfeasibleError, a budgeted call raises it too or returns
+    None."""
+    g = data.draw(graphs())
+    removed = data.draw(st.frozensets(st.integers(0, g.n - 1),
+                                      max_size=g.n // 2))
+    caps = tuple(data.draw(st.lists(CAPS, min_size=g.n, max_size=g.n)))
+    weights = tuple(data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n)))
+    prob = FDepProblem(g, _package_caps(g, caps), weights)
+    unbudgeted = _outcome(f_dependent_delete, prob, removed, message=True)
+    if isinstance(unbudgeted, frozenset):
+        weight = _weight(prob, unbudgeted)
+        budgets = [weight - 1, weight, weight + 1,
+                   data.draw(st.integers(-2, 2 * weight + 2))]
+    else:
+        budgets = [data.draw(st.integers(-2, 2**62))]
+    for budget in budgets:
+        got = _outcome(functools.partial(f_dependent_delete, budget=budget),
+                       prob, removed, message=True)
+        if isinstance(unbudgeted, frozenset):
+            assert got == (None if weight > budget else unbudgeted)
+        else:
+            assert got in (None, unbudgeted)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -339,16 +374,21 @@ def _pruning_instances():
 
 
 def test_pruned_logn_trace_matches_reference_branch_step(monkeypatch):
-    """Where the bound prunes: the trace is the reference's, which runs the
-    greedy on every branch, and on some instance the greedy runs on fewer
-    branches than are feasible.  Over all the instances the greedy runs 262
-    times of 789 feasible branches (356 with a bound that prices every
-    vertex at the best start ratio)."""
+    """Where the bound prunes and the budget stops the greedy: the trace is
+    the reference's, which runs the greedy to the end on every branch, and
+    on some instance the greedy runs on fewer branches than are feasible.
+    Over all the instances the greedy runs 262 times of 789 feasible
+    branches (356 with a bound that prices every vertex at the best start
+    ratio), and 244 of those runs stop early, over the budget."""
     calls = []
+    stopped = []
 
-    def counting(prob, removed=()):
+    def counting(prob, removed=(), *, budget=None):
         calls.append(removed)
-        return f_dependent_delete(prob, removed)
+        deleted = f_dependent_delete(prob, removed, budget=budget)
+        if deleted is None:
+            stopped.append(removed)
+        return deleted
 
     monkeypatch.setattr(approx, "f_dependent_delete", counting)
     pruned = feasible = 0
@@ -360,7 +400,7 @@ def test_pruned_logn_trace_matches_reference_branch_step(monkeypatch):
             feasible += trace.branches_feasible
             pruned += len(calls) - before < trace.branches_feasible
     assert pruned
-    assert (len(calls), feasible) == (262, 789)
+    assert (len(calls), feasible, len(stopped)) == (262, 789, 244)
 
 
 def test_logn_checks_ids_only_where_the_greedy_runs(monkeypatch):
@@ -374,9 +414,9 @@ def test_logn_checks_ids_only_where_the_greedy_runs(monkeypatch):
         checks.append(vertices)
         return check(g, vertices, role)
 
-    def counting_delete(prob, removed=()):
+    def counting_delete(prob, removed=(), *, budget=None):
         calls.append(removed)
-        return f_dependent_delete(prob, removed)
+        return f_dependent_delete(prob, removed, budget=budget)
 
     monkeypatch.setattr(subroutines, "_vertex_ids", counting_check)
     monkeypatch.setattr(approx, "f_dependent_delete", counting_delete)
@@ -387,6 +427,30 @@ def test_logn_checks_ids_only_where_the_greedy_runs(monkeypatch):
         assert calls and len(checks) == len(calls)
         if not isinstance(trace, type):
             assert len(calls) < trace.branches_total
+
+
+@pytest.mark.parametrize("n, q, seed, p, weights, solution, chosen_k", [
+    # Unit weights: K = (0,) gives {0, 1}, which ties K = ()'s {1, 3} on
+    # weight and size and wins on the sorted tuple.
+    (6, 0.5, 79698, 5, None, (0, 1), (0,)),
+    # K = (4,) gives {4, 5}, weight 9, which ties K = ()'s {0, 3, 5} on
+    # weight and wins on size.
+    (7, 0.5, 501900, 1, (4, 1, 4, 1, 5, 4, 5), (4, 5), (4,)),
+])
+def test_branch_that_ties_the_best_weight_still_runs(n, q, seed, p, weights,
+                                                     solution, chosen_k):
+    """The greedy's budget is the best weight less w(K), and a branch stops
+    only when its set must weigh more: a branch whose set weighs exactly
+    the best runs to the end and can win."""
+    inst = Instance(generate_gnp(n, q, seed), p, weights, Objective.MAX)
+    g = inst.graph
+    incumbent = reference_greedy.branch_candidate(inst, set(), g.adj[p],
+                                                  g.degree(p))
+    assert inst.weight_of(incumbent) == inst.weight_of(solution)
+    trace = mdd_max_logn_trace(inst)
+    assert (trace.solution.vertices, trace.chosen_k) == (frozenset(solution),
+                                                         chosen_k)
+    assert trace == reference_greedy.logn_trace(inst, None)
 
 
 @EXAMPLES

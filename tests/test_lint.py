@@ -124,3 +124,23 @@ def test_greedy_layer_has_no_true_division():
                  if isinstance(node, (ast.BinOp, ast.AugAssign))
                  and isinstance(node.op, ast.Div)]
     assert divisions == []
+
+
+def _called_name(node):
+    """The name in `name(...)` or `obj.name(...)`, else None."""
+    func = node.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def test_only_the_log_n_loop_budgets_the_greedy():
+    # A budget stops the greedy once its set must outweigh the best log n
+    # candidate; the cubic solver, dominating_set_approx and
+    # `mdd subroutine` run it to the end.  `**kwargs` counts as a budget.
+    budgeted = sorted({name for name, tree in TREES.items()
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)
+                       and _called_name(node) == "f_dependent_delete"
+                       and any(k.arg in ("budget", None)
+                               for k in node.keywords)})
+    assert budgeted == ["approx.py"]

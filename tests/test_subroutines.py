@@ -108,6 +108,22 @@ class TestFDependentDelete:
                            match="^deleted vertices must be vertex ids$"):
             check_degree_caps(prob, {99})
 
+    def test_budget_stops_above_the_set_weight(self):
+        # Center 0 of a 4-leaf star is over its cap 1 by 3; deleting it
+        # (weight 2) clears all of it, where the leaves clear 1 each.
+        prob = FDepProblem(Graph.star(4), (1,) * 5, (2, 1, 1, 1, 1))
+        assert f_dependent_delete(prob) == frozenset({0})
+        assert f_dependent_delete(prob, budget=2) == frozenset({0})
+        assert f_dependent_delete(prob, budget=1) is None
+        assert f_dependent_delete(prob, budget=-1) is None
+
+    def test_budget_must_be_an_integer(self):
+        prob = FDepProblem.uniform(Graph.star(4), 1)
+        for budget in (1.5, True, "3", UNDELETABLE):
+            with pytest.raises(PreconditionError,
+                               match="^budget must be an integer$"):
+                f_dependent_delete(prob, budget=budget)
+
     def test_non_integer_cap_rejected(self):
         for cap in (None, 1.5):
             with pytest.raises(PreconditionError):
