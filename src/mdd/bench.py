@@ -56,7 +56,9 @@ def _solve_cubic(inst, max_L):
     trace = mdd_max_cubic_trace(inst)
     notes = [f"candidate {label}: size {size}"
              for label, size in trace.candidate_sizes]
-    return trace.solution, (*notes, f"winning case: {trace.case}")
+    return trace.solution, (*notes,
+                            f"stopped dissociation branches: {trace.stopped}",
+                            f"winning case: {trace.case}")
 
 
 #: Every solver by name: fn(instance, max_L) -> (DeletionSet, trace lines).

@@ -43,22 +43,28 @@ def _require_cubic_max_unit(inst: Instance):
 
 def build_domination_gadget(inst: Instance) -> DominationGadget:
     _require_cubic_max_unit(inst)
-    g = inst.graph
-    removed = g.closed_neighborhood(inst.p)
-    edges = [(u, v) for u in range(g.n) if u not in removed
-             for v in g.adj[u] if u < v and v not in removed]
+    return _gadget(inst.graph, inst.p)
+
+
+def _gadget(g: Graph, p: int) -> DominationGadget:
+    """The gadget of build_domination_gadget on a checked instance.  The
+    proxy graph's neighbour sets come from g.adj, so it is built without
+    per-edge checks."""
+    removed = g.closed_neighborhood(p)
+    adj = [frozenset() if u in removed else a - removed
+           for u, a in enumerate(g.adj)]
     groups = {}
-    next_id = g.n
-    for x in sorted(g.adj[inst.p]):
+    for x in sorted(g.adj[p]):
         out_x = g.adj[x] - removed
         if not 1 <= len(out_x) <= 2:
             raise InapplicableError(
                 f"neighbor {x} of p has {len(out_x)} neighbors outside N[p]; "
                 f"the final-degree-3 case does not apply")
-        groups[x] = tuple(range(next_id, next_id + len(out_x)))
-        edges += [(pid, a) for pid in groups[x] for a in out_x]
-        next_id += len(out_x)
-    return DominationGadget(Graph(next_id, edges), removed, groups)
+        groups[x] = tuple(range(len(adj), len(adj) + len(out_x)))
+        for a in out_x:
+            adj[a] = adj[a].union(groups[x])
+        adj += [out_x] * len(out_x)
+    return DominationGadget(Graph._unchecked(adj), removed, groups)
 
 
 def normalize_dominating_set(gadget: DominationGadget, d_in) -> frozenset:
@@ -101,10 +107,13 @@ def build_gstar(inst: Instance, x: int) -> frozenset:
     fixed | N[p] passed as `removed`.
     """
     _require_cubic_max_unit(inst)
-    g = inst.graph
-    p = inst.p
-    if x not in g.adj[p]:
+    if x not in inst.graph.adj[inst.p]:
         raise PreconditionError(f"{x} is not a neighbor of p")
+    return _gstar(inst.graph, inst.p, x)
+
+
+def _gstar(g: Graph, p: int, x: int) -> frozenset:
+    """The fixed set of build_gstar on a checked instance and x in N(p)."""
     y, z = sorted(g.adj[p] - {x})
     if z in g.adj[y]:
         raise InapplicableError(
@@ -117,7 +126,8 @@ def build_gstar(inst: Instance, x: int) -> frozenset:
 class CubicTrace:
     solution: DeletionSet
     case: str
-    candidate_sizes: tuple  # (case label, size) per evaluated candidate
+    candidate_sizes: tuple  # (case label, size) per candidate run to the end
+    stopped: int  # final-degree-2 branches stopped by their budget
 
 
 # Selection prefers smaller sets; among equal sizes the domination case wins
@@ -126,34 +136,52 @@ _CASE_RANK = {"domination": 0, "dissociation": 1, "full": 2}
 
 
 def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
+    """Best of the three case candidates, on an instance checked once.
+
+    The final-degree-3 candidate is the greedy dominating set of the proxy
+    graph outside N[p].  Each final-degree-2 branch runs the dissociation
+    greedy with the budget best - |fixed|, best the size of the smallest
+    candidate so far, starting from the full candidate's n - 1, and is
+    stopped, not listed, when its candidate must be larger.  The test is
+    strict, so a branch that ties the best still runs and can win on case
+    rank or sorted tuple, and the result is that of running every branch to
+    the end."""
     _require_cubic_max_unit(inst)
     g = inst.graph
     p = inst.p
+    closed_p = g.closed_neighborhood(p)
     candidates = []
     try:
-        gadget = build_domination_gadget(inst)
-        dom = dominating_set_approx(gadget.gprime, removed=gadget.removed)
-        candidates.append(("domination", normalize_dominating_set(gadget, dom)))
+        gadget = _gadget(g, p)
     except InapplicableError:
         pass
+    else:
+        dom = dominating_set_approx(gadget.gprime, removed=gadget.removed)
+        candidates.append(("domination", normalize_dominating_set(gadget, dom)))
+    best = min([g.n - 1] + [len(c) for _, c in candidates])
+    stopped = 0
     dissociation = None  # one problem for every final-degree-2 branch
     for x in sorted(g.adj[p]):
         try:
-            fixed = build_gstar(inst, x)
+            fixed = _gstar(g, p, x)
         except InapplicableError:
             continue
         if dissociation is None:
             dissociation = FDepProblem.uniform(g, 1)
-        t = f_dependent_delete(dissociation,
-                               fixed | g.closed_neighborhood(p))
+        t = f_dependent_delete(dissociation, fixed | closed_p,
+                               budget=best - len(fixed))
+        if t is None:
+            stopped += 1
+            continue
         candidates.append(("dissociation", fixed | t))
+        best = min(best, len(fixed) + len(t))
     candidates.append(("full", set(range(g.n)) - {p}))
     label, cand = min(candidates, key=lambda c: (
         len(c[1]), _CASE_RANK[c[0]], tuple(sorted(c[1]))))
     if not is_feasible(inst, cand):
         raise MDDError(f"cubic {label} candidate is infeasible")
     return CubicTrace(DeletionSet.of(inst, cand), label,
-                      tuple((lbl, len(c)) for lbl, c in candidates))
+                      tuple((lbl, len(c)) for lbl, c in candidates), stopped)
 
 
 def mdd_max_cubic(inst: Instance) -> DeletionSet:

@@ -59,6 +59,18 @@ class Graph:
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
 
+    @classmethod
+    def _unchecked(cls, adj) -> "Graph":
+        """The graph whose neighbour sets are `adj`, without the per-edge
+        checks of Graph(n, edges).  Unchecked: `adj` must be a sequence of
+        frozensets of ids in range, symmetric and loop-free, as sets derived
+        from another Graph's adjacency are (the cubic proxy graph builds
+        one)."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = tuple(adj)
+        return g
+
     # -- basic queries ----------------------------------------------------
 
     def degree(self, v: int) -> int:

@@ -9,8 +9,9 @@ greedy picks by one deterministic rule: the best gain/weight ratio, compared
 exactly in integers, and ties go to the lowest vertex id.  An
 UNDELETABLE weight is the one way to keep a vertex from being picked.
 Given a budget, the greedy returns None as soon as its set must weigh more;
-only the log n branching loop passes one.
-Two private steps of that loop answer from a problem's start state without
+two branch loops pass one, the log n loop and the cubic final-degree-2
+branches.
+Two private steps of the log n loop answer from a problem's start state without
 running the greedy: whether it returns on G - removed (`_returns`, exact),
 and whether every set meeting the caps there outweighs a budget
 (`_outweighs`, a fractional-knapsack lower bound).  Both read a
@@ -19,7 +20,6 @@ and whether every set meeting the caps there outweighs a budget
 from __future__ import annotations
 
 import bisect
-import copy
 import heapq
 import itertools
 import math
@@ -45,8 +45,10 @@ class FDepProblem:
     more never binds.  A negative cap means v cannot remain at all (such
     caps arise from the branch subproblems of the subset-enumeration
     algorithm).  weights[v] is a positive integer, or UNDELETABLE for
-    vertices that must survive.  Every vertex's cap and weight are checked,
-    also those of vertices a call to f_dependent_delete removes.
+    vertices that must survive.  FDepProblem(...) checks every vertex's cap
+    and weight, also those of vertices a call to f_dependent_delete
+    removes; only _unchecked_problem, for callers that build caps and
+    weights themselves, skips the checks.
 
     After the checks the greedy's start state on the whole graph is built
     once, in O(n + m), and kept for every call: excesses, gains, the count
@@ -94,16 +96,37 @@ class FDepProblem:
         start state reuses this one's scale.  Unchecked: `cap` must be a
         tuple of n ints (the log n loop computes it), so the weights are
         checked once, by the problem it recaps."""
-        prob = copy.copy(self)
-        object.__setattr__(prob, "cap", cap)
-        prob._build(self._start[3])
-        return prob
+        return _unchecked_problem(self.graph, cap, self.weights,
+                                  self._start[3])
 
     @classmethod
     def uniform(cls, graph: Graph, f: int, weights=None) -> "FDepProblem":
-        if weights is None:
-            weights = tuple(1 for _ in range(graph.n))
-        return cls(graph, tuple(f for _ in range(graph.n)), tuple(weights))
+        """Every cap f; unit weights unless `weights` is given."""
+        cap = (f,) * graph.n
+        if weights is not None:
+            return cls(graph, cap, tuple(weights))
+        if not is_int(f):
+            raise PreconditionError("caps must be integers")
+        return _unchecked_problem(graph, cap, (1,) * graph.n, [1] * graph.n)
+
+
+def _unchecked_problem(graph: Graph, cap: tuple, weights: tuple,
+                       scale) -> FDepProblem:
+    """FDepProblem(graph, cap, weights) without its checks, with the start
+    state built from `scale`, the list of lcm // weight (0 for UNDELETABLE).
+    Unchecked: `cap` must be a tuple of n ints, `weights` a tuple of n valid
+    weights and `scale` their scale.  Only callers that build these
+    themselves may use it: FDepProblem._recapped, whose weights and scale
+    come from a checked problem, and, without weights given,
+    FDepProblem.uniform (a checked int cap) and dominating_set_approx (caps
+    from the graph's degrees), whose weights are all 1 and so is the scale.
+    """
+    prob = object.__new__(FDepProblem)
+    object.__setattr__(prob, "graph", graph)
+    object.__setattr__(prob, "cap", cap)
+    object.__setattr__(prob, "weights", weights)
+    prob._build(scale)
+    return prob
 
 
 def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = (), *,
@@ -325,14 +348,16 @@ def dominating_set_approx(g: Graph, weights: Optional[tuple] = None,
     raises InfeasibleError before any pick.  The `removed` vertices are
     never picked and need no dominator.
     """
-    if weights is None:
-        weights = tuple(1 for _ in range(g.n))
     removed = _vertex_ids(g, removed)
     adj = g.adj
     cap = [len(a) - 1 for a in adj]
     for u in removed:
         for v in adj[u]:
             cap[v] -= 1
+    if weights is None:
+        # Every vertex outside `removed` may dominate itself: no check.
+        return f_dependent_delete(
+            _unchecked_problem(g, tuple(cap), (1,) * g.n, [1] * g.n), removed)
     prob = FDepProblem(g, tuple(cap), tuple(weights))
     pickable = [w != UNDELETABLE for w in prob.weights]
     for u in removed:

@@ -4,9 +4,10 @@ Quadratic implementations of the degree-cap and dominating-set greedies
 that rescore every vertex from scratch and compare ratios as exact
 `Fraction`s; the branch loop of the log n algorithm, whose branch step
 builds the induced subgraph G[V \\ K] and runs the reference greedy on it;
-and the final-degree-2 step of the cubic algorithm that does the same on
-G*.  The package's faster versions must pick exactly the same vertices, so
-these stay as they are; tests compare against them.
+the final-degree-2 step of the cubic algorithm that does the same on G*;
+and the cubic algorithm's choice with every candidate run to the end.  The
+package's faster versions must pick exactly the same vertices, so these
+stay as they are; tests compare against them.
 """
 import itertools
 import math
@@ -15,8 +16,10 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from mdd import (BudgetError, DeletionSet, FDepProblem, Graph,
-                 InfeasibleError, MDDError, Objective, PreconditionError,
-                 UNDELETABLE, build_L, is_feasible)
+                 InapplicableError, InfeasibleError, MDDError, Objective,
+                 PreconditionError, UNDELETABLE, build_L,
+                 build_domination_gadget, is_feasible,
+                 normalize_dominating_set)
 from mdd.approx import BranchingResult, default_l_cap
 
 #: Cap sentinel of the reference: the vertex carries no degree constraint at
@@ -196,3 +199,32 @@ def dissociation_candidate(inst, x):
     gstar, remap = g.induced_subgraph(vstar)
     t = f_dependent_delete(FDepProblem.uniform(gstar, 1))
     return set(fixed) | {remap[i] for i in t}
+
+
+def cubic_choice(inst):
+    """(case, vertex set) of the cubic algorithm with every candidate run to
+    the end: the reference greedy dominating set of the proxy graph outside
+    N[p], built on its induced subgraph; each final-degree-2 branch's
+    dissociation_candidate; and V - {p}.  The smallest wins, then the case
+    (domination, dissociation, full), then the sorted tuple."""
+    g = inst.graph
+    candidates = []
+    try:
+        gadget = build_domination_gadget(inst)
+    except InapplicableError:
+        pass
+    else:
+        gprime = gadget.gprime
+        sub, remap = gprime.induced_subgraph(
+            v for v in range(gprime.n) if v not in gadget.removed)
+        dom = frozenset(remap[i] for i in dominating_set_approx(sub))
+        candidates.append(
+            (0, "domination", normalize_dominating_set(gadget, dom)))
+    for x in sorted(g.adj[inst.p]):
+        cand = dissociation_candidate(inst, x)
+        if cand is not None:
+            candidates.append((1, "dissociation", frozenset(cand)))
+    candidates.append((2, "full", frozenset(range(g.n)) - {inst.p}))
+    _, label, cand = min(candidates, key=lambda c: (
+        len(c[2]), c[0], tuple(sorted(c[2]))))
+    return label, cand

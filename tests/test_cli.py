@@ -9,7 +9,8 @@ import mdd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdd import (Graph, Instance, Objective, generate_gnp, serialize_graph,
+from mdd import (Graph, Instance, Objective, generate_gnp,
+                 generate_random_cubic, serialize_graph,
                  serialize_instance, serialize_setsystem, serialize_solution,
                  SetSystem, mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
                  parse_graph, parse_instance, setcover_to_mddmax_bip,
@@ -243,6 +244,23 @@ class TestSolve:
         assert main(["solve", path, "--algo", "cubic"]) == 0
         out = capsys.readouterr().out
         assert "winning case: full" in out
+
+    def test_cubic_output_with_a_stopped_branch(self, tmp_path, capsys):
+        # Cubic n = 8, seed 1, p = 1: the domination candidate has size 3,
+        # so the branch at x = 3, whose candidate has size 4, stops; the
+        # branch at x = 6 ties at 3, runs and loses on case rank, and the
+        # one at x = 0 does not apply.
+        inst = Instance(generate_random_cubic(8, 1), 1, None, Objective.MAX)
+        path = write_instance(tmp_path, inst)
+        assert main(["solve", path, "--algo", "cubic"]) == 0
+        assert capsys.readouterr().out == (
+            "candidate domination: size 3\n"
+            "candidate dissociation: size 3\n"
+            "candidate full: size 7\n"
+            "stopped dissociation branches: 1\n"
+            "winning case: domination\n"
+            "solution: 2 4 5\n"
+            "size: 3  weight: 3\n")
 
     def test_kreg_on_large_cubic(self, tmp_path, capsys):
         g_path = tmp_path / "g.txt"

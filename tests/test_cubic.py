@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdd import (Graph, InapplicableError, Instance, Objective,
-                 PreconditionError, brute_force_optimum,
+                 PreconditionError, brute_force_optimum, cubic,
                  build_domination_gadget, build_gstar, dominating_set_approx,
                  generate_random_cubic, is_dominating, is_feasible,
                  mdd_max_cubic, mdd_max_cubic_trace, normalize_dominating_set)
@@ -39,6 +39,35 @@ class TestDominationGadget:
         assert len(gadget.groups[2]) == 1
         assert len(gadget.groups[3]) == 2
         assert gadget.gprime.n == 6 + 4
+
+    def test_same_proxy_graph_as_an_edge_list_construction(self):
+        # The proxy graph is built from neighbour sets; the edges of G
+        # outside N[p] plus the proxy edges give the same graph.
+        graphs = [k33(), prism()] + [generate_random_cubic(n, seed)
+                                     for n in (8, 12, 20) for seed in range(5)]
+        built = 0
+        for g in graphs:
+            for p in range(g.n):
+                try:
+                    gadget = build_domination_gadget(
+                        Instance(g, p, None, Objective.MAX))
+                except InapplicableError:
+                    continue
+                built += 1
+                removed = g.closed_neighborhood(p)
+                edges = [(u, v) for u in range(g.n) if u not in removed
+                         for v in g.adj[u] if u < v and v not in removed]
+                groups = {}
+                next_id = g.n
+                for x in sorted(g.adj[p]):
+                    out_x = g.adj[x] - removed
+                    groups[x] = tuple(range(next_id, next_id + len(out_x)))
+                    edges += [(pid, a) for pid in groups[x] for a in out_x]
+                    next_id += len(out_x)
+                assert gadget.gprime.adj == Graph(next_id, edges).adj
+                assert gadget.groups == groups
+                assert gadget.removed == removed
+        assert built > 100
 
     def test_k4_inapplicable(self):
         inst = Instance(Graph.complete(4), 0, None, Objective.MAX)
@@ -130,6 +159,32 @@ class TestMddMaxCubic:
     def test_rejects_min_objective(self):
         with pytest.raises(PreconditionError):
             mdd_max_cubic(Instance(k33(), 0))
+
+    @pytest.mark.parametrize("inst, message", [
+        (Instance(Graph.cycle(5), 0, None, Objective.MAX),
+         "graph is not 3-regular"),
+        (Instance(k33(), 0), "cubic algorithm handles objective Max only"),
+        (Instance(k33(), 0, (1, 1, 2, 1, 1, 1), Objective.MAX),
+         "cubic algorithm requires unit weights"),
+    ], ids=["non-cubic", "min", "non-unit"])
+    def test_trace_checks_the_instance(self, inst, message):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            mdd_max_cubic_trace(inst)
+
+    def test_a_branch_stops_on_an_earlier_branch(self, monkeypatch):
+        # On random cubic graphs no final-degree-2 candidate was found
+        # smaller than the domination one, so that case is taken out here:
+        # on cubic n = 8, seed 1, p = 2, the branch at x = 4 gives size 3,
+        # and the one at x = 7, of size 4, stops on that best.
+        def inapplicable(g, p):
+            raise InapplicableError("no domination candidate")
+
+        monkeypatch.setattr(cubic, "_gadget", inapplicable)
+        trace = mdd_max_cubic_trace(
+            Instance(generate_random_cubic(8, 1), 2, None, Objective.MAX))
+        assert trace.candidate_sizes == (("dissociation", 3), ("full", 7))
+        assert trace.stopped == 1
+        assert trace.solution.vertices == {1, 4, 5}
 
     def test_petersen_all_p(self):
         g = Graph.petersen()

@@ -22,9 +22,12 @@ The log n branching algorithm gives the same trace as the reference branch
 loop, which builds an induced subgraph per branch, also on G(40-60, 0.1)
 instances where the bound prunes branches and budgeted greedy calls stop
 early, and on pinned instances where a branch ties the best weight and
-wins on size or sorted tuple; the cubic
-algorithm's final-degree-2 candidates equal the reference ones, which run
-the greedy on the induced subgraph G*.
+wins on size or sorted tuple.  The cubic
+algorithm's final-degree-2 candidates that run equal the reference ones,
+which run the greedy on the induced subgraph G*, and a branch stops only
+where its reference candidate is larger than the best before it; the cubic
+solution and case are those of a reference that runs every candidate to
+the end.
 
 Derandomized, so every run checks the same examples; a failure is shrunk
 to a small counterexample.
@@ -33,12 +36,14 @@ import copy
 import dataclasses
 import functools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdd import (FDepProblem, InapplicableError, InfeasibleError,
                  Instance, MDDError, Objective, UNDELETABLE, approx, build_L,
+                 cubic,
                  build_gstar, Graph, dissociation_delete,
                  dominating_set_approx, dualize, f_dependent_delete,
                  generate_gnp, generate_random_cubic, generate_random_regular,
@@ -201,6 +206,22 @@ def test_recapped_problem_is_the_fresh_problem(data):
     assert recapped == FDepProblem(g, new, weights)
     assert vars(recapped) == vars(FDepProblem(g, new, weights))
     assert vars(prob) == vars(FDepProblem(g, old, weights))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_unit_weight_problems_are_the_checked_problems(data):
+    """Without weights, FDepProblem.uniform and dominating_set_approx build
+    their problem unchecked: both give what explicit unit weights, checked,
+    give, start state included."""
+    g = data.draw(graphs())
+    f = data.draw(st.integers(-1, 4))
+    unit = (1,) * g.n
+    assert vars(FDepProblem.uniform(g, f)) == vars(
+        FDepProblem.uniform(g, f, unit))
+    removed = data.draw(st.sets(st.integers(0, g.n - 1)))
+    assert (dominating_set_approx(g, removed=removed)
+            == dominating_set_approx(g, unit, removed))
 
 
 def test_problem_identity_is_graph_cap_and_weights():
@@ -492,7 +513,18 @@ def test_logn_trace_matches_reference_branch_step(inst):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(2, 20), st.integers(0, 10**6))
 def test_cubic_dissociation_candidates_match_reference(half, seed):
+    """Each final-degree-2 branch that runs gives the reference candidate,
+    and a branch stops exactly when its reference candidate is larger than
+    the smallest candidate before it (the full one, n - 1, to begin with)."""
     g = generate_random_cubic(2 * half, seed)
+    results = []
+
+    def recording(prob, removed=(), *, budget=None):
+        deleted = f_dependent_delete(prob, removed, budget=budget)
+        if budget is not None:
+            results.append(deleted)
+        return deleted
+
     for p in range(g.n):
         inst = Instance(g, p, None, Objective.MAX)
         expected = []
@@ -506,8 +538,46 @@ def test_cubic_dissociation_candidates_match_reference(half, seed):
             removed = fixed | g.closed_neighborhood(p)
             assert fixed | dissociation_delete(g, removed=removed) == reference
             expected.append(reference)
-        trace = mdd_max_cubic_trace(inst)
-        assert [size for label, size in trace.candidate_sizes
-                if label == "dissociation"] == [len(c) for c in expected]
+        results.clear()
+        with mock.patch.object(cubic, "f_dependent_delete", recording):
+            trace = mdd_max_cubic_trace(inst)
+        assert len(results) == len(expected)
+        ran = [c for c, t in zip(expected, results) if t is not None]
+        listed = [size for label, size in trace.candidate_sizes
+                  if label == "dissociation"]
+        assert listed == [len(c) for c in ran]
+        best = min([g.n - 1] + [size for label, size in trace.candidate_sizes
+                                if label == "domination"])
+        for reference, t in zip(expected, results):
+            assert (t is None) == (len(reference) > best)
+            best = min(best, len(reference))
+        assert len(listed) + trace.stopped == len(expected)
         if trace.case == "dissociation":
-            assert trace.solution.vertices in expected
+            assert trace.solution.vertices in ran
+
+
+def _cubic_corpus():
+    """Every (graph, p) pair of generate_random_cubic(n, seed) for even n
+    8-18 and seeds 0-24 (1,950 pairs), and p = 0, 40, ..., 160 on n = 200
+    at seeds 0-2."""
+    for n in range(8, 19, 2):
+        for seed in range(25):
+            g = generate_random_cubic(n, seed)
+            yield from (Instance(g, p, None, Objective.MAX)
+                        for p in range(n))
+    for seed in range(3):
+        g = generate_random_cubic(200, seed)
+        yield from (Instance(g, p, None, Objective.MAX)
+                    for p in range(0, 200, 40))
+
+
+def test_budgeted_cubic_matches_every_branch_run_to_the_end():
+    """The budget stops final-degree-2 branches, and the solution and case
+    are those of the reference, which runs every candidate to the end."""
+    stopped = 0
+    for inst in _cubic_corpus():
+        trace = mdd_max_cubic_trace(inst)
+        assert ((trace.case, trace.solution.vertices)
+                == reference_greedy.cubic_choice(inst))
+        stopped += trace.stopped
+    assert stopped

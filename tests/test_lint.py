@@ -133,14 +133,15 @@ def _called_name(node):
             else func.attr if isinstance(func, ast.Attribute) else None)
 
 
-def test_only_the_log_n_loop_budgets_the_greedy():
-    # A budget stops the greedy once its set must outweigh the best log n
-    # candidate; the cubic solver, dominating_set_approx and
-    # `mdd subroutine` run it to the end.  `**kwargs` counts as a budget.
+def test_only_the_branch_loops_budget_the_greedy():
+    # A budget stops the greedy once its set must outweigh the best
+    # candidate of a branch loop: the log n loop's K branches and the cubic
+    # final-degree-2 branches.  dominating_set_approx, dissociation_delete
+    # and `mdd subroutine` run it to the end.  `**kwargs` counts as a budget.
     budgeted = sorted({name for name, tree in TREES.items()
                        for node in ast.walk(tree)
                        if isinstance(node, ast.Call)
                        and _called_name(node) == "f_dependent_delete"
                        and any(k.arg in ("budget", None)
                                for k in node.keywords)})
-    assert budgeted == ["approx.py"]
+    assert budgeted == ["approx.py", "cubic.py"]

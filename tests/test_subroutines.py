@@ -143,6 +143,8 @@ def test_bools_are_not_vertex_ids():
 def test_bools_are_not_caps_or_weights():
     with pytest.raises(PreconditionError, match="^caps must be integers$"):
         FDepProblem(Graph.path(3), (True, 0, 0), (1, 1, 1))
+    with pytest.raises(PreconditionError, match="^caps must be integers$"):
+        FDepProblem.uniform(Graph.path(3), True)
     with pytest.raises(PreconditionError, match="^weight True is neither"):
         FDepProblem(Graph.path(3), (0, 0, 0), (True, 1, 1))
 
