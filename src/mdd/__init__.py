@@ -10,11 +10,10 @@ from .graph import (DeletionSet, Graph, Instance, Objective, UNDELETABLE,
                     is_feasible)
 from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,
                     kregular_min_exact)
-from .subroutines import (FDepProblem, check_degree_caps, dissociation_delete,
+from .subroutines import (FDepProblem, dissociation_delete,
                           dominating_set_approx, f_dependent_delete,
                           is_dominating)
-from .approx import (LSet, build_L, kreg_lower_bound, mdd_max_logn,
-                     mdd_max_logn_trace)
+from .approx import build_L, mdd_max_logn, mdd_max_logn_trace
 from .cubic import (DominationGadget, build_domination_gadget, build_gstar,
                     mdd_max_cubic, mdd_max_cubic_trace,
                     normalize_dominating_set)

@@ -1,13 +1,12 @@
 """Approximation machinery for MDD(max) on general graphs: the L-set
-construction, the subset-enumeration algorithm that branches over subsets of
-L, and the regular-graph lower bound.
+construction and the subset-enumeration algorithm that branches over
+subsets of L.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import BudgetError, InfeasibleError, MDDError, PreconditionError
@@ -149,13 +148,3 @@ def mdd_max_logn(inst: Instance, cap_on_L: Optional[int] = None) -> DeletionSet:
     """
     return mdd_max_logn_trace(inst, cap_on_L).solution
 
-
-def kreg_lower_bound(n: int, k: int, f: int) -> Fraction:
-    """Lower bound ((k-f+1)n - 1) / (2k-f+1) on any feasible MDD(max) set of
-    a k-regular graph, where f is the number of surviving neighbors of p.
-    Always at least (n-1)/(k+1)."""
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
-    if not 0 <= f <= k:
-        raise PreconditionError("f must lie in [0, k]")
-    return Fraction((k - f + 1) * n - 1, 2 * k - f + 1)

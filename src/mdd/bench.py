@@ -127,6 +127,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise InputError("experiment config must be a JSON object")
         try:
             return cls(**d)
         except TypeError as exc:

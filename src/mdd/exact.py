@@ -140,8 +140,6 @@ def _require_regular_min_unit(inst: Instance) -> int:
     k = inst.graph.regular_degree()
     if k is None:
         raise PreconditionError("graph is not regular")
-    if k == 0:
-        raise PreconditionError("regular-graph solver requires degree k >= 1")
     if inst.objective is not Objective.MIN:
         raise PreconditionError("regular-graph solver handles objective Min only")
     if not inst.unit_weights:

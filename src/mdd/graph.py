@@ -64,8 +64,8 @@ class Graph:
         """The graph whose neighbour sets are `adj`, without the per-edge
         checks of Graph(n, edges).  Unchecked: `adj` must be a sequence of
         frozensets of ids in range, symmetric and loop-free, as sets derived
-        from another Graph's adjacency are (the cubic proxy graph builds
-        one)."""
+        from another Graph's adjacency are (the complement and the cubic
+        proxy graph build one)."""
         g = cls.__new__(cls)
         g.n = len(adj)
         g.adj = tuple(adj)
@@ -101,30 +101,12 @@ class Graph:
             return k
         return None
 
-    def is_bipartite(self) -> bool:
-        """True iff a proper 2-coloring exists."""
-        color = [None] * self.n
-        for root in range(self.n):
-            if color[root] is not None:
-                continue
-            color[root] = 0
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for u in self.adj[v]:
-                    if color[u] is None:
-                        color[u] = 1 - color[v]
-                        stack.append(u)
-                    elif color[u] == color[v]:
-                        return False
-        return True
-
     # -- transforms -------------------------------------------------------
 
     def complement(self) -> "Graph":
-        edges = [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
-                 if v not in self.adj[u]]
-        return Graph(self.n, edges)
+        everyone = frozenset(range(self.n))
+        return Graph._unchecked([everyone - a - {v}
+                                 for v, a in enumerate(self.adj)])
 
     def induced_subgraph(self, keep: Iterable[int]):
         """Subgraph induced on `keep`, plus the remap table.
@@ -163,22 +145,6 @@ class Graph:
     @classmethod
     def path(cls, n: int) -> "Graph":
         return cls(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
-    def star(cls, leaves: int) -> "Graph":
-        """Star K_{1,leaves}; the center is vertex 0."""
-        return cls(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-    @classmethod
-    def complete_bipartite(cls, a: int, b: int) -> "Graph":
-        return cls(a + b, [(u, a + v) for u in range(a) for v in range(b)])
-
-    @classmethod
-    def petersen(cls) -> "Graph":
-        outer = [(i, (i + 1) % 5) for i in range(5)]
-        spokes = [(i, i + 5) for i in range(5)]
-        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        return cls(10, outer + spokes + inner)
 
     # -- dunder -----------------------------------------------------------
 

@@ -327,15 +327,6 @@ def _outweighs(settling: _Settling, removed: Iterable[int],
     return pw * g_i + (left - pg) * w_i > budget * g_i
 
 
-def check_degree_caps(prob: FDepProblem, deleted: Iterable[int]) -> bool:
-    """Re-verify a candidate against the caps from scratch: every vertex
-    outside `deleted` keeps at most its cap."""
-    remaining = (set(range(prob.graph.n))
-                 - _vertex_ids(prob.graph, deleted, "deleted"))
-    return all(len(prob.graph.adj[v] & remaining) <= prob.cap[v]
-               for v in remaining)
-
-
 def dominating_set_approx(g: Graph, weights: Optional[tuple] = None,
                           removed: Iterable[int] = ()) -> frozenset:
     """Greedy weighted dominating set of G - removed, in the original ids.

@@ -12,9 +12,8 @@ from fractions import Fraction
 from mdd import (FDepProblem, Graph, Instance, Objective, OracleConfig,
                  SetSystem, WeightMode, brute_force_optimum, build_L,
                  cubic_gadget, dissociation_delete, dominating_set_approx,
-                 f_dependent_delete, check_degree_caps, generate_gnp,
-                 generate_random_cubic, generate_random_regular,
-                 is_dominating, is_feasible, kreg_lower_bound,
+                 f_dependent_delete, generate_gnp, generate_random_cubic,
+                 generate_random_regular, is_dominating, is_feasible,
                  kregular_min_exact, lift_solution, mdd_max_cubic,
                  mdd_max_logn, mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
                  project_solution, setcover_to_mddmax_bip,
@@ -23,6 +22,8 @@ from bruteforce import (all_feasible_sets, min_cover_size,
                         min_deletion_weight, min_dissociation_weight,
                         min_domset_size, min_domset_weight, min_fdep_weight,
                         remaining_degrees)
+from testkit import (check_degree_caps, complete_bipartite, is_bipartite,
+                     kreg_lower_bound, petersen)
 
 
 @contextmanager
@@ -53,8 +54,8 @@ def _connected(g):
 def small_cubic_graphs():
     prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                       (0, 3), (1, 4), (2, 5)])
-    out = [Graph.complete(4), Graph.complete_bipartite(3, 3), prism,
-           Graph.petersen()]
+    out = [Graph.complete(4), complete_bipartite(3, 3), prism,
+           petersen()]
     out += [generate_random_cubic(n, seed)
             for n, seed in [(6, 1), (8, 2), (8, 3), (10, 4)]]
     return out
@@ -158,7 +159,7 @@ def _check_setcover_source(sys):
         builders.append(setcover_to_mddmax_bip)
     for build in builders:
         art = build(sys)
-        assert art.instance.graph.is_bipartite()
+        assert is_bipartite(art.instance.graph)
         opt = brute_force_optimum(art.instance)
         cover = project_solution(art, opt)
         assert sys.is_cover(cover)

@@ -5,9 +5,10 @@ import pytest
 
 from mdd import (BudgetError, Graph, InfeasibleError, Instance, MDDError,
                  Objective, PreconditionError, brute_force_optimum, build_L,
-                 is_feasible, kreg_lower_bound, mdd_max_logn,
-                 mdd_max_logn_trace, generate_gnp)
+                 is_feasible, mdd_max_logn, mdd_max_logn_trace, generate_gnp)
 from mdd import approx
+
+from testkit import complete_bipartite, kreg_lower_bound, star
 
 
 def check_l_invariants(inst, members):
@@ -25,7 +26,7 @@ def check_l_invariants(inst, members):
 
 class TestBuildL:
     def test_star_empty(self):
-        inst = Instance(Graph.star(3), 0, None, Objective.MAX)
+        inst = Instance(star(3), 0, None, Objective.MAX)
         assert build_L(inst).members == ()
 
     def test_k4_full_neighborhood(self):
@@ -51,11 +52,11 @@ class TestBuildL:
 
 class TestMddMaxLogn:
     def test_star_returns_empty(self):
-        inst = Instance(Graph.star(3), 0, None, Objective.MAX)
+        inst = Instance(star(3), 0, None, Objective.MAX)
         assert mdd_max_logn(inst).vertices == frozenset()
 
     def test_star_runs_one_branch(self):
-        inst = Instance(Graph.star(4), 0, None, Objective.MAX)
+        inst = Instance(star(4), 0, None, Objective.MAX)
         trace = mdd_max_logn_trace(inst)
         assert trace.solution.vertices == frozenset()
         assert trace.branches_total == 1       # L is empty: only K = {}
@@ -88,7 +89,7 @@ class TestMddMaxLogn:
         assert trace.branches_feasible == 1
 
     def test_k33_matches_oracle(self):
-        inst = Instance(Graph.complete_bipartite(3, 3), 0, None, Objective.MAX)
+        inst = Instance(complete_bipartite(3, 3), 0, None, Objective.MAX)
         best = mdd_max_logn(inst)
         assert best.total_weight == brute_force_optimum(inst).total_weight == 2
 
@@ -100,7 +101,7 @@ class TestMddMaxLogn:
     @pytest.mark.parametrize("cap", [-1, 2.5, True, "3"])
     def test_bad_l_cap_is_a_precondition_error(self, cap):
         # Bad input, not an exhausted budget: the star's L is empty.
-        inst = Instance(Graph.star(3), 0, None, Objective.MAX)
+        inst = Instance(star(3), 0, None, Objective.MAX)
         with pytest.raises(PreconditionError) as err:
             mdd_max_logn(inst, cap)
         assert str(err.value) == "cap on |L| must be an integer >= 0"

@@ -19,6 +19,8 @@ from mdd import InputError, fileio
 from mdd.bench import ALGORITHMS
 from mdd.cli import build_parser, main
 
+from testkit import star
+
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
@@ -212,7 +214,7 @@ class TestSolve:
 
     def test_logn_chosen_k_labels(self, tmp_path, capsys):
         # K = [] wins on a star: p already has the largest degree.
-        path = write_instance(tmp_path, Instance(Graph.star(3), 0, None,
+        path = write_instance(tmp_path, Instance(star(3), 0, None,
                                                  Objective.MAX))
         assert main(["solve", path, "--algo", "logn"]) == 0
         assert "chosen K = []\nsolution: \n" in capsys.readouterr().out
@@ -271,8 +273,14 @@ class TestSolve:
         assert main(["solve", path, "--algo", "kreg-exact"]) == 0
         assert "solution: " in capsys.readouterr().out
 
+    def test_kreg_on_edgeless_graph(self, tmp_path, capsys):
+        path = write_instance(tmp_path, Instance(Graph(4, []), 2))
+        assert main(["solve", path, "--algo", "kreg-exact"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "solution: 0 1 3\nsize: 3  weight: 3\n")
+
     def test_kreg_on_irregular_exits_4(self, tmp_path, capsys):
-        path = write_instance(tmp_path, Instance(Graph.star(3), 0))
+        path = write_instance(tmp_path, Instance(star(3), 0))
         assert main(["solve", path, "--algo", "kreg-exact"]) == 4
 
     def test_logn_budget_exits_3(self, tmp_path, capsys):
@@ -467,7 +475,7 @@ class TestGenAndSubroutine:
 
     def test_subroutine_fdep(self, tmp_path, capsys):
         g_path = tmp_path / "g.txt"
-        g_path.write_text(serialize_graph(Graph.star(4)))
+        g_path.write_text(serialize_graph(star(4)))
         assert main(["subroutine", "--kind", "fdep", "--graph", str(g_path),
                      "--cap", "1"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "0"
@@ -495,7 +503,7 @@ class TestGenAndSubroutine:
                                                         cap, expected):
         # Without --forbidden 0 each of these deletes the star's centre.
         g_path = tmp_path / "g.txt"
-        g_path.write_text(serialize_graph(Graph.star(4)))
+        g_path.write_text(serialize_graph(star(4)))
         assert main(["subroutine", "--kind", "fdep", "--graph", str(g_path),
                      *cap, "--forbidden", "0"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == expected
@@ -513,7 +521,7 @@ class TestGenAndSubroutine:
     @pytest.mark.parametrize("kind", ["domset"])
     def test_subroutine_cap_without_fdep_exits_4(self, tmp_path, capsys, kind):
         g_path = tmp_path / "g.txt"
-        g_path.write_text(serialize_graph(Graph.star(4)))
+        g_path.write_text(serialize_graph(star(4)))
         assert main(["subroutine", "--kind", kind, "--graph", str(g_path),
                      "--cap", "3"]) == 4
         captured = capsys.readouterr()
@@ -546,6 +554,8 @@ class TestBenchCommand:
         {"family": "gnp", "sizes": [5], "instances_per_size": "x"},
         {"family": "gnp", "sizes": [5], "algorithms": ["logn"], "max_L": "3"},
         {"family": "setcover", "sizes": [4], "seed": 1.5},
+        [1, 2],
+        None,
     ])
     def test_bench_badly_typed_config_exits_4(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"

@@ -7,6 +7,8 @@ from mdd import (Graph, InapplicableError, Instance, Objective,
                  generate_random_cubic, is_dominating, is_feasible,
                  mdd_max_cubic, mdd_max_cubic_trace, normalize_dominating_set)
 
+from testkit import complete_bipartite, petersen
+
 
 def prism():
     # two triangles joined by a matching
@@ -15,7 +17,7 @@ def prism():
 
 
 def k33():
-    return Graph.complete_bipartite(3, 3)
+    return complete_bipartite(3, 3)
 
 
 class TestDominationGadget:
@@ -187,7 +189,7 @@ class TestMddMaxCubic:
         assert trace.solution.vertices == {1, 4, 5}
 
     def test_petersen_all_p(self):
-        g = Graph.petersen()
+        g = petersen()
         for p in range(g.n):
             inst = Instance(g, p, None, Objective.MAX)
             sol = mdd_max_cubic(inst)

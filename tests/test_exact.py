@@ -10,11 +10,12 @@ from mdd import (BudgetError, Graph, InfeasibleError, Instance, Objective,
 
 from bruteforce import check_feasible, min_deletion_set
 from reference_exact import kregular_feasible_witness
+from testkit import petersen, star
 
 
 class TestOracle:
     def test_star_center_max_empty(self):
-        inst = Instance(Graph.star(3), 0, None, Objective.MAX)
+        inst = Instance(star(3), 0, None, Objective.MAX)
         best = brute_force_optimum(inst)
         assert best.vertices == frozenset()
         assert best.total_weight == 0
@@ -131,7 +132,7 @@ class TestDualize:
         assert dualize(dualize(inst)) == inst
 
     def test_star_duality(self):
-        inst = Instance(Graph.star(3), 0, None, Objective.MAX)
+        inst = Instance(star(3), 0, None, Objective.MAX)
         dual = dualize(inst)
         assert dual.objective is Objective.MIN
         assert dual.graph.degree(0) == 0
@@ -161,14 +162,14 @@ class TestKRegular:
 
     def test_exact_petersen_matches_oracle(self):
         for p in range(10):
-            inst = Instance(Graph.petersen(), p)
+            inst = Instance(petersen(), p)
             exact = kregular_min_exact(inst)
             assert exact.size <= 5
             assert exact == brute_force_optimum(inst)
 
     def test_rejects_irregular(self):
         with pytest.raises(PreconditionError):
-            kregular_min_exact(Instance(Graph.star(3), 0))
+            kregular_min_exact(Instance(star(3), 0))
 
     def test_rejects_weighted(self):
         inst = Instance(Graph.cycle(5), 0, (1, 2, 1, 1, 1))
@@ -176,10 +177,12 @@ class TestKRegular:
             kregular_min_exact(inst)
 
     def test_random_regular_matches_oracle(self):
+        # k = 0 included: on an edgeless graph every vertex but p goes.
         cfg = OracleConfig(WeightMode.CARDINALITY)
         for seed, (n, k) in enumerate([(8, 2), (8, 3), (9, 4), (10, 3),
                                        (6, 1), (10, 5), (11, 6), (12, 5),
-                                       (12, 6)]):
+                                       (12, 6)]
+                                      + [(n, 0) for n in range(1, 8)]):
             g = generate_random_regular(n, k, seed)
             for p in range(n):
                 inst = Instance(g, p)

@@ -26,6 +26,7 @@ from mdd import (Graph, Instance, MDDError, Objective, OracleConfig,
                  kregular_min_exact)
 
 import reference_exact
+from testkit import complete_bipartite
 
 EXAMPLES = settings(derandomize=True, max_examples=500, deadline=None)
 
@@ -111,7 +112,7 @@ def test_witness_c5():
 
 
 def test_witness_k33_hits_bound():
-    g = Graph.complete_bipartite(3, 3)
+    g = complete_bipartite(3, 3)
     inst = Instance(g, 0)
     w = reference_exact.kregular_feasible_witness(inst)
     # N(p) plus the two twins on p's own side: 2k-1 = 5 vertices

@@ -9,6 +9,7 @@ from mdd import (UNDELETABLE, Graph, Instance, InputError, Objective,
 from mdd.graph import is_valid_weight
 
 from bruteforce import check_feasible
+from testkit import complete_bipartite, is_bipartite, petersen, star
 
 
 def _graph_from_bits(n, bits):
@@ -57,15 +58,15 @@ class TestGraphBasics:
                 assert u in g.adj[v]
 
     def test_petersen_is_cubic(self):
-        g = Graph.petersen()
+        g = petersen()
         assert g.n == 10
         assert g.regular_degree() == 3
 
     def test_bipartite_detection(self):
-        assert Graph.complete_bipartite(2, 3).is_bipartite()
-        assert not Graph.complete(3).is_bipartite()
-        assert Graph.cycle(6).is_bipartite()
-        assert not Graph.cycle(5).is_bipartite()
+        assert is_bipartite(complete_bipartite(2, 3))
+        assert not is_bipartite(Graph.complete(3))
+        assert is_bipartite(Graph.cycle(6))
+        assert not is_bipartite(Graph.cycle(5))
 
 
 class TestComplement:
@@ -75,6 +76,14 @@ class TestComplement:
     def test_path_complement(self):
         g = Graph.path(3).complement()
         assert g.edges() == [(0, 2)]
+
+    def test_matches_edge_list_construction(self):
+        for n in range(31):
+            for q in (0.0, 0.1, 0.5, 0.7, 1.0):
+                g = generate_gnp(n, q, 1000 * n + int(10 * q))
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if v not in g.adj[u]]
+                assert g.complement() == Graph(n, edges)
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs())
@@ -96,7 +105,7 @@ class TestInducedSubgraph:
         assert sub == Graph.path(3)
 
     def test_full_keep_is_identity(self):
-        g = Graph.petersen()
+        g = petersen()
         sub, remap = g.induced_subgraph(range(10))
         assert sub == g
         assert remap == tuple(range(10))
@@ -149,7 +158,7 @@ class TestInstance:
 
 class TestFeasibility:
     def test_star_center_max(self):
-        inst = Instance(Graph.star(3), 0, None, Objective.MAX)
+        inst = Instance(star(3), 0, None, Objective.MAX)
         assert is_feasible(inst, set())
 
     def test_triangle_two_survivors_tie(self):
@@ -158,7 +167,7 @@ class TestFeasibility:
 
     def test_vacuous_uniqueness(self):
         for objective in Objective:
-            inst = Instance(Graph.petersen(), 3, None, objective)
+            inst = Instance(petersen(), 3, None, objective)
             assert is_feasible(inst, set(range(10)) - {3})
 
     def test_deleting_an_undeletable_vertex_is_infeasible(self):

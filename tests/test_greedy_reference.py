@@ -53,6 +53,7 @@ from mdd.subroutines import _outweighs, _returns, _settling
 import bruteforce
 import reference_greedy
 from reference_greedy import EXEMPT, CapProblem
+from testkit import star
 
 EXAMPLES = settings(derandomize=True, max_examples=400, deadline=None)
 
@@ -266,7 +267,7 @@ def test_infeasible_when_every_helpful_vertex_is_removed_or_undeletable():
     # Center 0 of a 3-leaf star is over its cap by 3 and only leaf 1 is
     # deletable: picked, or removed (its start-state heap entry goes stale),
     # it lowers the excess by 1, and no helpful vertex is left.
-    g = Graph.star(3)
+    g = star(3)
     prob = FDepProblem(g, (0, 5, 5, 5), (UNDELETABLE, 1, UNDELETABLE,
                                          UNDELETABLE))
     error = (InfeasibleError,
@@ -354,7 +355,7 @@ def test_bound_never_exceeds_the_optimum_on_small_graphs(data):
 ])
 def test_bound_equal_to_the_best_weight_does_not_exceed_it(cap, weights,
                                                           bound):
-    prob = FDepProblem(Graph.star(2), (cap, 5, 5), weights)
+    prob = FDepProblem(star(2), (cap, 5, 5), weights)
     assert _weight(prob, f_dependent_delete(prob)) == bound
     assert not _outweighs(_settling(prob), (), bound)
     assert _outweighs(_settling(prob), (), bound - 1)
@@ -365,7 +366,7 @@ def test_bound_prices_each_vertex_at_its_own_ratio():
     other leaves 1 each at weight 3.  Pricing all 3 at the best ratio gives
     a bound of 3, which does not exceed a budget of 6; the knapsack takes
     leaf 1 and then 2 at weight 3 each, so its bound 7 does."""
-    prob = FDepProblem(Graph.star(4), (1, 5, 5, 5, 5),
+    prob = FDepProblem(star(4), (1, 5, 5, 5, 5),
                        (UNDELETABLE, 1, 3, 3, 3))
     settling = _settling(prob)
     assert _weight(prob, f_dependent_delete(prob)) == 7

@@ -15,6 +15,7 @@ from mdd import (BudgetError, DeletionSet, ExperimentConfig, Graph, InputError,
                  setcover_to_mddmin_bip, Instance, Objective, UNDELETABLE)
 
 from bruteforce import min_cover_size
+from testkit import petersen, star
 
 
 class TestGenerators:
@@ -60,7 +61,7 @@ class TestGenerators:
 
 class TestFileIO:
     def test_graph_round_trip(self):
-        g = Graph.petersen()
+        g = petersen()
         text = serialize_graph(g)
         assert parse_graph(text) == g
         assert serialize_graph(parse_graph(text)) == text
@@ -130,6 +131,10 @@ class TestBench:
             ExperimentConfig.from_json("not json")
         with pytest.raises(InputError):
             ExperimentConfig.from_json(json.dumps({"bogus": 1}))
+        for text in ("[1,2]", "null"):
+            with pytest.raises(InputError,
+                               match="^experiment config must be a JSON object$"):
+                ExperimentConfig.from_json(text)
 
     def test_solve_rejects_unknown_algorithm(self):
         inst = Instance(Graph.path(3), 0, None, Objective.MAX)
@@ -163,6 +168,17 @@ class TestBench:
         for row in report.rows:
             if row.algorithm == "kreg-exact":
                 assert row.ratio == 1.0
+
+    def test_edgeless_regular_experiment_runs_to_the_end(self):
+        cfg = ExperimentConfig(family="regular", sizes=[1, 4, 6],
+                               algorithms=["oracle", "kreg-exact"], k=0,
+                               instances_per_size=2, objective="min")
+        report = run_experiment(cfg)
+        assert len(report.rows) == 3 * 2 * 2
+        for row in report.rows:
+            assert row.feasible
+            assert row.size == row.n - 1
+            assert row.ratio == 1.0
 
     def test_failing_rows_are_recorded(self):
         # logn solves Min on the complement.  The complement of a 3-regular
@@ -288,7 +304,7 @@ class TestBench:
 
     def test_zero_optimum_scores_only_zero_weight_rows(self):
         # p is the star's unique maximum already: the optimum is 0.
-        inst = Instance(Graph.star(3), 0, None, Objective.MAX)
+        inst = Instance(star(3), 0, None, Objective.MAX)
         cfg = ExperimentConfig(family="gnp", sizes=[4])
         row = mdd.bench._run_solver_row(cfg, "star", inst, "oracle")
         heavier = dataclasses.replace(row, size=3, weight=3)

@@ -145,3 +145,14 @@ def test_only_the_branch_loops_budget_the_greedy():
                        and any(k.arg in ("budget", None)
                                for k in node.keywords)})
     assert budgeted == ["approx.py", "cubic.py"]
+
+
+def test_package_does_not_import_fractions():
+    # Every bound and pick in the package is an integer comparison; Fraction
+    # arithmetic once took about 30% of the log n branch time.
+    imports = [f"{name}:{node.lineno}"
+               for name, tree in TREES.items() for node in ast.walk(tree)
+               if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+               or (isinstance(node, ast.Import)
+                   and any(a.name == "fractions" for a in node.names))]
+    assert imports == []

@@ -10,6 +10,7 @@ from mdd import (Graph, InapplicableError, InputError, Instance, Objective,
                  setcover_to_mddmin_bip)
 
 from bruteforce import min_cover_size, min_domset_size
+from testkit import is_bipartite, star
 
 
 class TestSetSystem:
@@ -50,7 +51,7 @@ class TestMindomToMddmin:
 
     def test_round_trip_small_graphs(self):
         graphs = [Graph(2, [(0, 1)]), Graph.path(3), Graph.cycle(4),
-                  Graph.star(3), Graph.complete(3)]
+                  star(3), Graph.complete(3)]
         for g in graphs:
             art = mindom_to_mddmin(g)
             opt = brute_force_optimum(art.instance)
@@ -76,7 +77,7 @@ class TestMindomToMddmin:
 class TestSetcoverToMddminBip:
     def test_singleton_system(self):
         art = setcover_to_mddmin_bip(SetSystem(1, [{0}]))
-        assert art.instance.graph.is_bipartite()
+        assert is_bipartite(art.instance.graph)
         opt = brute_force_optimum(art.instance)
         assert len(project_solution(art, opt)) == 1
 
@@ -91,7 +92,7 @@ class TestSetcoverToMddminBip:
                    SetSystem(3, [{0}, {1}, {2}, {0, 1, 2}])]
         for sys in systems:
             art = setcover_to_mddmin_bip(sys)
-            assert art.instance.graph.is_bipartite()
+            assert is_bipartite(art.instance.graph)
             opt = brute_force_optimum(art.instance)
             cover = project_solution(art, opt)
             assert sys.is_cover(cover)
@@ -125,7 +126,7 @@ class TestSetcoverToMddmaxBip:
         art = setcover_to_mddmax_bip(sys)
         h = art.instance.graph
         t = sys.num_sets
-        assert h.is_bipartite()
+        assert is_bipartite(h)
         assert h.degree(art.instance.p) == t
         for v in art.vertices_with_role("U"):
             assert h.degree(v) == t

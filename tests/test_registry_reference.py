@@ -19,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from mdd import (BudgetError, InfeasibleError, Instance, Objective,
                  PreconditionError, UNDELETABLE, generate_gnp,
-                 generate_random_regular, kreg_lower_bound)
+                 generate_random_regular)
 from mdd.bench import ALGORITHMS, solve
 
 import bruteforce
+from testkit import kreg_lower_bound
 
 
 @st.composite

@@ -3,16 +3,16 @@ import random
 import pytest
 
 from mdd import (FDepProblem, Graph, InfeasibleError,
-                 PreconditionError, UNDELETABLE, check_degree_caps,
-                 dissociation_delete, dominating_set_approx,
-                 f_dependent_delete, generate_gnp, is_dominating)
+                 PreconditionError, UNDELETABLE, dissociation_delete,
+                 dominating_set_approx, f_dependent_delete, generate_gnp, is_dominating)
 
 from bruteforce import min_domset_weight, min_dissociation_weight, min_fdep_weight
+from testkit import check_degree_caps, star
 
 
 class TestFDependentDelete:
     def test_star_cap_one(self):
-        prob = FDepProblem.uniform(Graph.star(4), 1)
+        prob = FDepProblem.uniform(star(4), 1)
         assert f_dependent_delete(prob) == frozenset({0})
 
     def test_already_satisfied(self):
@@ -40,7 +40,7 @@ class TestFDependentDelete:
 
     def test_exempt_vertices_untouched_by_constraints(self):
         # A cap of the vertex's own degree never binds.
-        g = Graph.star(4)
+        g = star(4)
         prob = FDepProblem(g, (4, 0, 0, 0, 0), (1, 1, 1, 1, 1))
         deleted = f_dependent_delete(prob)
         # leaves need degree 0; deleting the center achieves it in one move
@@ -72,7 +72,7 @@ class TestFDependentDelete:
 
     def test_removed_vertices_are_absent(self):
         # Without the center, the leaves have degree 0 and meet cap 0.
-        prob = FDepProblem(Graph.star(3), (0, 0, 0, 0), (1, 1, 1, 1))
+        prob = FDepProblem(star(3), (0, 0, 0, 0), (1, 1, 1, 1))
         assert f_dependent_delete(prob, {0}) == frozenset()
         assert check_degree_caps(prob, {0})
         assert not check_degree_caps(prob, ())
@@ -86,7 +86,7 @@ class TestFDependentDelete:
     def test_removed_vertex_with_negative_cap(self):
         # A removed vertex may be over its cap, as K is in the log n
         # branches when d(p) <= |K|: its excess leaves with it.
-        prob = FDepProblem(Graph.star(3), (-1, 0, 0, 0), (1, 1, 1, 1))
+        prob = FDepProblem(star(3), (-1, 0, 0, 0), (1, 1, 1, 1))
         assert f_dependent_delete(prob) == frozenset({0})
         assert f_dependent_delete(prob, {0}) == frozenset()
         prob = FDepProblem(Graph.path(3), (-1, 0, 0), (1, 1, 1))
@@ -111,14 +111,14 @@ class TestFDependentDelete:
     def test_budget_stops_above_the_set_weight(self):
         # Center 0 of a 4-leaf star is over its cap 1 by 3; deleting it
         # (weight 2) clears all of it, where the leaves clear 1 each.
-        prob = FDepProblem(Graph.star(4), (1,) * 5, (2, 1, 1, 1, 1))
+        prob = FDepProblem(star(4), (1,) * 5, (2, 1, 1, 1, 1))
         assert f_dependent_delete(prob) == frozenset({0})
         assert f_dependent_delete(prob, budget=2) == frozenset({0})
         assert f_dependent_delete(prob, budget=1) is None
         assert f_dependent_delete(prob, budget=-1) is None
 
     def test_budget_must_be_an_integer(self):
-        prob = FDepProblem.uniform(Graph.star(4), 1)
+        prob = FDepProblem.uniform(star(4), 1)
         for budget in (1.5, True, "3", UNDELETABLE):
             with pytest.raises(PreconditionError,
                                match="^budget must be an integer$"):
@@ -153,9 +153,9 @@ def test_bools_are_not_caps_or_weights():
                                      (2.5, 1, 1, 1)])
 def test_weights_outside_domain_rejected(weights):
     with pytest.raises(PreconditionError):
-        FDepProblem.uniform(Graph.star(3), 1, weights)
+        FDepProblem.uniform(star(3), 1, weights)
     with pytest.raises(PreconditionError):
-        dominating_set_approx(Graph.star(3), weights=weights)
+        dominating_set_approx(star(3), weights=weights)
 
 
 @pytest.mark.parametrize("weights", [(1,), (1, 1, 1, 1)])
@@ -168,7 +168,7 @@ def test_dominating_set_weights_length_checked(weights):
 
 class TestDominatingSet:
     def test_star(self):
-        assert dominating_set_approx(Graph.star(4)) == frozenset({0})
+        assert dominating_set_approx(star(4)) == frozenset({0})
 
     def test_c4_size_two(self):
         result = dominating_set_approx(Graph.cycle(4))
