@@ -36,24 +36,20 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
 
     Every kept vertex that ties or beats p must be fixed by the deletion
     set, so the search branches over the few vertices that can fix one: the
-    vertex itself, or a vertex adjacent to exactly one of it and p, on the
-    side that closes the degree gap.  It returns the minimum under the
-    deterministic tie-break: smaller weight, then smaller cardinality, then
-    lexicographically smallest vertex tuple; CARDINALITY mode drops the
-    weight.  The budget counts search nodes.  The search builds the same
-    tree on an instance and on its `dualize`, so both give the same result,
-    or both raise the same error.
+    vertex itself, or a neighbour of it that is not a neighbour of p.  It
+    returns the minimum under the deterministic tie-break: smaller weight,
+    then smaller cardinality, then lexicographically smallest vertex tuple;
+    CARDINALITY mode drops the weight.  The budget counts search nodes.  A
+    Min instance is searched as Max on its complement, so it builds the
+    same tree as its `dualize` and gives the same result, or the same error.
     """
     # A node deletes `removed` and may no longer delete `blocked`.  A kept
-    # v != p violates when d(v) >= d(p) (Max) or d(v) <= d(p) (Min).
-    # Deleting a common neighbour of v and p lowers both degrees by one, and
-    # deleting a vertex adjacent to neither changes neither, so the gap
-    # d(v) - d(p) moves only when v goes or a vertex adjacent to exactly one
-    # of them goes.  Every feasible superset must then meet v's fixing set:
-    # {v} + (N(v) - N[p]) for Max, since only those lower d(v) against
-    # d(p); {v} + (N(p) - N(v)) for Min, since only those lower d(p) against
-    # d(v).  Under `dualize` the Min set on G is the Max set on the
-    # complement, and the violators are the same, so the two trees agree.
+    # v != p violates when d(v) >= d(p).  Deleting a common neighbour of v
+    # and p lowers both degrees by one, and deleting a vertex adjacent to
+    # neither changes neither, so only deleting v or a vertex of
+    # N(v) - N[p] lowers d(v) against d(p): every feasible superset must
+    # meet v's fixing set {v} + (N(v) - N[p]).  Min on G has the feasible
+    # sets of Max on the complement, so Min complements the masks first.
     # The node branches on the smallest fixing set, without blocked
     # vertices, in ascending id; each branch blocks the members tried before
     # it, so the subtrees part the feasible supersets.  Costs are positive,
@@ -62,7 +58,6 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
     # meets a feasible subset of it, and the minimum key is always met.
     g = inst.graph
     p = inst.p
-    want_min = inst.objective is Objective.MIN
     if cfg.weight_mode is WeightMode.WEIGHTED:
         cost = inst.weights
     else:
@@ -71,9 +66,12 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
     # for each member v, so a degree in G - removed is one popcount.
     masks = [sum(1 << u for u in s) for s in g.adj]
     full = (1 << g.n) - 1
-    others = [(v, 1 << v) for v in range(g.n) if v != p]
+    if inst.objective is Objective.MIN:
+        masks = [full ^ (1 << v) ^ m for v, m in enumerate(masks)]
+    others = [(v, 1 << v, (1 << v) | (masks[v] & ~masks[p]))
+              for v in range(g.n) if v != p]
     undeletable = 1 << p
-    for v, bit in others:
+    for v, bit, _ in others:
         if inst.weight(v) == math.inf:
             undeletable |= bit
     best = None
@@ -90,27 +88,18 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
             raise BudgetError(f"oracle budget of {cfg.budget} search nodes exhausted")
         remaining = full & ~removed
         free = remaining & ~blocked
-        near_p = masks[p] & remaining
-        dp = near_p.bit_count()
+        dp = (masks[p] & remaining).bit_count()
         fix = None
-        for v, bit in others:
-            if not remaining & bit:
+        for v, bit, fixing in others:
+            if not remaining & bit or (masks[v] & remaining).bit_count() < dp:
                 continue
-            dv = (masks[v] & remaining).bit_count()
-            if want_min:
-                if dv > dp:
-                    continue
-                fixers = (bit | (near_p & ~masks[v])) & free
-            else:
-                if dv < dp:
-                    continue
-                fixers = (bit | (masks[v] & ~masks[p])) & free
+            fixers = fixing & free
             if fix is None or fixers.bit_count() < fix.bit_count():
                 fix = fixers
             if not fix:
                 break  # a violator nothing can fix: no children
         if fix is None:
-            chosen = tuple(v for v, bit in others if removed & bit)
+            chosen = tuple(v for v, bit, _ in others if removed & bit)
             key = (spent, len(chosen), chosen)
             if best is None or key < best:
                 best = key

@@ -133,10 +133,6 @@ class Graph:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def complete(cls, n: int) -> "Graph":
-        return cls(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-    @classmethod
     def cycle(cls, n: int) -> "Graph":
         if n < 3:
             raise InputError("cycle needs at least 3 vertices")

@@ -86,9 +86,10 @@ class FDepProblem:
                 over += 1
                 for u in adj[v]:
                     gain[u] += 1
-        heap = [(-gain[u] * s, u) for u, s in enumerate(scale)
-                if s and gain[u] > 0]
-        heapq.heapify(heap)
+        # Sorted, so a valid heap and the settling order at once; keys hold
+        # their vertex id, so none tie.
+        heap = sorted((-gain[u] * s, u) for u, s in enumerate(scale)
+                      if s and gain[u] > 0)
         object.__setattr__(self, "_start", (excess, gain, over, scale, heap))
 
     def _recapped(self, cap: tuple) -> "FDepProblem":
@@ -242,11 +243,12 @@ class _Settling(NamedTuple):
 
 def _settling(prob: FDepProblem,
               previous: Optional[_Settling] = None) -> _Settling:
-    """Build the settling state of `prob`, in O(n + h log h) for h heap
-    entries.  Only the log n loop builds it, once per size |K|.  U and the
-    counts of neighbors in U depend only on the graph and the weights, so
-    they are taken from `previous`, the state of the loop's previous size,
-    when it is given: once per trace, not once per size."""
+    """Build the settling state of `prob`, in O(n) for n vertices: the
+    start heap is already in settling order.  Only the log n loop builds
+    it, once per size |K|.  U and the counts of neighbors in U depend only
+    on the graph and the weights, so they are taken from `previous`, the
+    state of the loop's previous size, when it is given: once per trace,
+    not once per size."""
     adj = prob.graph.adj
     excess, gain, _, scale, heap = prob._start
     if previous is None:
@@ -255,7 +257,7 @@ def _settling(prob: FDepProblem,
     else:
         undeletable, inner = previous.undeletable, previous.inner
     cap = prob.cap
-    order = [u for _, u in sorted(heap)]
+    order = [u for _, u in heap]
     return _Settling(
         adj, gain, sum(excess), undeletable, inner,
         tuple((v, d - cap[v]) for v, d in inner if d > cap[v]),

@@ -22,8 +22,8 @@ from bruteforce import (all_feasible_sets, min_cover_size,
                         min_deletion_weight, min_dissociation_weight,
                         min_domset_size, min_domset_weight, min_fdep_weight,
                         remaining_degrees)
-from testkit import (check_degree_caps, complete_bipartite, is_bipartite,
-                     kreg_lower_bound, petersen)
+from testkit import (check_degree_caps, complete, complete_bipartite,
+                     is_bipartite, kreg_lower_bound, petersen)
 
 
 @contextmanager
@@ -54,7 +54,7 @@ def _connected(g):
 def small_cubic_graphs():
     prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                       (0, 3), (1, 4), (2, 5)])
-    out = [Graph.complete(4), complete_bipartite(3, 3), prism,
+    out = [complete(4), complete_bipartite(3, 3), prism,
            petersen()]
     out += [generate_random_cubic(n, seed)
             for n, seed in [(6, 1), (8, 2), (8, 3), (10, 4)]]

@@ -8,7 +8,7 @@ from mdd import (BudgetError, Graph, InfeasibleError, Instance, MDDError,
                  is_feasible, mdd_max_logn, mdd_max_logn_trace, generate_gnp)
 from mdd import approx
 
-from testkit import complete_bipartite, kreg_lower_bound, star
+from testkit import complete, complete_bipartite, kreg_lower_bound, star
 
 
 def check_l_invariants(inst, members):
@@ -30,7 +30,7 @@ class TestBuildL:
         assert build_L(inst).members == ()
 
     def test_k4_full_neighborhood(self):
-        inst = Instance(Graph.complete(4), 0, None, Objective.MAX)
+        inst = Instance(complete(4), 0, None, Objective.MAX)
         assert set(build_L(inst).members) == {1, 2, 3}
 
     def test_low_degree_neighbors_give_empty_l(self):
@@ -62,14 +62,14 @@ class TestMddMaxLogn:
         assert trace.branches_total == 1       # L is empty: only K = {}
 
     def test_triangle(self):
-        inst = Instance(Graph.complete(3), 0, None, Objective.MAX)
+        inst = Instance(complete(3), 0, None, Objective.MAX)
         best = mdd_max_logn(inst)
         assert best.vertices == frozenset({1, 2})
         assert best.total_weight == 2
         assert brute_force_optimum(inst).total_weight == 2
 
     def test_triangle_branch_structure(self):
-        inst = Instance(Graph.complete(3), 0, None, Objective.MAX)
+        inst = Instance(complete(3), 0, None, Objective.MAX)
         trace = mdd_max_logn_trace(inst)
         assert trace.branches_total == 4       # L = {1, 2}
         assert trace.branches_feasible == 1    # only K = L survives
@@ -94,7 +94,7 @@ class TestMddMaxLogn:
         assert best.total_weight == brute_force_optimum(inst).total_weight == 2
 
     def test_l_cap_enforced(self):
-        inst = Instance(Graph.complete(8), 0, None, Objective.MAX)
+        inst = Instance(complete(8), 0, None, Objective.MAX)
         with pytest.raises(BudgetError):
             mdd_max_logn(inst, cap_on_L=2)
 
@@ -113,7 +113,7 @@ class TestMddMaxLogn:
         g = Graph(6, [(0, 1), (0, 2), (3, 4), (4, 5), (3, 5)])
         triangle = Instance(g, 0, (1, 1, 1, math.inf, math.inf, math.inf),
                             Objective.MAX)
-        k4 = Instance(Graph.complete(4), 0, (1, math.inf, 1, 1), Objective.MAX)
+        k4 = Instance(complete(4), 0, (1, math.inf, 1, 1), Objective.MAX)
         for inst in (triangle, k4):
             with pytest.raises(InfeasibleError) as err:
                 mdd_max_logn(inst)
@@ -162,7 +162,7 @@ class TestMddMaxLogn:
 
     def test_min_objective_rejected(self):
         with pytest.raises(PreconditionError):
-            mdd_max_logn(Instance(Graph.complete(3), 0))
+            mdd_max_logn(Instance(complete(3), 0))
 
 
 class TestKregLowerBound:

@@ -19,7 +19,7 @@ from mdd import InputError, fileio
 from mdd.bench import ALGORITHMS
 from mdd.cli import build_parser, main
 
-from testkit import star
+from testkit import complete, star
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -220,7 +220,7 @@ class TestSolve:
         assert "chosen K = []\nsolution: \n" in capsys.readouterr().out
 
     def test_logn_trace_output(self, tmp_path, capsys):
-        inst = Instance(Graph.complete(3), 0, None, Objective.MAX)
+        inst = Instance(complete(3), 0, None, Objective.MAX)
         path = write_instance(tmp_path, inst)
         assert main(["solve", path, "--algo", "logn"]) == 0
         out = capsys.readouterr().out
@@ -241,7 +241,7 @@ class TestSolve:
                                            "size: 6  weight: 6\n")
 
     def test_cubic_trace_output(self, tmp_path, capsys):
-        inst = Instance(Graph.complete(4), 0, None, Objective.MAX)
+        inst = Instance(complete(4), 0, None, Objective.MAX)
         path = write_instance(tmp_path, inst)
         assert main(["solve", path, "--algo", "cubic"]) == 0
         out = capsys.readouterr().out
@@ -284,12 +284,12 @@ class TestSolve:
         assert main(["solve", path, "--algo", "kreg-exact"]) == 4
 
     def test_logn_budget_exits_3(self, tmp_path, capsys):
-        inst = Instance(Graph.complete(8), 0, None, Objective.MAX)
+        inst = Instance(complete(8), 0, None, Objective.MAX)
         path = write_instance(tmp_path, inst)
         assert main(["solve", path, "--algo", "logn", "--max-L", "2"]) == 3
 
     def test_negative_max_l_exits_4(self, tmp_path, capsys):
-        inst = Instance(Graph.complete(4), 0, None, Objective.MAX)
+        inst = Instance(complete(4), 0, None, Objective.MAX)
         path = write_instance(tmp_path, inst)
         assert main(["solve", path, "--algo", "logn", "--max-L", "-1"]) == 4
         assert capsys.readouterr().err == (
@@ -439,7 +439,7 @@ class TestReduce:
 def _reduce_input(tmp_path, source):
     """A reduce input file of the given source problem and its parsed value."""
     if source == "mindom":
-        value = Graph.complete(4)
+        value = complete(4)
         text = serialize_graph(value)
     else:
         value = SetSystem(2, [{0}, {1}, {0, 1}])
@@ -542,6 +542,40 @@ class TestBenchCommand:
         assert csv_path.read_text().startswith("instance_id,")
         payload = json.loads(json_path.read_text())
         assert payload["aggregates"]["oracle"]["rows"] == 1
+
+    @pytest.mark.parametrize("config, inapplicable", [
+        ({"family": "gnp", "sizes": [6], "objective": "min",
+          "algorithms": ["oracle", "kreg-exact"]}, "kreg-exact"),
+        ({"family": "regular", "k": 2, "sizes": [6], "objective": "max",
+          "algorithms": ["cubic"]}, "cubic"),
+    ])
+    def test_bench_records_inapplicable_solver_rows(
+            self, tmp_path, capsys, config, inapplicable):
+        # A solver whose precondition fails on an instance (kreg-exact on a
+        # non-regular graph, cubic on a 2-regular one) gives a failed row
+        # per instance; the run ends, and every other row is solved and
+        # every instance scored.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        json_path = tmp_path / "out.json"
+        assert main(["bench", "--config", str(cfg_path),
+                     "--json", str(json_path)]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(json_path.read_text())
+        rows = payload["rows"]
+        assert len(rows) == 5 * len(config["algorithms"])
+        for row in rows:
+            assert row["oracle_weight"] is not None
+            if row["algorithm"] == inapplicable:
+                assert row["extra"] == {"status": "inapplicable"}
+                assert (row["size"], row["weight"], row["feasible"]) == \
+                    (None, None, None)
+            else:
+                assert row["extra"] == {} and row["feasible"] is True
+        assert {name: agg["failed"]
+                for name, agg in payload["aggregates"].items()} == {
+            name: 5 if name == inapplicable else 0
+            for name in config["algorithms"]}
 
     def test_bench_bad_config_exits_4(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

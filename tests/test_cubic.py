@@ -7,7 +7,7 @@ from mdd import (Graph, InapplicableError, Instance, Objective,
                  generate_random_cubic, is_dominating, is_feasible,
                  mdd_max_cubic, mdd_max_cubic_trace, normalize_dominating_set)
 
-from testkit import complete_bipartite, petersen
+from testkit import complete, complete_bipartite, petersen
 
 
 def prism():
@@ -72,7 +72,7 @@ class TestDominationGadget:
         assert built > 100
 
     def test_k4_inapplicable(self):
-        inst = Instance(Graph.complete(4), 0, None, Objective.MAX)
+        inst = Instance(complete(4), 0, None, Objective.MAX)
         with pytest.raises(InapplicableError):
             build_domination_gadget(inst)
 
@@ -141,7 +141,7 @@ class TestGStar:
 
 class TestMddMaxCubic:
     def test_k4_full_deletion(self):
-        inst = Instance(Graph.complete(4), 0, None, Objective.MAX)
+        inst = Instance(complete(4), 0, None, Objective.MAX)
         trace = mdd_max_cubic_trace(inst)
         assert trace.solution.size == 3
         assert trace.case == "full"

@@ -10,7 +10,7 @@ from mdd import (BudgetError, Graph, InfeasibleError, Instance, Objective,
 
 from bruteforce import check_feasible, min_deletion_set
 from reference_exact import kregular_feasible_witness
-from testkit import petersen, star
+from testkit import complete, petersen, star
 
 
 class TestOracle:
@@ -59,7 +59,7 @@ class TestOracle:
         # each fixing set is the violator alone: one path of 18 nodes down
         # to V - {p}.  A fixing set that kept the common neighbours would
         # branch over all of N(p) at every level.
-        inst = Instance(Graph.complete(18), 0)
+        inst = Instance(complete(18), 0)
         best = brute_force_optimum(inst, OracleConfig(budget=18))
         assert best.vertices == frozenset(range(1, 18))
         with pytest.raises(BudgetError):
@@ -139,7 +139,7 @@ class TestDualize:
         assert brute_force_optimum(dual).vertices == frozenset()
 
     def test_k4_duality(self):
-        inst = Instance(Graph.complete(4), 0, None, Objective.MAX)
+        inst = Instance(complete(4), 0, None, Objective.MAX)
         a = brute_force_optimum(inst)
         b = brute_force_optimum(dualize(inst))
         assert a.total_weight == b.total_weight == 3
@@ -158,7 +158,7 @@ class TestKRegular:
         assert kregular_min_exact(Instance(Graph.cycle(5), 0)).size == 2
 
     def test_exact_k4(self):
-        assert kregular_min_exact(Instance(Graph.complete(4), 0)).size == 3
+        assert kregular_min_exact(Instance(complete(4), 0)).size == 3
 
     def test_exact_petersen_matches_oracle(self):
         for p in range(10):
@@ -191,7 +191,7 @@ class TestKRegular:
     def test_peel_count_over_budget_raises_at_once(self):
         # K_22 needs 2^21 peels, over the 2,000,000-node oracle budget.
         with pytest.raises(BudgetError):
-            kregular_min_exact(Instance(Graph.complete(22), 0))
+            kregular_min_exact(Instance(complete(22), 0))
 
     def test_dense_regular_matches_oracle(self):
         inst = Instance(generate_random_regular(24, 12, 1), 0)

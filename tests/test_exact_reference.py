@@ -26,7 +26,7 @@ from mdd import (Graph, Instance, MDDError, Objective, OracleConfig,
                  kregular_min_exact)
 
 import reference_exact
-from testkit import complete_bipartite
+from testkit import complete, complete_bipartite
 
 EXAMPLES = settings(derandomize=True, max_examples=500, deadline=None)
 
@@ -122,6 +122,6 @@ def test_witness_k33_hits_bound():
 
 
 def test_witness_k4():
-    inst = Instance(Graph.complete(4), 0)
+    inst = Instance(complete(4), 0)
     w = reference_exact.kregular_feasible_witness(inst)
     assert w.vertices == frozenset({1, 2, 3})

@@ -9,7 +9,8 @@ from mdd import (UNDELETABLE, Graph, Instance, InputError, Objective,
 from mdd.graph import is_valid_weight
 
 from bruteforce import check_feasible
-from testkit import complete_bipartite, is_bipartite, petersen, star
+from testkit import (complete, complete_bipartite, is_bipartite, petersen,
+                     star)
 
 
 def _graph_from_bits(n, bits):
@@ -64,14 +65,14 @@ class TestGraphBasics:
 
     def test_bipartite_detection(self):
         assert is_bipartite(complete_bipartite(2, 3))
-        assert not is_bipartite(Graph.complete(3))
+        assert not is_bipartite(complete(3))
         assert is_bipartite(Graph.cycle(6))
         assert not is_bipartite(Graph.cycle(5))
 
 
 class TestComplement:
     def test_triangle_to_empty(self):
-        assert Graph.complete(3).complement().num_edges == 0
+        assert complete(3).complement().num_edges == 0
 
     def test_path_complement(self):
         g = Graph.path(3).complement()
@@ -111,12 +112,12 @@ class TestInducedSubgraph:
         assert remap == tuple(range(10))
 
     def test_k4_to_k3(self):
-        sub, _ = Graph.complete(4).induced_subgraph([0, 2, 3])
-        assert sub == Graph.complete(3)
+        sub, _ = complete(4).induced_subgraph([0, 2, 3])
+        assert sub == complete(3)
 
     def test_invalid_vertex(self):
         with pytest.raises(InputError):
-            Graph.complete(3).induced_subgraph([0, 5])
+            complete(3).induced_subgraph([0, 5])
 
     @pytest.mark.parametrize("keep, bad", [([True, 2], True), ([1.0, 2], 1.0),
                                            (["a"], "a"), ([0, -1], -1),
@@ -132,26 +133,26 @@ class TestInducedSubgraph:
 class TestInstance:
     def test_p_out_of_range(self):
         with pytest.raises(InputError):
-            Instance(Graph.complete(3), 3)
+            Instance(complete(3), 3)
 
     def test_bad_weight(self):
         with pytest.raises(InputError):
-            Instance(Graph.complete(3), 0, (1, 0, 1))
+            Instance(complete(3), 0, (1, 0, 1))
 
     @pytest.mark.parametrize("p", [True, 1.0])
     def test_p_must_be_an_int(self, p):
         with pytest.raises(InputError,
                            match=f"^distinguished vertex {p} out of range$"):
-            Instance(Graph.complete(3), p)
+            Instance(complete(3), p)
 
     def test_bool_weight_rejected(self):
         assert not is_valid_weight(True)
         with pytest.raises(InputError, match="^weight of vertex 1 must be"):
-            Instance(Graph.complete(3), 0, (1, True, 1))
+            Instance(complete(3), 0, (1, True, 1))
 
     def test_infinite_weight_allowed(self):
         from mdd import UNDELETABLE
-        inst = Instance(Graph.complete(3), 0, (1, UNDELETABLE, 2))
+        inst = Instance(complete(3), 0, (1, UNDELETABLE, 2))
         assert inst.weight(1) == UNDELETABLE
         assert not inst.unit_weights
 
@@ -162,7 +163,7 @@ class TestFeasibility:
         assert is_feasible(inst, set())
 
     def test_triangle_two_survivors_tie(self):
-        inst = Instance(Graph.complete(3), 0, None, Objective.MAX)
+        inst = Instance(complete(3), 0, None, Objective.MAX)
         assert not is_feasible(inst, {1})
 
     def test_vacuous_uniqueness(self):
@@ -184,13 +185,13 @@ class TestFeasibility:
 
     @pytest.mark.parametrize("vertex", [True, 1.5, "a"])
     def test_non_int_vertex_rejected(self, vertex):
-        inst = Instance(Graph.complete(3), 0)
+        inst = Instance(complete(3), 0)
         with pytest.raises(InputError,
                            match=f"^vertex {re.escape(str(vertex))} out of range$"):
             is_feasible(inst, {vertex})
 
     def test_p_in_set_rejected(self):
-        inst = Instance(Graph.complete(3), 0)
+        inst = Instance(complete(3), 0)
         with pytest.raises(PreconditionError):
             is_feasible(inst, {0})
 

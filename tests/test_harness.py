@@ -15,7 +15,7 @@ from mdd import (BudgetError, DeletionSet, ExperimentConfig, Graph, InputError,
                  setcover_to_mddmin_bip, Instance, Objective, UNDELETABLE)
 
 from bruteforce import min_cover_size
-from testkit import petersen, star
+from testkit import complete, petersen, star
 
 
 class TestGenerators:
@@ -33,7 +33,7 @@ class TestGenerators:
             assert g.n == 30 and g.regular_degree() == k
 
     def test_n4_k3_is_k4(self):
-        assert generate_random_regular(4, 3, 0) == Graph.complete(4)
+        assert generate_random_regular(4, 3, 0) == complete(4)
 
     def test_odd_product_rejected(self):
         with pytest.raises(PreconditionError):

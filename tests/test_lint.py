@@ -156,3 +156,20 @@ def test_package_does_not_import_fractions():
                or (isinstance(node, ast.Import)
                    and any(a.name == "fractions" for a in node.names))]
     assert imports == []
+
+
+def test_oracle_search_loop_names_no_objective():
+    # The oracle searches Min as Max on the complemented masks, so its
+    # search loop keeps one violator rule and one fixing set.
+    oracle = next(node for node in TREES["exact.py"].body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "brute_force_optimum")
+    loops = [node for node in ast.walk(oracle)
+             if isinstance(node, ast.While)
+             and isinstance(node.test, ast.Name) and node.test.id == "stack"]
+    assert len(loops) == 1
+    named = sorted({node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(loops[0])
+                    if isinstance(node, (ast.Name, ast.Attribute))}
+                   & {"Objective", "MIN", "MAX", "want_min"})
+    assert named == []

@@ -10,7 +10,7 @@ from mdd import (Graph, InapplicableError, InputError, Instance, Objective,
                  setcover_to_mddmin_bip)
 
 from bruteforce import min_cover_size, min_domset_size
-from testkit import is_bipartite, star
+from testkit import complete, is_bipartite, star
 
 
 class TestSetSystem:
@@ -51,7 +51,7 @@ class TestMindomToMddmin:
 
     def test_round_trip_small_graphs(self):
         graphs = [Graph(2, [(0, 1)]), Graph.path(3), Graph.cycle(4),
-                  star(3), Graph.complete(3)]
+                  star(3), complete(3)]
         for g in graphs:
             art = mindom_to_mddmin(g)
             opt = brute_force_optimum(art.instance)
@@ -219,7 +219,7 @@ FORWARD = {
     "cover_to_mddmax_bip_solution":
         (setcover_to_mddmax_bip(SetSystem(2, [{0}, {1}, {0, 1}])), {0, 1, 2}),
     "domset_to_mddmax_cubic_solution":
-        (mindom_cubic_to_mddmax_cubic(Graph.complete(4)), {0, 1, 2, 3}),
+        (mindom_cubic_to_mddmax_cubic(complete(4)), {0, 1, 2, 3}),
 }
 
 
@@ -238,7 +238,7 @@ def test_forward_mapper_rejects_out_of_range(art, source_solution):
 
 def test_forward_maps_reject_negative_ids():
     with pytest.raises(PreconditionError):
-        lift_solution(mindom_to_mddmin(Graph.complete(3)), {-1})
+        lift_solution(mindom_to_mddmin(complete(3)), {-1})
     art = setcover_to_mddmin_bip(SetSystem(2, [{0}, {1}, {0, 1}]))
     with pytest.raises(PreconditionError):
         lift_solution(art, {-1})

@@ -7,7 +7,7 @@ from mdd import (FDepProblem, Graph, InfeasibleError,
                  dominating_set_approx, f_dependent_delete, generate_gnp, is_dominating)
 
 from bruteforce import min_domset_weight, min_dissociation_weight, min_fdep_weight
-from testkit import check_degree_caps, star
+from testkit import check_degree_caps, complete, star
 
 
 class TestFDependentDelete:
@@ -22,7 +22,7 @@ class TestFDependentDelete:
         assert f_dependent_delete(prob) == frozenset()
 
     def test_triangle_cap_zero_with_undeletable(self):
-        prob = FDepProblem(Graph.complete(3), (0, 0, 0),
+        prob = FDepProblem(complete(3), (0, 0, 0),
                            (UNDELETABLE, 1, 1))
         assert f_dependent_delete(prob) == frozenset({1, 2})
 
@@ -231,7 +231,7 @@ class TestDissociationDelete:
         assert dissociation_delete(g) == frozenset()
 
     def test_triangle_single_deletion(self):
-        assert len(dissociation_delete(Graph.complete(3))) == 1
+        assert len(dissociation_delete(complete(3))) == 1
 
     def test_removed_vertices_are_absent(self):
         g = Graph.path(5)

@@ -11,6 +11,11 @@ from mdd.graph import is_int
 from bruteforce import remaining_degrees
 
 
+def complete(n):
+    """Complete graph K_n."""
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
 def star(leaves):
     """Star K_{1,leaves}; the center is vertex 0."""
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
