@@ -9,11 +9,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetError, InfeasibleError, MDDError, PreconditionError
+from .errors import (BudgetError, InfeasibleError, PreconditionError,
+                     VerificationError)
 from .graph import (DeletionSet, Instance, Objective, UNDELETABLE, is_feasible,
                     is_int)
-from .subroutines import (FDepProblem, _outweighs, _returns, _settling,
-                          f_dependent_delete)
+from .subroutines import (_outweighs, _returns, _scale, _settling,
+                          _unchecked_problem, f_dependent_delete)
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,11 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
 
     Every branch runs the degree-cap greedy on the whole graph with K
     removed, which picks the same vertices as on G[V \\ K].  The weights
-    are built once per trace, N[p] UNDELETABLE, and checked once, by the
-    size-0 problem; each larger size |K| recaps it, unchecked, with caps
-    d(p) - |K| - 1 and d(p) for p itself, and builds its settling state
-    (U, the UNDELETABLE vertices, and their counts of neighbors in U come
-    from the previous size's).
+    and their scale are built once per trace, from the weights Instance
+    checked, with N[p] UNDELETABLE; each size |K|, 0 included, builds its
+    problem from them, unchecked, with caps d(p) - |K| - 1 and d(p) for p
+    itself, and its settling state (U, the UNDELETABLE vertices, and their
+    counts of neighbors in U come from the previous size's).
 
     The greedy runs only on a branch that _returns (exact) passes, whose
     w(K) is finite, and for which _outweighs (the fractional knapsack over
@@ -97,6 +98,7 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     closed_p = g.closed_neighborhood(p)
     weights = tuple(UNDELETABLE if v in closed_p else w
                     for v, w in enumerate(inst.weights))
+    scale = _scale(weights)
     members = sorted(l_set.members)
     feasible = 0
     best = best_k = None  # best: the (weight, size, sorted tuple) key
@@ -104,8 +106,7 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     for size in range(len(members) + 1):
         caps = [g.degree(p) - size - 1] * g.n
         caps[p] = g.degree(p)
-        prob = (prob._recapped(tuple(caps)) if size
-                else FDepProblem(g, tuple(caps), weights))
+        prob = _unchecked_problem(g, tuple(caps), weights, scale)
         settling = _settling(prob, settling)
         for k_tuple in itertools.combinations(members, size):
             if not _returns(settling, k_tuple):
@@ -134,7 +135,8 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
         raise InfeasibleError("every candidate requires an undeletable vertex")
     solution = DeletionSet.of(inst, best[2])
     if not is_feasible(inst, solution):
-        raise MDDError("branching algorithm selected an infeasible set")
+        raise VerificationError(
+            "branching algorithm selected an infeasible set")
     return BranchingResult(solution, best_k, 2 ** len(members), feasible,
                            l_set.members)
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InapplicableError, MDDError, PreconditionError
+from .errors import (InapplicableError, MDDError, PreconditionError,
+                     VerificationError)
 from .graph import DeletionSet, Graph, Instance, Objective, is_feasible
 from .subroutines import (FDepProblem, dominating_set_approx,
                           f_dependent_delete, is_dominating)
@@ -76,7 +77,7 @@ def normalize_dominating_set(gadget: DominationGadget, d_in) -> frozenset:
     proxies and no larger than the input: a deletion set of G.  The greedy
     dominating set of the final-degree-3 case holds no proxy (an outside
     neighbor of x covers what a proxy of x covers and has a lower id), so
-    on it this returns the input unchanged.
+    mdd_max_cubic_trace takes it as it stands, without this step.
     """
     g = gadget.gprime
     d = set(d_in)
@@ -139,13 +140,13 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
     """Best of the three case candidates, on an instance checked once.
 
     The final-degree-3 candidate is the greedy dominating set of the proxy
-    graph outside N[p].  Each final-degree-2 branch runs the dissociation
-    greedy with the budget best - |fixed|, best the size of the smallest
-    candidate so far, starting from the full candidate's n - 1, and is
-    stopped, not listed, when its candidate must be larger.  The test is
-    strict, so a branch that ties the best still runs and can win on case
-    rank or sorted tuple, and the result is that of running every branch to
-    the end."""
+    graph outside N[p], which holds no proxy (see normalize_dominating_set).
+    Each final-degree-2 branch runs the dissociation greedy with the budget
+    best - |fixed|, best the size of the smallest candidate so far, starting
+    from the full candidate's n - 1, and is stopped, not listed, when its
+    candidate must be larger.  The test is strict, so a branch that ties
+    the best still runs and can win on case rank or sorted tuple, and the
+    result is that of running every branch to the end."""
     _require_cubic_max_unit(inst)
     g = inst.graph
     p = inst.p
@@ -156,8 +157,8 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
     except InapplicableError:
         pass
     else:
-        dom = dominating_set_approx(gadget.gprime, removed=gadget.removed)
-        candidates.append(("domination", normalize_dominating_set(gadget, dom)))
+        candidates.append(("domination", dominating_set_approx(
+            gadget.gprime, removed=gadget.removed)))
     best = min([g.n - 1] + [len(c) for _, c in candidates])
     stopped = 0
     dissociation = None  # one problem for every final-degree-2 branch
@@ -179,7 +180,7 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
     label, cand = min(candidates, key=lambda c: (
         len(c[1]), _CASE_RANK[c[0]], tuple(sorted(c[1]))))
     if not is_feasible(inst, cand):
-        raise MDDError(f"cubic {label} candidate is infeasible")
+        raise VerificationError(f"cubic {label} candidate is infeasible")
     return CubicTrace(DeletionSet.of(inst, cand), label,
                       tuple((lbl, len(c)) for lbl, c in candidates), stopped)
 

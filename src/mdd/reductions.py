@@ -79,9 +79,6 @@ class ReductionArtifact:
     source: Union[Graph, SetSystem]  # the reduced source instance
     forced: tuple = ()    # vertices every lifted solution deletes
 
-    def vertices_with_role(self, role: str) -> list:
-        return [v for v, r in enumerate(self.roles) if r == role]
-
 
 def _spokes(needs: Iterable[tuple], ends: Iterator[int]) -> list:
     """Join each v to the next k vertices of `ends`, for each (v, k) in needs."""

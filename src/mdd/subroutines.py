@@ -53,7 +53,7 @@ class FDepProblem:
     After the checks the greedy's start state on the whole graph is built
     once, in O(n + m), and kept for every call: excesses, gains, the count
     of vertices over their caps, scale[u] = lcm // w[u] (0 for UNDELETABLE
-    u), where lcm is the lcm of the deletable weights, and a heap of
+    u), where lcm is the lcm of the deletable weights (_scale), and a heap of
     (-gain[u] * scale[u], u) for every deletable u with positive gain.  It
     is not a field, so eq, hash and repr see only graph, cap and weights,
     and no call mutates it.
@@ -72,9 +72,7 @@ class FDepProblem:
             if not is_valid_weight(w):
                 raise PreconditionError(f"weight {w!r} is neither a positive "
                                         "integer nor UNDELETABLE")
-        lcm = math.lcm(*(w for w in self.weights if w != UNDELETABLE))
-        self._build([0 if w == UNDELETABLE else lcm // w
-                     for w in self.weights])
+        self._build(_scale(self.weights))
 
     def _build(self, scale):
         adj = self.graph.adj
@@ -92,14 +90,6 @@ class FDepProblem:
                       if s and gain[u] > 0)
         object.__setattr__(self, "_start", (excess, gain, over, scale, heap))
 
-    def _recapped(self, cap: tuple) -> "FDepProblem":
-        """The problem on the same graph and weights with caps `cap`, whose
-        start state reuses this one's scale.  Unchecked: `cap` must be a
-        tuple of n ints (the log n loop computes it), so the weights are
-        checked once, by the problem it recaps."""
-        return _unchecked_problem(self.graph, cap, self.weights,
-                                  self._start[3])
-
     @classmethod
     def uniform(cls, graph: Graph, f: int, weights=None) -> "FDepProblem":
         """Every cap f; unit weights unless `weights` is given."""
@@ -111,14 +101,22 @@ class FDepProblem:
         return _unchecked_problem(graph, cap, (1,) * graph.n, [1] * graph.n)
 
 
+def _scale(weights: tuple) -> list:
+    """lcm // w for each weight w, 0 for UNDELETABLE, where lcm is the lcm
+    of the deletable weights: the greedy orders gain/weight by
+    gain * scale, exactly, in integers."""
+    lcm = math.lcm(*(w for w in weights if w != UNDELETABLE))
+    return [0 if w == UNDELETABLE else lcm // w for w in weights]
+
+
 def _unchecked_problem(graph: Graph, cap: tuple, weights: tuple,
                        scale) -> FDepProblem:
     """FDepProblem(graph, cap, weights) without its checks, with the start
-    state built from `scale`, the list of lcm // weight (0 for UNDELETABLE).
-    Unchecked: `cap` must be a tuple of n ints, `weights` a tuple of n valid
-    weights and `scale` their scale.  Only callers that build these
-    themselves may use it: FDepProblem._recapped, whose weights and scale
-    come from a checked problem, and, without weights given,
+    state built from `scale`, which must be _scale(weights).  Unchecked:
+    `cap` must be a tuple of n ints and `weights` a tuple of n valid
+    weights.  Only callers that build these themselves may use it: the
+    log n loop, whose weights are those Instance checked with N[p]
+    UNDELETABLE and whose caps it computes, and, without weights given,
     FDepProblem.uniform (a checked int cap) and dominating_set_approx (caps
     from the graph's degrees), whose weights are all 1 and so is the scale.
     """

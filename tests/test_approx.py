@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from mdd import (BudgetError, Graph, InfeasibleError, Instance, MDDError,
-                 Objective, PreconditionError, brute_force_optimum, build_L,
-                 is_feasible, mdd_max_logn, mdd_max_logn_trace, generate_gnp)
+from mdd import (BudgetError, Graph, InfeasibleError, Instance, Objective,
+                 PreconditionError, VerificationError, brute_force_optimum,
+                 build_L, is_feasible, mdd_max_logn, mdd_max_logn_trace,
+                 generate_gnp)
 from mdd import approx
 
 from testkit import complete, complete_bipartite, kreg_lower_bound, star
@@ -155,9 +156,9 @@ class TestMddMaxLogn:
         monkeypatch.setattr(approx, "f_dependent_delete",
                             lambda prob, removed=(), *, budget=None:
                             frozenset())
-        with pytest.raises(MDDError) as err:
+        with pytest.raises(VerificationError) as err:
             mdd_max_logn_trace(inst)
-        assert err.type is MDDError
+        assert err.type is VerificationError
         assert str(err.value) == "branching algorithm selected an infeasible set"
 
     def test_min_objective_rejected(self):

@@ -5,9 +5,10 @@ random regular graphs with EXEMPT, negative and small caps, weights that
 include UNDELETABLE, forbidden sets and removed sets (each greedy on G with
 a removed set equals the reference on the induced subgraph of the other
 vertices).  One problem reused for many removed sets, in any order,
-gives what a fresh problem gives, and a problem recapped with new caps is
-the problem built with them.  Weights include large coprime ones,
-so gain/weight ratios are compared exactly far beyond small weights.
+gives what a fresh problem gives, and the log n loop's unchecked problem
+for each caps is the checked problem built with them.  Weights include
+large coprime ones, so gain/weight ratios are compared exactly far beyond
+small weights.
 EXEMPT is the reference's sentinel; the package caps that vertex at its own
 degree, which must change nothing.
 The log n loop's feasibility step says exactly whether the greedy returns,
@@ -48,7 +49,8 @@ from mdd import (FDepProblem, InapplicableError, InfeasibleError,
                  dominating_set_approx, dualize, f_dependent_delete,
                  generate_gnp, generate_random_cubic, generate_random_regular,
                  mdd_max_cubic_trace, mdd_max_logn_trace, subroutines)
-from mdd.subroutines import _outweighs, _returns, _settling
+from mdd.subroutines import (_outweighs, _returns, _scale, _settling,
+                             _unchecked_problem)
 
 import bruteforce
 import reference_greedy
@@ -195,18 +197,24 @@ def test_reused_problem_matches_fresh_problem_and_reference(data):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.data())
 def test_recapped_problem_is_the_fresh_problem(data):
-    """The log n loop recaps one problem per size: the result equals, start
-    state included, a problem built with the new caps, and the recapped
-    problem is left as it was."""
+    """The log n loop builds one problem per size, unchecked, from one
+    scale of the weights: each equals, start state included, the checked
+    problem with its caps, and building the next leaves the problems built
+    before it as they were."""
     g = data.draw(graphs())
     old, new = (tuple(data.draw(st.lists(st.integers(-1, 4), min_size=g.n,
                                          max_size=g.n))) for _ in range(2))
     weights = tuple(data.draw(st.lists(WEIGHTS, min_size=g.n, max_size=g.n)))
-    prob = FDepProblem(g, old, weights)
-    recapped = prob._recapped(new)
+    checked = FDepProblem(g, old, weights)
+    scale = _scale(weights)
+    prob = _unchecked_problem(g, old, weights, scale)
+    assert prob == checked
+    assert vars(prob) == vars(checked)
+    recapped = _unchecked_problem(g, new, weights, scale)
     assert recapped == FDepProblem(g, new, weights)
     assert vars(recapped) == vars(FDepProblem(g, new, weights))
     assert vars(prob) == vars(FDepProblem(g, old, weights))
+    assert vars(checked) == vars(FDepProblem(g, old, weights))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import mdd.bench
 from mdd import (BudgetError, DeletionSet, ExperimentConfig, Graph, InputError,
-                 PreconditionError, generate_gnp, generate_random_regular,
-                 generate_random_setsystem, parse_graph, parse_instance,
+                 PreconditionError, VerificationError, generate_gnp,
+                 generate_random_regular, generate_random_setsystem,
+                 parse_graph, parse_instance,
                  parse_setsystem, parse_solution, run_experiment,
                  serialize_graph, serialize_instance, serialize_setsystem,
                  serialize_solution, setcover_to_mddmax_bip,
@@ -219,6 +220,40 @@ class TestBench:
                 assert row.extra == {} and row.ratio == 1.0
         assert [report.aggregates[name]["failed"]
                 for name in ("logn", "oracle")] == [4, 0]
+
+    @pytest.mark.parametrize("name, patched, message", [
+        ("logn", [("approx", "f_dependent_delete")],
+         "branching algorithm selected an infeasible set"),
+        ("cubic", [("cubic", "dominating_set_approx"),
+                   ("cubic", "f_dependent_delete")],
+         "cubic domination candidate is infeasible"),
+    ])
+    def test_solver_verification_failure_is_an_error_row(
+            self, monkeypatch, name, patched, message):
+        # With its greedies deleting nothing, the solver picks the empty set
+        # and its own feasibility check rejects it, before bench.solve's
+        # check: that too is an `error` row, and the run goes on.
+        for module, attr in patched:
+            monkeypatch.setattr(getattr(mdd, module), attr,
+                                lambda *args, **kwargs: frozenset())
+        cfg = ExperimentConfig(family="regular", sizes=[6, 8],
+                               algorithms=["oracle", name], k=3,
+                               instances_per_size=2, seed=2, objective="max")
+        inst = next(mdd.bench._make_instances(cfg))[1]
+        with pytest.raises(VerificationError, match=f"^{message}$"):
+            mdd.bench.solve(name, inst)
+        report = run_experiment(cfg)
+        assert len(report.rows) == 2 * 2 * 2
+        for row in report.rows:
+            if row.algorithm == name:
+                assert row.extra == {"status": "error"}
+                assert (row.size, row.weight, row.ratio, row.feasible) == \
+                    (None, None, None, None)
+                assert row.oracle_weight is not None
+            else:
+                assert row.extra == {} and row.ratio == 1.0
+        assert [report.aggregates[algo]["failed"]
+                for algo in (name, "oracle")] == [4, 0]
 
     def test_setcover_experiment(self):
         # Both constructions keep the optimum, so on either objective the

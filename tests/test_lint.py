@@ -173,3 +173,32 @@ def test_oracle_search_loop_names_no_objective():
                     if isinstance(node, (ast.Name, ast.Attribute))}
                    & {"Objective", "MIN", "MAX", "want_min"})
     assert named == []
+
+
+def _names(tree):
+    """(line, name) for every Name, Attribute and definition in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+
+
+def test_solves_do_not_redo_checked_work():
+    # The log n loop builds every size's problem from weights Instance
+    # checked, so it builds no checked FDepProblem and recaps none.  The
+    # cubic greedy's dominating set holds no proxy, so the solve takes it
+    # as it stands: normalize_dominating_set is a public step no solver
+    # calls.
+    approx = [f"approx.py:{line}: {name}"
+              for line, name in _names(TREES["approx.py"])
+              if name in ("FDepProblem", "_recapped")]
+    assert approx == []
+    cubic = [line for line, name in _names(TREES["cubic.py"])
+             if name == "normalize_dominating_set"]
+    definition = next(node.lineno for node in TREES["cubic.py"].body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "normalize_dominating_set")
+    assert cubic == [definition]

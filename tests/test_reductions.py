@@ -10,7 +10,7 @@ from mdd import (Graph, InapplicableError, InputError, Instance, Objective,
                  setcover_to_mddmin_bip)
 
 from bruteforce import min_cover_size, min_domset_size
-from testkit import complete, is_bipartite, star
+from testkit import complete, is_bipartite, star, vertices_with_role
 
 
 class TestSetSystem:
@@ -105,11 +105,11 @@ class TestSetcoverToMddminBip:
     def test_roles_partition(self):
         sys = SetSystem(2, [{0}, {1}, {0, 1}])
         art = setcover_to_mddmin_bip(sys)
-        assert len(art.vertices_with_role("U")) == 2
-        assert len(art.vertices_with_role("F")) == 3
-        assert len(art.vertices_with_role("C")) == 3
-        assert len(art.vertices_with_role("D")) == 3
-        assert art.vertices_with_role("p") == [art.instance.p]
+        assert len(vertices_with_role(art, "U")) == 2
+        assert len(vertices_with_role(art, "F")) == 3
+        assert len(vertices_with_role(art, "C")) == 3
+        assert len(vertices_with_role(art, "D")) == 3
+        assert vertices_with_role(art, "p") == [art.instance.p]
 
 
 class TestSetcoverToMddmaxBip:
@@ -128,9 +128,9 @@ class TestSetcoverToMddmaxBip:
         t = sys.num_sets
         assert is_bipartite(h)
         assert h.degree(art.instance.p) == t
-        for v in art.vertices_with_role("U"):
+        for v in vertices_with_role(art, "U"):
             assert h.degree(v) == t
-        for v in art.vertices_with_role("F"):
+        for v in vertices_with_role(art, "F"):
             assert h.degree(v) < t
 
     def test_cost_equality_small_systems(self):
@@ -151,8 +151,8 @@ class TestSetcoverToMddmaxBip:
     def test_normalization_handles_element_deletions(self):
         sys = SetSystem(2, [{0}, {1}, {0, 1}])
         art = setcover_to_mddmax_bip(sys)
-        f_ids = art.vertices_with_role("F")
-        u_ids = art.vertices_with_role("U")
+        f_ids = vertices_with_role(art, "F")
+        u_ids = vertices_with_role(art, "U")
         s = {u_ids[0], f_ids[1], f_ids[2]}
         assert is_feasible(art.instance, s)
         # element 0 is replaced by the first set containing it
@@ -161,10 +161,10 @@ class TestSetcoverToMddmaxBip:
     def test_normalization_handles_element_pendants(self):
         sys = SetSystem(2, [{0}, {1}, {1}])
         art = setcover_to_mddmax_bip(sys)
-        u_ids = art.vertices_with_role("U")
-        pendant = next(v for v in art.vertices_with_role("I")
+        u_ids = vertices_with_role(art, "U")
+        pendant = next(v for v in vertices_with_role(art, "I")
                        if art.instance.graph.adj[v] == {u_ids[0]})
-        s = {art.vertices_with_role("F")[1], pendant}
+        s = {vertices_with_role(art, "F")[1], pendant}
         assert is_feasible(art.instance, s)
         # the pendant of element 0 stands for the first set containing 0
         assert project_solution(art, s) == {0, 1}

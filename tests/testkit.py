@@ -1,4 +1,5 @@
-"""Graph fixtures, checkers and a bound that only the test suite uses.
+"""Graph fixtures, checkers, a role lookup and a bound that only the test
+suite uses.
 
 None of these is called by a solver, the CLI or the benchmark harness, so
 they live beside bruteforce.py rather than in the package.
@@ -49,6 +50,11 @@ def is_bipartite(g):
                 elif color[u] == color[v]:
                     return False
     return True
+
+
+def vertices_with_role(art, role):
+    """The vertices of a ReductionArtifact tagged `role`, ascending."""
+    return [v for v, r in enumerate(art.roles) if r == role]
 
 
 def check_degree_caps(prob, deleted):
