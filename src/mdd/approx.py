@@ -13,8 +13,8 @@ from .errors import (BudgetError, InfeasibleError, PreconditionError,
                      VerificationError)
 from .graph import (DeletionSet, Instance, Objective, UNDELETABLE, is_feasible,
                     is_int)
-from .subroutines import (_outweighs, _returns, _scale, _settling,
-                          _unchecked_problem, f_dependent_delete)
+from .subroutines import (_outweighs, _returns, _scale, _unchecked_problem,
+                          f_dependent_delete)
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,12 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     Every branch runs the degree-cap greedy on the whole graph with K
     removed, which picks the same vertices as on G[V \\ K].  The weights
     and their scale are built once per trace, from the weights Instance
-    checked, with N[p] UNDELETABLE; each size |K|, 0 included, builds its
+    checked, with N[p] UNDELETABLE; each size |K|, 0 included, builds one
     problem from them, unchecked, with caps d(p) - |K| - 1 and d(p) for p
-    itself, and its settling state (U, the UNDELETABLE vertices, and their
-    counts of neighbors in U come from the previous size's).
+    itself.  The problem builds each view the steps below read on first
+    read, so a size none of whose branches reaches _outweighs or the greedy
+    (every one fails _returns, has an inf w(K) or a negative budget) builds
+    no heap.
 
     The greedy runs only on a branch that _returns (exact) passes, whose
     w(K) is finite, and for which _outweighs (the fractional knapsack over
@@ -102,21 +104,19 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     members = sorted(l_set.members)
     feasible = 0
     best = best_k = None  # best: the (weight, size, sorted tuple) key
-    settling = None
     for size in range(len(members) + 1):
         caps = [g.degree(p) - size - 1] * g.n
         caps[p] = g.degree(p)
         prob = _unchecked_problem(g, tuple(caps), weights, scale)
-        settling = _settling(prob, settling)
         for k_tuple in itertools.combinations(members, size):
-            if not _returns(settling, k_tuple):
+            if not _returns(prob, k_tuple):
                 continue
             feasible += 1
             k_weight = inst.weight_of(k_tuple)
             if k_weight == math.inf:
                 continue
             budget = None if best is None else best[0] - k_weight
-            if budget is not None and _outweighs(settling, k_tuple, budget):
+            if budget is not None and _outweighs(prob, k_tuple, budget):
                 continue
             deleted = f_dependent_delete(prob, k_tuple, budget=budget)
             if deleted is None:

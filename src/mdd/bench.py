@@ -105,9 +105,11 @@ class ExperimentConfig:
             raise InputError(f"unknown instance family '{self.family}'")
         if not isinstance(self.algorithms, list):
             raise InputError("algorithms must be a list of solver names")
-        for name in self.algorithms:
+        for i, name in enumerate(self.algorithms):
             if not isinstance(name, str) or name not in ALGORITHMS:
                 raise InputError(f"unknown algorithm '{name}'")
+            if name in self.algorithms[:i]:
+                raise InputError(f"algorithm '{name}' is listed twice")
         if self.objective not in [o.value for o in Objective]:
             raise InputError("objective must be 'min' or 'max'")
         if not (isinstance(self.sizes, list)

@@ -161,14 +161,14 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
             gadget.gprime, removed=gadget.removed)))
     best = min([g.n - 1] + [len(c) for _, c in candidates])
     stopped = 0
-    dissociation = None  # one problem for every final-degree-2 branch
+    # One problem for every final-degree-2 branch; its start state is built
+    # by the first branch that runs the greedy.
+    dissociation = FDepProblem.uniform(g, 1)
     for x in sorted(g.adj[p]):
         try:
             fixed = _gstar(g, p, x)
         except InapplicableError:
             continue
-        if dissociation is None:
-            dissociation = FDepProblem.uniform(g, 1)
         t = f_dependent_delete(dissociation, fixed | closed_p,
                                budget=best - len(fixed))
         if t is None:

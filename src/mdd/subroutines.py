@@ -11,20 +11,22 @@ UNDELETABLE weight is the one way to keep a vertex from being picked.
 Given a budget, the greedy returns None as soon as its set must weigh more;
 two branch loops pass one, the log n loop and the cubic final-degree-2
 branches.
-Two private steps of the log n loop answer from a problem's start state without
+Two private steps of the log n loop answer from a problem without
 running the greedy: whether it returns on G - removed (`_returns`, exact),
 and whether every set meeting the caps there outweighs a budget
-(`_outweighs`, a fractional-knapsack lower bound).  Both read a
-`_Settling` state that only the loop builds, once per problem.
+(`_outweighs`, a fractional-knapsack lower bound).  Each reads views of
+the problem that are built on first read and kept, so a problem builds
+only the views that something reads.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .errors import InfeasibleError, PreconditionError
 from .graph import Graph, UNDELETABLE, is_int, is_valid_weight
@@ -50,13 +52,19 @@ class FDepProblem:
     removes; only _unchecked_problem, for callers that build caps and
     weights themselves, skips the checks.
 
-    After the checks the greedy's start state on the whole graph is built
-    once, in O(n + m), and kept for every call: excesses, gains, the count
-    of vertices over their caps, scale[u] = lcm // w[u] (0 for UNDELETABLE
-    u), where lcm is the lcm of the deletable weights (_scale), and a heap of
-    (-gain[u] * scale[u], u) for every deletable u with positive gain.  It
-    is not a field, so eq, hash and repr see only graph, cap and weights,
-    and no call mutates it.
+    The problem keeps scale[u] = lcm // w[u] (0 for UNDELETABLE u), where
+    lcm is the lcm of the deletable weights (_scale), and three views
+    derived from it; each view is built on first read and kept, and no
+    call mutates it.  _start is the greedy's start state on the whole
+    graph, built in O(n + m): excesses, gains, the count of vertices over
+    their caps, the scale, and a heap of (-gain[u] * scale[u], u) for every
+    deletable u with positive gain.  _crowded holds each UNDELETABLE v with
+    more UNDELETABLE neighbors than cap[v], with that surplus (_returns
+    reads it).  _sums holds the total start excess E0 and the integer
+    prefix sums of the start gains and of the weights of the vertices of
+    the heap, in heap order (gain/weight descending, ties to the lowest
+    id), each from 0 (_outweighs reads it).  None is a field, so eq, hash
+    and repr see only graph, cap and weights.
     """
 
     graph: Graph
@@ -72,9 +80,10 @@ class FDepProblem:
             if not is_valid_weight(w):
                 raise PreconditionError(f"weight {w!r} is neither a positive "
                                         "integer nor UNDELETABLE")
-        self._build(_scale(self.weights))
+        object.__setattr__(self, "_scale", _scale(self.weights))
 
-    def _build(self, scale):
+    @functools.cached_property
+    def _start(self):
         adj = self.graph.adj
         excess = [max(0, len(a) - c) for a, c in zip(adj, self.cap)]
         gain = excess[:]
@@ -84,11 +93,28 @@ class FDepProblem:
                 over += 1
                 for u in adj[v]:
                     gain[u] += 1
-        # Sorted, so a valid heap and the settling order at once; keys hold
+        # Sorted, so a valid heap and the knapsack order at once; keys hold
         # their vertex id, so none tie.
+        scale = self._scale
         heap = sorted((-gain[u] * s, u) for u, s in enumerate(scale)
                       if s and gain[u] > 0)
-        object.__setattr__(self, "_start", (excess, gain, over, scale, heap))
+        return excess, gain, over, scale, heap
+
+    @functools.cached_property
+    def _crowded(self):
+        adj, cap = self.graph.adj, self.cap
+        undeletable = frozenset(v for v, s in enumerate(self._scale) if not s)
+        inner = ((v, len(adj[v] & undeletable)) for v in undeletable)
+        return tuple((v, d - cap[v]) for v, d in inner if d > cap[v])
+
+    @functools.cached_property
+    def _sums(self):
+        excess, gain, _, _, heap = self._start
+        order = [u for _, u in heap]
+        return (sum(excess),
+                list(itertools.accumulate((gain[u] for u in order), initial=0)),
+                list(itertools.accumulate((self.weights[u] for u in order),
+                                          initial=0)))
 
     @classmethod
     def uniform(cls, graph: Graph, f: int, weights=None) -> "FDepProblem":
@@ -111,20 +137,21 @@ def _scale(weights: tuple) -> list:
 
 def _unchecked_problem(graph: Graph, cap: tuple, weights: tuple,
                        scale) -> FDepProblem:
-    """FDepProblem(graph, cap, weights) without its checks, with the start
-    state built from `scale`, which must be _scale(weights).  Unchecked:
-    `cap` must be a tuple of n ints and `weights` a tuple of n valid
-    weights.  Only callers that build these themselves may use it: the
-    log n loop, whose weights are those Instance checked with N[p]
-    UNDELETABLE and whose caps it computes, and, without weights given,
-    FDepProblem.uniform (a checked int cap) and dominating_set_approx (caps
-    from the graph's degrees), whose weights are all 1 and so is the scale.
+    """FDepProblem(graph, cap, weights) without its checks, keeping `scale`,
+    which must be _scale(weights); its views are built on first read, as
+    for a checked problem.  Unchecked: `cap` must be a tuple of n ints and
+    `weights` a tuple of n valid weights.  Only callers that build these
+    themselves may use it: the log n loop, whose weights are those Instance
+    checked with N[p] UNDELETABLE and whose caps it computes, and, without
+    weights given, FDepProblem.uniform (a checked int cap) and
+    dominating_set_approx (caps from the graph's degrees), whose weights
+    are all 1 and so is the scale.
     """
     prob = object.__new__(FDepProblem)
     object.__setattr__(prob, "graph", graph)
     object.__setattr__(prob, "cap", cap)
     object.__setattr__(prob, "weights", weights)
-    prob._build(scale)
+    object.__setattr__(prob, "_scale", scale)
     return prob
 
 
@@ -140,10 +167,11 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = (), *,
     no deletable vertex can reduce them (every violated vertex is
     undeletable with only undeletable remaining neighbors).
 
-    Each call copies the problem's start state (see FDepProblem), then
-    deletes the `removed` vertices by the same update as a pick, which
-    touches only the deleted vertex, its neighbors and the neighbors of
-    those that leave `over`; they are never picked and never returned.
+    Each call copies the problem's start state (see FDepProblem: built on
+    first read and kept), then deletes the `removed` vertices by the same
+    update as a pick, which touches only the deleted vertex, its neighbors
+    and the neighbors of those that leave `over`; they are never picked
+    and never returned.
     Each pick pops the heap.  Its key -gain * (lcm // weight) orders
     gain/weight exactly, ties on the lowest id.  Gains only fall, so an
     entry can only overstate its vertex: a top entry that still equals its
@@ -219,55 +247,9 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = (), *,
     return frozenset(deleted)
 
 
-class _Settling(NamedTuple):
-    """The start state of one problem as the log n loop's settling steps
-    read it: the graph's adjacency, the start gains and total excess E0,
-    the set U of UNDELETABLE vertices with each one's count of neighbors
-    in U, each v in U that has more neighbors in U than cap[v] with that
-    surplus, and the integer prefix sums of the start gains and of the
-    weights of the deletable vertices with positive start gain, in
-    start-heap order (gain/weight descending, ties to the lowest id), each
-    from 0."""
-
-    adj: tuple
-    gain: list
-    total: int
-    undeletable: frozenset
-    inner: tuple
-    crowded: tuple
-    gain_sums: list
-    weight_sums: list
-
-
-def _settling(prob: FDepProblem,
-              previous: Optional[_Settling] = None) -> _Settling:
-    """Build the settling state of `prob`, in O(n) for n vertices: the
-    start heap is already in settling order.  Only the log n loop builds
-    it, once per size |K|.  U and the counts of neighbors in U depend only
-    on the graph and the weights, so they are taken from `previous`, the
-    state of the loop's previous size, when it is given: once per trace,
-    not once per size."""
-    adj = prob.graph.adj
-    excess, gain, _, scale, heap = prob._start
-    if previous is None:
-        undeletable = frozenset(v for v, s in enumerate(scale) if not s)
-        inner = tuple((v, len(adj[v] & undeletable)) for v in undeletable)
-    else:
-        undeletable, inner = previous.undeletable, previous.inner
-    cap = prob.cap
-    order = [u for _, u in heap]
-    return _Settling(
-        adj, gain, sum(excess), undeletable, inner,
-        tuple((v, d - cap[v]) for v, d in inner if d > cap[v]),
-        list(itertools.accumulate((gain[u] for u in order), initial=0)),
-        list(itertools.accumulate((prob.weights[u] for u in order),
-                                  initial=0)))
-
-
-def _returns(settling: _Settling, removed: Iterable[int]) -> bool:
+def _returns(prob: FDepProblem, removed: Iterable[int]) -> bool:
     """True exactly when f_dependent_delete(prob, removed) returns, False
-    when it raises InfeasibleError, for the problem `settling` was built
-    from.
+    when it raises InfeasibleError.
 
     Unchecked: `removed` must hold distinct vertex ids of prob.graph, in
     any iterable (the log n loop passes the K tuples of
@@ -280,20 +262,20 @@ def _returns(settling: _Settling, removed: Iterable[int]) -> bool:
     itself, and one in U has a remaining deletable neighbor, whose gain is
     positive.  Gains only fall, so a vertex with positive gain still has a
     live heap entry.  Removing vertices only lowers degrees in U, so only
-    the vertices of the problem's U that are over their caps within U are
-    checked: O(|removed|) plus their neighbors.
+    the vertices of the problem's _crowded view are checked, against the
+    UNDELETABLE members of `removed` (the zeros of the scale): O(|removed|)
+    plus their neighbors.  It reads neither the start state nor the heap.
     """
-    adj = settling.adj
-    gone = settling.undeletable.intersection(removed)
+    adj, scale = prob.graph.adj, prob._scale
+    gone = {u for u in removed if not scale[u]}
     return all(v in gone or len(adj[v] & gone) >= surplus
-               for v, surplus in settling.crowded)
+               for v, surplus in prob._crowded)
 
 
-def _outweighs(settling: _Settling, removed: Iterable[int],
+def _outweighs(prob: FDepProblem, removed: Iterable[int],
                budget: int) -> bool:
     """True when every set of deletable vertices that meets the caps on
-    G - removed weighs more than `budget`, for the problem `settling` was
-    built from.
+    G - removed weighs more than `budget`.
 
     Unchecked: `removed` must hold distinct vertex ids of prob.graph, in
     any iterable, and `budget` must be an integer (the log n loop passes
@@ -306,19 +288,20 @@ def _outweighs(settling: _Settling, removed: Iterable[int],
     with vertices taken fractionally, is the fractional knapsack (Dantzig,
     1957): take the vertices in start-heap order until their gains reach
     left, and the last one, i, only in part.  With pg and pw the gain and
-    weight sums before i, S weighs at least pw + (left - pg) * w_i / g_i;
-    the test compares that bound with `budget` in integers, with no
-    division, after one bisect on the gain sums.  Listing `removed` among
-    the vertices only lowers the bound.  If the gains never reach left, no
-    set meets the caps and the answer is True.  O(|removed| + log n).
+    weight sums before i (the problem's _sums view), S weighs at least
+    pw + (left - pg) * w_i / g_i; the test compares that bound with
+    `budget` in integers, with no division, after one bisect on the gain
+    sums.  Listing `removed` among the vertices only lowers the bound.  If
+    the gains never reach left, no set meets the caps and the answer is
+    True.  O(|removed| + log n) once the views are built.
     """
     if budget < 0:
         return True
-    gain = settling.gain
-    left = settling.total - sum(gain[u] for u in removed)
+    gain = prob._start[1]
+    total, gain_sums, weight_sums = prob._sums
+    left = total - sum(gain[u] for u in removed)
     if left <= 0:
         return False
-    gain_sums, weight_sums = settling.gain_sums, settling.weight_sums
     i = bisect.bisect_left(gain_sums, left)
     if i == len(gain_sums):
         return True

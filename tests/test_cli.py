@@ -596,3 +596,14 @@ class TestBenchCommand:
         cfg_path.write_text(json.dumps(config))
         assert main(["bench", "--config", str(cfg_path)]) == 4
         assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("family, name", [("gnp", "oracle"),
+                                              ("setcover", "logn")])
+    def test_bench_repeated_algorithm_exits_4(self, tmp_path, capsys, family,
+                                              name):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"family": family, "sizes": [6], "algorithms": [name, name]}))
+        assert main(["bench", "--config", str(cfg_path)]) == 4
+        assert (capsys.readouterr().err
+                == f"input error: algorithm '{name}' is listed twice\n")

@@ -6,7 +6,8 @@ include UNDELETABLE, forbidden sets and removed sets (each greedy on G with
 a removed set equals the reference on the induced subgraph of the other
 vertices).  One problem reused for many removed sets, in any order,
 gives what a fresh problem gives, and the log n loop's unchecked problem
-for each caps is the checked problem built with them.  Weights include
+for each caps is the checked problem built with them, views included.  A
+problem builds each view on first read and keeps it.  Weights include
 large coprime ones, so gain/weight ratios are compared exactly far beyond
 small weights.
 EXEMPT is the reference's sentinel; the package caps that vertex at its own
@@ -49,7 +50,7 @@ from mdd import (FDepProblem, InapplicableError, InfeasibleError,
                  dominating_set_approx, dualize, f_dependent_delete,
                  generate_gnp, generate_random_cubic, generate_random_regular,
                  mdd_max_cubic_trace, mdd_max_logn_trace, subroutines)
-from mdd.subroutines import (_outweighs, _returns, _scale, _settling,
+from mdd.subroutines import (_outweighs, _returns, _scale,
                              _unchecked_problem)
 
 import bruteforce
@@ -88,6 +89,17 @@ def _outcome(fn, *args, message=False):
         return fn(*args)
     except MDDError as exc:
         return (type(exc), str(exc)) if message else type(exc)
+
+
+VIEWS = ("_start", "_crowded", "_sums")
+
+
+def _state(prob):
+    """vars(prob) with every view built, so state comparisons also compare
+    the views that are built on first read."""
+    for view in VIEWS:
+        getattr(prob, view)
+    return vars(prob)
 
 
 @EXAMPLES
@@ -184,7 +196,7 @@ def test_reused_problem_matches_fresh_problem_and_reference(data):
         min_size=1, max_size=6))
     order = removed_sets + data.draw(st.permutations(removed_sets))
     prob = FDepProblem(g, _package_caps(g, caps), weights)
-    state = copy.deepcopy(vars(prob))
+    state = copy.deepcopy(_state(prob))
     for removed in order:
         fresh = FDepProblem(g, _package_caps(g, caps), weights)
         got = _outcome(f_dependent_delete, prob, removed, message=True)
@@ -209,12 +221,12 @@ def test_recapped_problem_is_the_fresh_problem(data):
     scale = _scale(weights)
     prob = _unchecked_problem(g, old, weights, scale)
     assert prob == checked
-    assert vars(prob) == vars(checked)
+    assert _state(prob) == _state(checked)
     recapped = _unchecked_problem(g, new, weights, scale)
     assert recapped == FDepProblem(g, new, weights)
-    assert vars(recapped) == vars(FDepProblem(g, new, weights))
-    assert vars(prob) == vars(FDepProblem(g, old, weights))
-    assert vars(checked) == vars(FDepProblem(g, old, weights))
+    assert _state(recapped) == _state(FDepProblem(g, new, weights))
+    assert vars(prob) == _state(FDepProblem(g, old, weights))
+    assert vars(checked) == _state(FDepProblem(g, old, weights))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -226,11 +238,45 @@ def test_unit_weight_problems_are_the_checked_problems(data):
     g = data.draw(graphs())
     f = data.draw(st.integers(-1, 4))
     unit = (1,) * g.n
-    assert vars(FDepProblem.uniform(g, f)) == vars(
+    assert _state(FDepProblem.uniform(g, f)) == _state(
         FDepProblem.uniform(g, f, unit))
     removed = data.draw(st.sets(st.integers(0, g.n - 1)))
     assert (dominating_set_approx(g, removed=removed)
             == dominating_set_approx(g, unit, removed))
+
+
+@pytest.mark.parametrize("build", [
+    FDepProblem,
+    lambda g, cap, weights: _unchecked_problem(g, cap, weights,
+                                               _scale(weights)),
+], ids=["checked", "unchecked"])
+def test_views_are_built_on_first_read_and_kept(build):
+    """A new problem holds no view.  _returns builds only _crowded, so a
+    log n size whose branches all fail it builds no heap; _outweighs and
+    f_dependent_delete build the start state once, and later calls reuse
+    the same objects."""
+    # Center 0 is undeletable and over its cap 0 by 3; leaves 1-3 weigh
+    # 1, 2 and 3.
+    g = star(3)
+    prob = build(g, (0, 5, 5, 5), (UNDELETABLE, 1, 2, 3))
+    assert not set(VIEWS) & set(vars(prob))
+    assert _returns(prob, (1,))
+    assert set(VIEWS) & set(vars(prob)) == {"_crowded"}
+    crowded = prob._crowded
+    assert not _outweighs(prob, (1,), 5)
+    assert _outweighs(prob, (1,), 2)
+    start, sums = vars(prob)["_start"], vars(prob)["_sums"]
+    assert f_dependent_delete(prob, {1}) == {2, 3}
+    assert f_dependent_delete(prob) == {1, 2, 3}
+    assert _returns(prob, (2,))
+    for view, built in zip(VIEWS, (start, crowded, sums)):
+        assert vars(prob)[view] is built
+
+    fresh = build(g, (0, 5, 5, 5), (UNDELETABLE, 1, 2, 3))
+    assert f_dependent_delete(fresh, {1}) == {2, 3}
+    start = vars(fresh)["_start"]
+    assert not _outweighs(fresh, (1,), 5)
+    assert vars(fresh)["_start"] is start
 
 
 def test_problem_identity_is_graph_cap_and_weights():
@@ -315,11 +361,10 @@ def test_feasibility_test_says_whether_the_greedy_returns(data):
         generate_random_cubic, st.integers(2, 12).map(lambda h: 2 * h),
         st.integers(0, 10**6))))
     prob, removed_sets = _settle_problem(data, g)
-    settling = _settling(prob)
     for removed in removed_sets:
         returns = _outcome(f_dependent_delete, prob, removed) is not InfeasibleError
-        assert _returns(settling, removed) == returns
-        assert _returns(settling, tuple(sorted(removed))) == returns
+        assert _returns(prob, removed) == returns
+        assert _returns(prob, tuple(sorted(removed))) == returns
 
 
 @EXAMPLES
@@ -327,12 +372,11 @@ def test_feasibility_test_says_whether_the_greedy_returns(data):
 def test_bound_never_exceeds_the_greedy_weight(data):
     g = data.draw(graphs())
     prob, removed_sets = _settle_problem(data, g)
-    settling = _settling(prob)
     for removed in removed_sets:
         deleted = _outcome(f_dependent_delete, prob, removed)
         if deleted is not InfeasibleError:
             for form in (removed, tuple(sorted(removed))):
-                assert not _outweighs(settling, form, _weight(prob, deleted))
+                assert not _outweighs(prob, form, _weight(prob, deleted))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -342,7 +386,6 @@ def test_bound_never_exceeds_the_optimum_on_small_graphs(data):
     problem on G - removed."""
     g = data.draw(graphs(max_n=10))
     prob, removed_sets = _settle_problem(data, g)
-    settling = _settling(prob)
     for removed in removed_sets:
         sub, remap = g.induced_subgraph(v for v in range(g.n)
                                         if v not in removed)
@@ -350,9 +393,9 @@ def test_bound_never_exceeds_the_optimum_on_small_graphs(data):
             sub, tuple(prob.cap[v] for v in remap),
             tuple(prob.weights[v] for v in remap)))
         for form in (removed, tuple(sorted(removed))):
-            assert _outweighs(settling, form, -1)
+            assert _outweighs(prob, form, -1)
             if best is not None:
-                assert not _outweighs(settling, form, best)
+                assert not _outweighs(prob, form, best)
 
 
 @pytest.mark.parametrize("cap, weights, bound", [
@@ -365,8 +408,8 @@ def test_bound_equal_to_the_best_weight_does_not_exceed_it(cap, weights,
                                                           bound):
     prob = FDepProblem(star(2), (cap, 5, 5), weights)
     assert _weight(prob, f_dependent_delete(prob)) == bound
-    assert not _outweighs(_settling(prob), (), bound)
-    assert _outweighs(_settling(prob), (), bound - 1)
+    assert not _outweighs(prob, (), bound)
+    assert _outweighs(prob, (), bound - 1)
 
 
 def test_bound_prices_each_vertex_at_its_own_ratio():
@@ -376,10 +419,9 @@ def test_bound_prices_each_vertex_at_its_own_ratio():
     leaf 1 and then 2 at weight 3 each, so its bound 7 does."""
     prob = FDepProblem(star(4), (1, 5, 5, 5, 5),
                        (UNDELETABLE, 1, 3, 3, 3))
-    settling = _settling(prob)
     assert _weight(prob, f_dependent_delete(prob)) == 7
-    assert _outweighs(settling, (), 6)
-    assert not _outweighs(settling, (), 7)
+    assert _outweighs(prob, (), 6)
+    assert not _outweighs(prob, (), 7)
 
 
 def _pruning_instances():

@@ -128,6 +128,13 @@ class TestBench:
             ExperimentConfig(family="gnp", sizes=[5], algorithms=["nope"])
         with pytest.raises(InputError):
             ExperimentConfig(family="setcover", sizes=[5], algorithms=["bogus"])
+        # One row per instance and algorithm: an algorithm listed twice
+        # would emit duplicate rows (or run its solver twice per instance).
+        for family, name in (("gnp", "oracle"), ("setcover", "logn")):
+            with pytest.raises(InputError,
+                               match=f"^algorithm '{name}' is listed twice$"):
+                ExperimentConfig(family=family, sizes=[6],
+                                 algorithms=[name, name])
         with pytest.raises(InputError):
             ExperimentConfig.from_json("not json")
         with pytest.raises(InputError):

@@ -1,5 +1,6 @@
 """Static checks on the package source."""
 import ast
+import re
 from pathlib import Path
 
 import mdd
@@ -7,6 +8,17 @@ from mdd import errors
 
 SOURCES = sorted(Path(mdd.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+
+
+def test_package_parses_at_the_oldest_supported_python():
+    # pyproject.toml declares the oldest Python the package runs on; read by
+    # a regex, since tomllib is itself newer than 3.10.
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    major, minor = map(int, re.search(
+        r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', pyproject,
+        re.MULTILINE).groups())
+    for path in SOURCES:
+        ast.parse(path.read_text(), path.name, feature_version=(major, minor))
 
 
 def test_package_has_no_assert_statements():
