@@ -3,10 +3,11 @@ random graphs, and random set systems meeting the reduction preconditions.
 """
 from __future__ import annotations
 
+import numbers
 import random
 
 from .errors import InputError, PreconditionError
-from .graph import Graph
+from .graph import Graph, is_int
 from .reductions import SetSystem
 
 #: Samples drawn before a generator gives up with PreconditionError.
@@ -25,31 +26,53 @@ def generate_random_regular(n: int, k: int, seed: int) -> Graph:
     self-loop or parallel edge.  After _MAX_ATTEMPTS restarts, and from the
     start for k >= _STEGER_WORMALD_MIN_DEGREE, it runs Steger and Wormald's
     algorithm instead, drawing from the same generator.  Deterministic per
-    seed.
+    seed.  Sizes that admit no k-regular graph (n < 1, k < 0, k >= n or n*k
+    odd) raise PreconditionError; otherwise an n or k that is not an int (a
+    bool or a float among them) raises InputError.
     """
-    if n < 1 or k < 0 or k >= n or (n * k) % 2 != 0:
+    try:
+        impossible = n < 1 or k < 0 or k >= n or (n * k) % 2 != 0
+    except TypeError:  # n or k is not a number
+        impossible = None
+    if impossible:
         raise PreconditionError(
             f"no {k}-regular graph on {n} vertices (need 0 <= k < n, n*k even)")
+    if impossible is None or not (is_int(n) and is_int(k)):
+        raise InputError("n and k must be integers")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(k)]
     for _ in range(_MAX_ATTEMPTS if k < _STEGER_WORMALD_MIN_DEGREE else 0):
         rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
+        seen = set()
+        pairs = iter(stubs)
+        for u, v in zip(pairs, pairs):
+            # One int per pair: it hashes faster than a (u, v) tuple.
+            key = u * n + v if u < v else v * n + u
+            if u == v or key in seen:
                 break
-            edges.add((min(u, v), max(u, v)))
-        if ok:
-            return Graph(n, sorted(edges))
+            seen.add(key)
+        else:
+            pairs = iter(stubs)
+            return _graph(n, sorted((u, v) if u < v else (v, u)
+                                    for u, v in zip(pairs, pairs)))
     for _ in range(_MAX_ATTEMPTS):
         edges = _steger_wormald(n, k, rng)
         if edges is not None:
-            return Graph(n, sorted(edges))
+            return _graph(n, sorted(edges))
     raise PreconditionError(
         f"failed to produce a simple {k}-regular graph on {n} vertices")
+
+
+def _graph(n: int, edges: list) -> Graph:
+    """The graph on n vertices with `edges`, pairs (u, v) with u < v < n,
+    sorted and distinct, built without Graph(n, edges)'s per-edge checks.
+    Each neighbour set gets its members in the order Graph(n, edges) adds
+    them, so it iterates in the same order as the checked graph's."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph._unchecked([frozenset(s) for s in adj])
 
 
 def _steger_wormald(n: int, k: int, rng: random.Random):
@@ -80,13 +103,22 @@ def generate_random_cubic(n: int, seed: int) -> Graph:
 
 
 def generate_gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p), deterministic per seed."""
-    if n < 0 or not 0.0 <= p <= 1.0:
-        raise InputError("need n >= 0 and 0 <= p <= 1")
+    """Erdos-Renyi G(n, p), deterministic per seed.  An n that is not an
+    int >= 0, or a p that is a bool or not a real number in [0, 1], raises
+    InputError."""
+    if (not is_int(n, 0) or isinstance(p, bool)
+            or not isinstance(p, numbers.Real) or not 0 <= p <= 1):
+        raise InputError("need an integer n >= 0 and a number p in [0, 1]")
     rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
+    adj = [set() for _ in range(n)]
+    # Pairs come in (u, v) order, u < v, the order Graph(n, edges) would
+    # add the sorted edge list in.
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u].add(v)
+                adj[v].add(u)
+    return Graph._unchecked([frozenset(s) for s in adj])
 
 
 def generate_random_setsystem(r: int, t: int, seed: int) -> SetSystem:

@@ -65,7 +65,9 @@ class Graph:
         checks of Graph(n, edges).  Unchecked: `adj` must be a sequence of
         frozensets of ids in range, symmetric and loop-free, as sets derived
         from another Graph's adjacency are (the complement and the cubic
-        proxy graph build one)."""
+        proxy graph build one) and as the neighbour sets of generate_gnp
+        and generate_random_regular are, filled from edges those generators
+        have just drawn and checked."""
         g = cls.__new__(cls)
         g.n = len(adj)
         g.adj = tuple(adj)

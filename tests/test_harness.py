@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -58,6 +59,56 @@ class TestGenerators:
     def test_setsystem_rejects_r1(self):
         with pytest.raises(PreconditionError):
             generate_random_setsystem(1, 3, 0)
+
+    @pytest.mark.parametrize("make, args", [
+        (generate_random_regular, (4, True)),
+        (generate_random_regular, (4, 3.0)),
+        (generate_random_regular, (4.0, 3)),
+        (generate_random_regular, (True, 0)),
+        (generate_gnp, (4, True)),
+        (generate_gnp, (4.0, 0.5)),
+        (generate_gnp, (True, 0.5)),
+        (generate_gnp, ("4", 0.5)),
+        (generate_gnp, (4, "0.5")),
+    ], ids=["regular-bool-k", "regular-float-k", "regular-float-n",
+            "regular-bool-n", "gnp-bool-p", "gnp-float-n", "gnp-bool-n",
+            "gnp-str-n", "gnp-str-p"])
+    def test_bad_size_and_probability_types_rejected(self, make, args):
+        with pytest.raises(InputError):
+            make(*args, 0)
+
+    # SHA-256 of [(g.n, sorted(g.edges())) for seeds 0-4], recorded while
+    # the generators still built through Graph(n, edges), so a faster build
+    # cannot change a generated graph; k >= 6 takes the Steger-Wormald path.
+    PINNED = [
+        (generate_random_regular, (8, 3), "8e5a151fdecced6c07b14acf3b474c204041b81dd2fda9e9615f66ffeb89086c"),
+        (generate_random_regular, (200, 3), "4b472d89e7584731a55bcf0c2792046b9f662a152a49f74aac651c98a8bf922c"),
+        (generate_random_regular, (298, 3), "6e3f04132235785dffa6d87fc3580c834bcf0bc846e6b97a7c9e17860f3968aa"),
+        (generate_random_regular, (20, 4), "fd55237467a9381fd5c7cf0c6031eee5e1c4f4d2b3a1822fcb12596680a292c8"),
+        (generate_random_regular, (30, 6), "c36fca365c8ddbb30a881d1003bdf2cdf37ae30fd6b11c7a9a1f7215d272fb82"),
+        (generate_random_regular, (20, 7), "a94ae260f409e296aeffd2855cf1e9e4094bfebd727a5d23f984c5ae3238ad9e"),
+        (generate_gnp, (0, 0.3), "976c7973fdc970bbcb00da1ea5f2c8a30c68f69adaf04e82cb8331f1f188ce33"),
+        (generate_gnp, (1, 0.7), "0cf8b5acd2ab313d18673d00df11775fe849af428977af5f57afe883565322c3"),
+        (generate_gnp, (12, 0.0), "d6945dd1b7f0df71b29ee911988adc0fb9ab0e2084366509484e7034c675d4f3"),
+        (generate_gnp, (50, 0.1), "1817d1d7f143461277185cb77c88faa40ed804f60286e6d69010a57d93260e25"),
+        (generate_gnp, (17, 0.3), "0a3fee8449f92e4ef677b3536fdbead8851e2810d38afd6ec389b1c38a48f5d4"),
+        (generate_gnp, (17, 0.7), "35e89b313214c708f29dc14fa77ac00787b74d2c0703649df0092f6d396d8aa4"),
+        (generate_gnp, (12, 1.0), "2e1bba6864e5869834e7e59874472c3b3d23cc30ab16892fa0dd725f7128bce7"),
+    ]
+
+    @pytest.mark.parametrize("make, args, digest", PINNED)
+    def test_generated_graphs_are_pinned(self, make, args, digest):
+        graphs = [make(*args, seed) for seed in range(5)]
+        payload = repr([(g.n, sorted(g.edges())) for g in graphs])
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
+        # Each graph is the one Graph(n, edges) builds from its sorted edges,
+        # down to the iteration order of every neighbour set, so solvers see
+        # the same frozensets whichever way the generator built them.
+        for g in graphs:
+            checked = Graph(g.n, g.edges())
+            assert g == checked
+            assert ([list(a) for a in g.adj]
+                    == [list(a) for a in checked.adj])
 
 
 class TestFileIO:

@@ -214,3 +214,20 @@ def test_solves_do_not_redo_checked_work():
                       if isinstance(node, ast.FunctionDef)
                       and node.name == "normalize_dominating_set")
     assert cubic == [definition]
+
+
+def test_generators_build_graphs_unchecked():
+    # The generators prove their edges simple and in range as they draw
+    # them, so they build each graph from its neighbour sets through
+    # Graph._unchecked and never re-check it edge by edge in Graph(n, edges).
+    calls = [node for node in ast.walk(TREES["generators.py"])
+             if isinstance(node, ast.Call)]
+    checked = [node.lineno for node in calls
+               if isinstance(node.func, ast.Name) and node.func.id == "Graph"]
+    unchecked = [node.lineno for node in calls
+                 if isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "_unchecked"
+                 and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id == "Graph"]
+    assert checked == []
+    assert len(unchecked) >= 2
