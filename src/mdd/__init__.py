@@ -3,9 +3,8 @@ make a distinguished vertex p the unique minimum (resp. maximum) degree
 vertex of the remaining induced subgraph, at minimum weight.
 """
 
-from .errors import (BudgetError, InapplicableError, InfeasibleError,
-                     InputError, MDDError, PreconditionError,
-                     VerificationError)
+from .errors import (BudgetError, InfeasibleError, InputError, MDDError,
+                     PreconditionError, VerificationError)
 from .graph import (DeletionSet, Graph, Instance, Objective, UNDELETABLE,
                     is_feasible)
 from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,

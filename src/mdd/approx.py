@@ -9,8 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (BudgetError, InfeasibleError, PreconditionError,
-                     VerificationError)
+from .errors import (BudgetError, InfeasibleError, InputError,
+                     PreconditionError, VerificationError)
 from .graph import (DeletionSet, Instance, Objective, UNDELETABLE, is_feasible,
                     is_int)
 from .subroutines import (_outweighs, _returns, _scale, _unchecked_problem,
@@ -91,7 +91,7 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     if cap_on_L is None:
         cap_on_L = default_l_cap(g.n)
     elif not is_int(cap_on_L, 0):
-        raise PreconditionError("cap on |L| must be an integer >= 0")
+        raise InputError("cap on |L| must be an integer >= 0")
     l_set = build_L(inst)
     if len(l_set.members) > cap_on_L:
         raise BudgetError(

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .approx import mdd_max_logn_trace
 from .cubic import mdd_max_cubic_trace
-from .errors import (BudgetError, InfeasibleError, InputError, MDDError,
+from .errors import (BudgetError, InfeasibleError, InputError,
                      PreconditionError, VerificationError)
 from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,
                     kregular_min_exact)
@@ -217,7 +217,7 @@ def _min_cover_size(sys) -> int:
     while universe not in level:
         level = {covered | s for covered in level for s in sets} - seen
         if not level:
-            raise MDDError("set system invariant guarantees a cover")
+            raise VerificationError("set system invariant guarantees a cover")
         seen |= level
         size += 1
     return size

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Verbs: solve, verify, reduce, gen, bench, subroutine.  Exit codes:
-0 success, 2 infeasible/inapplicable, 3 budget exhausted, 4 input error
-(a usage error included).
+Verbs: solve, verify, reduce, gen, bench, subroutine.  Exit codes: 0 success,
+2 no feasible deletion set, 3 budget exhausted, 4 any other error (malformed
+input, a usage error included, or input outside a method's hypotheses).
 """
 from __future__ import annotations
 
@@ -12,10 +12,10 @@ from pathlib import Path
 
 from . import fileio
 from .bench import ALGORITHMS, ExperimentConfig, run_experiment, solve
-from .errors import (BudgetError, InapplicableError, InfeasibleError,
-                     InputError, MDDError, PreconditionError)
+from .errors import (BudgetError, InfeasibleError, InputError, MDDError,
+                     PreconditionError)
 from .generators import generate_gnp, generate_random_regular
-from .graph import UNDELETABLE, is_feasible
+from .graph import UNDELETABLE, _ids, is_feasible
 from .reductions import CONSTRUCTIONS
 from .subroutines import FDepProblem, dominating_set_approx, f_dependent_delete
 
@@ -103,10 +103,7 @@ def _cmd_subroutine(args) -> int:
     g = fileio.parse_graph(_read(args.graph))
     if args.cap is not None and args.kind != "fdep":
         raise InputError(f"--cap applies only to --kind fdep, not {args.kind}")
-    forbidden = set(args.forbidden or [])
-    for v in sorted(forbidden):
-        if not 0 <= v < g.n:
-            raise InputError(f"forbidden vertex {v} out of range for n={g.n}")
+    forbidden = _ids(g.n, args.forbidden or (), "forbidden vertex")
     weights = tuple(UNDELETABLE if v in forbidden else 1 for v in range(g.n))
     if args.kind == "fdep":
         cap = 1 if args.cap is None else args.cap
@@ -185,7 +182,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleError, InapplicableError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except BudgetError as exc:

@@ -9,9 +9,9 @@ any feasible solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import (InapplicableError, MDDError, PreconditionError,
-                     VerificationError)
+from .errors import PreconditionError, VerificationError
 from .graph import DeletionSet, Graph, Instance, Objective, is_feasible
 from .subroutines import (FDepProblem, dominating_set_approx,
                           f_dependent_delete, is_dominating)
@@ -44,23 +44,27 @@ def _require_cubic_max_unit(inst: Instance):
 
 def build_domination_gadget(inst: Instance) -> DominationGadget:
     _require_cubic_max_unit(inst)
-    return _gadget(inst.graph, inst.p)
+    g, p = inst.graph, inst.p
+    gadget = _gadget(g, p)
+    if gadget is None:
+        x = min(x for x in g.adj[p] if g.adj[x] <= g.closed_neighborhood(p))
+        raise PreconditionError(f"neighbor {x} of p has 0 neighbors outside "
+                                "N[p]; the final-degree-3 case does not apply")
+    return gadget
 
 
-def _gadget(g: Graph, p: int) -> DominationGadget:
-    """The gadget of build_domination_gadget on a checked instance.  The
-    proxy graph's neighbour sets come from g.adj, so it is built without
-    per-edge checks."""
+def _gadget(g: Graph, p: int) -> Optional[DominationGadget]:
+    """The gadget of build_domination_gadget on a checked instance, or None
+    when a neighbor of p has no neighbor outside N[p].  The proxy graph's
+    neighbour sets come from g.adj, so it is built without per-edge checks."""
     removed = g.closed_neighborhood(p)
     adj = [frozenset() if u in removed else a - removed
            for u, a in enumerate(g.adj)]
     groups = {}
     for x in sorted(g.adj[p]):
         out_x = g.adj[x] - removed
-        if not 1 <= len(out_x) <= 2:
-            raise InapplicableError(
-                f"neighbor {x} of p has {len(out_x)} neighbors outside N[p]; "
-                f"the final-degree-3 case does not apply")
+        if not out_x:
+            return None
         groups[x] = tuple(range(len(adj), len(adj) + len(out_x)))
         for a in out_x:
             adj[a] = adj[a].union(groups[x])
@@ -97,7 +101,8 @@ def normalize_dominating_set(gadget: DominationGadget, d_in) -> frozenset:
             # else: the neighbors are all chosen already and dominate the
             # group; dropping the proxy only shrinks the set.
     if not is_dominating(g, d | gadget.removed):
-        raise MDDError("normalized set no longer dominates the proxy graph")
+        raise VerificationError(
+            "normalized set no longer dominates the proxy graph")
     return frozenset(d)
 
 
@@ -108,18 +113,24 @@ def build_gstar(inst: Instance, x: int) -> frozenset:
     fixed | N[p] passed as `removed`.
     """
     _require_cubic_max_unit(inst)
-    if x not in inst.graph.adj[inst.p]:
+    g, p = inst.graph, inst.p
+    if x not in g.adj[p]:
         raise PreconditionError(f"{x} is not a neighbor of p")
-    return _gstar(inst.graph, inst.p, x)
-
-
-def _gstar(g: Graph, p: int, x: int) -> frozenset:
-    """The fixed set of build_gstar on a checked instance and x in N(p)."""
-    y, z = sorted(g.adj[p] - {x})
-    if z in g.adj[y]:
-        raise InapplicableError(
+    fixed = _gstar(g, p, x)
+    if fixed is None:
+        y, z = sorted(g.adj[p] - {x})
+        raise PreconditionError(
             f"surviving neighbors {y} and {z} are adjacent; branch at x={x} "
             f"does not apply")
+    return fixed
+
+
+def _gstar(g: Graph, p: int, x: int) -> Optional[frozenset]:
+    """The fixed set of build_gstar on a checked instance and x in N(p), or
+    None when the surviving y and z are adjacent."""
+    y, z = sorted(g.adj[p] - {x})
+    if z in g.adj[y]:
+        return None
     return frozenset(({x} | g.adj[y] | g.adj[z]) - {p, y, z})
 
 
@@ -152,11 +163,8 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
     p = inst.p
     closed_p = g.closed_neighborhood(p)
     candidates = []
-    try:
-        gadget = _gadget(g, p)
-    except InapplicableError:
-        pass
-    else:
+    gadget = _gadget(g, p)
+    if gadget is not None:
         candidates.append(("domination", dominating_set_approx(
             gadget.gprime, removed=gadget.removed)))
     best = min([g.n - 1] + [len(c) for _, c in candidates])
@@ -165,9 +173,8 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
     # by the first branch that runs the greedy.
     dissociation = FDepProblem.uniform(g, 1)
     for x in sorted(g.adj[p]):
-        try:
-            fixed = _gstar(g, p, x)
-        except InapplicableError:
+        fixed = _gstar(g, p, x)
+        if fixed is None:
             continue
         t = f_dependent_delete(dissociation, fixed | closed_p,
                                budget=best - len(fixed))

@@ -1,8 +1,9 @@
-"""Exception hierarchy shared by all solver modules.
+"""Exception hierarchy shared by all solver modules, one class per reason a
+call refuses.  MDDError is the base class only; nothing raises it directly.
 
-The CLI maps these onto process exit codes: infeasible/inapplicable -> 2,
-budget exhaustion -> 3, bad input, violated precondition or any other
-error (a result that fails verification among them) -> 4.
+The CLI maps these onto process exit codes: infeasible -> 2, budget
+exhaustion -> 3, any other error -> 4.  `mdd bench` records a
+PreconditionError as an `inapplicable` row.
 """
 
 
@@ -11,19 +12,18 @@ class MDDError(Exception):
 
 
 class InputError(MDDError):
-    """Malformed file, config, or constructor argument."""
+    """A malformed value: a bad file or config, a wrong type, an id not
+    below its bound, a length mismatch, or a cap, weight or budget outside
+    its form."""
 
 
 class PreconditionError(MDDError):
-    """An operation was called on an instance outside its stated domain."""
+    """A well-formed input outside the method's stated domain (objective,
+    regularity, unit weights, the bounds of a construction)."""
 
 
 class InfeasibleError(MDDError):
     """No solution exists under the given constraints (e.g. undeletable vertices)."""
-
-
-class InapplicableError(MDDError):
-    """A case analysis branch or reduction does not apply to this input."""
 
 
 class BudgetError(MDDError):
@@ -31,4 +31,4 @@ class BudgetError(MDDError):
 
 
 class VerificationError(MDDError):
-    """A solver returned a set that fails the feasibility check."""
+    """A result or internal invariant fails its own check."""

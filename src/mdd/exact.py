@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BudgetError, InfeasibleError, PreconditionError
+from .errors import BudgetError, InfeasibleError, InputError, PreconditionError
 from .graph import DeletionSet, Instance, Objective, is_int
 
 DEFAULT_BUDGET = 2_000_000
@@ -26,9 +26,9 @@ class OracleConfig:
 
     def __post_init__(self):
         if not isinstance(self.weight_mode, WeightMode):
-            raise PreconditionError("oracle weight_mode must be a WeightMode")
+            raise InputError("oracle weight_mode must be a WeightMode")
         if not is_int(self.budget, 1):
-            raise PreconditionError("oracle budget must be an integer >= 1")
+            raise InputError("oracle budget must be an integer >= 1")
 
 
 def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> DeletionSet:

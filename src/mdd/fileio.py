@@ -32,17 +32,17 @@ def _content_lines(text: str):
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _int(token: str, lineno: int, message: str) -> int:
-    """The integer an optional '-' and ASCII digits spell, or InputError
-    'line <lineno>: <message>'.  Python's int() would also take '+3', '1_0'
-    and non-ASCII digits, which the formats do not allow."""
-    if not _INTEGER.fullmatch(token):
+def _int(token: str, lineno: int, message: str, low=None) -> int:
+    """The integer an optional '-' and ASCII digits spell, >= `low` if given,
+    or InputError 'line <lineno>: <message>'.  Python's int() would also take
+    '+3', '1_0' and non-ASCII digits, which the formats do not allow."""
+    if not _INTEGER.fullmatch(token) or (low is not None and int(token) < low):
         raise InputError(f"line {lineno}: {message}")
     return int(token)
 
 
 def _header(lines, kind: str, names: str) -> tuple:
-    """The two integers of the `<names>` header that opens a `kind` file."""
+    """The two non-negative counts of the `<names>` header of a `kind` file."""
     try:
         lineno, header = next(lines)
     except StopIteration:
@@ -50,8 +50,11 @@ def _header(lines, kind: str, names: str) -> tuple:
     parts = header.split()
     if len(parts) != 2:
         raise InputError(f"line {lineno}: expected '{names}' header")
-    return tuple(_int(x, lineno, f"expected integer '{names}' header")
-                 for x in parts)
+    counts = tuple(_int(x, lineno, f"expected integer '{names}' header")
+                   for x in parts)
+    if min(counts) < 0:
+        raise InputError(f"line {lineno}: '{names}' counts must be >= 0")
+    return counts
 
 
 def _counted(lines, count: int, kind: str):
@@ -111,6 +114,8 @@ def parse_instance(text: str) -> Instance:
     if len(parts) != 4 or parts[0] != "p" or parts[2] != "objective":
         raise InputError(f"line {lineno}: expected 'p <id> objective <min|max>'")
     p = _int(parts[1], lineno, "p must be an integer")
+    if not 0 <= p < g.n:
+        raise InputError(f"line {lineno}: distinguished vertex {p} out of range")
     try:
         objective = Objective(parts[3])
     except ValueError:
@@ -128,7 +133,7 @@ def parse_instance(text: str) -> Instance:
             raise InputError(f"line {lineno}: duplicate weight for vertex {v}")
         weighted.add(v)
         weights[v] = UNDELETABLE if parts[2] == "inf" else _int(
-            parts[2], lineno, "weight must be a positive integer or 'inf'")
+            parts[2], lineno, "weight must be a positive integer or 'inf'", 1)
     return Instance(g, p, tuple(weights), objective)
 
 
@@ -145,9 +150,13 @@ def serialize_instance(inst: Instance) -> str:
 def parse_setsystem(text: str) -> SetSystem:
     lines = _content_lines(text)
     r, t = _header(lines, "set system", "r t")
-    family = [frozenset(_int(x, lineno, "expected integer element ids")
-                        for x in line.split())
-              for lineno, line in _counted(lines, t, "set")]
+    family = []
+    for lineno, line in _counted(lines, t, "set"):
+        family.append([_int(x, lineno, "expected integer element ids")
+                       for x in line.split()])
+        for x in family[-1]:
+            if not 0 <= x < r:
+                raise InputError(f"line {lineno}: element {x} outside universe")
     for lineno, _ in lines:
         raise InputError(f"line {lineno}: trailing content after set list")
     return SetSystem(r, tuple(family))

@@ -26,19 +26,15 @@ def generate_random_regular(n: int, k: int, seed: int) -> Graph:
     self-loop or parallel edge.  After _MAX_ATTEMPTS restarts, and from the
     start for k >= _STEGER_WORMALD_MIN_DEGREE, it runs Steger and Wormald's
     algorithm instead, drawing from the same generator.  Deterministic per
-    seed.  Sizes that admit no k-regular graph (n < 1, k < 0, k >= n or n*k
-    odd) raise PreconditionError; otherwise an n or k that is not an int (a
-    bool or a float among them) raises InputError.
+    seed.  An n or k that is not an int (a bool or a float among them)
+    raises InputError, and sizes that admit no k-regular graph (n < 1,
+    k < 0, k >= n or n*k odd) raise PreconditionError.
     """
-    try:
-        impossible = n < 1 or k < 0 or k >= n or (n * k) % 2 != 0
-    except TypeError:  # n or k is not a number
-        impossible = None
-    if impossible:
+    if not (is_int(n) and is_int(k)):
+        raise InputError("n and k must be integers")
+    if n < 1 or k < 0 or k >= n or (n * k) % 2 != 0:
         raise PreconditionError(
             f"no {k}-regular graph on {n} vertices (need 0 <= k < n, n*k even)")
-    if impossible is None or not (is_int(n) and is_int(k)):
-        raise InputError("n and k must be integers")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(k)]
     for _ in range(_MAX_ATTEMPTS if k < _STEGER_WORMALD_MIN_DEGREE else 0):

@@ -32,6 +32,17 @@ def is_int(value, low: Optional[int] = None) -> bool:
             and (low is None or value >= low))
 
 
+def _ids(bound: int, values: Iterable, what: str = "vertex") -> frozenset:
+    """The frozenset of `values`, the one id check over a collection: the
+    first entry that is not an int in range(bound) raises InputError.
+    Every entry is checked, also one a set would merge (True with 1)."""
+    values = tuple(values)
+    for v in values:
+        if not (is_int(v, 0) and v < bound):
+            raise InputError(f"{what} {v!r} not in range({bound})")
+    return frozenset(values)
+
+
 class Objective(Enum):
     MIN = "min"
     MAX = "max"
@@ -117,11 +128,7 @@ class Graph:
         kept vertices are renumbered in increasing original-id order.  The
         first entry of `keep` that is not a vertex id raises InputError.
         """
-        keep = list(keep)
-        for v in keep:
-            if not (is_int(v, 0) and v < self.n):
-                raise InputError(f"vertex {v} out of range for n={self.n}")
-        keep = sorted(set(keep))
+        keep = sorted(_ids(self.n, keep))
         index = {v: i for i, v in enumerate(keep)}
         edges = [(index[u], index[v]) for u in keep for v in self.adj[u]
                  if u < v and v in index]
@@ -236,9 +243,7 @@ def is_feasible(inst: Instance, solution) -> bool:
     if inst.p in s:
         raise PreconditionError("deletion set may not contain p")
     g = inst.graph
-    for v in s:
-        if not (is_int(v, 0) and v < g.n):
-            raise InputError(f"vertex {v} out of range")
+    _ids(g.n, s)
     if any(inst.weights[v] == UNDELETABLE for v in s):
         return False
     dp = len(g.adj[inst.p] - s)

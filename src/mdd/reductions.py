@@ -21,9 +21,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from .errors import InapplicableError, InputError, PreconditionError
-from .graph import (DeletionSet, Graph, Instance, Objective, _solution_vertices,
-                    is_feasible, is_int)
+from .errors import InputError, PreconditionError
+from .graph import (DeletionSet, Graph, Instance, Objective, _ids,
+                    _solution_vertices, is_feasible, is_int)
 from .subroutines import is_dominating
 
 
@@ -37,17 +37,12 @@ class SetSystem:
     def __post_init__(self):
         if not is_int(self.universe_size, 1):
             raise InputError("universe must be non-empty")
-        family = tuple(frozenset(f) for f in self.family)
+        family = tuple(_ids(self.universe_size, f, "element")
+                       for f in self.family)
         object.__setattr__(self, "family", family)
         if not family:
             raise InputError("family must be non-empty")
-        union = set()
-        for f in family:
-            for x in f:
-                if not (is_int(x, 0) and x < self.universe_size):
-                    raise InputError(f"element {x} outside universe")
-            union |= f
-        if union != set(range(self.universe_size)):
+        if set().union(*family) != set(range(self.universe_size)):
             raise InputError("family does not cover the universe; no cover exists")
 
     @property
@@ -128,7 +123,7 @@ def setcover_to_mddmin_bip(sys: SetSystem) -> ReductionArtifact:
     r = sys.universe_size
     t = sys.num_sets
     if r > t:
-        raise InapplicableError(
+        raise PreconditionError(
             f"construction needs r <= t (got r={r}, t={t})")
     c_ids = range(r + t, r + 2 * t)
     d_ids = range(r + 2 * t, r + 3 * t)
@@ -163,14 +158,14 @@ def setcover_to_mddmax_bip(sys: SetSystem) -> ReductionArtifact:
     r = sys.universe_size
     t = sys.num_sets
     if r > t:
-        raise InapplicableError(f"construction needs r <= t (got r={r}, t={t})")
+        raise PreconditionError(f"construction needs r <= t (got r={r}, t={t})")
     for x in range(r):
         if sys.occurrences(x) > t - 1:
-            raise InapplicableError(
+            raise PreconditionError(
                 f"element {x} occurs in every set; pendant padding impossible")
     for j, f in enumerate(sys.family):
         if len(f) > t - 1:
-            raise InapplicableError(
+            raise PreconditionError(
                 f"set {j} has {len(f)} elements; its vertex would tie p at degree t")
     p = r + t
     edges = [(i, r + j) for i in range(r) for j in range(t)
@@ -269,12 +264,9 @@ def lift_solution(art: ReductionArtifact, solution) -> DeletionSet:
     covering the source system, becomes a feasible deletion set of the same
     size plus `art.forced`."""
     source = art.source
-    solution = frozenset(solution)
     on_graph = isinstance(source, Graph)
-    bound = source.n if on_graph else source.num_sets
-    if not all(is_int(x, 0) and x < bound for x in solution):
-        what = "vertex" if on_graph else "set index"
-        raise PreconditionError(f"input {what} outside range({bound})")
+    solution = (_ids(source.n, solution) if on_graph
+                else _ids(source.num_sets, solution, "set index"))
     if on_graph:
         if not is_dominating(source, solution):
             raise PreconditionError("input is not a dominating set of the source")

@@ -28,15 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InfeasibleError, PreconditionError
-from .graph import Graph, UNDELETABLE, is_int, is_valid_weight
-
-
-def _vertex_ids(g: Graph, vertices, role: str = "removed") -> frozenset:
-    vertices = frozenset(vertices)
-    if not all(is_int(v, 0) and v < g.n for v in vertices):
-        raise PreconditionError(f"{role} vertices must be vertex ids")
-    return vertices
+from .errors import InfeasibleError, InputError
+from .graph import Graph, UNDELETABLE, _ids, is_int, is_valid_weight
 
 
 @dataclass(frozen=True)
@@ -73,13 +66,13 @@ class FDepProblem:
 
     def __post_init__(self):
         if len(self.cap) != self.graph.n or len(self.weights) != self.graph.n:
-            raise PreconditionError("cap/weights length must equal vertex count")
+            raise InputError("cap/weights length must equal vertex count")
         for c, w in zip(self.cap, self.weights):
             if not is_int(c):
-                raise PreconditionError("caps must be integers")
+                raise InputError("caps must be integers")
             if not is_valid_weight(w):
-                raise PreconditionError(f"weight {w!r} is neither a positive "
-                                        "integer nor UNDELETABLE")
+                raise InputError(f"weight {w!r} is neither a positive "
+                                 "integer nor UNDELETABLE")
         object.__setattr__(self, "_scale", _scale(self.weights))
 
     @functools.cached_property
@@ -123,7 +116,7 @@ class FDepProblem:
         if weights is not None:
             return cls(graph, cap, tuple(weights))
         if not is_int(f):
-            raise PreconditionError("caps must be integers")
+            raise InputError("caps must be integers")
         return _unchecked_problem(graph, cap, (1,) * graph.n, [1] * graph.n)
 
 
@@ -192,9 +185,9 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = (), *,
     """
     g = prob.graph
     adj = g.adj
-    removed = _vertex_ids(g, removed)
+    removed = _ids(g.n, removed, "removed vertex")
     if not (budget is None or is_int(budget)):
-        raise PreconditionError("budget must be an integer")
+        raise InputError("budget must be an integer")
     excess, gain, over, scale, heap = prob._start
     excess, gain, heap = excess[:], gain[:], heap[:]
 
@@ -322,7 +315,7 @@ def dominating_set_approx(g: Graph, weights: Optional[tuple] = None,
     raises InfeasibleError before any pick.  The `removed` vertices are
     never picked and need no dominator.
     """
-    removed = _vertex_ids(g, removed)
+    removed = _ids(g.n, removed, "removed vertex")
     adj = g.adj
     cap = [len(a) - 1 for a in adj]
     for u in removed:
@@ -345,7 +338,7 @@ def dominating_set_approx(g: Graph, weights: Optional[tuple] = None,
 
 
 def is_dominating(g: Graph, vertices: Iterable[int]) -> bool:
-    vertices = _vertex_ids(g, vertices, "dominating")
+    vertices = _ids(g.n, vertices, "dominating vertex")
     return len(vertices | g.neighborhood_of_set(vertices)) == g.n
 
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from mdd import (BudgetError, DeletionSet, FDepProblem, Graph,
-                 InapplicableError, InfeasibleError, MDDError, Objective,
-                 PreconditionError, UNDELETABLE, build_L,
+                 InfeasibleError, Objective, PreconditionError, UNDELETABLE,
+                 VerificationError, build_L,
                  build_domination_gadget, is_feasible,
                  normalize_dominating_set)
 from mdd.approx import BranchingResult, default_l_cap
@@ -180,7 +180,7 @@ def logn_trace(inst, cap):
         raise InfeasibleError("every candidate requires an undeletable vertex")
     solution = DeletionSet.of(inst, best)
     if not is_feasible(inst, solution):
-        raise MDDError("branching algorithm selected an infeasible set")
+        raise VerificationError("branching algorithm selected an infeasible set")
     return BranchingResult(solution, best_k, 2 ** len(members),
                            feasible_branches, l_set.members)
 
@@ -209,11 +209,11 @@ def cubic_choice(inst):
     (domination, dissociation, full), then the sorted tuple."""
     g = inst.graph
     candidates = []
-    try:
+    # The final-degree-3 case applies when every neighbor of p has a
+    # neighbor outside N[p].
+    closed = g.closed_neighborhood(inst.p)
+    if all(g.adj[x] - closed for x in g.adj[inst.p]):
         gadget = build_domination_gadget(inst)
-    except InapplicableError:
-        pass
-    else:
         gprime = gadget.gprime
         sub, remap = gprime.induced_subgraph(
             v for v in range(gprime.n) if v not in gadget.removed)

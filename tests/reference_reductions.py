@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from mdd import (DeletionSet, Graph, InapplicableError, Instance, Objective,
+from mdd import (DeletionSet, Graph, InputError, Instance, Objective,
                  PreconditionError, SetSystem, cubic_gadget, is_dominating,
                  is_feasible)
 from mdd.graph import _solution_vertices
@@ -90,7 +90,7 @@ def setcover_to_mddmin_bip(sys: SetSystem) -> ReductionArtifact:
     r = sys.universe_size
     t = sys.num_sets
     if r > t:
-        raise InapplicableError(
+        raise PreconditionError(
             f"construction needs r <= t (got r={r}, t={t})")
     u_ids = list(range(r))
     f_ids = [r + j for j in range(t)]
@@ -149,14 +149,14 @@ def setcover_to_mddmax_bip(sys: SetSystem) -> ReductionArtifact:
     r = sys.universe_size
     t = sys.num_sets
     if r > t:
-        raise InapplicableError(f"construction needs r <= t (got r={r}, t={t})")
+        raise PreconditionError(f"construction needs r <= t (got r={r}, t={t})")
     for x in range(r):
         if sys.occurrences(x) > t - 1:
-            raise InapplicableError(
+            raise PreconditionError(
                 f"element {x} occurs in every set; pendant padding impossible")
     for j, f in enumerate(sys.family):
         if len(f) > t - 1:
-            raise InapplicableError(
+            raise PreconditionError(
                 f"set {j} has {len(f)} elements; its vertex would tie p at degree t")
     u_ids = list(range(r))
     f_ids = [r + j for j in range(t)]
@@ -282,10 +282,11 @@ def _project_to_cover(art: ReductionArtifact, kind: str, s) -> frozenset:
 
 
 def _in_range(values, bound: int, what: str) -> frozenset:
-    values = frozenset(values)
-    if not all(0 <= x < bound for x in values):
-        raise PreconditionError(f"input {what} outside range({bound})")
-    return values
+    values = list(values)
+    bad = [x for x in values if type(x) is not int or not 0 <= x < bound]
+    if bad:
+        raise InputError(f"{what} {bad[0]!r} not in range({bound})")
+    return frozenset(values)
 
 
 def _lift_domset(art: ReductionArtifact, kind: str, domset) -> DeletionSet:

@@ -1,14 +1,18 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mdd import (BudgetError, Graph, InfeasibleError, Instance, Objective,
-                 PreconditionError, VerificationError, brute_force_optimum,
-                 build_L, is_feasible, mdd_max_logn, mdd_max_logn_trace,
-                 generate_gnp)
+from mdd import (BudgetError, Graph, InfeasibleError, InputError, Instance,
+                 Objective, PreconditionError, UNDELETABLE, VerificationError,
+                 brute_force_optimum,
+                 build_L, dualize, is_feasible, mdd_max_logn,
+                 mdd_max_logn_trace, generate_gnp)
 from mdd import approx
 
+from bruteforce import min_deletion_weight
 from testkit import complete, complete_bipartite, kreg_lower_bound, star
 
 
@@ -100,10 +104,10 @@ class TestMddMaxLogn:
             mdd_max_logn(inst, cap_on_L=2)
 
     @pytest.mark.parametrize("cap", [-1, 2.5, True, "3"])
-    def test_bad_l_cap_is_a_precondition_error(self, cap):
+    def test_bad_l_cap_is_an_input_error(self, cap):
         # Bad input, not an exhausted budget: the star's L is empty.
         inst = Instance(star(3), 0, None, Objective.MAX)
-        with pytest.raises(PreconditionError) as err:
+        with pytest.raises(InputError) as err:
             mdd_max_logn(inst, cap)
         assert str(err.value) == "cap on |L| must be an integer >= 0"
 
@@ -164,6 +168,76 @@ class TestMddMaxLogn:
     def test_min_objective_rejected(self):
         with pytest.raises(PreconditionError):
             mdd_max_logn(Instance(complete(3), 0))
+
+
+def largest_start_gain(inst):
+    """g_max of a Max instance, from the definition: the largest start gain
+    over every K of L.  On G - K every v != p has cap d(p) - |K| - 1 and p
+    has cap d(p); the start gain of u is its own excess over its cap plus
+    its neighbours over theirs, and only vertices outside N[p] count."""
+    g, p = inst.graph, inst.p
+    closed = g.closed_neighborhood(p)
+    best = 0
+    members = build_L(inst).members
+    for size in range(len(members) + 1):
+        for k in itertools.combinations(members, size):
+            kept = set(range(g.n)).difference(k)
+            cap = {v: g.degree(p) - size - 1 for v in kept}
+            cap[p] = g.degree(p)
+            excess = {v: max(0, len(g.adj[v] & kept) - cap[v]) for v in kept}
+            best = max([best] + [excess[u] + sum(1 for v in g.adj[u] & kept
+                                                 if excess[v])
+                                 for u in kept - closed])
+    return best
+
+
+def harmonic(g):
+    return sum(Fraction(1, i) for i in range(1, g + 1))
+
+
+@st.composite
+def gnp_instances(draw):
+    """G(n, q) with n 5-11, unit, 1-9 or 1-9 and inf weights, either
+    objective."""
+    n = draw(st.integers(5, 11))
+    g = generate_gnp(n, draw(st.sampled_from([0.2, 0.35, 0.5, 0.65, 0.8])),
+                     draw(st.integers(0, 10**6)))
+    mode = draw(st.sampled_from(["unit", "weighted", "inf"]))
+    weights = None
+    if mode != "unit":
+        weights = tuple(draw(st.integers(1, 9)) for _ in range(n))
+    if mode == "inf":
+        weights = tuple(UNDELETABLE if draw(st.integers(0, 3)) == 0 else w
+                        for w in weights)
+    return Instance(g, draw(st.integers(0, n - 1)), weights,
+                    draw(st.sampled_from(list(Objective))))
+
+
+#: A weighted Min instance whose complement has g_max = 1, so the bound is
+#: OPT itself: a greedy that picks by gain alone, not gain per weight,
+#: returns weight 6 against OPT 1 here.
+_GAIN_ONE = Instance(
+    Graph(9, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 7), (0, 8), (1, 2),
+              (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8),
+              (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7),
+              (4, 8), (5, 6), (5, 7), (6, 8), (7, 8)]),
+    1, (6, 6, 4, 7, 7, 6, 1, 8, 7), Objective.MIN)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(gnp_instances())
+@example(_GAIN_ONE)
+def test_logn_within_harmonic_of_largest_start_gain(inst):
+    # Each branch runs the greedy for an integer submodular cover, within
+    # H(g) of that branch's optimum (Wolsey, 1982), with g its largest start
+    # gain; the paper's O(log n) ratio follows.  Min runs as Max on the
+    # complement, so g_max is taken there.
+    optimum = min_deletion_weight(inst)
+    if optimum is None or optimum == math.inf:
+        return
+    as_max = dualize(inst) if inst.objective is Objective.MIN else inst
+    weight = mdd_max_logn(as_max, cap_on_L=inst.graph.n).total_weight
+    assert weight <= max(1, harmonic(largest_start_gain(as_max))) * optimum
 
 
 class TestKregLowerBound:

@@ -117,6 +117,14 @@ class TestMalformedInput:
         ("reduce-sets", "2 2\n0 1\n", "expected 2 set lines, got 1"),
         ("reduce-sets", "2 1\n0 1\n1\n",
          "line 3: trailing content after set list"),
+        ("reduce", "3 -1\n", "line 1: 'n m' counts must be >= 0"),
+        ("solve", "2 1\n0 1\np 7 objective max\n",
+         "line 3: distinguished vertex 7 out of range"),
+        ("verify", _INSTANCE + "w 1 0\n",
+         "line 4: weight must be a positive integer or 'inf'"),
+        ("reduce-sets", "2 -1\n", "line 1: 'r t' counts must be >= 0"),
+        ("reduce-sets", "2 2\n0\n# c\n1 2\n",
+         "line 4: element 2 outside universe"),
     ])
     def test_exits_4_with_message(self, tmp_path, capsys, verb, text, message):
         path = tmp_path / "input.txt"
@@ -132,6 +140,27 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (fileio.parse_graph, "3 -1\n", "line 1: 'n m' counts must be >= 0"),
+        (fileio.parse_instance, "3 -1\np 0 objective min\n",
+         "line 1: 'n m' counts must be >= 0"),
+        (fileio.parse_graph, "-1 0\n", "line 1: 'n m' counts must be >= 0"),
+        (fileio.parse_setsystem, "2 -1\n",
+         "line 1: 'r t' counts must be >= 0"),
+        (fileio.parse_instance, _INSTANCE.replace("p 0", "p -1"),
+         "line 3: distinguished vertex -1 out of range"),
+        (fileio.parse_instance, _INSTANCE + "w 1 -2\n",
+         "line 4: weight must be a positive integer or 'inf'"),
+        (fileio.parse_setsystem, "2 2\n0 1\n-1\n",
+         "line 3: element -1 outside universe"),
+    ], ids=["graph-m", "instance-m", "graph-n", "setsystem-t", "p",
+            "weight", "element"])
+    def test_parsers_check_each_value_on_its_line(self, parse, text, message):
+        # Each value is checked where it is read, so the error names its
+        # line; a negative count is no empty list.
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            parse(text)
 
     # Small integers only: a header such as `n m` may not ask for a huge
     # graph.  Other tokens are keywords, integer look-alikes the formats
@@ -398,10 +427,14 @@ class TestReduce:
         assert "# role 3 p" in text
         parse_instance(text)  # comments are ignored
 
-    def test_setcover_precondition_exits_2(self, tmp_path):
+    def test_setcover_precondition_exits_4(self, tmp_path, capsys):
+        # r > t is outside the construction's hypotheses, as a non-cubic
+        # graph is for --to cubic: a precondition, not an infeasible input.
         s_path = tmp_path / "s.txt"
         s_path.write_text(serialize_setsystem(SetSystem(3, [{0, 1}, {2}])))
-        assert main(["reduce", "--to", "mddmax-bip", str(s_path)]) == 2
+        assert main(["reduce", "--to", "mddmax-bip", str(s_path)]) == 4
+        assert capsys.readouterr().err == (
+            "input error: construction needs r <= t (got r=3, t=2)\n")
 
     def test_bad_target_combination(self, tmp_path, capsys):
         # --to alone picks the source problem, so --from is a usage error,
@@ -494,7 +527,8 @@ class TestGenAndSubroutine:
                      "--forbidden", "7", "-5"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "out of range" in captured.err
+        assert captured.err == (
+            "input error: forbidden vertex 7 not in range(3)\n")
 
     @pytest.mark.parametrize("cap, expected", [
         ([], "1 2 3"), (["--cap", "2"], "1 2"), (["--cap", "1"], "1 2 3")],
@@ -516,7 +550,8 @@ class TestGenAndSubroutine:
         g_path.write_text("3 1\n0 1\n")
         assert main(["subroutine", "--kind", "fdep", "--graph", str(g_path),
                      *cap, "--forbidden", "3"]) == 4
-        assert "out of range" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "input error: forbidden vertex 3 not in range(3)\n")
 
     @pytest.mark.parametrize("kind", ["domset"])
     def test_subroutine_cap_without_fdep_exits_4(self, tmp_path, capsys, kind):

@@ -1,13 +1,19 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdd import (Graph, InapplicableError, Instance, Objective,
+from mdd import (Graph, InputError, Instance, Objective,
                  PreconditionError, brute_force_optimum, cubic,
                  build_domination_gadget, build_gstar, dominating_set_approx,
                  generate_random_cubic, is_dominating, is_feasible,
                  mdd_max_cubic, mdd_max_cubic_trace, normalize_dominating_set)
 
 from testkit import complete, complete_bipartite, petersen
+
+#: The end of build_domination_gadget's refusal when some neighbor of p
+#: has no neighbor outside N[p].
+_NO_DOMINATION_CASE = "the final-degree-3 case does not apply"
 
 
 def prism():
@@ -53,7 +59,8 @@ class TestDominationGadget:
                 try:
                     gadget = build_domination_gadget(
                         Instance(g, p, None, Objective.MAX))
-                except InapplicableError:
+                except PreconditionError as exc:
+                    assert str(exc).endswith(_NO_DOMINATION_CASE)
                     continue
                 built += 1
                 removed = g.closed_neighborhood(p)
@@ -73,7 +80,9 @@ class TestDominationGadget:
 
     def test_k4_inapplicable(self):
         inst = Instance(complete(4), 0, None, Objective.MAX)
-        with pytest.raises(InapplicableError):
+        with pytest.raises(PreconditionError, match="^" + re.escape(
+                "neighbor 1 of p has 0 neighbors outside N[p]; "
+                + _NO_DOMINATION_CASE) + "$"):
             build_domination_gadget(inst)
 
     def test_normalize_removes_proxies(self):
@@ -95,8 +104,8 @@ class TestDominationGadget:
     def test_normalize_rejects_ids_outside_proxy_graph(self):
         inst = Instance(k33(), 0, None, Objective.MAX)
         gadget = build_domination_gadget(inst)
-        with pytest.raises(PreconditionError,
-                           match="^dominating vertices must be vertex ids$"):
+        with pytest.raises(InputError,
+                           match=r"^dominating vertex -1 not in range\(12\)$"):
             normalize_dominating_set(gadget, {1, 2, -1})
 
 
@@ -110,7 +119,8 @@ def test_domination_greedy_never_picks_a_proxy(half, seed):
         try:
             gadget = build_domination_gadget(
                 Instance(g, p, None, Objective.MAX))
-        except InapplicableError:
+        except PreconditionError as exc:
+            assert str(exc).endswith(_NO_DOMINATION_CASE)
             continue
         dom = dominating_set_approx(gadget.gprime, removed=gadget.removed)
         assert all(v < g.n for v in dom)
@@ -130,7 +140,8 @@ class TestGStar:
     def test_prism_adjacent_survivors_inapplicable(self):
         inst = Instance(prism(), 0, None, Objective.MAX)
         # deleting x = 3 leaves y = 1, z = 2 which are adjacent
-        with pytest.raises(InapplicableError):
+        with pytest.raises(PreconditionError, match="^surviving neighbors 1 "
+                           "and 2 are adjacent; branch at x=3 does not apply$"):
             build_gstar(inst, 3)
 
     def test_non_neighbor_rejected(self):
@@ -178,10 +189,7 @@ class TestMddMaxCubic:
         # smaller than the domination one, so that case is taken out here:
         # on cubic n = 8, seed 1, p = 2, the branch at x = 4 gives size 3,
         # and the one at x = 7, of size 4, stops on that best.
-        def inapplicable(g, p):
-            raise InapplicableError("no domination candidate")
-
-        monkeypatch.setattr(cubic, "_gadget", inapplicable)
+        monkeypatch.setattr(cubic, "_gadget", lambda g, p: None)
         trace = mdd_max_cubic_trace(
             Instance(generate_random_cubic(8, 1), 2, None, Objective.MAX))
         assert trace.candidate_sizes == (("dissociation", 3), ("full", 7))

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from mdd import (BudgetError, Graph, InfeasibleError, Instance, Objective,
-                 OracleConfig, PreconditionError, UNDELETABLE, WeightMode,
+from mdd import (BudgetError, Graph, InfeasibleError, InputError, Instance,
+                 Objective, OracleConfig, PreconditionError, UNDELETABLE,
+                 WeightMode,
                  brute_force_optimum, dualize, is_feasible,
                  kregular_min_exact, generate_gnp, generate_random_regular)
 
@@ -69,8 +70,9 @@ class TestOracle:
         ("weight_mode", "weighted"), ("budget", "3"), ("budget", True)])
     def test_config_rejects_what_it_cannot_use(self, field, value):
         # A string weight_mode used to run CARDINALITY silently, a string
-        # budget raised TypeError and a bool budget was taken as 1.
-        with pytest.raises(PreconditionError):
+        # budget raised TypeError and a bool budget was taken as 1.  Each
+        # is a malformed value.
+        with pytest.raises(InputError):
             OracleConfig(**{field: value})
 
     def test_weighted_mode(self):

@@ -43,8 +43,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdd import (FDepProblem, InapplicableError, InfeasibleError,
-                 Instance, MDDError, Objective, UNDELETABLE, approx, build_L,
+from mdd import (FDepProblem, InfeasibleError,
+                 Instance, MDDError, PreconditionError, Objective, UNDELETABLE, approx, build_L,
                  cubic,
                  build_gstar, Graph, dissociation_delete,
                  dominating_set_approx, dualize, f_dependent_delete,
@@ -478,19 +478,19 @@ def test_pruned_logn_trace_matches_reference_branch_step(monkeypatch):
 def test_logn_checks_ids_only_where_the_greedy_runs(monkeypatch):
     """The settling steps take K unchecked, so each branch's ids are
     checked once, by f_dependent_delete, and only where the greedy runs."""
-    check = subroutines._vertex_ids
+    check = subroutines._ids
     checks = []
     calls = []
 
-    def counting_check(g, vertices, role="removed"):
+    def counting_check(bound, vertices, what="vertex"):
         checks.append(vertices)
-        return check(g, vertices, role)
+        return check(bound, vertices, what)
 
     def counting_delete(prob, removed=(), *, budget=None):
         calls.append(removed)
         return f_dependent_delete(prob, removed, budget=budget)
 
-    monkeypatch.setattr(subroutines, "_vertex_ids", counting_check)
+    monkeypatch.setattr(subroutines, "_ids", counting_check)
     monkeypatch.setattr(approx, "f_dependent_delete", counting_delete)
     for inst in _pruning_instances():
         checks.clear()
@@ -582,7 +582,10 @@ def test_cubic_dissociation_candidates_match_reference(half, seed):
         for x in sorted(g.adj[p]):
             reference = reference_greedy.dissociation_candidate(inst, x)
             if reference is None:
-                with pytest.raises(InapplicableError):
+                y, z = sorted(g.adj[p] - {x})
+                with pytest.raises(PreconditionError, match=(
+                        f"^surviving neighbors {y} and {z} are adjacent; "
+                        f"branch at x={x} does not apply$")):
                     build_gstar(inst, x)
                 continue
             fixed = build_gstar(inst, x)

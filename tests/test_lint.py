@@ -231,3 +231,82 @@ def test_generators_build_graphs_unchecked():
                  and node.func.value.id == "Graph"]
     assert checked == []
     assert len(unchecked) >= 2
+
+
+def test_errors_has_one_class_per_refusal():
+    # A case or construction that does not apply is a PreconditionError,
+    # and MDDError is only the base class: each raise names why it refuses.
+    assert not hasattr(errors, "InapplicableError")
+    bare = [f"{name}:{node.lineno}"
+            for name, tree in TREES.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and _raised_name(node) == "MDDError"]
+    assert bare == []
+
+
+def _functions(tree):
+    """(qualified name, node) for every function, methods as Class.name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _in_functions(allowed):
+    """The ids of the nodes inside each (module, qualified function) of
+    `allowed` that exists."""
+    inside = set()
+    for module, qualified in allowed:
+        fn = dict(_functions(TREES[module])).get(qualified)
+        inside |= {id(node) for node in ast.walk(fn)} if fn else set()
+    return inside
+
+
+def test_package_catches_its_own_errors_only_at_its_boundaries():
+    # A solver step that does not apply returns None, not an error caught
+    # as control flow; only the CLI and a bench row turn errors into exit
+    # codes and statuses.
+    package = {name for name in vars(errors)
+               if isinstance(getattr(errors, name), type)
+               and issubclass(getattr(errors, name), errors.MDDError)}
+    allowed = _in_functions([("cli.py", "main"),
+                             ("bench.py", "_run_solver_row")])
+    caught = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                continue
+            named = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+            if named & package and id(node) not in allowed:
+                caught.append(f"{name}:{node.lineno}")
+    assert allowed
+    assert caught == []
+
+
+def _is_range_check(node):
+    """`is_int(x, 0) and x < bound`: the id check over a collection."""
+    if not (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)):
+        return False
+    calls = [v for v in node.values if isinstance(v, ast.Call)
+             and isinstance(v.func, ast.Name) and v.func.id == "is_int"
+             and len(v.args) == 2 and isinstance(v.args[1], ast.Constant)
+             and v.args[1].value == 0]
+    return any(isinstance(v, ast.Compare) and isinstance(v.ops[0], ast.Lt)
+               and ast.dump(v.left) == ast.dump(call.args[0])
+               for call in calls for v in node.values)
+
+
+def test_one_id_check_over_a_collection():
+    # graph._ids checks every id of a collection against its bound, with
+    # one message; only single values (an edge's endpoints, Instance.p)
+    # are checked where they are read.
+    allowed = _in_functions([("graph.py", "_ids"),
+                             ("graph.py", "Graph.__init__"),
+                             ("graph.py", "Instance.__post_init__")])
+    found = [f"{name}:{node.lineno}"
+             for name, tree in TREES.items() for node in ast.walk(tree)
+             if _is_range_check(node) and id(node) not in allowed]
+    assert found == []
+    assert sum(_is_range_check(node) for node in ast.walk(TREES["graph.py"])) == 3

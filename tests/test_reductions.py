@@ -1,8 +1,9 @@
 import itertools
+import re
 
 import pytest
 
-from mdd import (Graph, InapplicableError, InputError, Instance, Objective,
+from mdd import (Graph, InputError, Instance, Objective,
                  PreconditionError, SetSystem, brute_force_optimum,
                  cubic_gadget, generate_random_cubic, is_feasible,
                  lift_solution, mindom_cubic_to_mddmax_cubic,
@@ -23,7 +24,8 @@ class TestSetSystem:
             SetSystem(2, [{0, 1, 2}])
 
     def test_rejects_non_int_elements(self):
-        with pytest.raises(InputError, match="^element 0.0 outside universe$"):
+        with pytest.raises(InputError,
+                           match=r"^element 0\.0 not in range\(2\)$"):
             SetSystem(2, ({0.0, 1}, {1}))
 
     @pytest.mark.parametrize("size", [1.5, True])
@@ -82,7 +84,8 @@ class TestSetcoverToMddminBip:
         assert len(project_solution(art, opt)) == 1
 
     def test_requires_r_le_t(self):
-        with pytest.raises(InapplicableError):
+        with pytest.raises(PreconditionError, match=r"^construction needs "
+                           r"r <= t \(got r=3, t=2\)$"):
             setcover_to_mddmin_bip(SetSystem(3, [{0, 1}, {2}]))
 
     def test_cost_equality_small_systems(self):
@@ -114,12 +117,19 @@ class TestSetcoverToMddminBip:
 
 class TestSetcoverToMddmaxBip:
     def test_preconditions(self):
-        with pytest.raises(InapplicableError):
+        with pytest.raises(PreconditionError, match=r"^construction needs "
+                           r"r <= t \(got r=3, t=2\)$"):
             setcover_to_mddmax_bip(SetSystem(3, [{0, 1}, {2}]))  # r > t
-        with pytest.raises(InapplicableError):
+        with pytest.raises(PreconditionError, match="^element 0 occurs in "
+                           "every set; pendant padding impossible$"):
             setcover_to_mddmax_bip(SetSystem(1, [{0}, {0}]))  # occ = t
-        with pytest.raises(InapplicableError):
-            setcover_to_mddmax_bip(SetSystem(2, [{0, 1}, {0}]))  # |F_0| = t
+        # |F_0| = t here, but occ(0) = t too, and occurrences come first.
+        with pytest.raises(PreconditionError, match="^element 0 occurs in "
+                           "every set; pendant padding impossible$"):
+            setcover_to_mddmax_bip(SetSystem(2, [{0, 1}, {0}]))
+        with pytest.raises(PreconditionError, match="^set 0 has 2 elements; "
+                           "its vertex would tie p at degree t$"):
+            setcover_to_mddmax_bip(SetSystem(2, [{0, 1}, set()]))  # |F_0| = t
 
     def test_degree_structure(self):
         sys = SetSystem(2, [{0}, {1}, {0, 1}])
@@ -230,26 +240,30 @@ def test_forward_mapper_rejects_out_of_range(art, source_solution):
     # range(t) on either side; Python's negative indexing must not accept -1.
     lift_solution(art, source_solution)
     source = art.source
-    bound = source.n if isinstance(source, Graph) else source.num_sets
+    on_graph = isinstance(source, Graph)
+    bound = source.n if on_graph else source.num_sets
+    what = "vertex" if on_graph else "set index"
     for bad in (-1, bound):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError, match="^" + re.escape(
+                f"{what} {bad} not in range({bound})") + "$"):
             lift_solution(art, set(source_solution) | {bad})
 
 
 def test_forward_maps_reject_negative_ids():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError, match=r"^vertex -1 not in range\(3\)$"):
         lift_solution(mindom_to_mddmin(complete(3)), {-1})
     art = setcover_to_mddmin_bip(SetSystem(2, [{0}, {1}, {0, 1}]))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError,
+                       match=r"^set index -1 not in range\(3\)$"):
         lift_solution(art, {-1})
 
 
 def test_maps_reject_non_int_ids():
     # {True} would read as set 1, which alone covers.
     art = setcover_to_mddmin_bip(SetSystem(2, [{0}, {0, 1}]))
-    for solution in ({0.0, 1}, {True}):
-        with pytest.raises(PreconditionError,
-                           match=r"^input set index outside range\(2\)$"):
+    for solution, bad in (({0.0, 1}, "0.0"), ({True}, "True")):
+        with pytest.raises(InputError,
+                           match=f"^set index {bad} not in range\\(2\\)$"):
             lift_solution(art, solution)
-    with pytest.raises(InputError, match="^vertex True out of range$"):
+    with pytest.raises(InputError, match=r"^vertex True not in range\(9\)$"):
         project_solution(art, {True})

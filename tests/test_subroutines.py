@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
-from mdd import (FDepProblem, Graph, InfeasibleError,
-                 PreconditionError, UNDELETABLE, dissociation_delete,
+from mdd import (FDepProblem, Graph, InfeasibleError, InputError,
+                 UNDELETABLE, dissociation_delete,
                  dominating_set_approx, f_dependent_delete, generate_gnp, is_dominating)
 
 from bruteforce import min_domset_weight, min_dissociation_weight, min_fdep_weight
@@ -95,16 +96,16 @@ class TestFDependentDelete:
     def test_removed_out_of_range(self):
         prob = FDepProblem(Graph.path(3), (0, 0, 0), (1, 1, 1))
         for removed in ({3}, {-1}, {"0"}):
-            with pytest.raises(PreconditionError,
-                               match="^removed vertices must be vertex ids$"):
+            message = (f"^removed vertex {re.escape(repr(*removed))} "
+                       r"not in range\(3\)$")
+            with pytest.raises(InputError, match=message):
                 f_dependent_delete(prob, removed)
-            with pytest.raises(PreconditionError,
-                               match="^removed vertices must be vertex ids$"):
+            with pytest.raises(InputError, match=message):
                 dominating_set_approx(prob.graph, removed=removed)
 
     def test_check_degree_caps_rejects_ids_outside_graph(self):
         prob = FDepProblem(Graph.path(3), (0, 0, 0), (1, 1, 1))
-        with pytest.raises(PreconditionError,
+        with pytest.raises(InputError,
                            match="^deleted vertices must be vertex ids$"):
             check_degree_caps(prob, {99})
 
@@ -120,48 +121,50 @@ class TestFDependentDelete:
     def test_budget_must_be_an_integer(self):
         prob = FDepProblem.uniform(star(4), 1)
         for budget in (1.5, True, "3", UNDELETABLE):
-            with pytest.raises(PreconditionError,
+            with pytest.raises(InputError,
                                match="^budget must be an integer$"):
                 f_dependent_delete(prob, budget=budget)
 
     def test_non_integer_cap_rejected(self):
         for cap in (None, 1.5):
-            with pytest.raises(PreconditionError):
+            with pytest.raises(InputError, match="^caps must be integers$"):
                 FDepProblem(Graph.path(3), (cap, 0, 0), (1, 1, 1))
 
 
 def test_bools_are_not_vertex_ids():
     prob = FDepProblem(Graph.path(3), (0, 0, 0), (1, 1, 1))
-    with pytest.raises(PreconditionError,
-                       match="^removed vertices must be vertex ids$"):
+    with pytest.raises(InputError,
+                       match=r"^removed vertex True not in range\(3\)$"):
         f_dependent_delete(prob, {True})
-    with pytest.raises(PreconditionError,
-                       match="^dominating vertices must be vertex ids$"):
+    # False comes first in the set's iteration order.
+    with pytest.raises(InputError,
+                       match=r"^dominating vertex False not in range\(2\)$"):
         is_dominating(Graph.path(2), {True, False})
 
 
 def test_bools_are_not_caps_or_weights():
-    with pytest.raises(PreconditionError, match="^caps must be integers$"):
+    with pytest.raises(InputError, match="^caps must be integers$"):
         FDepProblem(Graph.path(3), (True, 0, 0), (1, 1, 1))
-    with pytest.raises(PreconditionError, match="^caps must be integers$"):
+    with pytest.raises(InputError, match="^caps must be integers$"):
         FDepProblem.uniform(Graph.path(3), True)
-    with pytest.raises(PreconditionError, match="^weight True is neither"):
+    with pytest.raises(InputError, match="^weight True is neither"):
         FDepProblem(Graph.path(3), (0, 0, 0), (True, 1, 1))
 
 
 @pytest.mark.parametrize("weights", [(0, 1, 1, 1), (-1, 1, 1, 1),
                                      (2.5, 1, 1, 1)])
 def test_weights_outside_domain_rejected(weights):
-    with pytest.raises(PreconditionError):
+    message = f"^weight {weights[0]!r} is neither a positive integer"
+    with pytest.raises(InputError, match=message):
         FDepProblem.uniform(star(3), 1, weights)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError, match=message):
         dominating_set_approx(star(3), weights=weights)
 
 
 @pytest.mark.parametrize("weights", [(1,), (1, 1, 1, 1)])
 def test_dominating_set_weights_length_checked(weights):
     # FDepProblem's check, the one length rule of the greedy layer.
-    with pytest.raises(PreconditionError, match=r"^cap/weights length must "
+    with pytest.raises(InputError, match=r"^cap/weights length must "
                        r"equal vertex count$"):
         dominating_set_approx(Graph.path(3), weights=weights)
 
@@ -214,8 +217,8 @@ class TestDominatingSet:
     (Graph.path(2), {5}),
 ])
 def test_is_dominating_rejects_ids_outside_graph(g, vertices):
-    with pytest.raises(PreconditionError,
-                       match="^dominating vertices must be vertex ids$"):
+    with pytest.raises(InputError, match="^" + re.escape(
+            f"dominating vertex {min(vertices)} not in range({g.n})") + "$"):
         is_dominating(g, vertices)
 
 

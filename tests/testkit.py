@@ -6,7 +6,7 @@ they live beside bruteforce.py rather than in the package.
 """
 from fractions import Fraction
 
-from mdd import Graph, PreconditionError
+from mdd import Graph, InputError, PreconditionError
 from mdd.graph import is_int
 
 from bruteforce import remaining_degrees
@@ -60,10 +60,10 @@ def vertices_with_role(art, role):
 def check_degree_caps(prob, deleted):
     """Re-verify a candidate against the caps from scratch: every vertex
     outside `deleted` keeps at most its cap.  An id outside the graph
-    raises PreconditionError, as the greedies do for `removed`."""
+    raises InputError, as the greedies do for `removed`."""
     deleted = set(deleted)
     if not all(is_int(v, 0) and v < prob.graph.n for v in deleted):
-        raise PreconditionError("deleted vertices must be vertex ids")
+        raise InputError("deleted vertices must be vertex ids")
     return all(d <= prob.cap[v]
                for v, d in remaining_degrees(prob.graph, deleted).items())
 
