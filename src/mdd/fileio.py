@@ -3,7 +3,8 @@
 Graph file: line `n m`, then m lines `u v` with 0-based ids and u < v.
 Instance file: a graph, then `p <id> objective <min|max>`, then optional
 `w <id> <weight>` lines (weight is a positive integer or `inf`; default 1).
-Set system file: line `r t`, then t lines of space-separated element ids.
+Set system file: line `r t` (both >= 1), then t non-empty lines of
+space-separated element ids.
 Solution file: whitespace-separated vertex ids.
 
 Blank lines and lines starting with `#` are ignored everywhere.  Serializers
@@ -41,8 +42,9 @@ def _int(token: str, lineno: int, message: str, low=None) -> int:
     return int(token)
 
 
-def _header(lines, kind: str, names: str) -> tuple:
-    """The two non-negative counts of the `<names>` header of a `kind` file."""
+def _header(lines, kind: str, names: str, low: int) -> tuple:
+    """The two counts, each >= `low`, of the `<names>` header of a `kind`
+    file."""
     try:
         lineno, header = next(lines)
     except StopIteration:
@@ -52,8 +54,8 @@ def _header(lines, kind: str, names: str) -> tuple:
         raise InputError(f"line {lineno}: expected '{names}' header")
     counts = tuple(_int(x, lineno, f"expected integer '{names}' header")
                    for x in parts)
-    if min(counts) < 0:
-        raise InputError(f"line {lineno}: '{names}' counts must be >= 0")
+    if min(counts) < low:
+        raise InputError(f"line {lineno}: '{names}' counts must be >= {low}")
     return counts
 
 
@@ -68,7 +70,7 @@ def _counted(lines, count: int, kind: str):
 
 
 def _parse_graph_lines(lines) -> Graph:
-    n, m = _header(lines, "graph", "n m")
+    n, m = _header(lines, "graph", "n m", 0)
     edges = []
     seen = set()
     for lineno, line in _counted(lines, m, "edge"):
@@ -149,7 +151,7 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_setsystem(text: str) -> SetSystem:
     lines = _content_lines(text)
-    r, t = _header(lines, "set system", "r t")
+    r, t = _header(lines, "set system", "r t", 1)
     family = []
     for lineno, line in _counted(lines, t, "set"):
         family.append([_int(x, lineno, "expected integer element ids")

@@ -121,7 +121,11 @@ def generate_random_setsystem(r: int, t: int, seed: int) -> SetSystem:
     """Random set system with r elements and t sets satisfying the
     preconditions of both bipartite constructions: r <= t, every element
     missing from at least one set, every set missing at least one element.
+    An r or t that is not an int (a bool or a float among them) raises
+    InputError, and sizes outside 2 <= r <= t raise PreconditionError.
     """
+    if not (is_int(r) and is_int(t)):
+        raise InputError("r and t must be integers")
     if r < 2 or t < 2 or r > t:
         # r = 1 would force every (non-empty) set to contain the element,
         # violating the occurrence bound.

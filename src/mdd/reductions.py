@@ -29,7 +29,7 @@ from .subroutines import is_dominating
 
 @dataclass(frozen=True)
 class SetSystem:
-    """A universe {0..r-1} and a family of subsets covering it."""
+    """A universe {0..r-1} and a family of non-empty subsets covering it."""
 
     universe_size: int
     family: tuple
@@ -42,6 +42,9 @@ class SetSystem:
         object.__setattr__(self, "family", family)
         if not family:
             raise InputError("family must be non-empty")
+        for i, f in enumerate(family):
+            if not f:
+                raise InputError(f"set {i} is empty")
         if set().union(*family) != set(range(self.universe_size)):
             raise InputError("family does not cover the universe; no cover exists")
 

@@ -11,12 +11,15 @@ UNDELETABLE weight is the one way to keep a vertex from being picked.
 Given a budget, the greedy returns None as soon as its set must weigh more;
 two branch loops pass one, the log n loop and the cubic final-degree-2
 branches.
-Two private steps of the log n loop answer from a problem without
-running the greedy: whether it returns on G - removed (`_returns`, exact),
-and whether every set meeting the caps there outweighs a budget
-(`_outweighs`, a fractional-knapsack lower bound).  Each reads views of
-the problem that are built on first read and kept, so a problem builds
-only the views that something reads.
+The greedy refuses in one place: when no deletable vertex can lower an
+excess but some vertex is still over its cap, it raises InfeasibleError
+naming the least such vertex.  Two private steps answer from a problem
+without running the greedy: `_returns` is the exact predictor of that
+refusal on G - removed, which the log n loop counts its feasible branches
+with, and `_outweighs`, asked only where `_returns` holds, says whether
+every set meeting the caps there outweighs a budget (a fractional-knapsack
+lower bound).  Each reads views of the problem that are built on first
+read and kept, so a problem builds only the views that something reads.
 """
 from __future__ import annotations
 
@@ -156,9 +159,11 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = (), *,
     gain(u) / weight(u), where gain(u) = excess(u) + |N(u) & over|, excess
     is the degree above the cap and `over` is the set of remaining vertices
     with positive excess.  Deleting u lowers the excess of each neighbor in
-    `over` by exactly 1.  Raises InfeasibleError when violations remain but
-    no deletable vertex can reduce them (every violated vertex is
-    undeletable with only undeletable remaining neighbors).
+    `over` by exactly 1.  This is the greedy layer's one refusal: when
+    vertices remain over their caps but no deletable vertex can lower an
+    excess, it raises InfeasibleError naming the least vertex still over
+    its cap (an undeletable one whose remaining neighbors are all
+    undeletable; _returns predicts this exactly).
 
     Each call copies the problem's start state (see FDepProblem: built on
     first read and kept), then deletes the `removed` vertices by the same
@@ -226,8 +231,10 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = (), *,
                 break
             heapq.heapreplace(heap, (current, u))
         else:
+            stuck = min(v for v, e in enumerate(excess) if e)
             raise InfeasibleError(
-                "degree caps violated but every helpful vertex is undeletable")
+                f"vertex {stuck} stays over its cap: every vertex that could "
+                "bring it under is undeletable")
         if budget is not None:
             g_u, w_u = gain[u], weights[u]
             if spent * g_u + left * w_u > budget * g_u:
@@ -271,8 +278,9 @@ def _outweighs(prob: FDepProblem, removed: Iterable[int],
     G - removed weighs more than `budget`.
 
     Unchecked: `removed` must hold distinct vertex ids of prob.graph, in
-    any iterable, and `budget` must be an integer (the log n loop passes
-    the best weight so far less the finite w(K)).
+    any iterable, `budget` must be an integer (the log n loop passes the
+    best weight so far less the finite w(K)), and _returns(prob, removed)
+    must hold: callers ask it first.
 
     Deleting a vertex lowers the total excess by exactly its current gain,
     and gains only fall.  So at least left = E0 - (the start gains of
@@ -284,9 +292,10 @@ def _outweighs(prob: FDepProblem, removed: Iterable[int],
     weight sums before i (the problem's _sums view), S weighs at least
     pw + (left - pg) * w_i / g_i; the test compares that bound with
     `budget` in integers, with no division, after one bisect on the gain
-    sums.  Listing `removed` among the vertices only lowers the bound.  If
-    the gains never reach left, no set meets the caps and the answer is
-    True.  O(|removed| + log n) once the views are built.
+    sums.  Listing `removed` among the vertices only lowers the bound.
+    Where _returns holds, the greedy's own set clears left, so the start
+    gains always reach it and the bisect lands inside the sums.
+    O(|removed| + log n) once the views are built.
     """
     if budget < 0:
         return True
@@ -296,8 +305,6 @@ def _outweighs(prob: FDepProblem, removed: Iterable[int],
     if left <= 0:
         return False
     i = bisect.bisect_left(gain_sums, left)
-    if i == len(gain_sums):
-        return True
     pg, pw = gain_sums[i - 1], weight_sums[i - 1]
     g_i, w_i = gain_sums[i] - pg, weight_sums[i] - pw
     return pw * g_i + (left - pg) * w_i > budget * g_i
@@ -311,9 +318,11 @@ def dominating_set_approx(g: Graph, weights: Optional[tuple] = None,
     its cap once v or a neighbor is deleted, so the excess of v is 1 while v
     is undominated, and the gain of u counts the undominated vertices of
     N[u].  UNDELETABLE vertices are never picked but still need to be
-    dominated; a vertex whose closed neighborhood holds no pickable vertex
-    raises InfeasibleError before any pick.  The `removed` vertices are
-    never picked and need no dominator.
+    dominated; the greedy raises InfeasibleError naming the least vertex
+    whose closed neighborhood outside `removed` holds no pickable vertex
+    (these are exactly the vertices left undominated once nothing can be
+    picked).  The `removed` vertices are never picked and need no
+    dominator.
     """
     removed = _ids(g.n, removed, "removed vertex")
     adj = g.adj
@@ -325,16 +334,8 @@ def dominating_set_approx(g: Graph, weights: Optional[tuple] = None,
         # Every vertex outside `removed` may dominate itself: no check.
         return f_dependent_delete(
             _unchecked_problem(g, tuple(cap), (1,) * g.n, [1] * g.n), removed)
-    prob = FDepProblem(g, tuple(cap), tuple(weights))
-    pickable = [w != UNDELETABLE for w in prob.weights]
-    for u in removed:
-        pickable[u] = False
-    for v in range(g.n):
-        if (v not in removed and not pickable[v]
-                and not any(pickable[u] for u in adj[v])):
-            raise InfeasibleError(
-                f"vertex {v} cannot be dominated: closed neighborhood forbidden")
-    return f_dependent_delete(prob, removed)
+    return f_dependent_delete(FDepProblem(g, tuple(cap), tuple(weights)),
+                              removed)
 
 
 def is_dominating(g: Graph, vertices: Iterable[int]) -> bool:

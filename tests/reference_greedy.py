@@ -43,8 +43,9 @@ def f_dependent_delete(prob: CapProblem) -> frozenset:
 
     Repeatedly deletes the deletable vertex with the best ratio of total
     cap-excess removed to weight.  Raises InfeasibleError when violations
-    remain but no deletable vertex can reduce them (every violated vertex is
-    undeletable with only undeletable remaining neighbors).
+    remain but no deletable vertex can reduce them, naming the least vertex
+    still over its cap (an undeletable one with only undeletable remaining
+    neighbors).
     """
     g = prob.graph
     remaining = set(range(g.n))
@@ -72,8 +73,10 @@ def f_dependent_delete(prob: CapProblem) -> frozenset:
                 best = u
                 best_score = score
         if best is None:
+            stuck = min(v for v in remaining if excess[v])
             raise InfeasibleError(
-                "degree caps violated but every helpful vertex is undeletable")
+                f"vertex {stuck} stays over its cap: every vertex that could "
+                "bring it under is undeletable")
         remaining.discard(best)
         deleted.add(best)
         for v in g.adj[best]:
@@ -99,7 +102,8 @@ def dominating_set_approx(g: Graph, forbidden: Iterable[int] = (),
     for v in range(g.n):
         if not (g.closed_neighborhood(v) & allowed_set):
             raise InfeasibleError(
-                f"vertex {v} cannot be dominated: closed neighborhood forbidden")
+                f"vertex {v} stays over its cap: every vertex that could "
+                "bring it under is undeletable")
     uncovered = set(range(g.n))
     chosen = set()
     while uncovered:

@@ -122,7 +122,9 @@ class TestMalformedInput:
          "line 3: distinguished vertex 7 out of range"),
         ("verify", _INSTANCE + "w 1 0\n",
          "line 4: weight must be a positive integer or 'inf'"),
-        ("reduce-sets", "2 -1\n", "line 1: 'r t' counts must be >= 0"),
+        ("reduce-sets", "2 -1\n", "line 1: 'r t' counts must be >= 1"),
+        ("reduce-sets", "2 0\n", "line 1: 'r t' counts must be >= 1"),
+        ("reduce-sets", "0 0\n", "line 1: 'r t' counts must be >= 1"),
         ("reduce-sets", "2 2\n0\n# c\n1 2\n",
          "line 4: element 2 outside universe"),
     ])
@@ -147,15 +149,19 @@ class TestMalformedInput:
          "line 1: 'n m' counts must be >= 0"),
         (fileio.parse_graph, "-1 0\n", "line 1: 'n m' counts must be >= 0"),
         (fileio.parse_setsystem, "2 -1\n",
-         "line 1: 'r t' counts must be >= 0"),
+         "line 1: 'r t' counts must be >= 1"),
+        (fileio.parse_setsystem, "2 0\n",
+         "line 1: 'r t' counts must be >= 1"),
+        (fileio.parse_setsystem, "0 0\n",
+         "line 1: 'r t' counts must be >= 1"),
         (fileio.parse_instance, _INSTANCE.replace("p 0", "p -1"),
          "line 3: distinguished vertex -1 out of range"),
         (fileio.parse_instance, _INSTANCE + "w 1 -2\n",
          "line 4: weight must be a positive integer or 'inf'"),
         (fileio.parse_setsystem, "2 2\n0 1\n-1\n",
          "line 3: element -1 outside universe"),
-    ], ids=["graph-m", "instance-m", "graph-n", "setsystem-t", "p",
-            "weight", "element"])
+    ], ids=["graph-m", "instance-m", "graph-n", "setsystem-t",
+            "setsystem-t-zero", "setsystem-r-zero", "p", "weight", "element"])
     def test_parsers_check_each_value_on_its_line(self, parse, text, message):
         # Each value is checked where it is read, so the error names its
         # line; a negative count is no empty list.

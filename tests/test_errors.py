@@ -101,9 +101,9 @@ MOVED = {
         PreconditionError,
         "element 0 occurs in every set; pendant padding impossible"),
     "mddmax-bip-set": (lambda: setcover_to_mddmax_bip(
-        SetSystem(2, [{0, 1}, set()])),
+        SetSystem(3, [{0, 1, 2}, {0}, {1}])),
         PreconditionError,
-        "set 0 has 2 elements; its vertex would tie p at degree t"),
+        "set 0 has 3 elements; its vertex would tie p at degree t"),
     "gadget": (lambda: build_domination_gadget(_max(complete(4))),
                PreconditionError, "neighbor 1 of p has 0 neighbors outside "
                "N[p]; the final-degree-3 case does not apply"),

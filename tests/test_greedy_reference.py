@@ -317,6 +317,12 @@ def test_equal_ratios_at_different_weights_go_to_lower_id(a, b, expected,
     assert reference_greedy.f_dependent_delete(prob) == expected
 
 
+def _refusal(v):
+    """The greedy's one refusal, naming v as the vertex left over its cap."""
+    return (InfeasibleError, f"vertex {v} stays over its cap: every vertex "
+            "that could bring it under is undeletable")
+
+
 def test_infeasible_when_every_helpful_vertex_is_removed_or_undeletable():
     # Center 0 of a 3-leaf star is over its cap by 3 and only leaf 1 is
     # deletable: picked, or removed (its start-state heap entry goes stale),
@@ -324,8 +330,7 @@ def test_infeasible_when_every_helpful_vertex_is_removed_or_undeletable():
     g = star(3)
     prob = FDepProblem(g, (0, 5, 5, 5), (UNDELETABLE, 1, UNDELETABLE,
                                          UNDELETABLE))
-    error = (InfeasibleError,
-             "degree caps violated but every helpful vertex is undeletable")
+    error = _refusal(0)
     assert _outcome(f_dependent_delete, prob, message=True) == error
     assert _outcome(f_dependent_delete, prob, {1}, message=True) == error
     assert _outcome(reference_greedy.f_dependent_delete, prob,
@@ -356,15 +361,24 @@ def _weight(prob, vertices):
 def test_feasibility_test_says_whether_the_greedy_returns(data):
     """One problem per graph, several removed sets: the test passes exactly
     when f_dependent_delete returns, on G(n, q) and regular graphs, cubic
-    ones among them."""
+    ones among them.  A refusal names the least UNDELETABLE vertex outside
+    `removed` with more UNDELETABLE neighbors outside `removed` than its
+    cap."""
     g = data.draw(st.one_of(graphs(), st.builds(
         generate_random_cubic, st.integers(2, 12).map(lambda h: 2 * h),
         st.integers(0, 10**6))))
     prob, removed_sets = _settle_problem(data, g)
     for removed in removed_sets:
-        returns = _outcome(f_dependent_delete, prob, removed) is not InfeasibleError
+        outcome = _outcome(f_dependent_delete, prob, removed, message=True)
+        returns = isinstance(outcome, frozenset)
         assert _returns(prob, removed) == returns
         assert _returns(prob, tuple(sorted(removed))) == returns
+        if not returns:
+            undeletable = {v for v, w in enumerate(prob.weights)
+                           if w == UNDELETABLE and v not in removed}
+            assert outcome == _refusal(min(
+                v for v in undeletable
+                if len(g.adj[v] & undeletable) > prob.cap[v]))
 
 
 @EXAMPLES

@@ -70,9 +70,13 @@ class TestGenerators:
         (generate_gnp, (True, 0.5)),
         (generate_gnp, ("4", 0.5)),
         (generate_gnp, (4, "0.5")),
+        (generate_random_setsystem, (2.0, 3)),
+        (generate_random_setsystem, (2, 3.0)),
+        (generate_random_setsystem, (True, 3)),
     ], ids=["regular-bool-k", "regular-float-k", "regular-float-n",
             "regular-bool-n", "gnp-bool-p", "gnp-float-n", "gnp-bool-n",
-            "gnp-str-n", "gnp-str-p"])
+            "gnp-str-n", "gnp-str-p", "setsystem-float-r",
+            "setsystem-float-t", "setsystem-bool-r"])
     def test_bad_size_and_probability_types_rejected(self, make, args):
         with pytest.raises(InputError):
             make(*args, 0)

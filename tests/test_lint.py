@@ -310,3 +310,15 @@ def test_one_id_check_over_a_collection():
              if _is_range_check(node) and id(node) not in allowed]
     assert found == []
     assert sum(_is_range_check(node) for node in ast.walk(TREES["graph.py"])) == 3
+
+
+def test_greedy_layer_refuses_in_one_place():
+    # The greedy's own exhaustion test is the one place a degree-cap problem
+    # is refused; _returns predicts it exactly, so no caller pre-checks.
+    sites = [node for node in ast.walk(TREES["subroutines.py"])
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "InfeasibleError"]
+    assert len(sites) == 1
+    assert id(sites[0]) in _in_functions([("subroutines.py",
+                                           "f_dependent_delete")])

@@ -33,6 +33,11 @@ class TestSetSystem:
         with pytest.raises(InputError, match="^universe must be non-empty$"):
             SetSystem(size, ({0},))
 
+    def test_rejects_empty_set(self):
+        # The text format cannot write an empty set, so none may exist.
+        with pytest.raises(InputError, match="^set 1 is empty$"):
+            SetSystem(2, [{0, 1}, set()])
+
     def test_occurrences_and_cover(self):
         sys = SetSystem(3, [{0, 1}, {1, 2}, {2}])
         assert sys.occurrences(1) == 2
@@ -127,9 +132,10 @@ class TestSetcoverToMddmaxBip:
         with pytest.raises(PreconditionError, match="^element 0 occurs in "
                            "every set; pendant padding impossible$"):
             setcover_to_mddmax_bip(SetSystem(2, [{0, 1}, {0}]))
-        with pytest.raises(PreconditionError, match="^set 0 has 2 elements; "
+        with pytest.raises(PreconditionError, match="^set 0 has 3 elements; "
                            "its vertex would tie p at degree t$"):
-            setcover_to_mddmax_bip(SetSystem(2, [{0, 1}, set()]))  # |F_0| = t
+            setcover_to_mddmax_bip(
+                SetSystem(3, [{0, 1, 2}, {0}, {1}]))  # |F_0| = t
 
     def test_degree_structure(self):
         sys = SetSystem(2, [{0}, {1}, {0, 1}])

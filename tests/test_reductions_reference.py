@@ -57,7 +57,9 @@ def _outcome(fn, *args):
 def set_systems(draw, max_r, max_t):
     r = draw(st.integers(1, max_r))
     t = draw(st.integers(1, max_t))
-    family = [set(draw(st.sets(st.integers(0, r - 1), max_size=r)))
+    # SetSystem refuses an empty set.
+    family = [set(draw(st.sets(st.integers(0, r - 1), min_size=1,
+                               max_size=r)))
               for _ in range(t)]
     for x in range(r):  # cover the universe
         if not any(x in f for f in family):
