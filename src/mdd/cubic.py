@@ -56,10 +56,13 @@ def build_domination_gadget(inst: Instance) -> DominationGadget:
 def _gadget(g: Graph, p: int) -> Optional[DominationGadget]:
     """The gadget of build_domination_gadget on a checked instance, or None
     when a neighbor of p has no neighbor outside N[p].  The proxy graph's
-    neighbour sets come from g.adj, so it is built without per-edge checks."""
+    neighbour sets are those of g.adj, so it is built without per-edge
+    checks; only N[p] and the at most 6 vertices adjacent to it get new
+    sets, and every other one is shared with g."""
     removed = g.closed_neighborhood(p)
-    adj = [frozenset() if u in removed else a - removed
-           for u, a in enumerate(g.adj)]
+    adj = list(g.adj)
+    for u in removed:
+        adj[u] = frozenset()
     groups = {}
     for x in sorted(g.adj[p]):
         out_x = g.adj[x] - removed
@@ -67,7 +70,7 @@ def _gadget(g: Graph, p: int) -> Optional[DominationGadget]:
             return None
         groups[x] = tuple(range(len(adj), len(adj) + len(out_x)))
         for a in out_x:
-            adj[a] = adj[a].union(groups[x])
+            adj[a] = (adj[a] - removed).union(groups[x])
         adj += [out_x] * len(out_x)
     return DominationGadget(Graph._unchecked(adj), removed, groups)
 
@@ -139,7 +142,7 @@ class CubicTrace:
     solution: DeletionSet
     case: str
     candidate_sizes: tuple  # (case label, size) per candidate run to the end
-    stopped: int  # final-degree-2 branches stopped by their budget
+    stopped: int  # final-degree-2 branches stopped (counting bound or budget)
 
 
 # Selection prefers smaller sets; among equal sizes the domination case wins
@@ -152,12 +155,20 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
 
     The final-degree-3 candidate is the greedy dominating set of the proxy
     graph outside N[p], which holds no proxy (see normalize_dominating_set).
-    Each final-degree-2 branch runs the dissociation greedy with the budget
-    best - |fixed|, best the size of the smallest candidate so far, starting
-    from the full candidate's n - 1, and is stopped, not listed, when its
-    candidate must be larger.  The test is strict, so a branch that ties
-    the best still runs and can win on case rank or sorted tuple, and the
-    result is that of running every branch to the end."""
+    Each final-degree-2 branch with fixed set F is stopped, not listed, when
+    its candidate must be larger than best, the size of the smallest
+    candidate so far, starting from the full candidate's n - 1.  It is
+    stopped first by a counting bound, with R = F | N[p]: with every cap 1,
+    the vertices of G - R have total excess at least
+    2(n - |R|) - 3|R| = 2n - 5|R|, and one deletion lowers it by at most 5
+    (2 of its own, 1 for each of its 3 neighbours), so every dissociation
+    set of G - R has at least (2n - 5|R|) / 5 vertices.  A branch the bound
+    does not settle runs the dissociation greedy with the budget best - |F|,
+    which stops it when its set must be larger.  Both tests are strict, so
+    a branch that ties the best still runs and can win on case rank or
+    sorted tuple, and the result is that of running every branch to the
+    end.  The dissociation problem is built only when a branch runs the
+    greedy."""
     _require_cubic_max_unit(inst)
     g = inst.graph
     p = inst.p
@@ -169,14 +180,20 @@ def mdd_max_cubic_trace(inst: Instance) -> CubicTrace:
             gadget.gprime, removed=gadget.removed)))
     best = min([g.n - 1] + [len(c) for _, c in candidates])
     stopped = 0
-    # One problem for every final-degree-2 branch; its start state is built
-    # by the first branch that runs the greedy.
-    dissociation = FDepProblem.uniform(g, 1)
+    # One problem for every final-degree-2 branch that runs the greedy,
+    # built by the first of them.
+    dissociation = None
     for x in sorted(g.adj[p]):
         fixed = _gstar(g, p, x)
         if fixed is None:
             continue
-        t = f_dependent_delete(dissociation, fixed | closed_p,
+        removed = fixed | closed_p
+        if 2 * g.n - 5 * len(removed) > 5 * (best - len(fixed)):
+            stopped += 1
+            continue
+        if dissociation is None:
+            dissociation = FDepProblem.uniform(g, 1)
+        t = f_dependent_delete(dissociation, removed,
                                budget=best - len(fixed))
         if t is None:
             stopped += 1

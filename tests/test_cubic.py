@@ -1,14 +1,16 @@
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdd import (Graph, InputError, Instance, Objective,
-                 PreconditionError, brute_force_optimum, cubic,
+                 PreconditionError, brute_force_optimum, cubic, subroutines,
                  build_domination_gadget, build_gstar, dominating_set_approx,
                  generate_random_cubic, is_dominating, is_feasible,
                  mdd_max_cubic, mdd_max_cubic_trace, normalize_dominating_set)
 
+from bruteforce import min_dissociation_weight
 from testkit import complete, complete_bipartite, petersen
 
 #: The end of build_domination_gadget's refusal when some neighbor of p
@@ -78,6 +80,44 @@ class TestDominationGadget:
                 assert gadget.removed == removed
         assert built > 100
 
+    def test_proxy_graph_shares_the_neighbour_sets_it_keeps(self):
+        # Every (graph, p) pair of random cubic graphs with even n 8-40
+        # (seeds 0-11 up to n = 20, 0-3 above): set for set the proxy graph
+        # of neighbour sets rebuilt for every vertex (empty on N[p],
+        # a - N[p] elsewhere), and a vertex with no neighbour in N[p]
+        # keeps G's own set.
+        pairs = 0
+        for n in range(8, 41, 2):
+            for seed in range(12 if n <= 20 else 4):
+                g = generate_random_cubic(n, seed)
+                for p in range(n):
+                    pairs += 1
+                    gadget = cubic._gadget(g, p)
+                    removed = g.closed_neighborhood(p)
+                    adj = [frozenset() if u in removed else a - removed
+                           for u, a in enumerate(g.adj)]
+                    groups = {}
+                    for x in sorted(g.adj[p]):
+                        out_x = g.adj[x] - removed
+                        if not out_x:
+                            groups = None
+                            break
+                        groups[x] = tuple(range(len(adj),
+                                                len(adj) + len(out_x)))
+                        for a in out_x:
+                            adj[a] = adj[a].union(groups[x])
+                        adj += [out_x] * len(out_x)
+                    if groups is None:
+                        assert gadget is None
+                        continue
+                    assert gadget.gprime.adj == tuple(adj)
+                    assert gadget.groups == groups
+                    assert gadget.removed == removed
+                    near = removed | g.neighborhood_of_set(removed)
+                    assert all(gadget.gprime.adj[v] is g.adj[v]
+                               for v in range(n) if v not in near)
+        assert pairs == 2416
+
     def test_k4_inapplicable(self):
         inst = Instance(complete(4), 0, None, Objective.MAX)
         with pytest.raises(PreconditionError, match="^" + re.escape(
@@ -125,6 +165,29 @@ def test_domination_greedy_never_picks_a_proxy(half, seed):
         dom = dominating_set_approx(gadget.gprime, removed=gadget.removed)
         assert all(v < g.n for v in dom)
         assert normalize_dominating_set(gadget, dom) == dom
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 10**6))
+def test_dissociation_counting_bound_is_sound(half, seed):
+    # With every cap 1, the vertices of G - R of a cubic G have total excess
+    # at least 2(n - |R|) - 3|R|, and one deletion lowers it by at most 5,
+    # so every dissociation set of G - R has at least (2n - 5|R|) / 5
+    # vertices.  Checked against the optimum for R = fixed | N[p] of every
+    # final-degree-2 branch (p, x), as mdd_max_cubic_trace uses it, and,
+    # since the argument holds for any R, for R empty and each R = {p},
+    # where at these sizes the bound is not vacuous.
+    g = generate_random_cubic(2 * half, seed)
+    sets = [frozenset()]
+    for p in range(g.n):
+        sets.append(frozenset({p}))
+        for x in sorted(g.adj[p]):
+            fixed = cubic._gstar(g, p, x)
+            if fixed is not None:
+                sets.append(fixed | g.closed_neighborhood(p))
+    for removed in set(sets):
+        rest, _ = g.induced_subgraph(set(range(g.n)) - removed)
+        assert 5 * min_dissociation_weight(rest) >= 2 * g.n - 5 * len(removed)
 
 
 class TestGStar:
@@ -195,6 +258,31 @@ class TestMddMaxCubic:
         assert trace.candidate_sizes == (("dissociation", 3), ("full", 7))
         assert trace.stopped == 1
         assert trace.solution.vertices == {1, 4, 5}
+
+    def test_settled_branches_build_no_dissociation_problem(self):
+        # On cubic n = 200 the counting bound settles every final-degree-2
+        # branch, so each trace runs the greedy once, for the domination
+        # candidate, and builds no dissociation problem, while `stopped`
+        # still counts every branch that applies.
+        for seed in range(3):
+            g = generate_random_cubic(200, seed)
+            for p in range(0, 200, 25):
+                greedy = mock.Mock(wraps=subroutines.f_dependent_delete)
+                problems = mock.Mock(wraps=cubic.FDepProblem)
+                with mock.patch.object(subroutines, "f_dependent_delete",
+                                       greedy), \
+                        mock.patch.object(cubic, "f_dependent_delete",
+                                          greedy), \
+                        mock.patch.object(cubic, "FDepProblem", problems):
+                    trace = mdd_max_cubic_trace(
+                        Instance(g, p, None, Objective.MAX))
+                assert not problems.uniform.called
+                assert greedy.call_count == 1
+                assert greedy.call_args.kwargs == {}
+                assert trace.case == "domination"
+                assert trace.stopped == sum(
+                    cubic._gstar(g, p, x) is not None for x in g.adj[p])
+                assert trace.candidate_sizes[1:] == (("full", 199),)
 
     def test_petersen_all_p(self):
         g = petersen()

@@ -26,8 +26,9 @@ instances where the bound prunes branches and budgeted greedy calls stop
 early, and on pinned instances where a branch ties the best weight and
 wins on size or sorted tuple.  The cubic
 algorithm's final-degree-2 candidates that run equal the reference ones,
-which run the greedy on the induced subgraph G*, and a branch stops only
-where its reference candidate is larger than the best before it; the cubic
+which run the greedy on the induced subgraph G*, and a branch stops (by
+the counting bound or on its budget) exactly where its reference
+candidate is larger than the best before it; the cubic
 solution and case are those of a reference that runs every candidate to
 the end.
 
@@ -578,21 +579,23 @@ def test_logn_trace_matches_reference_branch_step(inst):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(2, 20), st.integers(0, 10**6))
 def test_cubic_dissociation_candidates_match_reference(half, seed):
-    """Each final-degree-2 branch that runs gives the reference candidate,
-    and a branch stops exactly when its reference candidate is larger than
-    the smallest candidate before it (the full one, n - 1, to begin with)."""
+    """Each final-degree-2 branch that runs the greedy gives the reference
+    candidate, and a branch is stopped exactly when its reference candidate
+    is larger than the smallest candidate before it (the full one, n - 1,
+    to begin with), whether the counting bound settles it before the greedy
+    or the greedy stops on its budget."""
     g = generate_random_cubic(2 * half, seed)
-    results = []
+    calls = []
 
     def recording(prob, removed=(), *, budget=None):
         deleted = f_dependent_delete(prob, removed, budget=budget)
         if budget is not None:
-            results.append(deleted)
+            calls.append((frozenset(removed), deleted))
         return deleted
 
     for p in range(g.n):
         inst = Instance(g, p, None, Objective.MAX)
-        expected = []
+        branches = []  # (removed, reference candidate) per applicable x
         for x in sorted(g.adj[p]):
             reference = reference_greedy.dissociation_candidate(inst, x)
             if reference is None:
@@ -605,21 +608,31 @@ def test_cubic_dissociation_candidates_match_reference(half, seed):
             fixed = build_gstar(inst, x)
             removed = fixed | g.closed_neighborhood(p)
             assert fixed | dissociation_delete(g, removed=removed) == reference
-            expected.append(reference)
-        results.clear()
+            branches.append((removed, reference))
+        calls.clear()
         with mock.patch.object(cubic, "f_dependent_delete", recording):
             trace = mdd_max_cubic_trace(inst)
-        assert len(results) == len(expected)
-        ran = [c for c, t in zip(expected, results) if t is not None]
+        # The greedy calls come in branch order, one per branch that the
+        # bound passes; a branch with no call was settled by the bound.
+        best = min([g.n - 1] + [size for label, size in trace.candidate_sizes
+                                if label == "domination"])
+        ran, stopped = [], 0
+        for removed, reference in branches:
+            if calls and calls[0][0] == removed:
+                t = calls.pop(0)[1]
+                assert (t is None) == (len(reference) > best)
+                if t is not None:
+                    ran.append(reference)
+            else:
+                t = None
+                assert len(reference) > best
+            stopped += t is None
+            best = min(best, len(reference))
+        assert calls == []
         listed = [size for label, size in trace.candidate_sizes
                   if label == "dissociation"]
         assert listed == [len(c) for c in ran]
-        best = min([g.n - 1] + [size for label, size in trace.candidate_sizes
-                                if label == "domination"])
-        for reference, t in zip(expected, results):
-            assert (t is None) == (len(reference) > best)
-            best = min(best, len(reference))
-        assert len(listed) + trace.stopped == len(expected)
+        assert trace.stopped == stopped
         if trace.case == "dissociation":
             assert trace.solution.vertices in ran
 
