@@ -19,8 +19,7 @@ from typing import Optional
 
 from .approx import mdd_max_logn_trace
 from .cubic import mdd_max_cubic_trace
-from .errors import (BudgetError, InfeasibleError, InputError,
-                     PreconditionError, VerificationError)
+from .errors import InputError, MDDError, VerificationError
 from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,
                     kregular_min_exact)
 from .generators import (generate_gnp, generate_random_regular,
@@ -227,18 +226,16 @@ def _run_solver_row(cfg, instance_id, inst, name):
     start = time.perf_counter()
     try:
         solution, _ = solve(name, inst, cfg.max_L)
-    except (BudgetError, InfeasibleError, PreconditionError,
-            VerificationError) as exc:
+    except MDDError as exc:
         # Recorded, not fatal: one solver giving up on, failing, or not
         # applying to one instance leaves the rest of the experiment standing.
-        status = ("budget" if isinstance(exc, BudgetError)
-                  else "infeasible" if isinstance(exc, InfeasibleError)
-                  else "inapplicable" if isinstance(exc, PreconditionError)
-                  else "error")
+        # A class with no status (a malformed argument) goes through.
+        if exc.status is None:
+            raise
         return ExperimentRow(instance_id, cfg.family, inst.graph.n, name,
                              None, None, None, None,
                              time.perf_counter() - start, None,
-                             extra={"status": status})
+                             extra={"status": exc.status})
     return ExperimentRow(instance_id, cfg.family, inst.graph.n, name,
                          solution.size, solution.total_weight, None, None,
                          time.perf_counter() - start, True)

@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Verbs: solve, verify, reduce, gen, bench, subroutine.  Exit codes: 0 success,
-2 no feasible deletion set, 3 budget exhausted, 4 any other error (malformed
-input, a usage error included, or input outside a method's hypotheses).
+Verbs: solve, verify, reduce, gen, bench, subroutine.  Exit code 0 is
+success; a package error exits with its class's `exit_code` and prints its
+`label` and message to stderr (see `errors`): 2 no feasible deletion set,
+3 budget exhausted, 4 any other error.  A usage error is malformed input, so
+it exits as an InputError does.
 """
 from __future__ import annotations
 
@@ -12,17 +14,13 @@ from pathlib import Path
 
 from . import fileio
 from .bench import ALGORITHMS, ExperimentConfig, run_experiment, solve
-from .errors import (BudgetError, InfeasibleError, InputError, MDDError,
-                     PreconditionError)
+from .errors import InfeasibleError, InputError, MDDError
 from .generators import generate_gnp, generate_random_regular
 from .graph import UNDELETABLE, _ids, is_feasible
 from .reductions import CONSTRUCTIONS
 from .subroutines import FDepProblem, dominating_set_approx, f_dependent_delete
 
 EXIT_OK = 0
-EXIT_INFEASIBLE = 2
-EXIT_BUDGET = 3
-EXIT_INPUT = 4
 
 #: Input parser of each source problem in `CONSTRUCTIONS`.
 SOURCE_PARSERS = {"mindom": fileio.parse_graph,
@@ -65,7 +63,7 @@ def _cmd_verify(args) -> int:
         print("FEASIBLE")
         return EXIT_OK
     print("INFEASIBLE")
-    return EXIT_INFEASIBLE
+    return InfeasibleError.exit_code
 
 
 def _cmd_reduce(args) -> int:
@@ -121,7 +119,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+        self.exit(InputError.exit_code, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,18 +180,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except BudgetError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (InputError, PreconditionError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except MDDError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -106,15 +106,9 @@ def generate_gnp(n: int, p: float, seed: int) -> Graph:
             or not isinstance(p, numbers.Real) or not 0 <= p <= 1):
         raise InputError("need an integer n >= 0 and a number p in [0, 1]")
     rng = random.Random(seed)
-    adj = [set() for _ in range(n)]
-    # Pairs come in (u, v) order, u < v, the order Graph(n, edges) would
-    # add the sorted edge list in.
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                adj[u].add(v)
-                adj[v].add(u)
-    return Graph._unchecked([frozenset(s) for s in adj])
+    # Pairs are drawn in (u, v) order, u < v, so the list comes out sorted.
+    return _graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p])
 
 
 def generate_random_setsystem(r: int, t: int, seed: int) -> SetSystem:

@@ -203,6 +203,14 @@ def test_every_error_class_has_a_boundary_rule():
     assert set(errors.MDDError.__subclasses__()) == set(BOUNDARIES)
 
 
+def test_each_class_carries_its_boundary_row():
+    # BOUNDARIES is the spec, written out apart from the classes; the base
+    # class reports as a generic error.
+    rows = {cls: (cls.exit_code, cls.label, cls.status)
+            for cls in [errors.MDDError, *BOUNDARIES]}
+    assert rows == {errors.MDDError: (4, "error", "error"), **BOUNDARIES}
+
+
 @pytest.mark.parametrize("cls", errors.MDDError.__subclasses__(),
                          ids=lambda c: c.__name__)
 def test_each_class_has_one_meaning_at_each_boundary(cls, tmp_path, capsys,

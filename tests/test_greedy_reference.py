@@ -583,7 +583,8 @@ def test_cubic_dissociation_candidates_match_reference(half, seed):
     candidate, and a branch is stopped exactly when its reference candidate
     is larger than the smallest candidate before it (the full one, n - 1,
     to begin with), whether the counting bound settles it before the greedy
-    or the greedy stops on its budget."""
+    or the greedy stops on its budget.  A branch with fixed set F and
+    R = F | N[p] calls the greedy exactly when 2n - 5|R| <= 5(best - |F|)."""
     g = generate_random_cubic(2 * half, seed)
     calls = []
 
@@ -595,7 +596,7 @@ def test_cubic_dissociation_candidates_match_reference(half, seed):
 
     for p in range(g.n):
         inst = Instance(g, p, None, Objective.MAX)
-        branches = []  # (removed, reference candidate) per applicable x
+        branches = []  # (fixed, removed, reference candidate) per applicable x
         for x in sorted(g.adj[p]):
             reference = reference_greedy.dissociation_candidate(inst, x)
             if reference is None:
@@ -608,7 +609,7 @@ def test_cubic_dissociation_candidates_match_reference(half, seed):
             fixed = build_gstar(inst, x)
             removed = fixed | g.closed_neighborhood(p)
             assert fixed | dissociation_delete(g, removed=removed) == reference
-            branches.append((removed, reference))
+            branches.append((fixed, removed, reference))
         calls.clear()
         with mock.patch.object(cubic, "f_dependent_delete", recording):
             trace = mdd_max_cubic_trace(inst)
@@ -617,8 +618,11 @@ def test_cubic_dissociation_candidates_match_reference(half, seed):
         best = min([g.n - 1] + [size for label, size in trace.candidate_sizes
                                 if label == "domination"])
         ran, stopped = [], 0
-        for removed, reference in branches:
-            if calls and calls[0][0] == removed:
+        for fixed, removed, reference in branches:
+            called = bool(calls) and calls[0][0] == removed
+            assert called == (2 * g.n - 5 * len(removed)
+                              <= 5 * (best - len(fixed)))
+            if called:
                 t = calls.pop(0)[1]
                 assert (t is None) == (len(reference) > best)
                 if t is not None:

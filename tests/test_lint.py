@@ -218,19 +218,28 @@ def test_solves_do_not_redo_checked_work():
 
 def test_generators_build_graphs_unchecked():
     # The generators prove their edges simple and in range as they draw
-    # them, so they build each graph from its neighbour sets through
-    # Graph._unchecked and never re-check it edge by edge in Graph(n, edges).
-    calls = [node for node in ast.walk(TREES["generators.py"])
-             if isinstance(node, ast.Call)]
+    # them, so they build each graph from its edge list through one builder,
+    # `_graph`, which holds the one Graph._unchecked call, and never re-check
+    # it edge by edge in Graph(n, edges).
+    tree = TREES["generators.py"]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     checked = [node.lineno for node in calls
                if isinstance(node.func, ast.Name) and node.func.id == "Graph"]
-    unchecked = [node.lineno for node in calls
+    functions = dict(_functions(tree))
+    inside = {id(node) for node in ast.walk(functions["_graph"])}
+    unchecked = [id(node) in inside for node in calls
                  if isinstance(node.func, ast.Attribute)
                  and node.func.attr == "_unchecked"
                  and isinstance(node.func.value, ast.Name)
                  and node.func.value.id == "Graph"]
     assert checked == []
-    assert len(unchecked) >= 2
+    assert unchecked == [True]
+    for generator in ("generate_random_regular", "generate_gnp"):
+        returns = [node.value for node in ast.walk(functions[generator])
+                   if isinstance(node, ast.Return)]
+        assert returns and all(
+            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "_graph" for value in returns), generator
 
 
 def test_errors_has_one_class_per_refusal():
@@ -267,22 +276,28 @@ def _in_functions(allowed):
 def test_package_catches_its_own_errors_only_at_its_boundaries():
     # A solver step that does not apply returns None, not an error caught
     # as control flow; only the CLI and a bench row turn errors into exit
-    # codes and statuses.
+    # codes and statuses.  Each of them catches MDDError itself once and
+    # reads the class's own exit_code, label and status, so no handler in
+    # the package names a subclass.
     package = {name for name in vars(errors)
                if isinstance(getattr(errors, name), type)
                and issubclass(getattr(errors, name), errors.MDDError)}
     allowed = _in_functions([("cli.py", "main"),
                              ("bench.py", "_run_solver_row")])
-    caught = []
+    caught, boundaries = [], []
     for name, tree in TREES.items():
         for node in ast.walk(tree):
             if not isinstance(node, ast.ExceptHandler) or node.type is None:
                 continue
             named = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
-            if named & package and id(node) not in allowed:
+            if named & (package - {"MDDError"}) or (
+                    named & package and id(node) not in allowed):
                 caught.append(f"{name}:{node.lineno}")
+            elif isinstance(node.type, ast.Name) and node.type.id == "MDDError":
+                boundaries.append(name)
     assert allowed
     assert caught == []
+    assert sorted(boundaries) == ["bench.py", "cli.py"]
 
 
 def _is_range_check(node):
