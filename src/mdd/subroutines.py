@@ -52,15 +52,17 @@ class FDepProblem:
     lcm is the lcm of the deletable weights (_scale), and three views
     derived from it; each view is built on first read and kept, and no
     call mutates it.  _start is the greedy's start state on the whole
-    graph, built in O(n + m): excesses, gains, the count of vertices over
-    their caps, the scale, and a heap of (-gain[u] * scale[u], u) for every
-    deletable u with positive gain.  _crowded holds each UNDELETABLE v with
-    more UNDELETABLE neighbors than cap[v], with that surplus (_returns
-    reads it).  _sums holds the total start excess E0 and the integer
-    prefix sums of the start gains and of the weights of the vertices of
-    the heap, in heap order (gain/weight descending, ties to the lowest
-    id), each from 0 (_outweighs reads it).  None is a field, so eq, hash
-    and repr see only graph, cap and weights.
+    graph, built in O(n + m): excesses, gains, the total excess, the scale,
+    and a heap holding the int key -gain[u] * scale[u] * n + u for every
+    deletable u with positive gain.  Since 0 <= u < n, the id decides only
+    between equal products, so the key orders exactly as the pair
+    (-gain[u] * scale[u], u) would, and key % n gives u back.  _crowded
+    holds each UNDELETABLE v with more UNDELETABLE neighbors than cap[v],
+    with that surplus (_returns reads it).  _sums holds the total start
+    excess E0 and the integer prefix sums of the start gains and of the
+    weights of the vertices of the heap, in heap order (gain/weight
+    descending, ties to the lowest id), each from 0 (_outweighs reads it).
+    None is a field, so eq, hash and repr see only graph, cap and weights.
     """
 
     graph: Graph
@@ -80,21 +82,23 @@ class FDepProblem:
 
     @functools.cached_property
     def _start(self):
-        adj = self.graph.adj
-        excess = [max(0, len(a) - c) for a, c in zip(adj, self.cap)]
+        adj, n = self.graph.adj, self.graph.n
+        excess = [d - c if d > c else 0
+                  for d, c in zip(map(len, adj), self.cap)]
         gain = excess[:]
-        over = 0
         for v, e in enumerate(excess):
             if e:
-                over += 1
                 for u in adj[v]:
                     gain[u] += 1
-        # Sorted, so a valid heap and the knapsack order at once; keys hold
-        # their vertex id, so none tie.
+        # u's key -gain[u] * scale[u] * n + u orders as the pair
+        # (-gain[u] * scale[u], u) does, since 0 <= u < n: no two keys tie,
+        # and key % n is u.  Sorted, so a valid heap and the knapsack order
+        # at once.
         scale = self._scale
-        heap = sorted((-gain[u] * s, u) for u, s in enumerate(scale)
-                      if s and gain[u] > 0)
-        return excess, gain, over, scale, heap
+        heap = [u - g * s * n for u, (g, s) in enumerate(zip(gain, scale))
+                if s and g > 0]
+        heap.sort()
+        return excess, gain, sum(excess), scale, heap
 
     @functools.cached_property
     def _crowded(self):
@@ -105,9 +109,10 @@ class FDepProblem:
 
     @functools.cached_property
     def _sums(self):
-        excess, gain, _, _, heap = self._start
-        order = [u for _, u in heap]
-        return (sum(excess),
+        _, gain, total, _, heap = self._start
+        n = self.graph.n
+        order = [key % n for key in heap]
+        return (total,
                 list(itertools.accumulate((gain[u] for u in order), initial=0)),
                 list(itertools.accumulate((self.weights[u] for u in order),
                                           initial=0)))
@@ -166,16 +171,19 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = (), *,
     undeletable; _returns predicts this exactly).
 
     Each call copies the problem's start state (see FDepProblem: built on
-    first read and kept), then deletes the `removed` vertices by the same
-    update as a pick, which touches only the deleted vertex, its neighbors
-    and the neighbors of those that leave `over`; they are never picked
-    and never returned.
-    Each pick pops the heap.  Its key -gain * (lcm // weight) orders
-    gain/weight exactly, ties on the lowest id.  Gains only fall, so an
-    entry can only overstate its vertex: a top entry that still equals its
-    vertex's key is the best pick, and a stale one is pushed back with the
-    current key while that gain is positive and dropped otherwise (a
-    deleted vertex's gain is 0 or below, so it never comes back).
+    first read and kept), then deletes the `removed` vertices in the same
+    loop and by the same update as its picks, which touches only the
+    deleted vertex, its neighbors and the neighbors of those that leave
+    `over`; they are never picked and never returned.  The loop ends when
+    the total excess reaches 0.
+    Each pick pops the heap.  Its key -gain * (lcm // weight) * n + id is
+    one int that orders gain/weight exactly, ties on the lowest id: the id
+    is below n, so it decides only between equal products, and key % n
+    gives it back.  Gains only fall, so an entry can only overstate its
+    vertex: a top entry that still equals its vertex's key is the best
+    pick, and a stale one is pushed back with the current key while that
+    gain is positive and dropped otherwise (a deleted vertex's gain is 0 or
+    below, so it never comes back).
 
     With an integer `budget`, the call returns None in place of a set that
     weighs more than `budget` (and may return None where it would raise
@@ -193,57 +201,58 @@ def f_dependent_delete(prob: FDepProblem, removed: Iterable[int] = (), *,
     removed = _ids(g.n, removed, "removed vertex")
     if not (budget is None or is_int(budget)):
         raise InputError("budget must be an integer")
-    excess, gain, over, scale, heap = prob._start
+    excess, gain, left, scale, heap = prob._start
     excess, gain, heap = excess[:], gain[:], heap[:]
-
-    def delete(u):
-        nonlocal over
+    n = g.n
+    if budget is not None:
+        if budget < 0:
+            return None
+        weights = prob.weights
+        spent = 0
+    pending = list(removed)
+    deleted = []
+    # left is the total excess still to clear; each deletion lowers it by
+    # exactly the deleted vertex's current gain.
+    while left:
+        if pending:
+            u = pending.pop()
+        else:
+            while heap:
+                key = heap[0]
+                u = key % n
+                g_u = gain[u]
+                if g_u <= 0:
+                    heapq.heappop(heap)
+                    continue
+                current = u - g_u * scale[u] * n
+                if current == key:
+                    break
+                heapq.heapreplace(heap, current)
+            else:
+                stuck = min(v for v, e in enumerate(excess) if e)
+                raise InfeasibleError(
+                    f"vertex {stuck} stays over its cap: every vertex that "
+                    "could bring it under is undeletable")
+            if budget is not None:
+                w_u = weights[u]
+                if spent * g_u + left * w_u > budget * g_u:
+                    return None
+                spent += w_u
+            heapq.heappop(heap)
+            deleted.append(u)
+        left -= gain[u]
         gain[u] = 0
-        leaving = [u] if excess[u] else []
-        excess[u] = 0
+        if excess[u]:
+            excess[u] = 0
+            for w in adj[u]:
+                gain[w] -= 1
         for v in adj[u]:
             if excess[v]:
                 excess[v] -= 1
                 gain[v] -= 1
                 if not excess[v]:
-                    leaving.append(v)
-        over -= len(leaving)
-        for v in leaving:
-            for w in adj[v]:
-                gain[w] -= 1
-
-    for u in removed:
-        delete(u)
-    if budget is not None:
-        if budget < 0:
-            return None
-        weights = prob.weights
-        spent, left = 0, sum(excess)
-    deleted = []
-    while over:
-        while heap:
-            key, u = heap[0]
-            if gain[u] <= 0:
-                heapq.heappop(heap)
-                continue
-            current = -gain[u] * scale[u]
-            if current == key:
-                break
-            heapq.heapreplace(heap, (current, u))
-        else:
-            stuck = min(v for v, e in enumerate(excess) if e)
-            raise InfeasibleError(
-                f"vertex {stuck} stays over its cap: every vertex that could "
-                "bring it under is undeletable")
-        if budget is not None:
-            g_u, w_u = gain[u], weights[u]
-            if spent * g_u + left * w_u > budget * g_u:
-                return None
-            spent += w_u
-            left -= g_u
-        heapq.heappop(heap)
-        deleted.append(u)
-        delete(u)
+                    for w in adj[v]:
+                        gain[w] -= 1
     return frozenset(deleted)
 
 

@@ -294,18 +294,19 @@ def test_problem_identity_is_graph_cap_and_weights():
     assert used != FDepProblem(used.graph, (0,) + caps[1:], weights)
 
 
-def _tie_problem(a, b, scale):
+def _tie_problem(a, b, scale, n=5):
     """a has gain 2 at weight 2 * scale, b gain 1 at weight scale: equal
     ratios.  Undeletable c (over by 1) is adjacent to a and b, undeletable
     d (over by 1) to a and to e (weight 3 * scale).  Picking a first fixes
     both, so the result is {a}; picking b first leaves d over, and then a
-    (ratio 1/2) beats e (1/3), so the result is {a, b}."""
-    c, d, e = 2, 3, 4
-    cap, weights = [0] * 5, [0] * 5
+    (ratio 1/2) beats e (1/3), so the result is {a, b}.  c, d and e are the
+    three least other ids; any further vertex is isolated, with cap 0."""
+    c, d, e = [v for v in range(n) if v not in (a, b)][:3]
+    cap, weights = [0] * n, [1] * n
     for v, k, w in ((a, 2, 2 * scale), (b, 1, scale), (c, 1, UNDELETABLE),
                     (d, 1, UNDELETABLE), (e, 1, 3 * scale)):
         cap[v], weights[v] = k, w
-    return FDepProblem(Graph(5, [(a, c), (a, d), (b, c), (e, d)]),
+    return FDepProblem(Graph(n, [(a, c), (a, d), (b, c), (e, d)]),
                        tuple(cap), tuple(weights))
 
 
@@ -316,6 +317,21 @@ def test_equal_ratios_at_different_weights_go_to_lower_id(a, b, expected,
     prob = _tie_problem(a, b, scale)
     assert f_dependent_delete(prob) == expected
     assert reference_greedy.f_dependent_delete(prob) == expected
+
+
+@pytest.mark.parametrize("scale", [1, 999_999_937, 2**61 - 1])
+@pytest.mark.parametrize("n", [5, 8])
+def test_equal_ratios_at_the_top_of_the_id_range_go_to_lower_id(n, scale):
+    # A heap key carries its id as key % n, so the largest ids sit right
+    # below the next gain * scale step: a tie with n - 1 must still go to
+    # the lower id, also against id 0 at the other end of the range.
+    for a, b in ((n - 1, n - 2), (n - 2, n - 1), (n - 1, 0), (0, n - 1)):
+        prob = _tie_problem(a, b, scale, n)
+        expected = {a} if a < b else {a, b}
+        assert f_dependent_delete(prob) == expected
+        assert reference_greedy.f_dependent_delete(prob) == expected
+        heap_order = [key % n for key in prob._start[-1]]
+        assert heap_order[:2] == sorted((a, b)) and len(heap_order) == 3
 
 
 def _refusal(v):
@@ -339,6 +355,37 @@ def test_infeasible_when_every_helpful_vertex_is_removed_or_undeletable():
     sub, _ = g.induced_subgraph([0, 2, 3])
     assert _outcome(reference_greedy.f_dependent_delete, CapProblem(
         sub, (0, 5, 5), (UNDELETABLE,) * 3), message=True) == error
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_empty_and_single_vertex_problems(n):
+    # The greedy reads an id back from its heap key as key % n, so it must
+    # never do so on n = 0, where the heap is always empty.  On one vertex,
+    # cap -1 makes it over by 1 and cap 0 or more leaves it free.
+    g = Graph(n, [])
+    for f in (-1, 0, 1):
+        for weights in ((1,) * n, (UNDELETABLE,) * n):
+            prob = FDepProblem.uniform(g, f, weights)
+            expected = _outcome(reference_greedy.f_dependent_delete, prob,
+                                message=True)
+            assert _outcome(f_dependent_delete, prob, message=True) == expected
+            assert f_dependent_delete(prob, range(n)) == frozenset()
+            if weights == (1,) * n:
+                assert _state(prob) == _state(FDepProblem.uniform(g, f))
+            if not _returns(prob, ()):
+                assert expected == _refusal(0)
+                continue
+            for budget in (-1, 0, 1):
+                over = _weight(prob, expected) > budget
+                assert _outweighs(prob, (), budget) == over
+                assert f_dependent_delete(prob, budget=budget) == (
+                    None if over else expected)
+            assert not _outweighs(prob, range(n), 0)
+    for weights in (None, (1,) * n, (UNDELETABLE,) * n):
+        assert (_outcome(dominating_set_approx, g, weights, message=True)
+                == _outcome(reference_greedy.dominating_set_approx, g, (),
+                            weights, message=True))
+        assert dominating_set_approx(g, weights, range(n)) == frozenset()
 
 
 def _settle_problem(data, g):

@@ -118,6 +118,34 @@ def test_bitmask_encoding_stays_in_exact():
     assert users == ["exact.py"]
 
 
+def test_greedy_heap_keys_are_single_ints():
+    # The greedy keeps one heap encoding, as the oracle keeps one bitmask
+    # encoding: u's entry is the int -gain[u] * scale[u] * n + u, which
+    # orders as the pair (-gain[u] * scale[u], u) would.  So no heapq call
+    # in subroutines.py takes a tuple, and the start state's heap holds
+    # none.
+    tree = TREES["subroutines.py"]
+    from_heapq = {alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "heapq"
+                  for alias in node.names}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ((isinstance(node.func, ast.Attribute)
+                   and isinstance(node.func.value, ast.Name)
+                   and node.func.value.id == "heapq")
+                  or (isinstance(node.func, ast.Name)
+                      and node.func.id in from_heapq))]
+    assert calls
+    assert [node.lineno for node in calls
+            if any(isinstance(arg, ast.Tuple) for arg in node.args)] == []
+    start = dict(_functions(tree))["FDepProblem._start"]
+    assert [node.lineno for node in ast.walk(start)
+            if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp))
+            and isinstance(node.elt, ast.Tuple)] == []
+    g = mdd.generate_gnp(12, 0.4, 1)
+    heap = mdd.FDepProblem(g, (1,) * g.n, tuple(range(1, g.n + 1)))._start[-1]
+    assert heap and all(type(key) is int for key in heap)
+
+
 def test_package_reads_no_environment():
     # Every choice the package makes comes from its inputs or its callers'
     # arguments, so no environment variable can become a hidden option.
