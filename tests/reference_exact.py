@@ -5,19 +5,20 @@
 checks every subset of the deletable vertices by increasing size, in
 lexicographic order, with `is_feasible`, and keeps the minimum key (weight,
 size, sorted tuple), or returns the first feasible set in CARDINALITY mode.
-Its budget counts subsets.  The package's search tree and k-regular peel
-must return exactly the same sets; tests compare against it.
+Its budget counts subsets.  The package's search tree and its Min peel (one
+peel per K <= N(p)) must return exactly the same sets; tests compare
+against it.
 
 `kregular_feasible_witness` is the constructive feasible set that bounds
-the k-regular optimum by 2k - 1; tests check the exact solver against it
-on graphs too large for any enumeration.
+the optimum of a unit-weight k-regular Min instance by 2k - 1; tests check
+the exact solver against it on graphs too large for any enumeration.
 """
 import itertools
 import math
 
 from mdd import (BudgetError, DeletionSet, InfeasibleError, Instance,
-                 OracleConfig, WeightMode, is_feasible)
-from mdd.exact import _require_regular_min_unit
+                 Objective, OracleConfig, PreconditionError, WeightMode,
+                 is_feasible)
 
 
 def _enumerate(inst: Instance, cfg: OracleConfig) -> DeletionSet:
@@ -52,10 +53,15 @@ def _enumerate(inst: Instance, cfg: OracleConfig) -> DeletionSet:
 def kregular_feasible_witness(inst: Instance) -> DeletionSet:
     """The constructive feasible set S = N(p) + {v outside N[p] : N(v)=N(p)}.
 
-    Its size is at most 2k-1 on a k-regular graph, which bounds the optimum.
+    Its size is at most 2k-1 on a k-regular graph, which bounds the optimum
+    of a unit-weight Min instance; the bound needs all three, so the
+    witness refuses any other instance.
     """
-    _require_regular_min_unit(inst)
     g = inst.graph
+    if (g.regular_degree() is None or inst.objective is not Objective.MIN
+            or not inst.unit_weights):
+        raise PreconditionError("witness needs a unit-weight regular Min "
+                                "instance")
     p = inst.p
     np_open = g.adj[p]
     np_closed = g.closed_neighborhood(p)

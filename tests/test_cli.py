@@ -314,9 +314,14 @@ class TestSolve:
         assert capsys.readouterr().out.endswith(
             "solution: 0 1 3\nsize: 3  weight: 3\n")
 
-    def test_kreg_on_irregular_exits_4(self, tmp_path, capsys):
+    def test_kreg_on_irregular_prints_the_oracle_answer(self, tmp_path,
+                                                        capsys):
         path = write_instance(tmp_path, Instance(star(3), 0))
-        assert main(["solve", path, "--algo", "kreg-exact"]) == 4
+        assert main(["solve", path, "--algo", "kreg-exact"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("solution: 1 2 3\nsize: 3  weight: 3\n")
+        assert main(["solve", path, "--algo", "oracle"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_logn_budget_exits_3(self, tmp_path, capsys):
         inst = Instance(complete(8), 0, None, Objective.MAX)
@@ -585,7 +590,7 @@ class TestBenchCommand:
         assert payload["aggregates"]["oracle"]["rows"] == 1
 
     @pytest.mark.parametrize("config, inapplicable", [
-        ({"family": "gnp", "sizes": [6], "objective": "min",
+        ({"family": "gnp", "sizes": [6], "objective": "max",
           "algorithms": ["oracle", "kreg-exact"]}, "kreg-exact"),
         ({"family": "regular", "k": 2, "sizes": [6], "objective": "max",
           "algorithms": ["cubic"]}, "cubic"),
@@ -593,7 +598,7 @@ class TestBenchCommand:
     def test_bench_records_inapplicable_solver_rows(
             self, tmp_path, capsys, config, inapplicable):
         # A solver whose precondition fails on an instance (kreg-exact on a
-        # non-regular graph, cubic on a 2-regular one) gives a failed row
+        # Max instance, cubic on a 2-regular one) gives a failed row
         # per instance; the run ends, and every other row is solved and
         # every instance scored.
         cfg_path = tmp_path / "cfg.json"

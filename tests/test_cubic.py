@@ -190,6 +190,31 @@ def test_dissociation_counting_bound_is_sound(half, seed):
         assert 5 * min_dissociation_weight(rest) >= 2 * g.n - 5 * len(removed)
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(4, 20), st.integers(0, 10**6))
+def test_dissociation_counting_bound_is_the_knapsack_bound(half, seed):
+    # With every cap 1 on a cubic G, every start gain is 5 and E0 = 2n, so
+    # _outweighs's fractional knapsack over G - R weighs (2n - 5|R|) / 5:
+    # the counting bound of mdd_max_cubic_trace is the greedy layer's bound,
+    # for every final-degree-2 branch and every budget b >= 0.  Below 0 only
+    # _outweighs settles the branch, and the greedy then returns None at
+    # once.
+    g = generate_random_cubic(2 * half, seed)
+    prob = subroutines.FDepProblem.uniform(g, 1)
+    for p in range(g.n):
+        for x in sorted(g.adj[p]):
+            fixed = cubic._gstar(g, p, x)
+            if fixed is None:
+                continue
+            removed = fixed | g.closed_neighborhood(p)
+            for b in range(g.n):
+                assert (2 * g.n - 5 * len(removed) > 5 * b) == \
+                    subroutines._outweighs(prob, removed, b)
+            assert subroutines._outweighs(prob, removed, -1)
+            assert subroutines.f_dependent_delete(prob, removed,
+                                                  budget=-1) is None
+
+
 class TestGStar:
     def test_k33_branch(self):
         # p = 0, delete x = 3: survivors y = 4, z = 5 are non-adjacent,

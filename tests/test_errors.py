@@ -13,7 +13,8 @@ import pytest
 
 from mdd import (BudgetError, ExperimentConfig, FDepProblem, Graph,
                  InfeasibleError, InputError, Instance, Objective,
-                 OracleConfig, PreconditionError, SetSystem, VerificationError,
+                 OracleConfig, PreconditionError, SetSystem, UNDELETABLE,
+                 VerificationError, WeightMode, brute_force_optimum,
                  build_domination_gadget, build_gstar, build_L, bench, cubic,
                  dominating_set_approx, errors, f_dependent_delete,
                  generate_random_regular, generate_random_setsystem,
@@ -128,13 +129,8 @@ STAYS = {
                   "cubic algorithm handles objective Max only"),
     "cubic-unit": (lambda: mdd_max_cubic(_max(K33, 0, (1, 1, 2, 1, 1, 1))),
                    "cubic algorithm requires unit weights"),
-    "kreg-regular": (lambda: kregular_min_exact(Instance(PATH3, 1)),
-                     "graph is not regular"),
     "kreg-max": (lambda: kregular_min_exact(_max(K33)),
                  "regular-graph solver handles objective Min only"),
-    "kreg-unit": (lambda: kregular_min_exact(
-        Instance(K33, 0, (1, 1, 2, 1, 1, 1))),
-        "regular-graph solver requires unit weights"),
     "regular-size": (lambda: generate_random_regular(5, 3, 0),
                      "no 3-regular graph on 5 vertices (need 0 <= k < n, "
                      "n*k even)"),
@@ -187,6 +183,21 @@ def test_refusals_outside_the_hypotheses_stay(call, message):
     assert type(err.value) is PreconditionError
 
 
+#: Min instances that kregular_min_exact once refused as outside its
+#: hypotheses (a graph that is not regular, weights that are not all 1):
+#: its proof reads only the objective and d(p), so it solves them.
+PEELED = {
+    "kreg-regular": Instance(PATH3, 1),
+    "kreg-unit": Instance(K33, 0, (1, 1, 2, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("inst", PEELED.values(), ids=PEELED.keys())
+def test_kreg_solves_its_former_refusals(inst):
+    assert kregular_min_exact(inst) == brute_force_optimum(
+        inst, OracleConfig(WeightMode.WEIGHTED))
+
+
 #: Each class's exit code and stderr prefix under `mdd` (README, CLI), and
 #: its status in a bench row; None: the row lets the error through, since a
 #: malformed argument is the caller's bug.
@@ -197,6 +208,29 @@ BOUNDARIES = {
     BudgetError: (3, "budget exhausted", "budget"),
     VerificationError: (4, "error", "error"),
 }
+
+
+#: (instance, algorithm, exit code, stderr, bench status) for refusals that
+#: a registered solver makes itself, through both boundaries.
+SOLVER_ROWS = {
+    "kreg-infeasible": (Instance(Graph.cycle(5), 0, (1, UNDELETABLE, 1, 1, 1)),
+                        "kreg-exact", 2,
+                        "infeasible: no deletion set avoiding p and the "
+                        "undeletable vertices is feasible\n", "infeasible"),
+}
+
+
+@pytest.mark.parametrize("inst, name, code, err, status", SOLVER_ROWS.values(),
+                         ids=SOLVER_ROWS.keys())
+def test_solver_refusals_at_each_boundary(inst, name, code, err, status,
+                                          tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text(serialize_instance(inst))
+    assert main(["solve", str(path), "--algo", name]) == code
+    assert capsys.readouterr() == ("", err)
+    cfg = ExperimentConfig(family="gnp", sizes=[3])
+    row = bench._run_solver_row(cfg, "i", inst, name)
+    assert row.extra == {"status": status}
 
 
 def test_every_error_class_has_a_boundary_rule():

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from mdd import (BudgetError, Graph, InfeasibleError, InputError, Instance,
-                 Objective, OracleConfig, PreconditionError, UNDELETABLE,
+from mdd import (BudgetError, DeletionSet, Graph, InfeasibleError,
+                 InputError, Instance, Objective, OracleConfig, UNDELETABLE,
                  WeightMode,
                  brute_force_optimum, dualize, is_feasible,
                  kregular_min_exact, generate_gnp, generate_random_regular)
@@ -169,14 +169,30 @@ class TestKRegular:
             assert exact.size <= 5
             assert exact == brute_force_optimum(inst)
 
-    def test_rejects_irregular(self):
-        with pytest.raises(PreconditionError):
-            kregular_min_exact(Instance(star(3), 0))
+    def test_irregular_matches_oracle(self):
+        # The peel reads d(p), not a regular degree: on the star every
+        # leaf must go.
+        inst = Instance(star(3), 0)
+        exact = kregular_min_exact(inst)
+        assert exact.vertices == frozenset({1, 2, 3})
+        assert exact == brute_force_optimum(
+            inst, OracleConfig(WeightMode.WEIGHTED))
 
-    def test_rejects_weighted(self):
+    def test_weighted_matches_oracle(self):
+        # Weight first: on the second graph one heavy vertex fixes p, but
+        # two light ones weigh less.
+        cfg = OracleConfig(WeightMode.WEIGHTED)
         inst = Instance(Graph.cycle(5), 0, (1, 2, 1, 1, 1))
-        with pytest.raises(PreconditionError):
-            kregular_min_exact(inst)
+        exact = kregular_min_exact(inst)
+        assert exact == brute_force_optimum(inst, cfg)
+        assert exact == DeletionSet(frozenset({1, 4}), 3)
+        g = Graph(7, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 6), (2, 3),
+                      (2, 4), (2, 6), (3, 5), (5, 6)])
+        inst = Instance(g, 0, (1, 1, 1, 1, 5, 1, 5))
+        assert brute_force_optimum(inst).vertices == frozenset({4})
+        exact = kregular_min_exact(inst)
+        assert exact == brute_force_optimum(inst, cfg)
+        assert exact == DeletionSet(frozenset({3, 5}), 2)
 
     def test_random_regular_matches_oracle(self):
         # k = 0 included: on an edgeless graph every vertex but p goes.

@@ -3,12 +3,15 @@ brute force of bruteforce.py.
 
 Inputs are small G(n, q) instances (both objectives; unit weights, weights
 1-5 and weights that include UNDELETABLE) and unit-weight instances on
-random regular graphs, where `kreg-exact` applies on Min and `cubic` on
-cubic Max.  A solver may give up (BudgetError, InfeasibleError,
-PreconditionError); otherwise its set is feasible and no lighter than the
-optimum, and the set of an exact solver (`oracle`, `kreg-exact`) is the
-optimum under the (weight, size, sorted tuple) tie-break.  On a unit-weight
-k-regular Max instance every set also meets `kreg_lower_bound`.
+random regular graphs, where `cubic` applies on cubic Max.  A solver may
+give up (BudgetError, InfeasibleError, PreconditionError); otherwise its set
+is feasible and no lighter than the optimum, and the set of an exact solver
+(`oracle`, `kreg-exact`) is the optimum under the (weight, size, sorted
+tuple) tie-break.  The oracle raises only InfeasibleError on these sizes,
+and `kreg-exact` never refuses a Min instance: it raises BudgetError only when
+2^d(p) peels exceed `DEFAULT_BUDGET`, and InfeasibleError only where brute
+force finds no set.  On a unit-weight k-regular Max instance every set also
+meets `kreg_lower_bound`.  The peel also solves Max through `dualize`.
 
 Derandomized, so every run checks the same examples.
 """
@@ -17,10 +20,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from mdd import (BudgetError, InfeasibleError, Instance, Objective,
-                 PreconditionError, UNDELETABLE, generate_gnp,
-                 generate_random_regular)
+from mdd import (BudgetError, InfeasibleError, Instance, MDDError,
+                 Objective, OracleConfig, PreconditionError, UNDELETABLE,
+                 WeightMode, brute_force_optimum, dualize, generate_gnp,
+                 generate_random_regular, kregular_min_exact)
 from mdd.bench import ALGORITHMS, solve
+from mdd.exact import DEFAULT_BUDGET
 
 import bruteforce
 from testkit import kreg_lower_bound
@@ -56,12 +61,18 @@ def test_every_solver_is_feasible_and_no_lighter_than_optimum(inst):
         try:
             solution, _ = solve(name, inst)
         except InfeasibleError:
-            if name == "oracle":
+            if name in ("oracle", "kreg-exact"):
                 # Only sets that delete an undeletable vertex are feasible.
                 assert optimum in (None, math.inf)
             continue
-        except (BudgetError, PreconditionError):
+        except BudgetError:
             assert name != "oracle"
+            if name == "kreg-exact":
+                assert 2 ** inst.graph.degree(inst.p) > DEFAULT_BUDGET
+            continue
+        except PreconditionError:
+            assert name != "oracle"
+            assert name != "kreg-exact" or inst.objective is Objective.MAX
             continue
         assert bruteforce.check_feasible(inst, solution.vertices)
         assert solution.total_weight == inst.weight_of(solution.vertices)
@@ -71,3 +82,25 @@ def test_every_solver_is_feasible_and_no_lighter_than_optimum(inst):
             assert solution.size >= kreg_lower_bound(inst.graph.n, k, f)
         if name in ("oracle", "kreg-exact"):
             assert solution.vertices == bruteforce.min_deletion_set(inst)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MDDError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 10**6))
+def test_peel_on_the_complement_solves_max(seed):
+    # dualize keeps every feasible set and flips Max to Min, so the peel
+    # gives the WEIGHTED oracle's set for Max, or its error.
+    rng = random.Random(seed)
+    g = generate_gnp(rng.randint(1, 12), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]),
+                     rng.randrange(10**6))
+    pool = rng.choice([(1, 2, 3, 4, 5, 6, 7, 8, 9), (1, 2, 5, UNDELETABLE)])
+    inst = Instance(g, rng.randrange(g.n),
+                    [rng.choice(pool) for _ in range(g.n)], Objective.MAX)
+    assert _outcome(kregular_min_exact, dualize(inst)) == _outcome(
+        brute_force_optimum, inst, OracleConfig(WeightMode.WEIGHTED))
