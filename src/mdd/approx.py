@@ -1,6 +1,8 @@
 """Approximation machinery for MDD(max) on general graphs: the L-set
 construction and the subset-enumeration algorithm that branches over
-subsets of L.
+subsets of L.  The algorithm runs MDD(min) as MDD(max) on the complement
+(`dualize`), which keeps every feasible set: the paper's result for Min
+when d(p) = n - O(log n), where p's degree in the complement is O(log n).
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from typing import Optional
 
 from .errors import (BudgetError, InfeasibleError, InputError,
                      PreconditionError, VerificationError)
+from .exact import dualize
 from .graph import (DeletionSet, Instance, Objective, UNDELETABLE, is_feasible,
                     is_int)
 from .subroutines import (_outweighs, _returns, _scale, _unchecked_problem,
@@ -63,7 +66,8 @@ class BranchingResult:
 
 
 def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> BranchingResult:
-    """Branch over every subset K of L; see mdd_max_logn.
+    """Branch over every subset K of L; see mdd_max_logn.  A Min instance
+    is solved as its `dualize`, so L, K and the counts are the complement's.
 
     Every branch runs the degree-cap greedy on the whole graph with K
     removed, which picks the same vertices as on G[V \\ K].  The weights
@@ -84,8 +88,8 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     strict, so the result, ties on weight included, is that of running
     every branch to the end.  The ids of K are checked once, by
     f_dependent_delete, and only on branches where the greedy runs."""
-    if inst.objective is not Objective.MAX:
-        raise PreconditionError("branching algorithm applies to objective Max")
+    if inst.objective is Objective.MIN:
+        inst = dualize(inst)
     g = inst.graph
     p = inst.p
     if cap_on_L is None:
@@ -146,7 +150,8 @@ def mdd_max_logn(inst: Instance, cap_on_L: Optional[int] = None) -> DeletionSet:
 
     Each branch deletes K up front, forbids the rest of N(p), and caps every
     other vertex at d(p) - |K| - 1 via the degree-cap subroutine.  The
-    cheapest feasible candidate wins.
+    cheapest feasible candidate wins.  MDD(min) runs on the complement,
+    whose Max has the same feasible sets.
     """
     return mdd_max_logn_trace(inst, cap_on_L).solution
 

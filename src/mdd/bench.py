@@ -20,8 +20,7 @@ from typing import Optional
 from .approx import mdd_max_logn_trace
 from .cubic import mdd_max_cubic_trace
 from .errors import InputError, MDDError, VerificationError
-from .exact import (OracleConfig, WeightMode, brute_force_optimum, dualize,
-                    kregular_min_exact)
+from .exact import brute_force_optimum, kregular_min_exact
 from .generators import (generate_gnp, generate_random_regular,
                          generate_random_setsystem)
 from .graph import Instance, Objective, is_feasible, is_int
@@ -31,9 +30,7 @@ DEFAULT_ORACLE_CUTOFF = 28
 
 
 def _solve_oracle(inst, max_L):
-    # On unit weights the WEIGHTED search is the CARDINALITY one.
-    return brute_force_optimum(
-        inst, OracleConfig(weight_mode=WeightMode.WEIGHTED)), ()
+    return brute_force_optimum(inst), ()
 
 
 def _solve_kreg(inst, max_L):
@@ -41,9 +38,6 @@ def _solve_kreg(inst, max_L):
 
 
 def _solve_logn(inst, max_L):
-    # MDD(min) runs on the complement, whose Max has the same feasible sets.
-    if inst.objective is Objective.MIN:
-        inst = dualize(inst)
     trace = mdd_max_logn_trace(inst, max_L)
     return trace.solution, (
         f"L = {sorted(trace.l_set)}",
@@ -61,7 +55,8 @@ def _solve_cubic(inst, max_L):
 
 
 #: Every solver by name: fn(instance, max_L) -> (DeletionSet, trace lines).
-#: max_L caps the L-set of `logn`; the others ignore it.
+#: Each calls its library function with that function's defaults and only
+#: formats the trace.  max_L caps the L-set of `logn`; the others ignore it.
 ALGORITHMS = {
     "oracle": _solve_oracle,
     "kreg-exact": _solve_kreg,

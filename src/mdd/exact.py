@@ -23,7 +23,11 @@ class WeightMode(Enum):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    weight_mode: WeightMode = WeightMode.CARDINALITY
+    """The oracle's key and search-node budget.  WEIGHTED, the default,
+    minimizes weight, then size; CARDINALITY minimizes size alone.  On unit
+    weights the two are one search."""
+
+    weight_mode: WeightMode = WeightMode.WEIGHTED
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
@@ -40,10 +44,12 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
     set, so the search branches over the few vertices that can fix one: the
     vertex itself, or a neighbour of it that is not a neighbour of p.  It
     returns the minimum under the deterministic tie-break: smaller weight,
-    then smaller cardinality, then lexicographically smallest vertex tuple;
-    CARDINALITY mode drops the weight.  The budget counts search nodes.  A
-    Min instance is searched as Max on its complement, so it builds the
-    same tree as its `dualize` and gives the same result, or the same error.
+    then smaller cardinality, then lexicographically smallest vertex tuple
+    (the default WEIGHTED mode, the key of `mdd solve --algo oracle` and
+    of the other exact and branching solvers); CARDINALITY mode drops the
+    weight.  The budget counts search nodes.  A Min instance is searched as
+    Max on its complement, so it builds the same tree as its `dualize` and
+    gives the same result, or the same error.
     """
     # A node deletes `removed` and may no longer delete `blocked`.  A kept
     # v != p violates when d(v) >= d(p).  Deleting a common neighbour of v
@@ -144,7 +150,8 @@ def kregular_min_exact(inst: Instance) -> DeletionSet:
     peel by (weight, size, sorted tuple) is the oracle's WEIGHTED answer.
     """
     if inst.objective is not Objective.MIN:
-        raise PreconditionError("regular-graph solver handles objective Min only")
+        raise PreconditionError(
+            "K peel handles objective Min only; run Max as dualize(inst)")
     g = inst.graph
     p = inst.p
     k = len(g.adj[p])

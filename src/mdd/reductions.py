@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, VerificationError
 from .graph import (DeletionSet, Graph, Instance, Objective, _ids,
                     _solution_vertices, is_feasible, is_int)
 from .subroutines import is_dominating
@@ -244,8 +244,7 @@ def project_solution(art: ReductionArtifact, s) -> frozenset:
     if isinstance(source, Graph):
         dom = frozenset(v for v in verts if v < source.n)
         if not is_dominating(source, dom):
-            raise PreconditionError(
-                "projected set fails domination; the input cannot have been feasible")
+            raise VerificationError("projected set fails domination")
         return dom
     r, family = source.universe_size, source.family
     adj = art.instance.graph.adj
@@ -257,8 +256,7 @@ def project_solution(art: ReductionArtifact, s) -> frozenset:
         elif u < r + source.num_sets:
             cover.add(u - r)
     if not source.is_cover(cover):
-        raise PreconditionError(
-            "projected indices fail to cover; the input cannot have been feasible")
+        raise VerificationError("projected indices fail to cover")
     return frozenset(cover)
 
 

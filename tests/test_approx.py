@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdd import (BudgetError, Graph, InfeasibleError, InputError, Instance,
-                 Objective, PreconditionError, UNDELETABLE, VerificationError,
-                 brute_force_optimum,
+from mdd import (BudgetError, DeletionSet, Graph, InfeasibleError, InputError,
+                 Instance, Objective, PreconditionError, UNDELETABLE,
+                 VerificationError, brute_force_optimum,
                  build_L, dualize, is_feasible, mdd_max_logn,
                  mdd_max_logn_trace, generate_gnp)
 from mdd import approx
@@ -165,9 +165,12 @@ class TestMddMaxLogn:
         assert err.type is VerificationError
         assert str(err.value) == "branching algorithm selected an infeasible set"
 
-    def test_min_objective_rejected(self):
-        with pytest.raises(PreconditionError):
-            mdd_max_logn(Instance(complete(3), 0))
+    def test_min_objective_runs_on_the_complement(self):
+        # Min runs as Max on the complement, here K3 minus its edges, where
+        # every vertex but p must go.
+        inst = Instance(complete(3), 0)
+        assert mdd_max_logn(inst) == DeletionSet(frozenset({1, 2}), 2)
+        assert mdd_max_logn(inst) == mdd_max_logn(dualize(inst))
 
 
 def largest_start_gain(inst):

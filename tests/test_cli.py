@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -575,6 +577,14 @@ class TestGenAndSubroutine:
         assert "--cap applies only to --kind fdep" in captured.err
 
 
+def _mask_wall_time(report):
+    rows = list(csv.DictReader(io.StringIO(report)))
+    assert rows
+    for row in rows:
+        row["wall_time"] = "-"
+    return rows
+
+
 class TestBenchCommand:
     def test_bench_csv_and_json(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -588,6 +598,13 @@ class TestBenchCommand:
         assert csv_path.read_text().startswith("instance_id,")
         payload = json.loads(json_path.read_text())
         assert payload["aggregates"]["oracle"]["rows"] == 1
+        # With neither file, the CSV report goes to stdout.
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert (_mask_wall_time(captured.out)
+                == _mask_wall_time(csv_path.read_text()))
 
     @pytest.mark.parametrize("config, inapplicable", [
         ({"family": "gnp", "sizes": [6], "objective": "max",

@@ -11,17 +11,17 @@ import types
 
 import pytest
 
-from mdd import (BudgetError, ExperimentConfig, FDepProblem, Graph,
-                 InfeasibleError, InputError, Instance, Objective,
+from mdd import (BudgetError, DeletionSet, ExperimentConfig, FDepProblem,
+                 Graph, InfeasibleError, InputError, Instance, Objective,
                  OracleConfig, PreconditionError, SetSystem, UNDELETABLE,
                  VerificationError, WeightMode, brute_force_optimum,
                  build_domination_gadget, build_gstar, build_L, bench, cubic,
-                 dominating_set_approx, errors, f_dependent_delete,
+                 dominating_set_approx, dualize, errors, f_dependent_delete,
                  generate_random_regular, generate_random_setsystem,
                  is_dominating, is_feasible, kregular_min_exact, lift_solution,
                  mdd_max_cubic, mdd_max_logn, mindom_cubic_to_mddmax_cubic,
                  mindom_to_mddmin, normalize_dominating_set, project_solution,
-                 serialize_instance, setcover_to_mddmax_bip,
+                 reductions, serialize_instance, setcover_to_mddmax_bip,
                  setcover_to_mddmin_bip)
 from mdd.cli import main
 
@@ -82,6 +82,24 @@ MOVED = {
         InputError, "set index True not in range(2)"),
     "setsystem-element": (lambda: SetSystem(2, [{0, 1}, [2]]),
                           InputError, "element 2 not in range(2)"),
+    "setsystem-empty": (lambda: SetSystem(3, ()),
+                        InputError, "family must be non-empty"),
+    "instance-weights": (lambda: Instance(PATH3, 0, (1, 1)),
+                         InputError, "weights length must equal vertex count"),
+    "cycle-2": (lambda: Graph.cycle(2),
+                InputError, "cycle needs at least 3 vertices"),
+    "bench-algorithms": (lambda: ExperimentConfig(
+        family="gnp", sizes=[3], algorithms="oracle"),
+        InputError, "algorithms must be a list of solver names"),
+    "bench-objective": (lambda: ExperimentConfig(
+        family="gnp", sizes=[3], objective="mid"),
+        InputError, "objective must be 'min' or 'max'"),
+    "bench-prob-bool": (lambda: ExperimentConfig(
+        family="gnp", sizes=[3], edge_prob=True),
+        InputError, "edge_prob must be a number in [0, 1]"),
+    "bench-prob-range": (lambda: ExperimentConfig(
+        family="gnp", sizes=[3], edge_prob=1.5),
+        InputError, "edge_prob must be a number in [0, 1]"),
     "logn-cap": (lambda: mdd_max_logn(_max(star(3)), -1),
                  InputError, "cap on |L| must be an integer >= 0"),
     "oracle-mode": (lambda: OracleConfig(weight_mode="weighted"),
@@ -121,8 +139,6 @@ MOVED = {
 STAYS = {
     "build-L-min": (lambda: build_L(Instance(PATH3, 1)),
                     "L-set construction applies to objective Max"),
-    "logn-min": (lambda: mdd_max_logn(Instance(PATH3, 1)),
-                 "branching algorithm applies to objective Max"),
     "cubic-regular": (lambda: mdd_max_cubic(_max(Graph.cycle(5))),
                       "graph is not 3-regular"),
     "cubic-min": (lambda: mdd_max_cubic(Instance(K33, 0)),
@@ -130,7 +146,7 @@ STAYS = {
     "cubic-unit": (lambda: mdd_max_cubic(_max(K33, 0, (1, 1, 2, 1, 1, 1))),
                    "cubic algorithm requires unit weights"),
     "kreg-max": (lambda: kregular_min_exact(_max(K33)),
-                 "regular-graph solver handles objective Min only"),
+                 "K peel handles objective Min only; run Max as dualize(inst)"),
     "regular-size": (lambda: generate_random_regular(5, 3, 0),
                      "no 3-regular graph on 5 vertices (need 0 <= k < n, "
                      "n*k even)"),
@@ -144,6 +160,8 @@ STAYS = {
                            "1 is not a neighbor of p"),
     "feasible-p": (lambda: is_feasible(_max(PATH3, 1), {1}),
                    "deletion set may not contain p"),
+    "deletion-set-p": (lambda: DeletionSet.of(_max(PATH3, 1), {1}),
+                       "deletion set may not contain p"),
     "project-infeasible": (lambda: project_solution(
         mindom_to_mddmin(PATH3), set()),
         "solution is not feasible for the instance"),
@@ -175,6 +193,25 @@ def test_normalize_post_check_is_a_verification_error(monkeypatch):
         normalize_dominating_set(gadget, {1, 2})
 
 
+#: (artifact, deletion set, message) per source kind: a set whose projection
+#: fails its post-check, reachable only past a faulty feasibility check.
+PROJECTED = {
+    "graph": (mindom_to_mddmin(PATH3), set(),
+              "projected set fails domination"),
+    "set-system": (setcover_to_mddmin_bip(SetSystem(2, [{0}, {1}])), set(),
+                   "projected indices fail to cover"),
+}
+
+
+@pytest.mark.parametrize("art, s, message", PROJECTED.values(),
+                         ids=PROJECTED.keys())
+def test_project_post_check_is_a_verification_error(art, s, message,
+                                                    monkeypatch):
+    monkeypatch.setattr(reductions, "is_feasible", lambda inst, s: True)
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        project_solution(art, s)
+
+
 @pytest.mark.parametrize("call, message", STAYS.values(), ids=STAYS.keys())
 def test_refusals_outside_the_hypotheses_stay(call, message):
     with pytest.raises(PreconditionError,
@@ -196,6 +233,19 @@ PEELED = {
 def test_kreg_solves_its_former_refusals(inst):
     assert kregular_min_exact(inst) == brute_force_optimum(
         inst, OracleConfig(WeightMode.WEIGHTED))
+
+
+#: Min instances that mdd_max_logn once refused as outside its hypotheses:
+#: it runs them as Max on the complement, which has the same feasible sets.
+DUALIZED = {
+    "logn-min": Instance(PATH3, 1),
+    "logn-min-weighted": Instance(K33, 0, (1, 1, 2, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("inst", DUALIZED.values(), ids=DUALIZED.keys())
+def test_logn_solves_min_on_the_complement(inst):
+    assert mdd_max_logn(inst) == mdd_max_logn(dualize(inst))
 
 
 #: Each class's exit code and stderr prefix under `mdd` (README, CLI), and

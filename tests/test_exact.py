@@ -189,7 +189,8 @@ class TestKRegular:
         g = Graph(7, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 6), (2, 3),
                       (2, 4), (2, 6), (3, 5), (5, 6)])
         inst = Instance(g, 0, (1, 1, 1, 1, 5, 1, 5))
-        assert brute_force_optimum(inst).vertices == frozenset({4})
+        assert brute_force_optimum(
+            inst, OracleConfig(WeightMode.CARDINALITY)).vertices == frozenset({4})
         exact = kregular_min_exact(inst)
         assert exact == brute_force_optimum(inst, cfg)
         assert exact == DeletionSet(frozenset({3, 5}), 2)

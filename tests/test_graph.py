@@ -63,6 +63,12 @@ class TestGraphBasics:
         assert g.n == 10
         assert g.regular_degree() == 3
 
+    def test_empty_graph_has_no_regular_degree(self):
+        assert Graph(0).regular_degree() is None
+
+    def test_never_equals_a_non_graph(self):
+        assert (Graph(2) == "x") is False
+
     def test_bipartite_detection(self):
         assert is_bipartite(complete_bipartite(2, 3))
         assert not is_bipartite(complete(3))

@@ -333,9 +333,9 @@ class TestBench:
         calls = []
         solve = mdd.bench.brute_force_optimum
 
-        def counting(inst, cfg=None):
+        def counting(inst, *args, **kwargs):
             calls.append(inst)
-            return solve(inst, cfg)
+            return solve(inst, *args, **kwargs)
 
         monkeypatch.setattr(mdd.bench, "brute_force_optimum", counting)
         cfg = ExperimentConfig(family="gnp", sizes=[18],

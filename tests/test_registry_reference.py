@@ -12,6 +12,8 @@ and `kreg-exact` never refuses a Min instance: it raises BudgetError only when
 2^d(p) peels exceed `DEFAULT_BUDGET`, and InfeasibleError only where brute
 force finds no set.  On a unit-weight k-regular Max instance every set also
 meets `kreg_lower_bound`.  The peel also solves Max through `dualize`.
+Each name gives the set, or the error, of the library function it stands
+for, called with its defaults.
 
 Derandomized, so every run checks the same examples.
 """
@@ -23,12 +25,21 @@ from hypothesis import given, settings, strategies as st
 from mdd import (BudgetError, InfeasibleError, Instance, MDDError,
                  Objective, OracleConfig, PreconditionError, UNDELETABLE,
                  WeightMode, brute_force_optimum, dualize, generate_gnp,
-                 generate_random_regular, kregular_min_exact)
+                 generate_random_regular, kregular_min_exact, mdd_max_cubic,
+                 mdd_max_logn)
 from mdd.bench import ALGORITHMS, solve
 from mdd.exact import DEFAULT_BUDGET
 
 import bruteforce
 from testkit import kreg_lower_bound
+
+
+def _gnp_instance(rng, objective):
+    g = generate_gnp(rng.randint(2, 12), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]),
+                     rng.randrange(10**6))
+    pool = rng.choice([(1,), (1, 2, 3, 4, 5), (1, 2, 5, UNDELETABLE)])
+    return Instance(g, rng.randrange(g.n),
+                    [rng.choice(pool) for _ in range(g.n)], objective)
 
 
 @st.composite
@@ -43,11 +54,7 @@ def instances(draw):
         n = rng.randint(k + 1, 10)
         g = generate_random_regular(n + n * k % 2, k, rng.randrange(10**6))
         return Instance(g, rng.randrange(g.n), None, objective)
-    g = generate_gnp(rng.randint(2, 12), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]),
-                     rng.randrange(10**6))
-    pool = rng.choice([(1,), (1, 2, 3, 4, 5), (1, 2, 5, UNDELETABLE)])
-    return Instance(g, rng.randrange(g.n),
-                    [rng.choice(pool) for _ in range(g.n)], objective)
+    return _gnp_instance(rng, objective)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -71,8 +78,9 @@ def test_every_solver_is_feasible_and_no_lighter_than_optimum(inst):
                 assert 2 ** inst.graph.degree(inst.p) > DEFAULT_BUDGET
             continue
         except PreconditionError:
-            assert name != "oracle"
-            assert name != "kreg-exact" or inst.objective is Objective.MAX
+            # oracle and logn take every instance; the peel refuses Max.
+            assert name == "cubic" or (name == "kreg-exact"
+                                       and inst.objective is Objective.MAX)
             continue
         assert bruteforce.check_feasible(inst, solution.vertices)
         assert solution.total_weight == inst.weight_of(solution.vertices)
@@ -104,3 +112,20 @@ def test_peel_on_the_complement_solves_max(seed):
                     [rng.choice(pool) for _ in range(g.n)], Objective.MAX)
     assert _outcome(kregular_min_exact, dualize(inst)) == _outcome(
         brute_force_optimum, inst, OracleConfig(WeightMode.WEIGHTED))
+
+
+#: The library function behind each registry name.
+LIBRARY = {"oracle": brute_force_optimum, "kreg-exact": kregular_min_exact,
+           "logn": mdd_max_logn, "cubic": mdd_max_cubic}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(0, 10**6))
+def test_each_name_gives_its_library_call(seed):
+    # The registry holds no solver rule of its own (a weight mode, a
+    # complement), so `mdd solve --algo X` and the library call agree.
+    rng = random.Random(seed)
+    inst = _gnp_instance(rng, rng.choice(list(Objective)))
+    assert LIBRARY.keys() == ALGORITHMS.keys()
+    for name, fn in LIBRARY.items():
+        assert _outcome(lambda: solve(name, inst)[0]) == _outcome(fn, inst)
