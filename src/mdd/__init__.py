@@ -23,8 +23,7 @@ from .reductions import (ReductionArtifact, SetSystem, cubic_gadget,
 from .generators import (generate_gnp, generate_random_cubic,
                          generate_random_regular, generate_random_setsystem)
 from .fileio import (parse_graph, parse_instance, parse_setsystem,
-                     parse_solution, serialize_graph, serialize_instance,
-                     serialize_setsystem, serialize_solution)
+                     parse_solution, serialize_graph, serialize_instance)
 from .bench import ExperimentConfig, ExperimentReport, run_experiment
 
 __version__ = "0.1.0"

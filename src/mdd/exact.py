@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BudgetError, InfeasibleError, InputError, PreconditionError
-from .graph import DeletionSet, Instance, Objective, is_int
+from .graph import DeletionSet, Instance, Objective
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -23,18 +23,15 @@ class WeightMode(Enum):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """The oracle's key and search-node budget.  WEIGHTED, the default,
-    minimizes weight, then size; CARDINALITY minimizes size alone.  On unit
-    weights the two are one search."""
+    """The oracle's key.  WEIGHTED, the default, minimizes weight, then
+    size; CARDINALITY minimizes size alone.  On unit weights the two are one
+    search.  The node budget is DEFAULT_BUDGET, which the K peel shares."""
 
     weight_mode: WeightMode = WeightMode.WEIGHTED
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if not isinstance(self.weight_mode, WeightMode):
             raise InputError("oracle weight_mode must be a WeightMode")
-        if not is_int(self.budget, 1):
-            raise InputError("oracle budget must be an integer >= 1")
 
 
 def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> DeletionSet:
@@ -47,9 +44,11 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
     then smaller cardinality, then lexicographically smallest vertex tuple
     (the default WEIGHTED mode, the key of `mdd solve --algo oracle` and
     of the other exact and branching solvers); CARDINALITY mode drops the
-    weight.  The budget counts search nodes.  A Min instance is searched as
-    Max on its complement, so it builds the same tree as its `dualize` and
-    gives the same result, or the same error.
+    weight.  It raises BudgetError past DEFAULT_BUDGET search nodes, read
+    once per call: the exact layer's one node budget, which the K peel
+    shares.  A Min instance is searched as Max on its complement, so it
+    builds the same tree as its `dualize` and gives the same result, or the
+    same error.
     """
     # A node deletes `removed` and may no longer delete `blocked`.  A kept
     # v != p violates when d(v) >= d(p).  Deleting a common neighbour of v
@@ -66,6 +65,7 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
     # meets a feasible subset of it, and the minimum key is always met.
     g = inst.graph
     p = inst.p
+    budget = DEFAULT_BUDGET
     if cfg.weight_mode is WeightMode.WEIGHTED:
         cost = inst.weights
     else:
@@ -92,8 +92,8 @@ def brute_force_optimum(inst: Instance, cfg: OracleConfig = OracleConfig()) -> D
         if best is not None and spent > best[0]:
             continue
         nodes += 1
-        if nodes > cfg.budget:
-            raise BudgetError(f"oracle budget of {cfg.budget} search nodes exhausted")
+        if nodes > budget:
+            raise BudgetError(f"oracle budget of {budget} search nodes exhausted")
         remaining = full & ~removed
         free = remaining & ~blocked
         dp = (masks[p] & remaining).bit_count()
@@ -136,10 +136,11 @@ def dualize(inst: Instance) -> Instance:
 def kregular_min_exact(inst: Instance) -> DeletionSet:
     """Exact MDD(min) on any graph and weights, in O(2^k * k * n^2) time
     with k = d(p): 2^k peels of at most n rounds of O(k * n) each.  Each
-    peel counts as one node against DEFAULT_BUDGET, so BudgetError is
-    raised up front when 2^k exceeds it (k >= 21).  The paper states it for
-    regular graphs of constant degree, where k is the degree; the name stays
-    because perfbench calls it and `kreg-exact` names it in the CLI.
+    peel counts as one node against DEFAULT_BUDGET, the oracle's node
+    budget too, so BudgetError is raised up front when 2^k exceeds it
+    (k >= 21).  The paper states it for regular graphs of constant degree,
+    where k is the degree; the name stays because perfbench calls it and
+    `kreg-exact` names it in the CLI.
 
     Fix K = S & N(p) for a feasible S.  Then p keeps degree k - |K|, so S
     holds every v != p whose degree falls to k - |K| or below.  Peeling such
@@ -148,6 +149,8 @@ def kregular_min_exact(inst: Instance) -> DeletionSet:
     peel is feasible unless it deletes an UNDELETABLE vertex.  Weights are
     positive, so every minimum S is the peel of its own K, and the least
     peel by (weight, size, sorted tuple) is the oracle's WEIGHTED answer.
+    The loop keeps only the best peel so far, as the search does, so it
+    holds O(n) ids whatever k is; a peel of weight inf is never kept.
     """
     if inst.objective is not Objective.MIN:
         raise PreconditionError(
@@ -158,7 +161,7 @@ def kregular_min_exact(inst: Instance) -> DeletionSet:
     if 2 ** k > DEFAULT_BUDGET:
         raise BudgetError(f"2^{k} peels exceed the budget of "
                           f"{DEFAULT_BUDGET} search nodes")
-    peels = []
+    best = None
     for size in range(k + 1):
         for ks in itertools.combinations(sorted(g.adj[p]), size):
             kept = set(range(g.n)).difference(ks)
@@ -169,11 +172,13 @@ def kregular_min_exact(inst: Instance) -> DeletionSet:
                     break
                 kept -= peel
             if g.adj[p].difference(ks) <= kept:
-                peels.append(tuple(v for v in range(g.n) if v not in kept))
+                chosen = tuple(v for v in range(g.n) if v not in kept)
+                key = (inst.weight_of(chosen), len(chosen), chosen)
+                if key[0] != math.inf and (best is None or key < best):
+                    best = key
     # K = N(p) always yields a peel, V - {p}; only an UNDELETABLE vertex in
-    # every peel leaves no feasible one.
-    best = min(peels, key=lambda s: (inst.weight_of(s), len(s), s))
-    if inst.weight_of(best) == math.inf:
+    # every peel leaves no best.
+    if best is None:
         raise InfeasibleError(
             "no deletion set avoiding p and the undeletable vertices is feasible")
-    return DeletionSet.of(inst, best)
+    return DeletionSet.of(inst, best[2])

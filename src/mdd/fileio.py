@@ -1,4 +1,6 @@
-"""Text formats for graphs, instances, set systems, and solutions.
+"""Text formats for graphs, instances, set systems, and solutions.  The
+package writes graphs and instances (`mdd gen` and `mdd reduce` emit them)
+and reads all four.
 
 Graph file: line `n m`, then m lines `u v` with 0-based ids and u < v.
 Instance file: a graph, then `p <id> objective <min|max>`, then optional
@@ -7,15 +9,14 @@ Set system file: line `r t` (both >= 1), then t non-empty lines of
 space-separated element ids.
 Solution file: whitespace-separated vertex ids.
 
-Blank lines and lines starting with `#` are ignored everywhere.  Serializers
-emit a canonical form (sorted edges, no comments) so that parse/serialize
-round-trips are byte-identical on canonical files.
+Blank lines and lines starting with `#` are ignored everywhere.  The two
+serializers emit a canonical form (sorted edges, no comments) so that
+parse/serialize round-trips are byte-identical on canonical files.
 """
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable
 
 from .errors import InputError
 from .graph import Graph, Instance, Objective, UNDELETABLE
@@ -164,19 +165,9 @@ def parse_setsystem(text: str) -> SetSystem:
     return SetSystem(r, tuple(family))
 
 
-def serialize_setsystem(sys: SetSystem) -> str:
-    out = [f"{sys.universe_size} {sys.num_sets}"]
-    out += [" ".join(str(x) for x in sorted(f)) for f in sys.family]
-    return "\n".join(out) + "\n"
-
-
 def parse_solution(text: str) -> frozenset:
     ids = []
     for lineno, line in _content_lines(text):
         ids += (_int(tok, lineno, f"'{tok}' is not a vertex id")
                 for tok in line.split())
     return frozenset(ids)
-
-
-def serialize_solution(vertices: Iterable[int]) -> str:
-    return " ".join(str(v) for v in sorted(vertices)) + "\n"

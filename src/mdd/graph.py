@@ -60,7 +60,12 @@ class Graph:
         if not is_int(n, 0):
             raise InputError("vertex count must be a non-negative integer")
         adj = [set() for _ in range(n)]
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InputError(f"edge {edge!r} is not a pair of vertex "
+                                 "ids") from None
             if not (is_int(u, 0) and u < n and is_int(v, 0) and v < n):
                 raise InputError(f"edge ({u!r}, {v!r}) out of range for n={n}")
             if u == v:

@@ -352,8 +352,8 @@ def is_dominating(g: Graph, vertices: Iterable[int]) -> bool:
     return len(vertices | g.neighborhood_of_set(vertices)) == g.n
 
 
-def dissociation_delete(g: Graph, weights: Optional[tuple] = None,
-                        removed: Iterable[int] = ()) -> frozenset:
-    """Greedy deletion until G - removed has maximum degree 1, as
-    f_dependent_delete with every cap 1."""
-    return f_dependent_delete(FDepProblem.uniform(g, 1, weights), removed)
+def dissociation_delete(g: Graph) -> frozenset:
+    """Greedy unit-weight deletion until G has maximum degree 1, as
+    f_dependent_delete(FDepProblem.uniform(g, 1)).  The cubic solve builds
+    that problem itself, to pass `removed` and a budget."""
+    return f_dependent_delete(FDepProblem.uniform(g, 1))

@@ -5,9 +5,9 @@
 checks every subset of the deletable vertices by increasing size, in
 lexicographic order, with `is_feasible`, and keeps the minimum key (weight,
 size, sorted tuple), or returns the first feasible set in CARDINALITY mode.
-Its budget counts subsets.  The package's search tree and its Min peel (one
-peel per K <= N(p)) must return exactly the same sets; tests compare
-against it.
+Its budget, an argument, counts subsets.  The package's search tree and
+its Min peel (one peel per K <= N(p)) must return exactly the same sets;
+tests compare against it.
 
 `kregular_feasible_witness` is the constructive feasible set that bounds
 the optimum of a unit-weight k-regular Min instance by 2k - 1; tests check
@@ -21,7 +21,7 @@ from mdd import (BudgetError, DeletionSet, InfeasibleError, Instance,
                  is_feasible)
 
 
-def _enumerate(inst: Instance, cfg: OracleConfig) -> DeletionSet:
+def _enumerate(inst: Instance, cfg: OracleConfig, budget: int) -> DeletionSet:
     # Every subset of the deletable vertices, smallest first; the reference
     # that brute_force_optimum and kregular_min_exact are tested against.
     deletable = [v for v in range(inst.graph.n)
@@ -32,8 +32,8 @@ def _enumerate(inst: Instance, cfg: OracleConfig) -> DeletionSet:
     for size in range(len(deletable) + 1):
         for combo in itertools.combinations(deletable, size):
             checked += 1
-            if checked > cfg.budget:
-                raise BudgetError(f"oracle budget of {cfg.budget} subsets exhausted")
+            if checked > budget:
+                raise BudgetError(f"oracle budget of {budget} subsets exhausted")
             if not is_feasible(inst, combo):
                 continue
             weight = inst.weight_of(combo)

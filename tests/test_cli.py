@@ -13,15 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 from mdd import (Graph, Instance, Objective, generate_gnp,
                  generate_random_cubic, serialize_graph,
-                 serialize_instance, serialize_setsystem, serialize_solution,
-                 SetSystem, mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
+                 serialize_instance, SetSystem, mindom_cubic_to_mddmax_cubic,
+                 mindom_to_mddmin,
                  parse_graph, parse_instance, setcover_to_mddmax_bip,
                  setcover_to_mddmin_bip)
 from mdd import InputError, fileio
 from mdd.bench import ALGORITHMS
 from mdd.cli import build_parser, main
 
-from testkit import complete, star
+from testkit import (complete, serialize_setsystem, serialize_solution,
+                     star)
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 

@@ -190,18 +190,15 @@ def test_dissociation_counting_bound_is_sound(half, seed):
         assert 5 * min_dissociation_weight(rest) >= 2 * g.n - 5 * len(removed)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(st.integers(4, 20), st.integers(0, 10**6))
-def test_dissociation_counting_bound_is_the_knapsack_bound(half, seed):
-    # With every cap 1 on a cubic G, every start gain is 5 and E0 = 2n, so
-    # _outweighs's fractional knapsack over G - R weighs (2n - 5|R|) / 5:
-    # the counting bound of mdd_max_cubic_trace is the greedy layer's bound,
-    # for every final-degree-2 branch and every budget b >= 0.  Below 0 only
-    # _outweighs settles the branch, and the greedy then returns None at
-    # once.
-    g = generate_random_cubic(2 * half, seed)
+def _assert_counting_bound_is_outweighs(g, ps):
+    # With every cap 1 on a cubic G, every start gain is 5, every weight 1
+    # and E0 = 2n, so _outweighs's fractional knapsack over G - R weighs
+    # (2n - 5|R|) / 5: the counting bound of mdd_max_cubic_trace is the
+    # greedy layer's bound, for every final-degree-2 branch of each p in
+    # `ps` and every budget 0 <= b < n.  Below 0 only _outweighs settles the
+    # branch, and the greedy then returns None at once.
     prob = subroutines.FDepProblem.uniform(g, 1)
-    for p in range(g.n):
+    for p in ps:
         for x in sorted(g.adj[p]):
             fixed = cubic._gstar(g, p, x)
             if fixed is None:
@@ -213,6 +210,24 @@ def test_dissociation_counting_bound_is_the_knapsack_bound(half, seed):
             assert subroutines._outweighs(prob, removed, -1)
             assert subroutines.f_dependent_delete(prob, removed,
                                                   budget=-1) is None
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(4, 20), st.integers(0, 10**6))
+def test_dissociation_counting_bound_is_the_knapsack_bound(half, seed):
+    g = generate_random_cubic(2 * half, seed)
+    _assert_counting_bound_is_outweighs(g, range(g.n))
+
+
+@pytest.mark.parametrize("n", [200, 202, 204, 206, 208, 250])
+def test_counting_bound_is_the_knapsack_bound_at_cubic_large_sizes(n):
+    # Sizes of the cubic benchmark, with 2n taking every residue mod 5 (a
+    # bound off by one excess unit shows only at some), seeds 0-3 and eight
+    # values of p each: the K loop may settle these branches by the closed
+    # form alone.
+    for seed in range(4):
+        g = generate_random_cubic(n, seed)
+        _assert_counting_bound_is_outweighs(g, [i * n // 8 for i in range(8)])
 
 
 class TestGStar:

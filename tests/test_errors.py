@@ -86,6 +86,11 @@ MOVED = {
                         InputError, "family must be non-empty"),
     "instance-weights": (lambda: Instance(PATH3, 0, (1, 1)),
                          InputError, "weights length must equal vertex count"),
+    "graph-edge-triple": (lambda: Graph(3, [(0, 1, 2)]),
+                          InputError, "edge (0, 1, 2) is not a pair of "
+                          "vertex ids"),
+    "graph-edge-int": (lambda: Graph(3, [1]),
+                       InputError, "edge 1 is not a pair of vertex ids"),
     "cycle-2": (lambda: Graph.cycle(2),
                 InputError, "cycle needs at least 3 vertices"),
     "bench-algorithms": (lambda: ExperimentConfig(
@@ -104,8 +109,6 @@ MOVED = {
                  InputError, "cap on |L| must be an integer >= 0"),
     "oracle-mode": (lambda: OracleConfig(weight_mode="weighted"),
                     InputError, "oracle weight_mode must be a WeightMode"),
-    "oracle-budget": (lambda: OracleConfig(budget=0),
-                      InputError, "oracle budget must be an integer >= 1"),
     # The type comes first: 5.0 vertices of degree 3 also admit no graph.
     "regular-float-n": (lambda: generate_random_regular(5.0, 3, 0),
                         InputError, "n and k must be integers"),

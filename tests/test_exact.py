@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from mdd import (BudgetError, DeletionSet, Graph, InfeasibleError,
                  InputError, Instance, Objective, OracleConfig, UNDELETABLE,
                  WeightMode,
-                 brute_force_optimum, dualize, is_feasible,
+                 brute_force_optimum, exact, dualize, is_feasible,
                  kregular_min_exact, generate_gnp, generate_random_regular)
 
 from bruteforce import check_feasible, min_deletion_set
@@ -35,12 +36,14 @@ class TestOracle:
         best = brute_force_optimum(inst)
         assert best.vertices == frozenset({4, 5})
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
         inst = Instance(Graph.cycle(5), 0)
-        with pytest.raises(BudgetError):
-            brute_force_optimum(inst, OracleConfig(budget=3))
+        monkeypatch.setattr(exact, "DEFAULT_BUDGET", 3)
+        with pytest.raises(BudgetError, match="^oracle budget of 3 search "
+                           "nodes exhausted$"):
+            brute_force_optimum(inst)
 
-    def test_budget_counts_search_nodes(self):
+    def test_budget_counts_search_nodes(self, monkeypatch):
         # The search visits 8 nodes on C5; with the heavy vertices 2 and 3
         # the weight prune skips one of them.  At {1, 2} the violator 3
         # shares its neighbour 4 with p, so deleting 4 cannot close the gap
@@ -50,28 +53,30 @@ class TestOracle:
         for weights, mode, nodes in [(None, WeightMode.CARDINALITY, 8),
                                      ((1, 1, 9, 9, 1), WeightMode.WEIGHTED, 7)]:
             inst = Instance(Graph.cycle(5), 0, weights)
-            best = brute_force_optimum(inst, OracleConfig(mode, budget=nodes))
+            monkeypatch.setattr(exact, "DEFAULT_BUDGET", nodes)
+            best = brute_force_optimum(inst, OracleConfig(mode))
             assert best.vertices == frozenset({1, 4})
+            monkeypatch.setattr(exact, "DEFAULT_BUDGET", nodes - 1)
             with pytest.raises(BudgetError):
-                brute_force_optimum(inst, OracleConfig(mode, budget=nodes - 1))
+                brute_force_optimum(inst, OracleConfig(mode))
 
-    def test_complete_graph_min_branches_once_per_vertex(self):
+    def test_complete_graph_min_branches_once_per_vertex(self, monkeypatch):
         # On K_18 every vertex shares all its other neighbours with p, so
         # each fixing set is the violator alone: one path of 18 nodes down
         # to V - {p}.  A fixing set that kept the common neighbours would
         # branch over all of N(p) at every level.
         inst = Instance(complete(18), 0)
-        best = brute_force_optimum(inst, OracleConfig(budget=18))
+        monkeypatch.setattr(exact, "DEFAULT_BUDGET", 18)
+        best = brute_force_optimum(inst)
         assert best.vertices == frozenset(range(1, 18))
+        monkeypatch.setattr(exact, "DEFAULT_BUDGET", 17)
         with pytest.raises(BudgetError):
-            brute_force_optimum(inst, OracleConfig(budget=17))
+            brute_force_optimum(inst)
 
-    @pytest.mark.parametrize("field, value", [
-        ("weight_mode", "weighted"), ("budget", "3"), ("budget", True)])
+    @pytest.mark.parametrize("field, value", [("weight_mode", "weighted")])
     def test_config_rejects_what_it_cannot_use(self, field, value):
-        # A string weight_mode used to run CARDINALITY silently, a string
-        # budget raised TypeError and a bool budget was taken as 1.  Each
-        # is a malformed value.
+        # A string weight_mode used to run CARDINALITY silently: a
+        # malformed value.
         with pytest.raises(InputError):
             OracleConfig(**{field: value})
 
@@ -206,6 +211,26 @@ class TestKRegular:
             for p in range(n):
                 inst = Instance(g, p)
                 assert kregular_min_exact(inst) == brute_force_optimum(inst, cfg)
+
+    def test_peel_keeps_only_the_best_peel(self):
+        # p is joined to 10 vertices of a 40-clique, from which 300 leaves
+        # hang: each of the 1,024 peels deletes up to 340 ids, about 5 MiB
+        # held at once if every peel were kept.  The best is K = N(p) with
+        # the 80 leaves it strands.
+        clique = range(1, 41)
+        edges = [(u, v) for u in clique for v in clique if u < v]
+        edges += [(0, c) for c in range(1, 11)]
+        edges += [(1 + i % 40, 41 + i) for i in range(300)]
+        inst = Instance(Graph(341, edges), 0)
+        tracemalloc.start()
+        try:
+            exact_set = kregular_min_exact(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stranded = {41 + i for i in range(300) if i % 40 < 10}
+        assert exact_set == DeletionSet.of(inst, set(range(1, 11)) | stranded)
+        assert peak < 2 ** 20
 
     def test_peel_count_over_budget_raises_at_once(self):
         # K_22 needs 2^21 peels, over the 2,000,000-node oracle budget.

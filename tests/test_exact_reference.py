@@ -9,21 +9,23 @@ on random regular graphs.  The reference k-regular witness is checked on
 small graphs.
 
 Each comparison gives both sides a budget equal to the number of subsets
-the enumeration checks, so the search must also never visit more nodes
-than there are subsets: its branches part the supersets of a node, so no
-set is visited twice.
+the enumeration checks (the search's by patching `mdd.exact.DEFAULT_BUDGET`,
+its one node budget), so the search must also never visit more nodes than
+there are subsets: its branches part the supersets of a node, so no set is
+visited twice.
 
 Derandomized, so every run checks the same examples; a failure is shrunk
 to a small counterexample.
 """
 import sys
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from mdd import (Graph, Instance, MDDError, Objective, OracleConfig,
                  UNDELETABLE, WeightMode, brute_force_optimum, dualize,
                  generate_gnp, generate_random_regular, is_feasible,
-                 kregular_min_exact)
+                 exact, kregular_min_exact)
 
 import reference_exact
 from testkit import complete, complete_bipartite
@@ -77,9 +79,11 @@ def instances(draw):
 @EXAMPLES
 @given(instances(), st.sampled_from(list(WeightMode)))
 def test_oracle_matches_subset_enumeration(inst, mode):
-    cfg = OracleConfig(weight_mode=mode, budget=2 ** len(_deletable(inst)))
-    assert (_outcome(brute_force_optimum, inst, cfg)
-            == _outcome(reference_exact._enumerate, inst, cfg))
+    cfg = OracleConfig(weight_mode=mode)
+    budget = 2 ** len(_deletable(inst))
+    with mock.patch.object(exact, "DEFAULT_BUDGET", budget):
+        searched = _outcome(brute_force_optimum, inst, cfg)
+    assert searched == _outcome(reference_exact._enumerate, inst, cfg, budget)
 
 
 @EXAMPLES
@@ -89,10 +93,11 @@ def test_oracle_is_self_dual(inst):
     # complement, so even the budget edge falls on the same node.
     dual = dualize(inst)
     for mode in WeightMode:
+        cfg = OracleConfig(weight_mode=mode)
         for budget in (2 ** i for i in range(len(_deletable(inst)) + 1)):
-            cfg = OracleConfig(weight_mode=mode, budget=budget)
-            assert (_outcome(brute_force_optimum, inst, cfg)
-                    == _outcome(brute_force_optimum, dual, cfg))
+            with mock.patch.object(exact, "DEFAULT_BUDGET", budget):
+                assert (_outcome(brute_force_optimum, inst, cfg)
+                        == _outcome(brute_force_optimum, dual, cfg))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -101,7 +106,7 @@ def test_kregular_min_exact_matches_subset_enumeration(data):
     g = _regular(data.draw, 14)
     inst = Instance(g, data.draw(st.integers(0, g.n - 1)))
     assert kregular_min_exact(inst) == reference_exact._enumerate(
-        inst, OracleConfig(budget=sys.maxsize))
+        inst, OracleConfig(), sys.maxsize)
 
 
 def test_witness_c5():

@@ -47,7 +47,7 @@ from hypothesis import given, settings, strategies as st
 from mdd import (FDepProblem, InfeasibleError,
                  Instance, MDDError, PreconditionError, Objective, UNDELETABLE, approx, build_L,
                  cubic,
-                 build_gstar, Graph, dissociation_delete,
+                 build_gstar, Graph,
                  dominating_set_approx, dualize, f_dependent_delete,
                  generate_gnp, generate_random_cubic, generate_random_regular,
                  mdd_max_cubic_trace, mdd_max_logn_trace, subroutines)
@@ -655,7 +655,8 @@ def test_cubic_dissociation_candidates_match_reference(half, seed):
                 continue
             fixed = build_gstar(inst, x)
             removed = fixed | g.closed_neighborhood(p)
-            assert fixed | dissociation_delete(g, removed=removed) == reference
+            assert fixed | f_dependent_delete(
+                FDepProblem.uniform(g, 1), removed) == reference
             branches.append((fixed, removed, reference))
         calls.clear()
         with mock.patch.object(cubic, "f_dependent_delete", recording):

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mdd.bench
+import mdd.generators
 from mdd import (BudgetError, DeletionSet, ExperimentConfig, Graph, InputError,
                  PreconditionError, VerificationError, generate_gnp,
                  generate_random_regular, generate_random_setsystem,
                  parse_graph, parse_instance,
                  parse_setsystem, parse_solution, run_experiment,
-                 serialize_graph, serialize_instance, serialize_setsystem,
-                 serialize_solution, setcover_to_mddmax_bip,
+                 serialize_graph, serialize_instance, setcover_to_mddmax_bip,
                  setcover_to_mddmin_bip, Instance, Objective, UNDELETABLE)
 
 from bruteforce import min_cover_size
-from testkit import complete, petersen, star
+from testkit import (complete, petersen, serialize_setsystem,
+                     serialize_solution, star)
 
 
 class TestGenerators:
@@ -59,6 +60,21 @@ class TestGenerators:
     def test_setsystem_rejects_r1(self):
         with pytest.raises(PreconditionError):
             generate_random_setsystem(1, 3, 0)
+
+    @pytest.mark.parametrize("make, args, message", [
+        (generate_random_regular, (4, 3, 0),
+         "failed to produce a simple 3-regular graph on 4 vertices"),
+        (generate_random_setsystem, (2, 3, 0),
+         "failed to sample a valid set system with r=2, t=3"),
+    ], ids=["regular", "setsystem"])
+    def test_generators_give_up_after_their_attempts(self, make, args,
+                                                     message, monkeypatch):
+        # With no attempts left, both sampling loops end in their refusal.
+        monkeypatch.setattr(mdd.generators, "_MAX_ATTEMPTS", 0)
+        with pytest.raises(PreconditionError,
+                           match=f"^{re.escape(message)}$") as err:
+            make(*args)
+        assert type(err.value) is PreconditionError
 
     @pytest.mark.parametrize("make, args", [
         (generate_random_regular, (4, True)),

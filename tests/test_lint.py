@@ -365,3 +365,48 @@ def test_greedy_layer_refuses_in_one_place():
     assert len(sites) == 1
     assert id(sites[0]) in _in_functions([("subroutines.py",
                                            "f_dependent_delete")])
+
+
+#: Public names that no solver, CLI command or bench path calls and that
+#: stay in the package: the hardness constructions' two solution maps, the
+#: library half of each reduction that README documents.
+LIBRARY_ONLY = {"lift_solution", "project_solution"}
+
+
+def test_every_public_definition_has_a_user_outside_the_tests():
+    # A public function, class or method of src/mdd earns its place by a
+    # user outside the tests: an ast Name or Attribute naming it elsewhere
+    # in the package (not in its own definition, nor the re-exports of
+    # __init__.py), or a word in perfbench's code, whose tracer names the
+    # layers it wraps by string.  What only tests use lives in testkit.py.
+    defined = []
+    for name, tree in TREES.items():
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            defined += [(name, d) for d in [node, *members]
+                        if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and not d.name.startswith("_")]
+    named = [(name, node.lineno,
+              node.id if isinstance(node, ast.Name) else node.attr)
+             for name, tree in TREES.items() if name != "__init__.py"
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    perfbench = "\n".join(
+        path.read_text() for path in sorted(
+            (Path(__file__).parent.parent / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_"))
+    assert defined and perfbench
+
+    def used(where, d):
+        return (any(word == d.name and not (
+                    name == where and d.lineno <= line <= d.end_lineno)
+                    for name, line, word in named)
+                or re.search(rf"\b{d.name}\b", perfbench) is not None)
+
+    unused = [f"{where}:{d.lineno}: {d.name}" for where, d in defined
+              if d.name not in LIBRARY_ONLY and not used(where, d)]
+    assert unused == []

@@ -238,8 +238,9 @@ class TestDissociationDelete:
 
     def test_removed_vertices_are_absent(self):
         g = Graph.path(5)
-        assert dissociation_delete(g, removed={2}) == frozenset()
-        assert dissociation_delete(g, removed={0}) == frozenset({2})
+        prob = FDepProblem.uniform(g, 1)
+        assert f_dependent_delete(prob, {2}) == frozenset()
+        assert f_dependent_delete(prob, {0}) == frozenset({2})
 
     def test_max_degree_after(self):
         rng = random.Random(31)

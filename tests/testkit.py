@@ -1,5 +1,5 @@
-"""Graph fixtures, checkers, a role lookup and a bound that only the test
-suite uses.
+"""Graph fixtures, checkers, a role lookup, a bound and the set-system and
+solution serializers that only the test suite uses.
 
 None of these is called by a solver, the CLI or the benchmark harness, so
 they live beside bruteforce.py rather than in the package.
@@ -77,3 +77,16 @@ def kreg_lower_bound(n, k, f):
     if not 0 <= f <= k:
         raise PreconditionError("f must lie in [0, k]")
     return Fraction((k - f + 1) * n - 1, 2 * k - f + 1)
+
+
+def serialize_setsystem(sys):
+    """The set-system file of a SetSystem: header `r t`, then each set's
+    elements ascending, one set per line."""
+    out = [f"{sys.universe_size} {sys.num_sets}"]
+    out += [" ".join(str(x) for x in sorted(f)) for f in sys.family]
+    return "\n".join(out) + "\n"
+
+
+def serialize_solution(vertices):
+    """The solution file of a vertex set: its ids ascending, on one line."""
+    return " ".join(str(v) for v in sorted(vertices)) + "\n"
