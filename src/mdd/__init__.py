@@ -17,8 +17,7 @@ from .cubic import (DominationGadget, build_domination_gadget, build_gstar,
                     mdd_max_cubic, mdd_max_cubic_trace,
                     normalize_dominating_set)
 from .reductions import (ReductionArtifact, SetSystem, cubic_gadget,
-                         lift_solution, mindom_cubic_to_mddmax_cubic,
-                         mindom_to_mddmin, project_solution,
+                         mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
                          setcover_to_mddmax_bip, setcover_to_mddmin_bip)
 from .generators import (generate_gnp, generate_random_cubic,
                          generate_random_regular, generate_random_setsystem)

@@ -4,8 +4,8 @@ against the instance's optimum, and collect ratio reports as CSV or JSON.
 
 The optimum of a set-cover instance is known from its source (the minimum
 cover size, which both bipartite constructions keep); on gnp and regular
-instances up to `oracle_cutoff` vertices it is the weight of the `oracle`
-row, solved once per instance.
+instances up to `DEFAULT_ORACLE_CUTOFF` vertices it is the weight of the
+`oracle` row, solved once per instance.
 """
 from __future__ import annotations
 
@@ -91,7 +91,6 @@ class ExperimentConfig:
     instances_per_size: int = 5
     seed: int = 0
     objective: str = "max"
-    oracle_cutoff: int = DEFAULT_ORACLE_CUTOFF
     max_L: Optional[int] = None
 
     def __post_init__(self):
@@ -109,8 +108,7 @@ class ExperimentConfig:
         if not (isinstance(self.sizes, list)
                 and all(is_int(n, 1) for n in self.sizes)):
             raise InputError("sizes must be a list of integers >= 1")
-        for name, low in (("k", 0), ("instances_per_size", 0), ("seed", None),
-                          ("oracle_cutoff", None)):
+        for name, low in (("k", 0), ("instances_per_size", 0), ("seed", None)):
             if not is_int(getattr(self, name), low):
                 raise InputError(f"{name} must be an integer"
                                  + ("" if low is None else f" >= {low}"))
@@ -251,7 +249,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # first and fast.
     for instance_id, inst, reference in list(_make_instances(cfg)):
         solved = {}  # the reference oracle row, emitted if configured
-        if reference is None and inst.graph.n <= cfg.oracle_cutoff:
+        # A config that lists no algorithm has no row to score.
+        if (cfg.algorithms and reference is None
+                and inst.graph.n <= DEFAULT_ORACLE_CUTOFF):
             # A BudgetError leaves the instance unscored, as above the cutoff.
             solved["oracle"] = _run_solver_row(cfg, instance_id, inst, "oracle")
             reference = solved["oracle"].weight

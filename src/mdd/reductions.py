@@ -1,4 +1,5 @@
-"""Executable hardness constructions with bidirectional solution mappers.
+"""Executable hardness constructions: each builds the MDD instance of a
+source problem and records that source in its artifact.
 
 Four constructions are provided:
   * dominating set -> MDD(min) on general graphs (clique-padded complement),
@@ -10,10 +11,9 @@ Four constructions are provided:
 Every padding edge comes from `_spokes`: a vertex short of k edges joins
 the next k vertices of one stream, a pad cycled round-robin or fresh ids.
 
-`CONSTRUCTIONS` names each one.  `lift_solution` sends a source solution
-to a feasible deletion set of the same size (plus the forced vertices), and
-`project_solution` sends a feasible deletion set to a source solution of no
-larger size.  Both read what they need from the artifact.
+`CONSTRUCTIONS` names each one.  `mdd reduce` writes their instances, and
+the bench's `setcover` family scores its rows by the source's minimum cover
+size, which both set-cover constructions keep.
 """
 from __future__ import annotations
 
@@ -21,10 +21,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from .errors import InputError, PreconditionError, VerificationError
-from .graph import (DeletionSet, Graph, Instance, Objective, _ids,
-                    _solution_vertices, is_feasible, is_int)
-from .subroutines import is_dominating
+from .errors import InputError, PreconditionError
+from .graph import Graph, Instance, Objective, _ids, is_int
 
 
 @dataclass(frozen=True)
@@ -55,16 +53,12 @@ class SetSystem:
     def occurrences(self, x: int) -> int:
         return sum(1 for f in self.family if x in f)
 
-    def is_cover(self, indices: Iterable[int]) -> bool:
-        covered = set()
-        for i in indices:
-            covered |= self.family[i]
-        return covered == set(range(self.universe_size))
-
 
 @dataclass(frozen=True)
 class ReductionArtifact:
-    """A constructed instance plus the provenance needed to map solutions.
+    """A constructed instance plus its provenance: the source it reduces
+    and the vertices that every solution built from a source solution
+    deletes.
 
     The set-cover constructions number element x as vertex x and set j as
     vertex r + j; a role-"I" vertex is a pendant standing for its one
@@ -223,56 +217,3 @@ CONSTRUCTIONS = {
     "cubic": ("mindom", mindom_cubic_to_mddmax_cubic),
 }
 
-
-# ---------------------------------------------------------------------------
-# solution mappers shared by the constructions
-# ---------------------------------------------------------------------------
-
-def project_solution(art: ReductionArtifact, s) -> frozenset:
-    """Backward map: a feasible deletion set becomes a source solution of
-    no larger size.
-
-    From a graph, the deleted source vertices, a dominating set.  From a
-    set system, a deleted set vertex becomes its set; a deleted element
-    vertex, or a pendant of one, becomes the first set containing the
-    element; every other vertex is dropped.
-    """
-    verts = _solution_vertices(s)
-    if not is_feasible(art.instance, verts):
-        raise PreconditionError("solution is not feasible for the instance")
-    source = art.source
-    if isinstance(source, Graph):
-        dom = frozenset(v for v in verts if v < source.n)
-        if not is_dominating(source, dom):
-            raise VerificationError("projected set fails domination")
-        return dom
-    r, family = source.universe_size, source.family
-    adj = art.instance.graph.adj
-    cover = set()
-    for v in verts:
-        u = next(iter(adj[v])) if art.roles[v] == "I" else v
-        if u < r:
-            cover.add(min(j for j, f in enumerate(family) if u in f))
-        elif u < r + source.num_sets:
-            cover.add(u - r)
-    if not source.is_cover(cover):
-        raise VerificationError("projected indices fail to cover")
-    return frozenset(cover)
-
-
-def lift_solution(art: ReductionArtifact, solution) -> DeletionSet:
-    """Forward map: a dominating set of the source graph, or set indices
-    covering the source system, becomes a feasible deletion set of the same
-    size plus `art.forced`."""
-    source = art.source
-    on_graph = isinstance(source, Graph)
-    solution = (_ids(source.n, solution) if on_graph
-                else _ids(source.num_sets, solution, "set index"))
-    if on_graph:
-        if not is_dominating(source, solution):
-            raise PreconditionError("input is not a dominating set of the source")
-        return DeletionSet.of(art.instance, solution.union(art.forced))
-    if not source.is_cover(solution):
-        raise PreconditionError("input indices are not a set cover")
-    r = source.universe_size
-    return DeletionSet.of(art.instance, {r + j for j in solution})

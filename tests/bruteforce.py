@@ -9,6 +9,10 @@ import math
 
 from mdd import Objective
 
+# testkit imports this module too, so each reads the other's names at call
+# time.
+import testkit
+
 
 def remaining_degrees(g, deleted):
     remaining = set(range(g.n)) - set(deleted)
@@ -131,6 +135,6 @@ def min_dissociation_weight(g, weights=None):
 def min_cover_size(sys):
     for size in range(sys.num_sets + 1):
         for combo in itertools.combinations(range(sys.num_sets), size):
-            if sys.is_cover(combo):
+            if testkit.is_cover(sys, combo):
                 return size
     raise AssertionError("set system invariant guarantees a cover")

@@ -3,10 +3,10 @@ tests.
 
 The artifacts carry their provenance in an untyped `data` dict, and eight
 kind-bound mappers (one forward and one backward per construction) check
-the artifact kind before mapping.  The package's `lift_solution` and
-`project_solution` must give the same value, or raise the same exception
-type with the same message, on every input, so this stays as it is; tests
-compare against it.
+the artifact kind before mapping.  The `lift_solution` and
+`project_solution` of tests/testkit.py must give the same value, or raise
+the same exception type with the same message, on every input, so this
+stays as it is; tests compare against it.
 """
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ from mdd import (DeletionSet, Graph, InputError, Instance, Objective,
                  PreconditionError, SetSystem, cubic_gadget, is_dominating,
                  is_feasible)
 from mdd.graph import _solution_vertices
+
+from testkit import is_cover
 
 
 @dataclass
@@ -275,7 +277,7 @@ def _project_to_cover(art: ReductionArtifact, kind: str, s) -> frozenset:
     to_set.update((b, j) for j, b in enumerate(art.data["f_ids"]))
     cover = frozenset(to_set[u] for u in (owner.get(v, v) for v in verts)
                       if u in to_set)
-    if not sys.is_cover(cover):
+    if not is_cover(sys, cover):
         raise PreconditionError(
             "projected indices fail to cover; the input cannot have been feasible")
     return cover
@@ -300,6 +302,6 @@ def _lift_domset(art: ReductionArtifact, kind: str, domset) -> DeletionSet:
 def _lift_cover(art: ReductionArtifact, kind: str, cover) -> DeletionSet:
     data = _data(art, kind)
     cover = _in_range(cover, data["system"].num_sets, "set index")
-    if not data["system"].is_cover(cover):
+    if not is_cover(data["system"], cover):
         raise PreconditionError("input indices are not a set cover")
     return DeletionSet.of(art.instance, {data["f_ids"][j] for j in cover})

@@ -14,16 +14,16 @@ from mdd import (FDepProblem, Graph, Instance, Objective, OracleConfig,
                  cubic_gadget, dissociation_delete, dominating_set_approx,
                  f_dependent_delete, generate_gnp, generate_random_cubic,
                  generate_random_regular, is_dominating, is_feasible,
-                 kregular_min_exact, lift_solution, mdd_max_cubic,
-                 mdd_max_logn, mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
-                 project_solution, setcover_to_mddmax_bip,
-                 setcover_to_mddmin_bip)
+                 kregular_min_exact, mdd_max_cubic, mdd_max_logn,
+                 mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
+                 setcover_to_mddmax_bip, setcover_to_mddmin_bip)
 from bruteforce import (all_feasible_sets, min_cover_size,
                         min_deletion_weight, min_dissociation_weight,
                         min_domset_size, min_domset_weight, min_fdep_weight,
                         remaining_degrees)
 from testkit import (check_degree_caps, complete, complete_bipartite,
-                     is_bipartite, kreg_lower_bound, petersen)
+                     is_bipartite, is_cover, kreg_lower_bound, lift_solution,
+                     petersen, project_solution)
 
 
 @contextmanager
@@ -162,7 +162,7 @@ def _check_setcover_source(sys):
         assert is_bipartite(art.instance.graph)
         opt = brute_force_optimum(art.instance)
         cover = project_solution(art, opt)
-        assert sys.is_cover(cover)
+        assert is_cover(sys, cover)
         assert len(cover) <= opt.size
         assert is_feasible(art.instance, lift_solution(art, cover))
         assert opt.size == source_opt

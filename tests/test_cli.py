@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -62,6 +63,23 @@ class TestUsage:
             main(["solve", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: mdd solve")
+
+    @pytest.mark.filterwarnings("ignore:'mdd.cli' found in sys.modules")
+    @pytest.mark.parametrize("args, code", [
+        (["solve", "{inst}", "--algo", "oracle"], 0),
+        (["solve", "{inst}", "--algo", "bogus"], 4)], ids=["solved", "usage"])
+    def test_module_exits_with_mains_code(self, tmp_path, monkeypatch, capsys,
+                                          args, code):
+        # `python -m mdd.cli` hands main's return value to sys.exit.
+        inst = write_instance(tmp_path, Instance(Graph.path(3), 1, None,
+                                                 Objective.MAX))
+        monkeypatch.setattr(sys, "argv",
+                            ["mdd"] + [a.format(inst=inst) for a in args])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("mdd.cli", run_name="__main__")
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert bool(out) == (code == 0) and bool(err) == (code != 0)
 
     def test_readme_cli_lines_parse(self):
         # Parsed only, not run: the files they name need not exist.

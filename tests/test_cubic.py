@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -10,7 +11,7 @@ from mdd import (Graph, InputError, Instance, Objective,
                  generate_random_cubic, is_dominating, is_feasible,
                  mdd_max_cubic, mdd_max_cubic_trace, normalize_dominating_set)
 
-from bruteforce import min_dissociation_weight
+from bruteforce import min_deletion_weight, min_dissociation_weight
 from testkit import complete, complete_bipartite, petersen
 
 #: The end of build_domination_gadget's refusal when some neighbor of p
@@ -298,6 +299,30 @@ class TestMddMaxCubic:
         assert trace.candidate_sizes == (("dissociation", 3), ("full", 7))
         assert trace.stopped == 1
         assert trace.solution.vertices == {1, 4, 5}
+
+    def test_worst_known_ratio_is_pinned(self):
+        # The worst cubic ratio known, found by a search aimed at the greedy:
+        # on this n = 16 graph with p = 1 the optimum {2, 6, 9, 11} lies in
+        # the final-degree-3 case, yet the domination greedy picks 7 and the
+        # dissociation candidate has 7 too.  7/4 exceeds the paper's 1.583
+        # (19/12).  A change that lowers the ratio updates this pin; one
+        # that raises it fails here.
+        g = Graph(16, [(0, 2), (0, 8), (0, 12), (1, 7), (1, 13), (1, 15),
+                       (2, 4), (2, 15), (3, 9), (3, 10), (3, 14), (4, 6),
+                       (4, 7), (5, 9), (5, 10), (5, 12), (6, 10), (6, 13),
+                       (7, 11), (8, 11), (8, 14), (9, 12), (11, 14),
+                       (13, 15)])
+        inst = Instance(g, 1, None, Objective.MAX)
+        trace = mdd_max_cubic_trace(inst)
+        assert trace.solution.vertices == {0, 2, 3, 4, 5, 6, 8}
+        assert trace.case == "domination"
+        assert trace.candidate_sizes == (("domination", 7),
+                                         ("dissociation", 7), ("full", 15))
+        assert trace.stopped == 1
+        assert brute_force_optimum(inst).vertices == {2, 6, 9, 11}
+        assert min_deletion_weight(inst) == 4
+        ratio = Fraction(trace.solution.size, 4)
+        assert ratio == Fraction(7, 4) > Fraction(19, 12)
 
     def test_settled_branches_build_no_dissociation_problem(self):
         # On cubic n = 200 the counting bound settles every final-degree-2

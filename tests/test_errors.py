@@ -18,14 +18,16 @@ from mdd import (BudgetError, DeletionSet, ExperimentConfig, FDepProblem,
                  build_domination_gadget, build_gstar, build_L, bench, cubic,
                  dominating_set_approx, dualize, errors, f_dependent_delete,
                  generate_random_regular, generate_random_setsystem,
-                 is_dominating, is_feasible, kregular_min_exact, lift_solution,
+                 is_dominating, is_feasible, kregular_min_exact,
                  mdd_max_cubic, mdd_max_logn, mindom_cubic_to_mddmax_cubic,
-                 mindom_to_mddmin, normalize_dominating_set, project_solution,
-                 reductions, serialize_instance, setcover_to_mddmax_bip,
+                 mindom_to_mddmin, normalize_dominating_set,
+                 serialize_instance, setcover_to_mddmax_bip,
                  setcover_to_mddmin_bip)
 from mdd.cli import main
 
-from testkit import complete, complete_bipartite, star
+import testkit
+from testkit import (complete, complete_bipartite, lift_solution,
+                     project_solution, star)
 
 K33 = complete_bipartite(3, 3)
 PRISM = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
@@ -210,7 +212,7 @@ PROJECTED = {
                          ids=PROJECTED.keys())
 def test_project_post_check_is_a_verification_error(art, s, message,
                                                     monkeypatch):
-    monkeypatch.setattr(reductions, "is_feasible", lambda inst, s: True)
+    monkeypatch.setattr(testkit, "is_feasible", lambda inst, s: True)
     with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
         project_solution(art, s)
 

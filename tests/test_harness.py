@@ -210,6 +210,11 @@ class TestBench:
             ExperimentConfig.from_json("not json")
         with pytest.raises(InputError):
             ExperimentConfig.from_json(json.dumps({"bogus": 1}))
+        # The oracle cutoff is a constant, not a config key.
+        with pytest.raises(InputError, match="^bad experiment config: .*"
+                           "unexpected keyword argument 'oracle_cutoff'$"):
+            ExperimentConfig.from_dict({"family": "gnp", "sizes": [14],
+                                        "oracle_cutoff": 28})
         for text in ("[1,2]", "null"):
             with pytest.raises(InputError,
                                match="^experiment config must be a JSON object$"):
@@ -435,6 +440,24 @@ class TestBench:
         assert row.extra == {}
         assert row.oracle_weight == row.weight is not None
         assert row.ratio == 1.0
+
+    def test_no_algorithm_runs_no_oracle(self, monkeypatch):
+        # With no row to score, no instance needs a reference optimum.
+        calls = []
+
+        def counted(inst, max_L):
+            calls.append(inst)
+            return oracle(inst, max_L)
+
+        oracle = mdd.bench.ALGORITHMS["oracle"]
+        monkeypatch.setitem(mdd.bench.ALGORITHMS, "oracle", counted)
+        cfg = ExperimentConfig(family="gnp", sizes=[14], algorithms=[],
+                               instances_per_size=3, seed=1)
+        assert run_experiment(cfg).rows == []
+        assert calls == []
+        cfg.algorithms = ["logn"]
+        assert len(run_experiment(cfg).rows) == 3
+        assert len(calls) == 3
 
     def test_reference_budget_leaves_rows_unscored(self, monkeypatch):
         def give_up(inst, cfg=None):

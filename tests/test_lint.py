@@ -367,12 +367,6 @@ def test_greedy_layer_refuses_in_one_place():
                                            "f_dependent_delete")])
 
 
-#: Public names that no solver, CLI command or bench path calls and that
-#: stay in the package: the hardness constructions' two solution maps, the
-#: library half of each reduction that README documents.
-LIBRARY_ONLY = {"lift_solution", "project_solution"}
-
-
 def test_every_public_definition_has_a_user_outside_the_tests():
     # A public function, class or method of src/mdd earns its place by a
     # user outside the tests: an ast Name or Attribute naming it elsewhere
@@ -408,5 +402,5 @@ def test_every_public_definition_has_a_user_outside_the_tests():
                 or re.search(rf"\b{d.name}\b", perfbench) is not None)
 
     unused = [f"{where}:{d.lineno}: {d.name}" for where, d in defined
-              if d.name not in LIBRARY_ONLY and not used(where, d)]
+              if not used(where, d)]
     assert unused == []

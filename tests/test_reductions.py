@@ -6,12 +6,12 @@ import pytest
 from mdd import (Graph, InputError, Instance, Objective,
                  PreconditionError, SetSystem, brute_force_optimum,
                  cubic_gadget, generate_random_cubic, is_feasible,
-                 lift_solution, mindom_cubic_to_mddmax_cubic,
-                 mindom_to_mddmin, project_solution, setcover_to_mddmax_bip,
-                 setcover_to_mddmin_bip)
+                 mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
+                 setcover_to_mddmax_bip, setcover_to_mddmin_bip)
 
 from bruteforce import min_cover_size, min_domset_size
-from testkit import complete, is_bipartite, star, vertices_with_role
+from testkit import (complete, is_bipartite, is_cover, lift_solution,
+                     project_solution, star, vertices_with_role)
 
 
 class TestSetSystem:
@@ -41,8 +41,8 @@ class TestSetSystem:
     def test_occurrences_and_cover(self):
         sys = SetSystem(3, [{0, 1}, {1, 2}, {2}])
         assert sys.occurrences(1) == 2
-        assert sys.is_cover({0, 1})
-        assert not sys.is_cover({0})
+        assert is_cover(sys, {0, 1})
+        assert not is_cover(sys, {0})
 
 
 class TestMindomToMddmin:
@@ -103,7 +103,7 @@ class TestSetcoverToMddminBip:
             assert is_bipartite(art.instance.graph)
             opt = brute_force_optimum(art.instance)
             cover = project_solution(art, opt)
-            assert sys.is_cover(cover)
+            assert is_cover(sys, cover)
             assert len(cover) <= opt.size
             assert opt.size == min_cover_size(sys)
             back = lift_solution(art, cover)
@@ -157,7 +157,7 @@ class TestSetcoverToMddmaxBip:
             art = setcover_to_mddmax_bip(sys)
             opt = brute_force_optimum(art.instance)
             cover = project_solution(art, opt)
-            assert sys.is_cover(cover)
+            assert is_cover(sys, cover)
             assert len(cover) <= opt.size
             assert opt.size == min_cover_size(sys)
             back = lift_solution(art, cover)

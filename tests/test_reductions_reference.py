@@ -1,5 +1,5 @@
-"""The package's constructions and its two solution maps against the eight
-kind-bound mappers in reference_reductions.py.
+"""The package's constructions and the two solution maps of testkit.py
+against the eight kind-bound mappers in reference_reductions.py.
 
 Both sides build the same instance with the same roles from small graphs,
 cubic graphs and set systems.  `project_solution` gives the same outcome as
@@ -18,13 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdd import (Graph, ReductionArtifact, SetSystem, generate_gnp,
-                 generate_random_cubic, lift_solution,
-                 mindom_cubic_to_mddmax_cubic, mindom_to_mddmin,
-                 project_solution, setcover_to_mddmax_bip,
+                 generate_random_cubic, mindom_cubic_to_mddmax_cubic,
+                 mindom_to_mddmin, setcover_to_mddmax_bip,
                  setcover_to_mddmin_bip)
 from mdd.fileio import serialize_instance
 
 import reference_reductions as ref
+from testkit import lift_solution, project_solution
 
 EXAMPLES = settings(derandomize=True, max_examples=60, deadline=None)
 

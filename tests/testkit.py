@@ -1,15 +1,19 @@
-"""Graph fixtures, checkers, a role lookup, a bound and the set-system and
-solution serializers that only the test suite uses.
+"""Graph fixtures, checkers, a role lookup, a bound, the set-system and
+solution serializers, and the hardness constructions' two solution maps
+that only the test suite uses.
 
 None of these is called by a solver, the CLI or the benchmark harness, so
 they live beside bruteforce.py rather than in the package.
 """
 from fractions import Fraction
 
-from mdd import Graph, InputError, PreconditionError
-from mdd.graph import is_int
+from mdd import (DeletionSet, Graph, InputError, PreconditionError,
+                 VerificationError, is_dominating, is_feasible)
+from mdd.graph import _ids, _solution_vertices, is_int
 
-from bruteforce import remaining_degrees
+# bruteforce imports this module too, so each reads the other's names at
+# call time.
+import bruteforce
 
 
 def complete(n):
@@ -65,7 +69,7 @@ def check_degree_caps(prob, deleted):
     if not all(is_int(v, 0) and v < prob.graph.n for v in deleted):
         raise InputError("deleted vertices must be vertex ids")
     return all(d <= prob.cap[v]
-               for v, d in remaining_degrees(prob.graph, deleted).items())
+               for v, d in bruteforce.remaining_degrees(prob.graph, deleted).items())
 
 
 def kreg_lower_bound(n, k, f):
@@ -90,3 +94,61 @@ def serialize_setsystem(sys):
 def serialize_solution(vertices):
     """The solution file of a vertex set: its ids ascending, on one line."""
     return " ".join(str(v) for v in sorted(vertices)) + "\n"
+
+
+def is_cover(sys, indices):
+    """True iff the sets of `sys` at `indices` cover its universe."""
+    covered = set()
+    for i in indices:
+        covered |= sys.family[i]
+    return covered == set(range(sys.universe_size))
+
+
+def project_solution(art, s):
+    """Backward map of a ReductionArtifact: a feasible deletion set becomes
+    a source solution of no larger size.
+
+    From a graph, the deleted source vertices, a dominating set.  From a
+    set system, a deleted set vertex becomes its set; a deleted element
+    vertex, or a pendant of one, becomes the first set containing the
+    element; every other vertex is dropped.
+    """
+    verts = _solution_vertices(s)
+    if not is_feasible(art.instance, verts):
+        raise PreconditionError("solution is not feasible for the instance")
+    source = art.source
+    if isinstance(source, Graph):
+        dom = frozenset(v for v in verts if v < source.n)
+        if not is_dominating(source, dom):
+            raise VerificationError("projected set fails domination")
+        return dom
+    r, family = source.universe_size, source.family
+    adj = art.instance.graph.adj
+    cover = set()
+    for v in verts:
+        u = next(iter(adj[v])) if art.roles[v] == "I" else v
+        if u < r:
+            cover.add(min(j for j, f in enumerate(family) if u in f))
+        elif u < r + source.num_sets:
+            cover.add(u - r)
+    if not is_cover(source, cover):
+        raise VerificationError("projected indices fail to cover")
+    return frozenset(cover)
+
+
+def lift_solution(art, solution):
+    """Forward map of a ReductionArtifact: a dominating set of the source
+    graph, or set indices covering the source system, becomes a feasible
+    deletion set of the same size plus `art.forced`."""
+    source = art.source
+    on_graph = isinstance(source, Graph)
+    solution = (_ids(source.n, solution) if on_graph
+                else _ids(source.num_sets, solution, "set index"))
+    if on_graph:
+        if not is_dominating(source, solution):
+            raise PreconditionError("input is not a dominating set of the source")
+        return DeletionSet.of(art.instance, solution.union(art.forced))
+    if not is_cover(source, solution):
+        raise PreconditionError("input indices are not a set cover")
+    r = source.universe_size
+    return DeletionSet.of(art.instance, {r + j for j in solution})
