@@ -82,12 +82,25 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     The greedy runs only on a branch that _returns (exact) passes, whose
     w(K) is finite, and for which _outweighs (the fractional knapsack over
     the start gains) does not show that every candidate outweighs the best
-    one so far.  Once there is a best, the greedy gets the budget best -
-    w(K) and returns None as soon as its set must weigh more.  A skipped
-    or stopped candidate weighs more than the best, and both tests are
-    strict, so the result, ties on weight included, is that of running
-    every branch to the end.  The ids of K are checked once, by
-    f_dependent_delete, and only on branches where the greedy runs."""
+    one so far.  A size whose problem has no _crowded vertex passes every
+    K, so it counts C(|L|, |K|) feasible branches and asks _returns
+    nothing.  Once there is a best, the greedy gets the budget best - w(K)
+    and returns None as soon as its set must weigh more.
+
+    The first branch of a size that reaches _outweighs (a finite w(K) and
+    a budget of 0 or more) first asks it once for the whole size: of the
+    |K| members of L with the largest start gains, with the budget best
+    less the |K| smallest weights over L.  Every K of the size weighs at
+    least those, leaves at least as much start excess, and the knapsack
+    bound does not fall as that excess grows; so when the size test
+    holds, so would the test of every K of the size from there on, and
+    the loop leaves the size.  It reads the views just where the first
+    K's own test would, so it builds none that the loop would not.  A
+    skipped or stopped candidate weighs more than the best, best only
+    falls, and every test is strict, so the result, ties on weight
+    included, is that of running every branch to the end.  The ids of K
+    are checked once, by f_dependent_delete, and only on branches where
+    the greedy runs."""
     if inst.objective is Objective.MIN:
         inst = dualize(inst)
     g = inst.graph
@@ -106,22 +119,37 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
                     for v, w in enumerate(inst.weights))
     scale = _scale(weights)
     members = sorted(l_set.members)
+    lightest = list(itertools.accumulate(
+        sorted(inst.weights[u] for u in members), initial=0))
     feasible = 0
     best = best_k = None  # best: the (weight, size, sorted tuple) key
     for size in range(len(members) + 1):
         caps = [g.degree(p) - size - 1] * g.n
         caps[p] = g.degree(p)
         prob = _unchecked_problem(g, tuple(caps), weights, scale)
-        for k_tuple in itertools.combinations(members, size):
-            if not _returns(prob, k_tuple):
-                continue
-            feasible += 1
+        branches = itertools.combinations(members, size)
+        if prob._crowded:
+            branches = [k for k in branches if _returns(prob, k)]
+            feasible += len(branches)
+        else:
+            feasible += math.comb(len(members), size)
+        asked = False  # the size test, asked at most once per size
+        for k_tuple in branches:
             k_weight = inst.weight_of(k_tuple)
             if k_weight == math.inf:
                 continue
             budget = None if best is None else best[0] - k_weight
-            if budget is not None and _outweighs(prob, k_tuple, budget):
-                continue
+            if budget is not None:
+                if budget < 0:
+                    continue
+                if not asked:
+                    asked = True
+                    by_gain = sorted(members, key=prob._start[1].__getitem__)
+                    if _outweighs(prob, by_gain[len(members) - size:],
+                                  best[0] - lightest[size]):
+                        break
+                if _outweighs(prob, k_tuple, budget):
+                    continue
             deleted = f_dependent_delete(prob, k_tuple, budget=budget)
             if deleted is None:
                 continue

@@ -16,10 +16,11 @@ excess but some vertex is still over its cap, it raises InfeasibleError
 naming the least such vertex.  Two private steps answer from a problem
 without running the greedy: `_returns` is the exact predictor of that
 refusal on G - removed, which the log n loop counts its feasible branches
-with, and `_outweighs`, asked only where `_returns` holds, says whether
-every set meeting the caps there outweighs a budget (a fractional-knapsack
-lower bound).  Each reads views of the problem that are built on first
-read and kept, so a problem builds only the views that something reads.
+with, and `_outweighs` says whether every set meeting the caps there
+outweighs a budget (a fractional-knapsack lower bound), asked of a removed
+set whose start gains sum to at least those of one that `_returns` passes.
+Each reads views of the problem that are built on first read and kept, so
+a problem builds only the views that something reads.
 """
 from __future__ import annotations
 
@@ -52,11 +53,13 @@ class FDepProblem:
     lcm is the lcm of the deletable weights (_scale), and three views
     derived from it; each view is built on first read and kept, and no
     call mutates it.  _start is the greedy's start state on the whole
-    graph, built in O(n + m): excesses, gains, the total excess, the scale,
-    and a heap holding the int key -gain[u] * scale[u] * n + u for every
-    deletable u with positive gain.  Since 0 <= u < n, the id decides only
-    between equal products, so the key orders exactly as the pair
-    (-gain[u] * scale[u], u) would, and key % n gives u back.  _crowded
+    graph, built in O(n + m), its gains counted from the smaller of the
+    sets of vertices over and under their caps: excesses, gains, the total
+    excess, the scale, and a heap holding the int key
+    -gain[u] * scale[u] * n + u for every deletable u with positive gain.
+    Since 0 <= u < n, the id decides only between equal products, so the
+    key orders exactly as the pair (-gain[u] * scale[u], u) would, and
+    key % n gives u back.  _crowded
     holds each UNDELETABLE v with more UNDELETABLE neighbors than cap[v],
     with that surplus (_returns reads it).  _sums holds the total start
     excess E0 and the integer prefix sums of the start gains and of the
@@ -85,11 +88,21 @@ class FDepProblem:
         adj, n = self.graph.adj, self.graph.n
         excess = [d - c if d > c else 0
                   for d, c in zip(map(len, adj), self.cap)]
-        gain = excess[:]
-        for v, e in enumerate(excess):
-            if e:
-                for u in adj[v]:
-                    gain[u] += 1
+        # gain[u] = excess[u] + |N(u) & over|, counted from the smaller
+        # side: over the vertices over their caps, or, where those are most
+        # vertices, as d(u) less the neighbors under their caps.
+        if 2 * excess.count(0) < n:
+            gain = [e + len(a) for e, a in zip(excess, adj)]
+            for v, e in enumerate(excess):
+                if not e:
+                    for u in adj[v]:
+                        gain[u] -= 1
+        else:
+            gain = excess[:]
+            for v, e in enumerate(excess):
+                if e:
+                    for u in adj[v]:
+                        gain[u] += 1
         # u's key -gain[u] * scale[u] * n + u orders as the pair
         # (-gain[u] * scale[u], u) does, since 0 <= u < n: no two keys tie,
         # and key % n is u.  Sorted, so a valid heap and the knapsack order
@@ -287,9 +300,12 @@ def _outweighs(prob: FDepProblem, removed: Iterable[int],
     G - removed weighs more than `budget`.
 
     Unchecked: `removed` must hold distinct vertex ids of prob.graph, in
-    any iterable, `budget` must be an integer (the log n loop passes the
-    best weight so far less the finite w(K)), and _returns(prob, removed)
-    must hold: callers ask it first.
+    any iterable, `budget` must be an integer, and the start gains of
+    `removed` must sum to at least those of some K for which
+    _returns(prob, K) holds.  The log n loop asks it of such a K, with the
+    best weight so far less the finite w(K), and once per size of the
+    |K| members of L with the largest start gains, with the best less the
+    |K| smallest weights over L (see mdd_max_logn_trace).
 
     Deleting a vertex lowers the total excess by exactly its current gain,
     and gains only fall.  So at least left = E0 - (the start gains of
@@ -302,8 +318,9 @@ def _outweighs(prob: FDepProblem, removed: Iterable[int],
     pw + (left - pg) * w_i / g_i; the test compares that bound with
     `budget` in integers, with no division, after one bisect on the gain
     sums.  Listing `removed` among the vertices only lowers the bound.
-    Where _returns holds, the greedy's own set clears left, so the start
-    gains always reach it and the bisect lands inside the sums.
+    Where _returns(prob, K) holds, the greedy's own set clears K's left,
+    which is at least this one, so the start gains always reach it and the
+    bisect lands inside the sums.
     O(|removed| + log n) once the views are built.
     """
     if budget < 0:

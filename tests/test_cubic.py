@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from mdd import (Graph, InputError, Instance, Objective,
                  PreconditionError, brute_force_optimum, cubic, subroutines,
                  build_domination_gadget, build_gstar, dominating_set_approx,
-                 generate_random_cubic, is_dominating, is_feasible,
+                 generate_random_cubic, generate_random_regular,
+                 is_dominating, is_feasible,
                  mdd_max_cubic, mdd_max_cubic_trace, normalize_dominating_set)
 
 from bruteforce import min_deletion_weight, min_dissociation_weight
@@ -273,6 +274,11 @@ class TestMddMaxCubic:
         with pytest.raises(PreconditionError):
             mdd_max_cubic(Instance(Graph.cycle(5), 0, None, Objective.MAX))
 
+    def test_rejects_single_vertex(self):
+        # One vertex is 0-regular: a refusal, not a crash.
+        with pytest.raises(PreconditionError, match="^graph is not 3-regular$"):
+            mdd_max_cubic_trace(Instance(Graph(1), 0, None, Objective.MAX))
+
     def test_rejects_min_objective(self):
         with pytest.raises(PreconditionError):
             mdd_max_cubic(Instance(k33(), 0))
@@ -299,6 +305,19 @@ class TestMddMaxCubic:
         assert trace.candidate_sizes == (("dissociation", 3), ("full", 7))
         assert trace.stopped == 1
         assert trace.solution.vertices == {1, 4, 5}
+
+    def test_two_final_degree_2_branches_run(self):
+        # Both final-degree-2 branches run to the end, each tying the best
+        # size 5, so neither is stopped; a best size updated wrongly after
+        # the first would stop the second.
+        g = generate_random_regular(12, 3, 5)
+        trace = mdd_max_cubic_trace(Instance(g, 6, None, Objective.MAX))
+        assert trace.solution.vertices == {0, 2, 4, 9, 10}
+        assert trace.case == "domination"
+        assert trace.candidate_sizes == (
+            ("domination", 5), ("dissociation", 5), ("dissociation", 5),
+            ("full", 11))
+        assert trace.stopped == 0
 
     def test_worst_known_ratio_is_pinned(self):
         # The worst cubic ratio known, found by a search aimed at the greedy:

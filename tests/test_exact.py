@@ -36,6 +36,10 @@ class TestOracle:
         best = brute_force_optimum(inst)
         assert best.vertices == frozenset({4, 5})
 
+    def test_default_budget_is_two_million_nodes(self):
+        # Read unpatched: the other budget tests patch it.
+        assert exact.DEFAULT_BUDGET == 2_000_000
+
     def test_budget_error(self, monkeypatch):
         inst = Instance(Graph.cycle(5), 0)
         monkeypatch.setattr(exact, "DEFAULT_BUDGET", 3)

@@ -66,6 +66,12 @@ class TestGraphBasics:
     def test_empty_graph_has_no_regular_degree(self):
         assert Graph(0).regular_degree() is None
 
+    def test_single_vertex_is_zero_regular(self):
+        assert Graph(1).regular_degree() == 0
+
+    def test_equal_vertex_counts_with_different_edges_differ(self):
+        assert Graph(3, [(0, 1)]) != Graph(3, [(1, 2)])
+
     def test_never_equals_a_non_graph(self):
         assert (Graph(2) == "x") is False
 

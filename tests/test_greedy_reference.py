@@ -7,7 +7,9 @@ a removed set equals the reference on the induced subgraph of the other
 vertices).  One problem reused for many removed sets, in any order,
 gives what a fresh problem gives, and the log n loop's unchecked problem
 for each caps is the checked problem built with them, views included.  A
-problem builds each view on first read and keeps it.  Weights include
+problem builds each view on first read and keeps it, and its start gains
+equal a count from their definition whichever side _start walks.  Weights
+include
 large coprime ones, so gain/weight ratios are compared exactly far beyond
 small weights.
 EXEMPT is the reference's sentinel; the package caps that vertex at its own
@@ -23,7 +25,8 @@ weighs more than the budget.
 The log n branching algorithm gives the same trace as the reference branch
 loop, which builds an induced subgraph per branch, also on G(40-60, 0.1)
 instances where the bound prunes branches and budgeted greedy calls stop
-early, and on pinned instances where a branch ties the best weight and
+early, on instances where the once-per-size knapsack test leaves whole
+sizes, and on pinned instances where a branch ties the best weight and
 wins on size or sorted tuple.  The cubic
 algorithm's final-degree-2 candidates that run equal the reference ones,
 which run the greedy on the induced subgraph G*, and a branch stops (by
@@ -278,6 +281,28 @@ def test_views_are_built_on_first_read_and_kept(build):
     start = vars(fresh)["_start"]
     assert not _outweighs(fresh, (1,), 5)
     assert vars(fresh)["_start"] is start
+
+
+def test_start_gains_are_counted_from_either_side():
+    """_start walks the vertices over their caps, or, where those are most
+    vertices, the ones under them: either way each gain is excess[u] plus
+    the neighbors of u over their caps, counted here from that definition,
+    and each regime is met."""
+    rng = random.Random(0)
+    regimes = set()
+    for seed in range(80):
+        n = rng.randint(1, 25)
+        g = generate_gnp(n, rng.choice([0.1, 0.3, 0.6]), seed)
+        cap = tuple(rng.randint(-1, 5) - rng.randint(0, 3) * (seed % 2)
+                    for _ in range(n))
+        weights = tuple(rng.choice([1, 2, 3, UNDELETABLE]) for _ in range(n))
+        excess = [max(0, g.degree(v) - cap[v]) for v in range(n)]
+        gain = [excess[u] + sum(1 for v in g.adj[u] if excess[v])
+                for u in range(n)]
+        start = FDepProblem(g, cap, weights)._start
+        assert start[:3] == (excess, gain, sum(excess))
+        regimes.add(2 * excess.count(0) < n)
+    assert regimes == {False, True}
 
 
 def test_problem_identity_is_graph_cap_and_weights():
@@ -535,6 +560,72 @@ def test_pruned_logn_trace_matches_reference_branch_step(monkeypatch):
             pruned += len(calls) - before < trace.branches_feasible
     assert pruned
     assert (len(calls), feasible, len(stopped)) == (262, 789, 244)
+
+
+def _size_test_instances():
+    """G(12-30, 0.15-0.4) Max instances at seeds 0-59, p the first vertex
+    with 3 <= |L| <= 7 (seeds with none are skipped), weights 1-5, with one
+    member of L UNDELETABLE on odd seeds and one vertex off p and L on
+    seeds divisible by 3; then one pinned instance on which the size test
+    must take L's lightest weights even where no weight is inf."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(12, 30)
+        g = generate_gnp(n, rng.choice([0.15, 0.2, 0.3, 0.4]), seed)
+        found = [(p, members) for p in range(n)
+                 for members in [build_L(Instance(g, p, None,
+                                                  Objective.MAX)).members]
+                 if 3 <= len(members) <= 7]
+        if not found:
+            continue
+        p, members = found[0]
+        weights = [rng.randint(1, 5) for _ in range(n)]
+        if seed % 2:
+            weights[rng.choice(members)] = UNDELETABLE
+        if seed % 3 == 0:
+            others = [v for v in range(n) if v != p and v not in members]
+            weights[rng.choice(others)] = UNDELETABLE
+        yield Instance(g, p, weights, Objective.MAX)
+    # The K = (3,) of weight 2 wins, with {1, 3, 7} of weight 5; a size
+    # bound over L's heaviest weights would settle size 1 before it.
+    yield Instance(generate_gnp(9, 0.4, 1607), 0, (4, 1, 5, 2, 3, 2, 3, 2, 2),
+                   Objective.MAX)
+
+
+def test_size_test_settles_sizes_and_keeps_the_reference_trace(monkeypatch):
+    """The once-per-size knapsack test leaves sizes whose every branch
+    would fail its own test, and a size with no _crowded vertex counts all
+    its branches feasible unasked: the trace stays the reference's, on
+    instances with crowded sizes, sizes with none, inf weights inside L and
+    weights 1-5.  The size test is each size's first _outweighs ask; where
+    it holds, it is also the last, and it holds on 17 sizes here."""
+    problems, asks = [], []
+
+    def recording_problem(*args):
+        problems.append(_unchecked_problem(*args))
+        return problems[-1]
+
+    def recording_outweighs(prob, removed, budget):
+        holds = _outweighs(prob, removed, budget)
+        asks.append((id(prob), holds))
+        return holds
+
+    monkeypatch.setattr(approx, "_unchecked_problem", recording_problem)
+    monkeypatch.setattr(approx, "_outweighs", recording_outweighs)
+    inf_in_l = 0
+    for inst in _size_test_instances():
+        assert (_outcome(mdd_max_logn_trace, inst)
+                == _outcome(reference_greedy.logn_trace, inst, None))
+        inf_in_l += any(inst.weights[u] == UNDELETABLE
+                        for u in build_L(inst).members)
+    by_problem = {}
+    for prob, holds in asks:
+        by_problem.setdefault(prob, []).append(holds)
+    settled = [holds for holds in by_problem.values() if holds[0]]
+    assert all(len(holds) == 1 for holds in settled)
+    crowded = sum(bool(prob._crowded) for prob in problems)
+    assert (len(settled), crowded, len(problems) - crowded, inf_in_l) == (
+        17, 235, 105, 30)
 
 
 def test_logn_checks_ids_only_where_the_greedy_runs(monkeypatch):
