@@ -83,9 +83,9 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     w(K) is finite, and for which _outweighs (the fractional knapsack over
     the start gains) does not show that every candidate outweighs the best
     one so far.  A size whose problem has no _crowded vertex passes every
-    K, so it counts C(|L|, |K|) feasible branches and asks _returns
-    nothing.  Once there is a best, the greedy gets the budget best - w(K)
-    and returns None as soon as its set must weigh more.
+    K, so there the loop asks _returns nothing.  Once there is a best, the
+    greedy gets the budget best - w(K) and returns None as soon as its set
+    must weigh more.
 
     The first branch of a size that reaches _outweighs (a finite w(K) and
     a budget of 0 or more) first asks it once for the whole size: of the
@@ -94,13 +94,14 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     least those, leaves at least as much start excess, and the knapsack
     bound does not fall as that excess grows; so when the size test
     holds, so would the test of every K of the size from there on, and
-    the loop leaves the size.  It reads the views just where the first
-    K's own test would, so it builds none that the loop would not.  A
-    skipped or stopped candidate weighs more than the best, best only
-    falls, and every test is strict, so the result, ties on weight
-    included, is that of running every branch to the end.  The ids of K
-    are checked once, by f_dependent_delete, and only on branches where
-    the greedy runs."""
+    the loop only counts the size's remaining feasible branches, one
+    passing K at a time, before it leaves the size.  It reads the views
+    just where the first K's own test would, so it builds none that the
+    loop would not.  A skipped or stopped candidate weighs more than the
+    best, best only falls, and every test is strict, so the result, ties
+    on weight included, is that of running every branch to the end.  The
+    ids of K are checked once, by f_dependent_delete, and only on
+    branches where the greedy runs."""
     if inst.objective is Objective.MIN:
         inst = dualize(inst)
     g = inst.graph
@@ -127,14 +128,12 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
         caps = [g.degree(p) - size - 1] * g.n
         caps[p] = g.degree(p)
         prob = _unchecked_problem(g, tuple(caps), weights, scale)
-        branches = itertools.combinations(members, size)
+        passing = itertools.combinations(members, size)
         if prob._crowded:
-            branches = [k for k in branches if _returns(prob, k)]
-            feasible += len(branches)
-        else:
-            feasible += math.comb(len(members), size)
+            passing = (k for k in passing if _returns(prob, k))
         asked = False  # the size test, asked at most once per size
-        for k_tuple in branches:
+        for k_tuple in passing:
+            feasible += 1
             k_weight = inst.weight_of(k_tuple)
             if k_weight == math.inf:
                 continue
@@ -147,6 +146,7 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
                     by_gain = sorted(members, key=prob._start[1].__getitem__)
                     if _outweighs(prob, by_gain[len(members) - size:],
                                   best[0] - lightest[size]):
+                        feasible += sum(1 for _ in passing)
                         break
                 if _outweighs(prob, k_tuple, budget):
                     continue

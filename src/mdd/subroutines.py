@@ -53,13 +53,11 @@ class FDepProblem:
     lcm is the lcm of the deletable weights (_scale), and three views
     derived from it; each view is built on first read and kept, and no
     call mutates it.  _start is the greedy's start state on the whole
-    graph, built in O(n + m), its gains counted from the smaller of the
-    sets of vertices over and under their caps: excesses, gains, the total
-    excess, the scale, and a heap holding the int key
-    -gain[u] * scale[u] * n + u for every deletable u with positive gain.
-    Since 0 <= u < n, the id decides only between equal products, so the
-    key orders exactly as the pair (-gain[u] * scale[u], u) would, and
-    key % n gives u back.  _crowded
+    graph, built in O(n + m): excesses, gains, the total excess, the scale,
+    and a heap holding the int key -gain[u] * scale[u] * n + u for every
+    deletable u with positive gain.  Since 0 <= u < n, the id decides only
+    between equal products, so the key orders exactly as the pair
+    (-gain[u] * scale[u], u) would, and key % n gives u back.  _crowded
     holds each UNDELETABLE v with more UNDELETABLE neighbors than cap[v],
     with that surplus (_returns reads it).  _sums holds the total start
     excess E0 and the integer prefix sums of the start gains and of the
@@ -88,21 +86,14 @@ class FDepProblem:
         adj, n = self.graph.adj, self.graph.n
         excess = [d - c if d > c else 0
                   for d, c in zip(map(len, adj), self.cap)]
-        # gain[u] = excess[u] + |N(u) & over|, counted from the smaller
-        # side: over the vertices over their caps, or, where those are most
-        # vertices, as d(u) less the neighbors under their caps.
-        if 2 * excess.count(0) < n:
-            gain = [e + len(a) for e, a in zip(excess, adj)]
-            for v, e in enumerate(excess):
-                if not e:
-                    for u in adj[v]:
-                        gain[u] -= 1
-        else:
-            gain = excess[:]
-            for v, e in enumerate(excess):
-                if e:
-                    for u in adj[v]:
-                        gain[u] += 1
+        # gain[u] = excess[u] + |N(u) & over|, counted as d(u) less the
+        # neighbors under their caps: in most of the solvers' problems,
+        # most vertices are over their caps.
+        gain = [e + len(a) for e, a in zip(excess, adj)]
+        for v, e in enumerate(excess):
+            if not e:
+                for u in adj[v]:
+                    gain[u] -= 1
         # u's key -gain[u] * scale[u] * n + u orders as the pair
         # (-gain[u] * scale[u], u) does, since 0 <= u < n: no two keys tie,
         # and key % n is u.  Sorted, so a valid heap and the knapsack order

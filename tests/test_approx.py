@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,28 @@ class TestMddMaxLogn:
             assert is_feasible(inst, trace.solution)
             assert not trace.solution.vertices & g.adj[inst.p]
         assert hits >= 5
+
+    def test_crowded_sizes_are_walked_lazily(self):
+        # p is joined to a_1..a_12, each joined to the 12 vertices of Y;
+        # x, of weight inf, is joined to a_1..a_11.  L is all of N(p), x
+        # crowds every size from 1 up, and about half of each size's K (those
+        # without a_12) pass.  Listing a size's passing K before walking
+        # them held about 0.17 MiB at once here.
+        a, x, y = range(1, 13), 13, range(14, 26)
+        edges = [(0, u) for u in a] + [(x, u) for u in a[:-1]]
+        edges += [(u, v) for u in a for v in y]
+        weights = [1] * 26
+        weights[x] = UNDELETABLE
+        inst = Instance(Graph(26, edges), 0, weights, Objective.MAX)
+        tracemalloc.start()
+        try:
+            trace = mdd_max_logn_trace(inst, cap_on_L=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (trace.branches_total, trace.branches_feasible) == (4096, 2036)
+        assert is_feasible(inst, trace.solution)
+        assert peak < 2 ** 16
 
     def test_infeasible_greedy_result_raises(self, monkeypatch):
         # p = 0 has leaves 1 and 2, so L is empty; the triangle 3-4-5 ties

@@ -283,11 +283,11 @@ def test_views_are_built_on_first_read_and_kept(build):
     assert vars(fresh)["_start"] is start
 
 
-def test_start_gains_are_counted_from_either_side():
-    """_start walks the vertices over their caps, or, where those are most
-    vertices, the ones under them: either way each gain is excess[u] plus
-    the neighbors of u over their caps, counted here from that definition,
-    and each regime is met."""
+def test_start_gains_match_their_definition():
+    """_start counts each gain from d(u) less the neighbors under their
+    caps; it must equal excess[u] plus the neighbors of u over their caps,
+    counted here from that definition, both where most vertices are over
+    their caps and where most are under them."""
     rng = random.Random(0)
     regimes = set()
     for seed in range(80):
