@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import (BudgetError, InfeasibleError, InputError,
                      PreconditionError, VerificationError)
-from .exact import dualize
+from . import exact
 from .graph import (DeletionSet, Instance, Objective, UNDELETABLE, is_feasible,
                     is_int)
 from .subroutines import (_outweighs, _returns, _scale, _unchecked_problem,
@@ -52,10 +52,6 @@ def build_L(inst: Instance) -> LSet:
     return LSet(tuple(members))
 
 
-def default_l_cap(n: int) -> int:
-    return math.ceil(math.log2(max(n, 2))) + 2
-
-
 @dataclass(frozen=True)
 class BranchingResult:
     solution: DeletionSet
@@ -68,6 +64,12 @@ class BranchingResult:
 def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> BranchingResult:
     """Branch over every subset K of L; see mdd_max_logn.  A Min instance
     is solved as its `dualize`, so L, K and the counts are the complement's.
+
+    Each of the 2^|L| branches counts as one node against
+    `exact.DEFAULT_BUDGET`, the oracle's and the K peel's node budget, read
+    at call time: BudgetError is raised before the first branch when 2^|L|
+    exceeds it (|L| >= 21 at 2,000,000).  An explicit cap_on_L also
+    refuses an |L| above it; the package itself passes none.
 
     Every branch runs the degree-cap greedy on the whole graph with K
     removed, which picks the same vertices as on G[V \\ K].  The weights
@@ -103,18 +105,19 @@ def mdd_max_logn_trace(inst: Instance, cap_on_L: Optional[int] = None) -> Branch
     ids of K are checked once, by f_dependent_delete, and only on
     branches where the greedy runs."""
     if inst.objective is Objective.MIN:
-        inst = dualize(inst)
+        inst = exact.dualize(inst)
     g = inst.graph
     p = inst.p
-    if cap_on_L is None:
-        cap_on_L = default_l_cap(g.n)
-    elif not is_int(cap_on_L, 0):
+    if cap_on_L is not None and not is_int(cap_on_L, 0):
         raise InputError("cap on |L| must be an integer >= 0")
     l_set = build_L(inst)
-    if len(l_set.members) > cap_on_L:
-        raise BudgetError(
-            f"|L| = {len(l_set.members)} exceeds cap {cap_on_L}; "
-            f"branch count 2^|L| would be too large")
+    m = len(l_set.members)
+    if cap_on_L is not None and m > cap_on_L:
+        raise BudgetError(f"|L| = {m} exceeds cap {cap_on_L}; "
+                          f"branch count 2^|L| would be too large")
+    if 2 ** m > exact.DEFAULT_BUDGET:
+        raise BudgetError(f"2^{m} branches exceed the budget of "
+                          f"{exact.DEFAULT_BUDGET} search nodes")
     closed_p = g.closed_neighborhood(p)
     weights = tuple(UNDELETABLE if v in closed_p else w
                     for v, w in enumerate(inst.weights))

@@ -29,23 +29,23 @@ from .reductions import setcover_to_mddmax_bip, setcover_to_mddmin_bip
 DEFAULT_ORACLE_CUTOFF = 28
 
 
-def _solve_oracle(inst, max_L):
+def _solve_oracle(inst):
     return brute_force_optimum(inst), ()
 
 
-def _solve_kreg(inst, max_L):
+def _solve_kreg(inst):
     return kregular_min_exact(inst), ()
 
 
-def _solve_logn(inst, max_L):
-    trace = mdd_max_logn_trace(inst, max_L)
+def _solve_logn(inst):
+    trace = mdd_max_logn_trace(inst)
     return trace.solution, (
         f"L = {sorted(trace.l_set)}",
         f"branches = {trace.branches_total} (feasible {trace.branches_feasible})",
         f"chosen K = {sorted(trace.chosen_k)}")
 
 
-def _solve_cubic(inst, max_L):
+def _solve_cubic(inst):
     trace = mdd_max_cubic_trace(inst)
     notes = [f"candidate {label}: size {size}"
              for label, size in trace.candidate_sizes]
@@ -54,9 +54,10 @@ def _solve_cubic(inst, max_L):
                             f"winning case: {trace.case}")
 
 
-#: Every solver by name: fn(instance, max_L) -> (DeletionSet, trace lines).
+#: Every solver by name: fn(instance) -> (DeletionSet, trace lines).
 #: Each calls its library function with that function's defaults and only
-#: formats the trace.  max_L caps the L-set of `logn`; the others ignore it.
+#: formats the trace, so a solver's limits are its own: `oracle`,
+#: `kreg-exact` and `logn` each raise BudgetError past exact.DEFAULT_BUDGET.
 ALGORITHMS = {
     "oracle": _solve_oracle,
     "kreg-exact": _solve_kreg,
@@ -65,7 +66,7 @@ ALGORITHMS = {
 }
 
 
-def solve(name: str, inst: Instance, max_L: Optional[int] = None):
+def solve(name: str, inst: Instance):
     """Run solver `name` and verify its result.
 
     Returns (DeletionSet, trace lines).  Raises VerificationError if the
@@ -74,7 +75,7 @@ def solve(name: str, inst: Instance, max_L: Optional[int] = None):
     """
     if name not in ALGORITHMS:
         raise InputError(f"unknown algorithm '{name}'")
-    solution, notes = ALGORITHMS[name](inst, max_L)
+    solution, notes = ALGORITHMS[name](inst)
     if not is_feasible(inst, solution):
         raise VerificationError(
             f"solver '{name}' returned an infeasible deletion set")
@@ -91,7 +92,6 @@ class ExperimentConfig:
     instances_per_size: int = 5
     seed: int = 0
     objective: str = "max"
-    max_L: Optional[int] = None
 
     def __post_init__(self):
         if self.family not in ("gnp", "regular", "setcover"):
@@ -112,8 +112,6 @@ class ExperimentConfig:
             if not is_int(getattr(self, name), low):
                 raise InputError(f"{name} must be an integer"
                                  + ("" if low is None else f" >= {low}"))
-        if self.max_L is not None and not is_int(self.max_L, 0):
-            raise InputError("max_L must be null or an integer >= 0")
         if (isinstance(self.edge_prob, bool)
                 or not isinstance(self.edge_prob, (int, float))
                 or not 0 <= self.edge_prob <= 1):
@@ -218,7 +216,7 @@ def _min_cover_size(sys) -> int:
 def _run_solver_row(cfg, instance_id, inst, name):
     start = time.perf_counter()
     try:
-        solution, _ = solve(name, inst, cfg.max_L)
+        solution, _ = solve(name, inst)
     except MDDError as exc:
         # Recorded, not fatal: one solver giving up on, failing, or not
         # applying to one instance leaves the rest of the experiment standing.

@@ -45,10 +45,8 @@ def _write_or_print(text: str, out: str):
 
 
 def _cmd_solve(args) -> int:
-    if args.max_L is not None and args.max_L < 0:
-        raise InputError("--max-L must be an integer >= 0")
     inst = fileio.parse_instance(_read(args.instance))
-    solution, notes = solve(args.algo, inst, args.max_L)
+    solution, notes = solve(args.algo, inst)
     for line in notes:
         print(line)
     print(f"solution: {' '.join(str(v) for v in solution.sorted_vertices())}")
@@ -132,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance")
     p_solve.add_argument("--algo", required=True, choices=list(ALGORITHMS))
-    p_solve.add_argument("--max-L", type=int, default=None, dest="max_L")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a solution file")

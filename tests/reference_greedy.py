@@ -20,7 +20,8 @@ from mdd import (BudgetError, DeletionSet, FDepProblem, Graph,
                  VerificationError, build_L,
                  build_domination_gadget, is_feasible,
                  normalize_dominating_set)
-from mdd.approx import BranchingResult, default_l_cap
+from mdd import exact
+from mdd.approx import BranchingResult
 
 #: Cap sentinel of the reference: the vertex carries no degree constraint at
 #: all.  The package caps such a vertex at its own degree instead.
@@ -153,20 +154,18 @@ def branch_candidate(inst, k_set, np_open, dp):
     return k_set | {remap[i] for i in deleted}
 
 
-def logn_trace(inst, cap):
+def logn_trace(inst):
     """The log n branching algorithm with `branch_candidate` as its branch
-    step; cap bounds |L| as in mdd_max_logn_trace."""
+    step; 2^|L| branches may not exceed exact.DEFAULT_BUDGET, as in
+    mdd_max_logn_trace."""
     if inst.objective is not Objective.MAX:
         raise PreconditionError("branching algorithm applies to objective Max")
     g = inst.graph
     p = inst.p
-    if cap is None:
-        cap = default_l_cap(g.n)
     l_set = build_L(inst)
-    if len(l_set.members) > cap:
-        raise BudgetError(
-            f"|L| = {len(l_set.members)} exceeds cap {cap}; "
-            f"branch count 2^|L| would be too large")
+    if 2 ** len(l_set.members) > exact.DEFAULT_BUDGET:
+        raise BudgetError(f"2^{len(l_set.members)} branches exceed the "
+                          f"budget of {exact.DEFAULT_BUDGET} search nodes")
     np_open = g.adj[p]
     dp = g.degree(p)
     members = sorted(l_set.members)

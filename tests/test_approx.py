@@ -11,7 +11,7 @@ from mdd import (BudgetError, DeletionSet, Graph, InfeasibleError, InputError,
                  VerificationError, brute_force_optimum,
                  build_L, dualize, is_feasible, mdd_max_logn,
                  mdd_max_logn_trace, generate_gnp)
-from mdd import approx
+from mdd import approx, exact
 
 from bruteforce import min_deletion_weight
 from testkit import complete, complete_bipartite, kreg_lower_bound, star
@@ -99,10 +99,20 @@ class TestMddMaxLogn:
         best = mdd_max_logn(inst)
         assert best.total_weight == brute_force_optimum(inst).total_weight == 2
 
-    def test_l_cap_enforced(self):
+    def test_l_cap_enforced(self, monkeypatch):
+        # On K8, |L| = 7.  A cap below it refuses first; a cap above it
+        # leaves the budget rule in force.
         inst = Instance(complete(8), 0, None, Objective.MAX)
-        with pytest.raises(BudgetError):
-            mdd_max_logn(inst, cap_on_L=2)
+        with pytest.raises(BudgetError) as err:
+            mdd_max_logn(inst, cap_on_L=6)
+        assert str(err.value) == ("|L| = 7 exceeds cap 6; "
+                                  "branch count 2^|L| would be too large")
+        assert mdd_max_logn(inst, cap_on_L=7) == mdd_max_logn(inst)
+        monkeypatch.setattr(exact, "DEFAULT_BUDGET", 2 ** 7 - 1)
+        with pytest.raises(BudgetError) as err:
+            mdd_max_logn(inst, cap_on_L=64)
+        assert str(err.value) == ("2^7 branches exceed the budget of 127 "
+                                  "search nodes")
 
     @pytest.mark.parametrize("cap", [-1, 2.5, True, "3"])
     def test_bad_l_cap_is_an_input_error(self, cap):
@@ -111,6 +121,20 @@ class TestMddMaxLogn:
         with pytest.raises(InputError) as err:
             mdd_max_logn(inst, cap)
         assert str(err.value) == "cap on |L| must be an integer >= 0"
+
+    @pytest.mark.parametrize("m", [0, 1, 4, 7])
+    def test_budget_admits_exactly_2_to_the_l_branches(self, monkeypatch, m):
+        # On K_{m+1}, L is all of N(p): 2^m branches, each one node of the
+        # budget, which is read at call time.
+        inst = Instance(complete(m + 1), 0, None, Objective.MAX)
+        monkeypatch.setattr(exact, "DEFAULT_BUDGET", 2 ** m)
+        trace = mdd_max_logn_trace(inst)
+        assert (len(trace.l_set), trace.branches_total) == (m, 2 ** m)
+        monkeypatch.setattr(exact, "DEFAULT_BUDGET", 2 ** m - 1)
+        with pytest.raises(BudgetError) as err:
+            mdd_max_logn_trace(inst)
+        assert str(err.value) == (f"2^{m} branches exceed the budget of "
+                                  f"{2 ** m - 1} search nodes")
 
     def test_no_finite_branch_raises_infeasible(self):
         # Beside p's two leaves, an undeletable triangle ties d(p): no

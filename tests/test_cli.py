@@ -48,13 +48,15 @@ def _usage_error(argv, capsys) -> str:
 class TestUsage:
     @pytest.mark.parametrize("argv, message", [
         (["solve", "f.txt", "--algo", "bogus"], "invalid choice: 'bogus'"),
-        (["solve", "f.txt", "--algo", "oracle", "--max-L", "x"],
-         "invalid int value: 'x'"),
+        (["gen", "--family", "gnp", "--n", "x"], "invalid int value: 'x'"),
         (["reduce", "g.txt"], "required: --to"),
         ([], "required: command"),
         # --kind fdep at its default cap 1 is dissociation deletion.
         (["subroutine", "--kind", "dissoc", "--graph", "g.txt"],
-         "invalid choice: 'dissoc'")])
+         "invalid choice: 'dissoc'"),
+        # logn's branches count against exact.DEFAULT_BUDGET: no |L| cap.
+        (["solve", "f.txt", "--algo", "logn", "--max-L", "12"],
+         "unrecognized arguments: --max-L 12")])
     def test_usage_error_exits_4(self, capsys, argv, message):
         assert message in _usage_error(argv, capsys)
 
@@ -344,18 +346,15 @@ class TestSolve:
         assert main(["solve", path, "--algo", "oracle"]) == 0
         assert capsys.readouterr().out == out
 
-    def test_logn_budget_exits_3(self, tmp_path, capsys):
+    def test_logn_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        # On K8, L is N(p): 2^7 branches, one more than the budget.
+        monkeypatch.setattr(mdd.exact, "DEFAULT_BUDGET", 2 ** 7 - 1)
         inst = Instance(complete(8), 0, None, Objective.MAX)
         path = write_instance(tmp_path, inst)
-        assert main(["solve", path, "--algo", "logn", "--max-L", "2"]) == 3
-
-    def test_negative_max_l_exits_4(self, tmp_path, capsys):
-        inst = Instance(complete(4), 0, None, Objective.MAX)
-        path = write_instance(tmp_path, inst)
-        assert main(["solve", path, "--algo", "logn", "--max-L", "-1"]) == 4
+        assert main(["solve", path, "--algo", "logn"]) == 3
         assert capsys.readouterr().err == (
-            "input error: --max-L must be an integer >= 0\n")
-        assert main(["solve", path, "--algo", "oracle", "--max-L", "0"]) == 0
+            "budget exhausted: 2^7 branches exceed the budget of 127 search "
+            "nodes\n")
 
     def test_bad_file_exits_4(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -380,7 +379,7 @@ from mdd import bench
 from mdd.cli import main
 if __debug__:
     sys.exit("expected python -O")
-bench.ALGORITHMS["oracle"] = lambda inst, max_L: (DeletionSet(frozenset(), 0), ())
+bench.ALGORITHMS["oracle"] = lambda inst: (DeletionSet(frozenset(), 0), ())
 with open(sys.argv[1], "w") as f:
     f.write(serialize_instance(Instance(Graph.cycle(5), 0)))
 print("exit", main(["solve", sys.argv[1], "--algo", "oracle"]))
@@ -668,7 +667,7 @@ class TestBenchCommand:
         {"family": "gnp", "sizes": [5.5]},
         {"family": "gnp", "sizes": "ab"},
         {"family": "gnp", "sizes": [5], "instances_per_size": "x"},
-        {"family": "gnp", "sizes": [5], "algorithms": ["logn"], "max_L": "3"},
+        {"family": "gnp", "sizes": [5], "k": "3"},
         {"family": "setcover", "sizes": [4], "seed": 1.5},
         [1, 2],
         None,

@@ -304,7 +304,7 @@ def test_each_class_carries_its_boundary_row():
                          ids=lambda c: c.__name__)
 def test_each_class_has_one_meaning_at_each_boundary(cls, tmp_path, capsys,
                                                      monkeypatch):
-    def refuse(inst, max_L):
+    def refuse(inst):
         raise cls("refused")
 
     monkeypatch.setitem(bench.ALGORITHMS, "oracle", refuse)

@@ -554,7 +554,7 @@ def test_pruned_logn_trace_matches_reference_branch_step(monkeypatch):
     for inst in _pruning_instances():
         before = len(calls)
         trace = _outcome(mdd_max_logn_trace, inst)
-        assert trace == _outcome(reference_greedy.logn_trace, inst, None)
+        assert trace == _outcome(reference_greedy.logn_trace, inst)
         if not isinstance(trace, type):
             feasible += trace.branches_feasible
             pruned += len(calls) - before < trace.branches_feasible
@@ -615,7 +615,7 @@ def test_size_test_settles_sizes_and_keeps_the_reference_trace(monkeypatch):
     inf_in_l = 0
     for inst in _size_test_instances():
         assert (_outcome(mdd_max_logn_trace, inst)
-                == _outcome(reference_greedy.logn_trace, inst, None))
+                == _outcome(reference_greedy.logn_trace, inst))
         inf_in_l += any(inst.weights[u] == UNDELETABLE
                         for u in build_L(inst).members)
     by_problem = {}
@@ -675,7 +675,7 @@ def test_branch_that_ties_the_best_weight_still_runs(n, q, seed, p, weights,
     trace = mdd_max_logn_trace(inst)
     assert (trace.solution.vertices, trace.chosen_k) == (frozenset(solution),
                                                          chosen_k)
-    assert trace == reference_greedy.logn_trace(inst, None)
+    assert trace == reference_greedy.logn_trace(inst)
 
 
 @EXAMPLES
@@ -711,7 +711,7 @@ def max_instances(draw):
 @given(max_instances())
 def test_logn_trace_matches_reference_branch_step(inst):
     assert (_outcome(mdd_max_logn_trace, inst)
-            == _outcome(reference_greedy.logn_trace, inst, None))
+            == _outcome(reference_greedy.logn_trace, inst))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -210,11 +210,13 @@ class TestBench:
             ExperimentConfig.from_json("not json")
         with pytest.raises(InputError):
             ExperimentConfig.from_json(json.dumps({"bogus": 1}))
-        # The oracle cutoff is a constant, not a config key.
-        with pytest.raises(InputError, match="^bad experiment config: .*"
-                           "unexpected keyword argument 'oracle_cutoff'$"):
-            ExperimentConfig.from_dict({"family": "gnp", "sizes": [14],
-                                        "oracle_cutoff": 28})
+        # The oracle cutoff is a constant and logn's branches count against
+        # exact.DEFAULT_BUDGET: neither is a config key.
+        for key in ("oracle_cutoff", "max_L"):
+            with pytest.raises(InputError, match="^bad experiment config: .*"
+                               f"unexpected keyword argument '{key}'$"):
+                ExperimentConfig.from_dict({"family": "gnp", "sizes": [14],
+                                            key: 28})
         for text in ("[1,2]", "null"):
             with pytest.raises(InputError,
                                match="^experiment config must be a JSON object$"):
@@ -228,7 +230,7 @@ class TestBench:
     def test_gnp_experiment(self):
         cfg = ExperimentConfig(family="gnp", sizes=[6, 7],
                                algorithms=["oracle", "logn"],
-                               instances_per_size=2, seed=1, max_L=8)
+                               instances_per_size=2, seed=1)
         report = run_experiment(cfg)
         assert len(report.rows) == 2 * 2 * 2
         for row in report.rows:
@@ -247,7 +249,7 @@ class TestBench:
         cfg = ExperimentConfig(family="regular", sizes=[8],
                                algorithms=["oracle", "kreg-exact", "logn"],
                                k=3, instances_per_size=2, seed=2,
-                               objective="min", max_L=10)
+                               objective="min")
         report = run_experiment(cfg)
         for row in report.rows:
             if row.algorithm == "kreg-exact":
@@ -264,15 +266,18 @@ class TestBench:
             assert row.size == row.n - 1
             assert row.ratio == 1.0
 
-    def test_failing_rows_are_recorded(self):
+    _REGULAR_MIN = ExperimentConfig(
+        family="regular", sizes=[8, 10, 12],
+        algorithms=["oracle", "kreg-exact", "logn"], k=3,
+        instances_per_size=3, seed=3, objective="min")
+
+    def test_failing_rows_are_recorded(self, monkeypatch):
         # logn solves Min on the complement.  The complement of a 3-regular
-        # graph on 12 vertices has |L| = 8, over the default cap of 6, so
-        # logn gives up on those rows.
-        cfg = ExperimentConfig(family="regular", sizes=[8, 10, 12],
-                               algorithms=["oracle", "kreg-exact", "logn"],
-                               k=3, instances_per_size=3, seed=3,
-                               objective="min")
-        report = run_experiment(cfg)
+        # graph on 12 vertices has |L| = 8, so at a budget of 2^8 - 1 logn
+        # gives up on those rows; the oracle needs at most 46 nodes here,
+        # and the K peel 2^3.
+        monkeypatch.setattr(mdd.exact, "DEFAULT_BUDGET", 2 ** 8 - 1)
+        report = run_experiment(self._REGULAR_MIN)
         assert len(report.rows) == 3 * 3 * 3
         failed = [r for r in report.rows if r.extra]
         assert [(r.n, r.algorithm) for r in failed] == [(12, "logn")] * 3
@@ -283,10 +288,20 @@ class TestBench:
         assert [report.aggregates[name]["failed"]
                 for name in ("logn", "kreg-exact", "oracle")] == [3, 0, 0]
 
+    def test_rows_over_the_old_l_cap_solve(self):
+        # An |L| cap of ceil(log2 n) + 2, 6 at n = 12, would refuse the
+        # n = 12 rows above; their 2^8 branches are well within the budget.
+        report = run_experiment(self._REGULAR_MIN)
+        rows = [r for r in report.rows if r.algorithm == "logn"]
+        assert [r.n for r in rows] == [10] * 3 + [12] * 3 + [8] * 3
+        for row in rows:
+            assert row.extra == {} and row.feasible is True
+            assert row.ratio >= 1.0
+
     def test_infeasible_result_is_an_error_row(self, monkeypatch):
         # A solver whose set fails bench.solve's feasibility check gives an
         # `error` row, counted as failed, and the run goes on.
-        monkeypatch.setitem(mdd.bench.ALGORITHMS, "logn", lambda inst, max_L: (
+        monkeypatch.setitem(mdd.bench.ALGORITHMS, "logn", lambda inst: (
             DeletionSet(frozenset(), 0), ()))
         cfg = ExperimentConfig(family="regular", sizes=[6, 8],
                                algorithms=["oracle", "logn"], k=3,
@@ -389,10 +404,6 @@ class TestBench:
             assert row.ratio == row.weight / row.oracle_weight >= 1.0
         assert report.aggregates["oracle"]["max_ratio"] == 1.0
         assert report.aggregates["logn"]["rows"] == len(systems)
-        # max_L reaches the setcover rows: a cap of 0 is below every |L| here.
-        capped = run_experiment(dataclasses.replace(cfg, max_L=0))
-        assert [row.extra for row in capped.rows if row.algorithm == "logn"] \
-            == [{"status": "budget"}] * len(systems)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.integers(2, 9), st.integers(0, 7), st.integers(0, 10**6))
@@ -400,7 +411,10 @@ class TestBench:
         sys = generate_random_setsystem(r, r + extra, seed)
         assert mdd.bench._min_cover_size(sys) == min_cover_size(sys)
 
-    def test_setcover_min_builds_mddmin_bip(self):
+    def test_setcover_min_builds_mddmin_bip(self, monkeypatch):
+        # The complements' |L| is 10 and 15 here, and the oracle needs at
+        # most 100 nodes, so at a budget of 2^10 - 1 only logn gives up.
+        monkeypatch.setattr(mdd.exact, "DEFAULT_BUDGET", 2 ** 10 - 1)
         cfg = ExperimentConfig(family="setcover", sizes=[4, 6],
                                algorithms=["oracle", "logn"],
                                instances_per_size=2, seed=3, objective="min")
@@ -414,8 +428,6 @@ class TestBench:
             if row.algorithm == "oracle":
                 assert row.ratio == 1.0
             else:
-                # d(p) = t, far below n - O(log n): the complement's |L|
-                # is over the default cap.
                 assert row.extra == {"status": "budget"}
                 assert (row.size, row.ratio) == (None, None)
         assert report.aggregates["logn"]["failed"] == len(systems)
@@ -445,9 +457,9 @@ class TestBench:
         # With no row to score, no instance needs a reference optimum.
         calls = []
 
-        def counted(inst, max_L):
+        def counted(inst):
             calls.append(inst)
-            return oracle(inst, max_L)
+            return oracle(inst)
 
         oracle = mdd.bench.ALGORITHMS["oracle"]
         monkeypatch.setitem(mdd.bench.ALGORITHMS, "oracle", counted)

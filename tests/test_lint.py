@@ -1,10 +1,11 @@
 """Static checks on the package source."""
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import mdd
-from mdd import errors
+from mdd import bench, errors
 
 SOURCES = sorted(Path(mdd.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text()) for path in SOURCES}
@@ -404,3 +405,15 @@ def test_every_public_definition_has_a_user_outside_the_tests():
     unused = [f"{where}:{d.lineno}: {d.name}" for where, d in defined
               if not used(where, d)]
     assert unused == []
+
+
+def test_every_registry_entry_takes_the_instance_alone():
+    # A solver's limits are its own (logn's branches, the oracle's nodes and
+    # the peels count against exact.DEFAULT_BUDGET), so no per-solver option
+    # runs through bench.solve into entries that must ignore it.
+    shapes = {name: [(p.kind, p.default)
+                     for p in inspect.signature(fn).parameters.values()]
+              for name, fn in bench.ALGORITHMS.items()}
+    assert shapes == {name: [(inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                              inspect.Parameter.empty)]
+                      for name in bench.ALGORITHMS}
