@@ -23,12 +23,14 @@ def generate_random_regular(n: int, k: int, seed: int) -> Graph:
     """Random simple k-regular graph via the pairing model.
 
     Shuffles n*k half-edge stubs and pairs them consecutively; restarts on a
-    self-loop or parallel edge.  After _MAX_ATTEMPTS restarts, and from the
-    start for k >= _STEGER_WORMALD_MIN_DEGREE, it runs Steger and Wormald's
-    algorithm instead, drawing from the same generator.  Deterministic per
-    seed.  An n or k that is not an int (a bool or a float among them)
-    raises InputError, and sizes that admit no k-regular graph (n < 1,
-    k < 0, k >= n or n*k odd) raise PreconditionError.
+    self-loop or parallel edge.  The stubs are shuffled by _shuffle, which
+    makes random.Random.shuffle's draws one for one, so it leaves the same
+    list and the same generator state.  After _MAX_ATTEMPTS restarts, and
+    from the start for k >= _STEGER_WORMALD_MIN_DEGREE, it runs Steger and
+    Wormald's algorithm instead, drawing from the same generator.
+    Deterministic per seed.  An n or k that is not an int (a bool or a
+    float among them) raises InputError, and sizes that admit no k-regular
+    graph (n < 1, k < 0, k >= n or n*k odd) raise PreconditionError.
     """
     if not (is_int(n) and is_int(k)):
         raise InputError("n and k must be integers")
@@ -38,7 +40,7 @@ def generate_random_regular(n: int, k: int, seed: int) -> Graph:
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(k)]
     for _ in range(_MAX_ATTEMPTS if k < _STEGER_WORMALD_MIN_DEGREE else 0):
-        rng.shuffle(stubs)
+        _shuffle(rng, stubs)
         seen = set()
         pairs = iter(stubs)
         for u, v in zip(pairs, pairs):
@@ -57,6 +59,25 @@ def generate_random_regular(n: int, k: int, seed: int) -> Graph:
             return _graph(n, sorted(edges))
     raise PreconditionError(
         f"failed to produce a simple {k}-regular graph on {n} vertices")
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle x in place exactly as random.Random.shuffle does on CPython
+    3.10 to 3.13: for i from len(x) - 1 down to 1, swap x[i] with x[j],
+    where j is the first draw getrandbits(k) <= i and k is
+    (i + 1).bit_length().  Each run of i with the same k is one loop, so no
+    element pays for Random._randbelow's frame or a bit_length call."""
+    getrandbits = rng.getrandbits
+    top = len(x) - 1
+    for k in range(len(x).bit_length(), 1, -1):
+        # The i with (i + 1).bit_length() == k run down to 2^(k-1) - 1.
+        bottom = (1 << (k - 1)) - 2
+        for i in range(top, bottom, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = bottom
 
 
 def _graph(n: int, edges: list) -> Graph:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -35,12 +36,56 @@ class TestGenerators:
             g = generate_random_regular(30, k, seed)
             assert g.n == 30 and g.regular_degree() == k
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_shuffle_makes_random_shuffles_draws(self, seed):
+        # The pairing model's _shuffle must leave the list and the generator
+        # state that Random.shuffle leaves, or generated graphs change.  The
+        # lengths cover every bit-length boundary 2^k - 1, 2^k, 2^k + 1 up
+        # to 1,025 and every stub count 3n with 200 <= n <= 298.
+        for length in range(1101):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got, expected = list(range(length)), list(range(length))
+            mdd.generators._shuffle(ours, got)
+            theirs.shuffle(expected)
+            assert got == expected, length
+            assert ours.getstate() == theirs.getstate(), length
+
+    def test_shuffle_reshuffles_one_list_like_the_pairing_loop(self):
+        ours, theirs = random.Random(941), random.Random(941)
+        got = [v for v in range(250) for _ in range(3)]
+        expected = list(got)
+        for _ in range(10):
+            mdd.generators._shuffle(ours, got)
+            theirs.shuffle(expected)
+            assert got == expected
+            assert ours.getstate() == theirs.getstate()
+
     def test_n4_k3_is_k4(self):
         assert generate_random_regular(4, 3, 0) == complete(4)
 
     def test_odd_product_rejected(self):
         with pytest.raises(PreconditionError):
             generate_random_regular(5, 3, 0)
+
+    @pytest.mark.parametrize("n, k", [(0, 0), (2, -1), (4, 4)])
+    def test_sizes_without_a_regular_graph_rejected(self, n, k):
+        with pytest.raises(PreconditionError,
+                           match=f"^no {k}-regular graph on {n} vertices"):
+            generate_random_regular(n, k, 0)
+
+    def test_smallest_sizes_accepted(self):
+        assert generate_random_regular(1, 0, 0) == Graph(1)
+        assert generate_random_regular(2, 1, 0) == Graph(2, [(0, 1)])
+
+    def test_cubic_is_regular_of_degree_three(self):
+        for seed in range(3):
+            assert (mdd.generators.generate_random_cubic(10, seed)
+                    == generate_random_regular(10, 3, seed))
+
+    def test_attempt_bound_is_5000(self):
+        # Read unpatched: the give-up test patches it.  Past it the pairing
+        # model hands over to Steger-Wormald, which changes the graph.
+        assert mdd.generators._MAX_ATTEMPTS == 5000
 
     def test_gnp_determinism_and_extremes(self):
         assert generate_gnp(8, 0.4, 3) == generate_gnp(8, 0.4, 3)
@@ -60,6 +105,10 @@ class TestGenerators:
     def test_setsystem_rejects_r1(self):
         with pytest.raises(PreconditionError):
             generate_random_setsystem(1, 3, 0)
+
+    def test_setsystem_rejects_more_elements_than_sets(self):
+        with pytest.raises(PreconditionError, match=r"^need 2 <= r <= t$"):
+            generate_random_setsystem(3, 2, 0)
 
     @pytest.mark.parametrize("make, args, message", [
         (generate_random_regular, (4, 3, 0),
@@ -86,20 +135,28 @@ class TestGenerators:
         (generate_gnp, (True, 0.5)),
         (generate_gnp, ("4", 0.5)),
         (generate_gnp, (4, "0.5")),
+        (generate_gnp, (-1, 0.5)),
+        (generate_gnp, (4, -0.5)),
+        (generate_gnp, (4, 1.5)),
         (generate_random_setsystem, (2.0, 3)),
         (generate_random_setsystem, (2, 3.0)),
         (generate_random_setsystem, (True, 3)),
     ], ids=["regular-bool-k", "regular-float-k", "regular-float-n",
             "regular-bool-n", "gnp-bool-p", "gnp-float-n", "gnp-bool-n",
-            "gnp-str-n", "gnp-str-p", "setsystem-float-r",
+            "gnp-str-n", "gnp-str-p", "gnp-negative-n", "gnp-negative-p",
+            "gnp-p-above-1", "setsystem-float-r",
             "setsystem-float-t", "setsystem-bool-r"])
     def test_bad_size_and_probability_types_rejected(self, make, args):
         with pytest.raises(InputError):
             make(*args, 0)
 
     # SHA-256 of [(g.n, sorted(g.edges())) for seeds 0-4], recorded while
-    # the generators still built through Graph(n, edges), so a faster build
-    # cannot change a generated graph; k >= 6 takes the Steger-Wormald path.
+    # the generators still built through Graph(n, edges), and the last four
+    # while the pairing model still called Random.shuffle, so a faster build
+    # or shuffle cannot change a generated graph; k >= 6 takes the
+    # Steger-Wormald path.  1,024 stubs (256, 4) and 1,026 (342, 3)
+    # straddle a power of two, and (40, 5) makes 70 to 816 pairing attempts
+    # per graph.
     PINNED = [
         (generate_random_regular, (8, 3), "8e5a151fdecced6c07b14acf3b474c204041b81dd2fda9e9615f66ffeb89086c"),
         (generate_random_regular, (200, 3), "4b472d89e7584731a55bcf0c2792046b9f662a152a49f74aac651c98a8bf922c"),
@@ -114,6 +171,10 @@ class TestGenerators:
         (generate_gnp, (17, 0.3), "0a3fee8449f92e4ef677b3536fdbead8851e2810d38afd6ec389b1c38a48f5d4"),
         (generate_gnp, (17, 0.7), "35e89b313214c708f29dc14fa77ac00787b74d2c0703649df0092f6d396d8aa4"),
         (generate_gnp, (12, 1.0), "2e1bba6864e5869834e7e59874472c3b3d23cc30ab16892fa0dd725f7128bce7"),
+        (generate_random_regular, (256, 4), "daac8b5fc5c774a97b0490f78f82ebe88a4b55f9cc678b0179178a690ca771b2"),
+        (generate_random_regular, (342, 3), "f67c4d4f72f63902263c66142ba23d57c4c49499d8dda89f974c586b14674090"),
+        (generate_random_regular, (40, 5), "5133588b9da1ac8277059a169a50d9b397d8baec1a68739a7b955111311f4b04"),
+        (generate_random_regular, (1000, 3), "22abc55721eb64bf053b7c502f4486f1c558eb22d1982eaac91f46580e0df284"),
     ]
 
     @pytest.mark.parametrize("make, args, digest", PINNED)
@@ -129,6 +190,21 @@ class TestGenerators:
             assert g == checked
             assert ([list(a) for a in g.adj]
                     == [list(a) for a in checked.adj])
+
+    # The same for set systems, r = t = 2 being the smallest size accepted.
+    PINNED_SETSYSTEMS = [
+        ((2, 2), "0feea38a5d6d139664184f71042b5c2a260e90692237ea0be2681c775af1ea22"),
+        ((3, 3), "014a15838ce2c40ce6252c9ae2acfc9650b2594e6787c042e4a253a04230625a"),
+        ((3, 5), "978ace6b9cb969507bbfbbf3601370a4e09643fca8662fb19aae357e4211b446"),
+        ((5, 8), "25c6f185a119df4b4e801934a84ac63fa98d9709e9547adac5f702af1f3ff46c"),
+    ]
+
+    @pytest.mark.parametrize("args, digest", PINNED_SETSYSTEMS)
+    def test_generated_setsystems_are_pinned(self, args, digest):
+        systems = [generate_random_setsystem(*args, seed) for seed in range(5)]
+        payload = repr([(s.universe_size, [sorted(f) for f in s.family])
+                        for s in systems])
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 class TestFileIO:
