@@ -34,7 +34,7 @@ def generate_random_regular(n: int, k: int, seed: int) -> Graph:
     """
     if not (is_int(n) and is_int(k)):
         raise InputError("n and k must be integers")
-    if n < 1 or k < 0 or k >= n or (n * k) % 2 != 0:
+    if k < 0 or k >= n or (n * k) % 2 != 0:
         raise PreconditionError(
             f"no {k}-regular graph on {n} vertices (need 0 <= k < n, n*k even)")
     rng = random.Random(seed)
@@ -141,7 +141,7 @@ def generate_random_setsystem(r: int, t: int, seed: int) -> SetSystem:
     """
     if not (is_int(r) and is_int(t)):
         raise InputError("r and t must be integers")
-    if r < 2 or t < 2 or r > t:
+    if r < 2 or r > t:
         # r = 1 would force every (non-empty) set to contain the element,
         # violating the occurrence bound.
         raise PreconditionError("need 2 <= r <= t")

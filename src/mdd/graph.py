@@ -112,12 +112,8 @@ class Graph:
 
     def regular_degree(self) -> Optional[int]:
         """Degree k if the graph is k-regular, else None."""
-        if self.n == 0:
-            return None
-        k = len(self.adj[0])
-        if all(len(s) == k for s in self.adj):
-            return k
-        return None
+        degrees = set(map(len, self.adj))
+        return degrees.pop() if len(degrees) == 1 else None
 
     # -- transforms -------------------------------------------------------
 
@@ -172,7 +168,7 @@ class Graph:
 
 def _normalize_weights(graph: Graph, weights) -> tuple:
     if weights is None:
-        return tuple(1 for _ in range(graph.n))
+        return (1,) * graph.n
     weights = tuple(weights)
     if len(weights) != graph.n:
         raise InputError("weights length must equal vertex count")
@@ -195,8 +191,11 @@ class Instance:
     def __post_init__(self):
         if not (is_int(self.p, 0) and self.p < self.graph.n):
             raise InputError(f"distinguished vertex {self.p} out of range")
+        given = self.weights
         object.__setattr__(self, "weights",
-                           _normalize_weights(self.graph, self.weights))
+                           _normalize_weights(self.graph, given))
+        if given is None:
+            return
         for v, w in enumerate(self.weights):
             if v != self.p and not is_valid_weight(w):
                 raise InputError(f"weight of vertex {v} must be a positive "
@@ -210,7 +209,9 @@ class Instance:
 
     @property
     def unit_weights(self) -> bool:
-        return all(w == 1 for v, w in enumerate(self.weights) if v != self.p)
+        # p's own weight is irrelevant, so a 1 there is not counted.
+        return (self.weights.count(1) - (self.weights[self.p] == 1)
+                == self.graph.n - 1)
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,13 @@ def _solution_vertices(solution) -> frozenset:
 
 def is_feasible(inst: Instance, solution) -> bool:
     """True iff S deletes no UNDELETABLE vertex and p is the unique
-    extreme-degree vertex of G[V \\ S]."""
+    extreme-degree vertex of G[V \\ S].
+
+    Counts rather than rebuilds: each kept vertex's degree in G[V \\ S] is
+    its degree in G less one per neighbour in S, so the check costs
+    O(n + sum of d(u) over u in S).  The entries of S and of p then take a
+    value that can never violate (-1 for Max, inf for Min), and one max or
+    min over the list is compared with d(p)."""
     s = _solution_vertices(solution)
     if inst.p in s:
         raise PreconditionError("deletion set may not contain p")
@@ -251,9 +258,14 @@ def is_feasible(inst: Instance, solution) -> bool:
     _ids(g.n, s)
     if any(inst.weights[v] == UNDELETABLE for v in s):
         return False
-    dp = len(g.adj[inst.p] - s)
-    degrees = [len(g.adj[v] - s) for v in range(g.n)
-               if v != inst.p and v not in s]
+    degrees = list(map(len, g.adj))
+    for u in s:
+        for v in g.adj[u]:
+            degrees[v] -= 1
+    never = math.inf if inst.objective is Objective.MIN else -1
+    for u in s:
+        degrees[u] = never
+    dp, degrees[inst.p] = degrees[inst.p], never
     if inst.objective is Objective.MIN:
-        return all(dv > dp for dv in degrees)
-    return all(dv < dp for dv in degrees)
+        return min(degrees) > dp
+    return max(degrees) < dp

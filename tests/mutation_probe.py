@@ -43,8 +43,6 @@ SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
 #: (file, line, "old -> new"), each with the reason.  A line number goes
 #: stale when its module changes; the probe then prints the survivor.
 EQUIVALENT = {
-    ("src/mdd/generators.py", 37, "1 -> 0"):
-        "n < 0: an n <= 0 fails k < 0 or k >= n anyway",
     ("src/mdd/generators.py", 42, "0 -> (-1)"):
         "range(-1) is as empty as range(0)",
     ("src/mdd/generators.py", 48, "< -> <="):
@@ -55,8 +53,14 @@ EQUIVALENT = {
         "adj[u] never holds u",
     ("src/mdd/generators.py", 132, "< -> <="):
         "differs only on a draw equal to p, 2^-53 likely per draw",
-    ("src/mdd/generators.py", 144, "2 -> 1"):
-        "t < 1 (of t < 2): r >= 2 and r <= t already give t >= 2",
+    ("src/mdd/graph.py", 107, "< -> <="):
+        "adj[u] never holds u",
+    ("src/mdd/graph.py", 135, "< -> <="):
+        "adj[u] never holds u",
+    ("src/mdd/graph.py", 149, "+ -> -"):
+        "edges (i, i - 1) make the same cycle as (i, i + 1)",
+    ("src/mdd/graph.py", 265, "1 -> 2"):
+        "a Max sentinel of -2 violates no more than -1: degrees are >= 0",
 }
 
 

@@ -1,10 +1,12 @@
+import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdd import (UNDELETABLE, Graph, Instance, InputError, Objective,
-                 PreconditionError, generate_gnp, is_feasible)
+                 PreconditionError, generate_gnp, generate_random_regular,
+                 is_feasible)
 
 from mdd.graph import is_valid_weight
 
@@ -42,7 +44,7 @@ class TestGraphBasics:
             Graph(n)
 
     @pytest.mark.parametrize("edge", [(True, 0), (0, False), (0, 1.0),
-                                      (0, "1"), (-1, 0)])
+                                      (0, "1"), (-1, 0), (0, -1), (3, 0)])
     def test_endpoints_must_be_vertex_ids(self, edge):
         with pytest.raises(InputError, match=re.escape(
                 f"edge ({edge[0]!r}, {edge[1]!r}) out of range for n=3")):
@@ -68,6 +70,22 @@ class TestGraphBasics:
 
     def test_single_vertex_is_zero_regular(self):
         assert Graph(1).regular_degree() == 0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.one_of(small_graphs(), st.sampled_from([Graph(0), Graph(1)])))
+    def test_regular_degree_is_vertex_zeros_degree_when_all_share_it(self, g):
+        k = len(g.adj[0]) if g.n else None
+        expected = k if all(len(a) == k for a in g.adj) else None
+        assert g.regular_degree() == expected
+
+    def test_cycle_needs_three_vertices(self):
+        assert Graph.cycle(3) == complete(3)
+        with pytest.raises(InputError, match="^cycle needs at least 3"):
+            Graph.cycle(2)
+
+    def test_disjoint_union_shifts_the_second_graph(self):
+        assert Graph.path(2).disjoint_union(complete(3)) == Graph(
+            5, [(0, 1), (2, 3), (2, 4), (3, 4)])
 
     def test_equal_vertex_counts_with_different_edges_differ(self):
         assert Graph(3, [(0, 1)]) != Graph(3, [(1, 2)])
@@ -144,8 +162,10 @@ class TestInducedSubgraph:
 
 class TestInstance:
     def test_p_out_of_range(self):
-        with pytest.raises(InputError):
-            Instance(complete(3), 3)
+        for p in (3, -1):
+            with pytest.raises(InputError, match=(
+                    f"^distinguished vertex {p} out of range$")):
+                Instance(complete(3), p)
 
     def test_bad_weight(self):
         with pytest.raises(InputError):
@@ -167,6 +187,24 @@ class TestInstance:
         inst = Instance(complete(3), 0, (1, UNDELETABLE, 2))
         assert inst.weight(1) == UNDELETABLE
         assert not inst.unit_weights
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.integers(0, n - 1),
+        st.lists(st.sampled_from([1, 2, UNDELETABLE]),
+                 min_size=n, max_size=n))))
+    def test_unit_weights_ignores_only_p(self, drawn):
+        # p's weight is drawn from the same values: a 2 or UNDELETABLE
+        # there never makes the weights non-unit, a 1 there never makes
+        # them unit.
+        p, weights = drawn
+        inst = Instance(Graph(len(weights)), p, weights)
+        assert inst.unit_weights == all(
+            w == 1 for v, w in enumerate(weights) if v != p)
+
+    def test_default_weights_are_unit(self):
+        inst = Instance(Graph(4), 2)
+        assert inst.weights == (1, 1, 1, 1) and inst.unit_weights
 
 
 class TestFeasibility:
@@ -223,3 +261,34 @@ class TestFeasibility:
         s = data.draw(st.sets(st.integers(0, g.n - 1))) - {p}
         deletable = all(weights[v] != UNDELETABLE for v in s)
         assert is_feasible(inst, s) == (deletable and check_feasible(inst, s))
+
+    def test_agrees_with_recount_at_scale(self):
+        # Seeded corpus past the sizes above: 10 random cubic graphs on
+        # 200-298 vertices and 10 G(50, 0.1) graphs, in both objectives,
+        # with random sets of several densities, sets that keep only a few
+        # vertices besides p, and S = V - {p}.
+        rng = random.Random(44)
+        graphs = ([generate_random_regular(rng.randrange(200, 300, 2), 3, i)
+                   for i in range(10)]
+                  + [generate_gnp(50, 0.1, i) for i in range(10)])
+        seen = set()
+        for g in graphs:
+            p = rng.randrange(g.n)
+            others = [v for v in range(g.n) if v != p]
+            weights = [rng.choice([1, 2, 3, UNDELETABLE]) if rng.random() < 0.1
+                       else 1 for _ in range(g.n)]
+            sets = [set(others)]
+            for keep in (0.02, 0.1, 0.5, 0.9, 1.0):
+                sets.append({v for v in others if rng.random() >= keep})
+            for kept in (1, 2, 3):
+                sets.append(set(others) - set(rng.sample(others, kept)))
+            for objective in Objective:
+                for w in (None, weights):
+                    inst = Instance(g, p, w, objective)
+                    for s in sets:
+                        deletable = all(inst.weights[v] != UNDELETABLE
+                                        for v in s)
+                        expected = deletable and check_feasible(inst, s)
+                        assert is_feasible(inst, s) == expected
+                        seen.add((objective, expected))
+        assert len(seen) == 4
